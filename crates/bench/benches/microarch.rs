@@ -1,8 +1,9 @@
 //! Micro-benchmarks for the micro-architectural models: caches, Merkle
-//! tree, dedup store, sub-operation scheduling.
+//! tree, SECDED codec, dedup store, sub-operation scheduling.
 
 use janus_bench::timing::BenchHarness;
 use janus_bmo::dedup::DedupStore;
+use janus_bmo::ecc;
 use janus_bmo::engine::{BmoEngine, BmoMode};
 use janus_bmo::integrity::MerkleTree;
 use janus_bmo::latency::BmoLatencies;
@@ -45,6 +46,24 @@ fn main() {
             i = (i + 1) % 1_000_000;
             t.update_leaf(black_box(i), &Line::from_words(&[i]));
             t.root()
+        });
+    }
+
+    {
+        let mut i = 0u64;
+        h.bench("ecc_encode_line", || {
+            i = i.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            ecc::encode_line(&Line::from_words(&[i, !i, i << 1, i >> 3]))
+        });
+    }
+
+    {
+        let line = Line::from_words(&[1, 2, 3, 4, 5, 6, 7, 8]);
+        let checks = ecc::encode_line(&line);
+        let mut bad = line;
+        bad.write_u64(24, line.read_u64(24) ^ (1 << 17));
+        h.bench("ecc_decode_line", || {
+            ecc::decode_line(black_box(&bad), black_box(&checks))
         });
     }
 

@@ -94,8 +94,11 @@ struct Region {
     cond_begin: Option<usize>,
 }
 
-fn regions(ops: &[Op]) -> Vec<Region> {
+/// Computes every op's [`Region`], plus the index of each function
+/// instance's `FuncBegin` (indexed by [`Region::func`]; 0 for top level).
+fn regions(ops: &[Op]) -> (Vec<Region>, Vec<usize>) {
     let mut out = Vec::with_capacity(ops.len());
+    let mut func_start = vec![0usize];
     let mut func_stack = vec![0u32];
     let mut next_func = 1u32;
     let mut loop_stack: Vec<u32> = Vec::new();
@@ -105,6 +108,7 @@ fn regions(ops: &[Op]) -> Vec<Region> {
         match op {
             Op::FuncBegin(_) => {
                 func_stack.push(next_func);
+                func_start.push(i);
                 next_func += 1;
             }
             Op::LoopBegin => {
@@ -133,7 +137,7 @@ fn regions(ops: &[Op]) -> Vec<Region> {
             _ => {}
         }
     }
-    out
+    (out, func_start)
 }
 
 /// Whether the `sfence` search starting after `clwb_idx` finds a fence
@@ -162,8 +166,21 @@ struct Insertion {
 /// `pre_obj`s, but mixing manual and automated instrumentation is not
 /// recommended).
 pub fn instrument(program: &Program) -> (Program, InstrumentReport) {
+    // A marker must share the writeback's function instance, and none of
+    // its ops precede that instance's `FuncBegin`: scanning from there is
+    // exact, and bounds each search by its function's size rather than the
+    // program's.
+    run_pass(program, |func_start, func| func_start[func as usize])
+}
+
+/// The pass, with each writeback's marker searches starting at
+/// `scan_from(func_start, func)`.
+fn run_pass(
+    program: &Program,
+    scan_from: impl Fn(&[usize], u32) -> usize,
+) -> (Program, InstrumentReport) {
     let ops = &program.ops;
-    let regs = regions(ops);
+    let (regs, func_start) = regions(ops);
     let mut report = InstrumentReport::default();
     let mut insertions: Vec<Insertion> = Vec::new();
     // Fresh pre_obj ids beyond any already present.
@@ -190,8 +207,9 @@ pub fn instrument(program: &Program) -> (Program, InstrumentReport) {
             continue;
         }
 
-        let addr_marker = find_addr_marker(ops, &regs, i, line);
-        let data_marker = find_data_marker(ops, &regs, i, line);
+        let from = scan_from(&func_start, regs[i].func);
+        let addr_marker = find_addr_marker(ops, &regs, from, i, line);
+        let data_marker = find_data_marker(ops, &regs, from, i, line);
         if addr_marker.is_none() && data_marker.is_none() {
             report.skipped_no_marker += 1;
             continue;
@@ -255,16 +273,17 @@ pub fn instrument(program: &Program) -> (Program, InstrumentReport) {
 }
 
 /// Finds the usable `AddrGen` marker for the writeback at `clwb_idx`:
-/// the earliest same-function marker covering `line`, not inside a loop the
-/// writeback is not in. Returns the insertion index (right after the
-/// marker) and the covered line count.
+/// the earliest same-function marker at or after `from` covering `line`, not
+/// inside a loop the writeback is not in. Returns the insertion index (right
+/// after the marker) and the covered line count.
 fn find_addr_marker(
     ops: &[Op],
     regs: &[Region],
+    from: usize,
     clwb_idx: usize,
     line: LineAddr,
 ) -> Option<(usize, u32)> {
-    for j in 0..clwb_idx {
+    for j in from..clwb_idx {
         let Op::AddrGen {
             line: first,
             nlines,
@@ -288,15 +307,16 @@ fn find_addr_marker(
 
 /// Finds the usable `DataGen` marker: the *last* same-function definition of
 /// `line`'s data before the writeback (the pass "places a PRE_DATA function
-/// between the last two updates on the object"). Returns the one line value
-/// destined for `line`.
+/// between the last two updates on the object"), searching back to `from`.
+/// Returns the one line value destined for `line`.
 fn find_data_marker(
     ops: &[Op],
     regs: &[Region],
+    from: usize,
     clwb_idx: usize,
     line: LineAddr,
 ) -> Option<(usize, Vec<Line>)> {
-    for j in (0..clwb_idx).rev() {
+    for j in (from..clwb_idx).rev() {
         let Op::DataGen {
             line: first,
             values,
@@ -335,7 +355,142 @@ fn clamp_to_cond(regs: &[Region], clwb_idx: usize, at: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use janus_check::{forall_cfg, gen, Config, Gen};
     use janus_core::ir::ProgramBuilder;
+    use std::cell::Cell;
+
+    /// The whole-program scan: every marker search starts at op 0. Kept as
+    /// the executable specification for the per-function scan start.
+    fn instrument_oracle(program: &Program) -> (Program, InstrumentReport) {
+        run_pass(program, |_, _| 0)
+    }
+
+    /// One token of a random program: `(kind, line, n)`.
+    type Token = (u8, u64, u32);
+
+    fn arb_tokens() -> Gen<Vec<Token>> {
+        let token = gen::tuple3(
+            &gen::range_u8(0..12),
+            &gen::range_u64(0..4),
+            &gen::range_u32(1..3),
+        );
+        gen::vec_of(&token, 0..48)
+    }
+
+    /// Builds a well-formed program from tokens: regions (function, loop,
+    /// conditional) open and close anywhere, so functions nest, writes sit
+    /// at top level, and a few lines shared by every function put markers
+    /// for the same line in sibling functions.
+    fn build_tokens(tokens: &[Token]) -> Program {
+        let mut b = ProgramBuilder::new();
+        let mut open: Vec<Op> = Vec::new();
+        for &(kind, line, n) in tokens {
+            let line = LineAddr(line);
+            match kind {
+                0 => {
+                    b.push(Op::FuncBegin("f"));
+                    open.push(Op::FuncEnd);
+                }
+                1 => {
+                    b.push(Op::LoopBegin);
+                    open.push(Op::LoopEnd);
+                }
+                2 => {
+                    b.push(Op::CondBegin);
+                    open.push(Op::CondEnd);
+                }
+                3 => {
+                    if let Some(end) = open.pop() {
+                        b.push(end);
+                    }
+                }
+                4 => {
+                    b.addr_gen(line, n);
+                }
+                5 => {
+                    let values = (0..n)
+                        .map(|k| Line::splat(line.0 as u8 + k as u8))
+                        .collect();
+                    b.data_gen(line, values);
+                }
+                6 | 7 => {
+                    b.store(line, Line::splat(n as u8));
+                    b.clwb(line);
+                    b.fence();
+                }
+                8 => {
+                    b.clwb(line);
+                }
+                9 => {
+                    b.fence();
+                }
+                10 => {
+                    b.compute(n * 100);
+                }
+                _ => {
+                    b.push(Op::PreInit(PreObjId(n)));
+                }
+            }
+        }
+        while let Some(end) = open.pop() {
+            b.push(end);
+        }
+        b.build()
+    }
+
+    /// Which of the shapes the per-function scan start must get right a
+    /// program holds: `[top-level write, function nested between a marker
+    /// and its write, marker for the write's line in another function]`.
+    fn shapes(p: &Program) -> [bool; 3] {
+        let (regs, _) = regions(&p.ops);
+        let covers = |op: &Op, line: LineAddr| match op {
+            Op::AddrGen {
+                line: first,
+                nlines,
+            } => (first.0..first.0 + u64::from(*nlines)).contains(&line.0),
+            Op::DataGen {
+                line: first,
+                values,
+            } => (first.0..first.0 + values.len() as u64).contains(&line.0),
+            _ => false,
+        };
+        let mut out = [false; 3];
+        for (i, op) in p.ops.iter().enumerate() {
+            let Op::Clwb(line) = op else { continue };
+            out[0] |= regs[i].func == 0;
+            for (j, m) in p.ops[..i].iter().enumerate() {
+                if !covers(m, *line) {
+                    continue;
+                }
+                if regs[j].func == regs[i].func {
+                    out[1] |= p.ops[j..i].iter().any(|o| matches!(o, Op::FuncBegin(_)));
+                } else {
+                    out[2] = true;
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn scan_from_func_begin_matches_whole_program_scan() {
+        let seen = [Cell::new(0u32), Cell::new(0u32), Cell::new(0u32)];
+        forall_cfg(&Config::with_cases(512), &arb_tokens(), |tokens| {
+            let p = build_tokens(tokens);
+            for (count, hit) in seen.iter().zip(shapes(&p)) {
+                count.set(count.get() + u32::from(hit));
+            }
+            assert_eq!(instrument(&p), instrument_oracle(&p));
+        });
+        // The generator must actually reach every shape.
+        for (shape, count) in seen.iter().enumerate() {
+            assert!(
+                count.get() >= 16,
+                "shape {shape} covered {} times",
+                count.get()
+            );
+        }
+    }
 
     fn simple_update(in_loop: bool) -> Program {
         let mut b = ProgramBuilder::new();

@@ -78,6 +78,24 @@ fn main() {
     }
 
     {
+        // The allocate/unlink path: each sample's value is new to the
+        // table, takes the freed slot, and is unlinked again on release.
+        // Values cycle through a fixed set so the fingerprint memo stays
+        // bounded; 1024 other values stay live around them.
+        let mut d = DedupStore::new(FingerprintAlgo::Md5);
+        for v in 0..1024u64 {
+            d.lookup(&Line::from_words(&[v, 1]));
+        }
+        let mut i = 0u64;
+        h.bench("dedup_fresh_then_release", || {
+            i = (i + 1) % 1024;
+            let out = d.lookup(black_box(&Line::from_words(&[i, 2])));
+            d.release(out.slot());
+            out
+        });
+    }
+
+    {
         let mut e = BmoEngine::new(
             DepGraph::standard(&BmoLatencies::paper()),
             BmoMode::Parallelized,

@@ -4,7 +4,9 @@
 //! Each dedup-heap slot is encrypted under a per-slot counter that
 //! monotonically increases on reuse (E1), a one-time pad derived from the
 //! counter and the slot's NVM address (E2), an XOR (E3), and a MAC over the
-//! ciphertext and counter (E4).
+//! ciphertext and counter (E4). The caller allocates the counters:
+//! [`crate::pipeline::BmoPipeline`] keeps the one write counter, which
+//! crash recovery restores.
 
 use janus_crypto::aes::Aes128;
 use janus_crypto::ctr::{decrypt_line, encrypt_line, line_mac, otp_for_line};
@@ -23,22 +25,7 @@ pub struct EncryptedWrite {
     pub mac: [u8; 20],
 }
 
-/// One slot's most recent encryption, remembered so the read path can skip
-/// the pad and MAC recomputation. A slot's counter only changes when the
-/// slot is rewritten, so between writes every read re-derives exactly the
-/// OTP (four AES blocks) and MAC (a SHA-1 compress) this entry caches; the
-/// entry is validated against the caller's `(counter, cipher)` before use,
-/// so a stale or tampered line falls back to the real computation and the
-/// observable behaviour is bit-identical.
-#[derive(Clone, Copy, Debug)]
-struct SlotCrypto {
-    counter: u64,
-    cipher: Line,
-    mac: [u8; 20],
-    plain: Line,
-}
-
-/// The engine: AES key plus the global counter allocator.
+/// The engine: the expanded AES key.
 ///
 /// # Example
 ///
@@ -46,19 +33,14 @@ struct SlotCrypto {
 /// use janus_bmo::encryption::EncryptionEngine;
 /// use janus_nvm::line::Line;
 ///
-/// let mut e = EncryptionEngine::new([7u8; 16]);
-/// let w = e.encrypt_slot(3, &Line::splat(0x5A));
+/// let e = EncryptionEngine::new([7u8; 16]);
+/// let w = e.encrypt_slot_with_counter(3, 1, &Line::splat(0x5A));
 /// assert_eq!(e.decrypt_slot(3, w.counter, &w.cipher), Line::splat(0x5A));
 /// assert!(e.verify_mac(&w.cipher, w.counter, &w.mac));
 /// ```
 #[derive(Clone, Debug)]
 pub struct EncryptionEngine {
     aes: Aes128,
-    next_counter: u64,
-    /// slot → last write's crypto (see [`SlotCrypto`]); `RefCell` because
-    /// the decrypt/verify side is `&self` by design. Bounded by the number
-    /// of distinct slots ever written, like the dedup slot table.
-    memo: std::cell::RefCell<janus_sim::hash::FxHashMap<u64, SlotCrypto>>,
 }
 
 impl EncryptionEngine {
@@ -66,31 +48,13 @@ impl EncryptionEngine {
     pub fn new(key: [u8; 16]) -> Self {
         EncryptionEngine {
             aes: Aes128::new(key),
-            next_counter: 1, // 0 is reserved for "never written"
-            memo: std::cell::RefCell::new(janus_sim::hash::FxHashMap::with_capacity_and_hasher(
-                1024,
-                Default::default(),
-            )),
         }
     }
 
-    /// E1: allocates a fresh, globally unique counter.
-    pub fn fresh_counter(&mut self) -> u64 {
-        let c = self.next_counter;
-        self.next_counter += 1;
-        c
-    }
-
-    /// E2+E3+E4 for a slot write with a fresh counter.
-    pub fn encrypt_slot(&mut self, slot: u64, data: &Line) -> EncryptedWrite {
-        let counter = self.fresh_counter();
-        self.encrypt_slot_with_counter(slot, counter, data)
-    }
-
-    /// E2+E3+E4 with an explicit counter (used when a pre-executed E1 result
-    /// is being consumed).
+    /// E2+E3+E4 for a slot write under `counter` (E1, allocated by the
+    /// caller; 0 is reserved for "never written").
     pub fn encrypt_slot_with_counter(
-        &mut self,
+        &self,
         slot: u64,
         counter: u64,
         data: &Line,
@@ -98,15 +62,6 @@ impl EncryptionEngine {
         let otp = otp_for_line(&self.aes, counter, slot_data_addr(slot).byte());
         let cipher = Line(encrypt_line(data.as_bytes(), &otp));
         let mac = line_mac(cipher.as_bytes(), counter);
-        self.memo.borrow_mut().insert(
-            slot,
-            SlotCrypto {
-                counter,
-                cipher,
-                mac,
-                plain: *data,
-            },
-        );
         EncryptedWrite {
             counter,
             cipher,
@@ -116,43 +71,13 @@ impl EncryptionEngine {
 
     /// Decrypts a slot's ciphertext under its counter.
     pub fn decrypt_slot(&self, slot: u64, counter: u64, cipher: &Line) -> Line {
-        if let Some(m) = self.memo.borrow().get(&slot) {
-            if m.counter == counter && m.cipher == *cipher {
-                return m.plain;
-            }
-        }
         let otp = otp_for_line(&self.aes, counter, slot_data_addr(slot).byte());
         Line(decrypt_line(cipher.as_bytes(), &otp))
-    }
-
-    /// Checks the MAC a stored slot line should carry — the memoized fast
-    /// path of the read side's integrity check. Equivalent to
-    /// [`EncryptionEngine::verify_mac`] for lines this engine wrote; any
-    /// divergence (stale counter, tampered cipher) recomputes honestly.
-    pub fn stored_mac_matches(
-        &self,
-        slot: u64,
-        counter: u64,
-        cipher: &Line,
-        mac: &[u8; 20],
-    ) -> bool {
-        if let Some(m) = self.memo.borrow().get(&slot) {
-            if m.counter == counter && m.cipher == *cipher {
-                return m.mac == *mac;
-            }
-        }
-        line_mac(cipher.as_bytes(), counter) == *mac
     }
 
     /// Checks a slot's MAC.
     pub fn verify_mac(&self, cipher: &Line, counter: u64, mac: &[u8; 20]) -> bool {
         line_mac(cipher.as_bytes(), counter) == *mac
-    }
-
-    /// Restores the counter allocator after crash recovery: the next counter
-    /// must exceed every persisted counter.
-    pub fn bump_counter_floor(&mut self, seen: u64) {
-        self.next_counter = self.next_counter.max(seen + 1);
     }
 }
 
@@ -165,49 +90,36 @@ mod tests {
     }
 
     #[test]
-    fn counters_are_unique_and_nonzero() {
-        let mut e = engine();
-        let a = e.fresh_counter();
-        let b = e.fresh_counter();
-        assert_ne!(a, 0);
-        assert_ne!(a, b);
-    }
-
-    #[test]
     fn cipher_differs_from_plain_and_round_trips() {
-        let mut e = engine();
+        let e = engine();
         let data = Line::from_words(&[1, 2, 3, 4, 5, 6, 7, 8]);
-        let w = e.encrypt_slot(10, &data);
+        let w = e.encrypt_slot_with_counter(10, 1, &data);
         assert_ne!(w.cipher, data);
         assert_eq!(e.decrypt_slot(10, w.counter, &w.cipher), data);
     }
 
     #[test]
     fn same_data_different_slots_gets_different_cipher() {
-        let mut e = engine();
+        let e = engine();
         let data = Line::splat(3);
-        let w1 = e.encrypt_slot(1, &data);
-        let w2 = e.encrypt_slot(2, &data);
-        assert_ne!(
-            w1.cipher, w2.cipher,
-            "address and counter diversify the pad"
-        );
+        let w1 = e.encrypt_slot_with_counter(1, 1, &data);
+        let w2 = e.encrypt_slot_with_counter(2, 1, &data);
+        assert_ne!(w1.cipher, w2.cipher, "the address diversifies the pad");
     }
 
     #[test]
     fn counter_reuse_same_slot_changes_cipher() {
-        let mut e = engine();
+        let e = engine();
         let data = Line::splat(3);
-        let w1 = e.encrypt_slot(1, &data);
-        let w2 = e.encrypt_slot(1, &data);
-        assert_ne!(w1.counter, w2.counter);
-        assert_ne!(w1.cipher, w2.cipher);
+        let w1 = e.encrypt_slot_with_counter(1, 1, &data);
+        let w2 = e.encrypt_slot_with_counter(1, 2, &data);
+        assert_ne!(w1.cipher, w2.cipher, "the counter diversifies the pad");
     }
 
     #[test]
     fn mac_detects_tampering() {
-        let mut e = engine();
-        let w = e.encrypt_slot(5, &Line::splat(9));
+        let e = engine();
+        let w = e.encrypt_slot_with_counter(5, 1, &Line::splat(9));
         assert!(e.verify_mac(&w.cipher, w.counter, &w.mac));
         let mut tampered = w.cipher;
         tampered.0[0] ^= 1;
@@ -217,19 +129,10 @@ mod tests {
 
     #[test]
     fn wrong_key_fails_decrypt() {
-        let mut e1 = engine();
+        let e1 = engine();
         let e2 = EncryptionEngine::new([0xBB; 16]);
         let data = Line::splat(4);
-        let w = e1.encrypt_slot(0, &data);
+        let w = e1.encrypt_slot_with_counter(0, 1, &data);
         assert_ne!(e2.decrypt_slot(0, w.counter, &w.cipher), data);
-    }
-
-    #[test]
-    fn counter_floor_after_recovery() {
-        let mut e = engine();
-        e.bump_counter_floor(100);
-        assert!(e.fresh_counter() > 100);
-        e.bump_counter_floor(50); // lower floor is a no-op
-        assert!(e.fresh_counter() > 100);
     }
 }

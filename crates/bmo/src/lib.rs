@@ -52,6 +52,7 @@ pub mod metadata;
 pub mod oram;
 pub mod pipeline;
 pub mod sched;
+mod slots;
 pub mod stack;
 pub mod subop;
 pub mod wear;

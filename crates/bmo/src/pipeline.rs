@@ -36,6 +36,7 @@ use crate::metadata::{
     meta_loc_of_slot, oram_map_loc, MetaEntry, MetadataStore, DATA_LINES, ENTRIES_PER_LINE,
     META_BASE, META_LINES, ORAM_MAP_BASE, ORAM_REG_ADDR, SLOT_LINES, WEAR_REG_ADDR,
 };
+use crate::slots::SlotTable;
 use crate::stack::{BmoStack, Transform};
 use crate::wear::StartGap;
 
@@ -142,6 +143,7 @@ impl Caps {
 }
 
 /// Volatile per-slot auxiliary state mirroring the slot's auxiliary line.
+/// The default (no MAC, tag 0) is what a slot never written reads as.
 #[derive(Clone, Copy, Debug, Default)]
 struct SlotAux {
     mac: Option<[u8; 20]>,
@@ -192,7 +194,7 @@ pub struct BmoPipeline {
     next_counter: u64,
     /// Volatile mirror of stored payloads, keyed by physical frame address.
     stored: LineStore,
-    aux: janus_sim::hash::FxHashMap<u64, SlotAux>,
+    aux: SlotTable<SlotAux>,
     wear: Option<StartGap>,
     oram: Option<OramState>,
     /// Recycled line-write buffer: [`BmoPipeline::write`] takes it, the
@@ -231,7 +233,7 @@ impl BmoPipeline {
             enc: caps.encrypt.then(|| EncryptionEngine::new(key)),
             next_counter: 1,
             stored: LineStore::new(),
-            aux: janus_sim::hash::FxHashMap::with_capacity_and_hasher(1024, Default::default()),
+            aux: SlotTable::default(),
             wear: caps.wear.then(|| StartGap::new(SLOT_LINES, WEAR_INTERVAL)),
             oram: caps.oram.then(|| OramState {
                 epoch: 0,
@@ -368,7 +370,7 @@ impl BmoPipeline {
             if let MetaEntry::Remap(old) = self.meta.logical(logical) {
                 if self.dedup.as_mut().expect("dedup stacked").release(old) {
                     freed_slot = Some(old);
-                    self.aux.remove(&old);
+                    *self.aux.get_mut(old) = SlotAux::default();
                     let fa = self.frame_addr_of_slot(old);
                     self.stored.write(fa, Line::zero());
                     push_write(&mut line_writes, fa, Line::zero());
@@ -416,7 +418,7 @@ impl BmoPipeline {
             // E1–E4: encrypt + MAC; without encryption a keyless MAC still
             // binds the stored payload to its counter when integrity is
             // stacked.
-            let (stored_line, mac) = match &mut self.enc {
+            let (stored_line, mac) = match &self.enc {
                 Some(enc) => {
                     let w = enc.encrypt_slot_with_counter(slot, counter, &payload);
                     (w.cipher, Some(w.mac))
@@ -428,7 +430,7 @@ impl BmoPipeline {
             let fa = self.frame_addr_of_slot(slot);
             self.stored.write(fa, stored_line);
             push_write(&mut line_writes, fa, stored_line);
-            self.aux.insert(slot, SlotAux { mac, comp_tag });
+            *self.aux.get_mut(slot) = SlotAux { mac, comp_tag };
 
             // Auxiliary line: MAC ‖ SECDED check bytes ‖ compression tag.
             if mac.is_some() || self.caps.ecc || self.caps.compress {
@@ -479,7 +481,7 @@ impl BmoPipeline {
         if !self.caps.compress {
             return payload;
         }
-        let tag = self.aux.get(&slot).map(|a| a.comp_tag).unwrap_or(0);
+        let tag = self.aux.get(slot).map_or(0, |a| a.comp_tag);
         let scheme = Scheme::from_tag(tag).expect("valid scheme tag");
         decompress(&Compressed {
             scheme,
@@ -549,12 +551,8 @@ impl BmoPipeline {
                 };
                 let stored = self.stored.read(self.frame_addr_of_slot(slot));
                 if self.caps.encrypt || self.caps.merkle {
-                    let mac = self.aux.get(&slot).and_then(|a| a.mac).unwrap_or([0; 20]);
-                    let ok = match &self.enc {
-                        Some(enc) => enc.stored_mac_matches(slot, counter, &stored, &mac),
-                        None => line_mac(stored.as_bytes(), counter) == mac,
-                    };
-                    if !ok {
+                    let mac = self.aux.get(slot).and_then(|a| a.mac).unwrap_or([0; 20]);
+                    if line_mac(stored.as_bytes(), counter) != mac {
                         return Err(IntegrityError::MacMismatch { slot });
                     }
                 }
@@ -700,8 +698,9 @@ impl BmoPipeline {
             None
         };
 
-        // Refcounts: how many logical lines point at each slot.
-        let mut refcounts: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+        // Refcounts: how many logical lines point at each slot. Ordered, so
+        // the missing-slot check below reports the lowest dangling slot.
+        let mut refcounts: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
         for (_, entry) in meta.iter_logical() {
             match entry {
                 MetaEntry::Remap(slot) => *refcounts.entry(slot).or_insert(0) += 1,
@@ -722,7 +721,7 @@ impl BmoPipeline {
             enc: caps.encrypt.then(|| EncryptionEngine::new(key)),
             next_counter: 1,
             stored: LineStore::new(),
-            aux: janus_sim::hash::FxHashMap::with_capacity_and_hasher(1024, Default::default()),
+            aux: SlotTable::default(),
             wear,
             oram,
             spare: Vec::new(),
@@ -797,7 +796,7 @@ impl BmoPipeline {
                 d.recover_slot(slot, plain, refs);
             }
             p.stored.write(fa, stored_line);
-            p.aux.insert(slot, SlotAux { mac, comp_tag });
+            *p.aux.get_mut(slot) = SlotAux { mac, comp_tag };
         }
 
         // Every referenced slot must exist.
@@ -1195,5 +1194,80 @@ mod tests {
         }
         assert!(moved, "ORAM never relocated the frame");
         assert_eq!(p.read(LineAddr(3)), Line::from_words(&[9]));
+    }
+
+    /// The counter a fresh write stored in its slot's metadata entry.
+    fn counter_of(p: &BmoPipeline, fx: &WriteEffects) -> u64 {
+        match p.meta.slot(fx.slot) {
+            MetaEntry::Counter(c) => c,
+            other => panic!("slot {} holds {other:?}", fx.slot),
+        }
+    }
+
+    #[test]
+    fn counters_are_unique_and_nonzero() {
+        let mut p = pipeline();
+        let a = p.write(LineAddr(1), Line::splat(1));
+        let a = counter_of(&p, &a);
+        let b = p.write(LineAddr(1), Line::splat(2));
+        let b = counter_of(&p, &b);
+        assert_ne!(a, 0);
+        assert_ne!(a, b);
+    }
+
+    #[test]
+    fn counter_floor_after_recovery() {
+        let mut p = pipeline();
+        let mut store = LineStore::new();
+        let mut root = p.root();
+        let mut highest = 0;
+        for i in 0..5u64 {
+            let fx = p.write(LineAddr(i), Line::splat(i as u8 + 1));
+            highest = highest.max(counter_of(&p, &fx));
+            persist(&p, &fx, &mut store, &mut root);
+        }
+        let mut r = BmoPipeline::recover(&store, FingerprintAlgo::Md5, DEFAULT_KEY, root)
+            .expect("recovery succeeds");
+        let fx = r.write(LineAddr(9), Line::splat(77));
+        assert!(counter_of(&r, &fx) > highest, "recovered counter reused");
+    }
+
+    #[test]
+    fn recovery_reports_lowest_dangling_slot() {
+        // Two logical lines remap to slots that hold no counter. The
+        // error must name the lower slot on every run.
+        let mut meta = MetadataStore::new();
+        let mut store = LineStore::new();
+        for (logical, slot) in [(1, 9), (2, 4), (3, 700)] {
+            let (line, value) = meta.set_logical(LineAddr(logical), MetaEntry::Remap(slot));
+            store.write(line, value);
+        }
+        let err = BmoPipeline::recover_stack(
+            &stack_of(&[BmoId::Dedup]),
+            &store,
+            FingerprintAlgo::Md5,
+            DEFAULT_KEY,
+            [0; 20],
+        )
+        .expect_err("dangling remaps");
+        assert_eq!(
+            err,
+            IntegrityError::MetadataCorrupt {
+                what: "logical lines reference missing slot 4".into()
+            }
+        );
+    }
+
+    #[test]
+    fn sparse_top_slot_allocates_one_aux_page() {
+        // Without dedup the top logical line is the top slot: its
+        // auxiliary state costs one page, not a table over every slot.
+        let mut p = BmoPipeline::for_stack(&stack_of(&[BmoId::WearLeveling]), FingerprintAlgo::Md5);
+        p.write(LineAddr(SLOT_LINES - 1), Line::splat(1));
+        let (pages, directory) = p.aux.footprint();
+        let bytes = directory * std::mem::size_of::<Option<Box<[SlotAux]>>>()
+            + pages * crate::slots::PAGE * std::mem::size_of::<SlotAux>();
+        assert_eq!(pages, 1);
+        assert!(bytes < 1 << 20, "{bytes} bytes of auxiliary state");
     }
 }

@@ -13,6 +13,10 @@ use janus_nvm::line::Line;
 use janus_sim::time::Cycles;
 use std::collections::HashMap;
 
+#[path = "support/crc.rs"]
+mod crc;
+use crc::colliding_triple;
+
 /// Whatever the input arrival times, a job's completion respects both
 /// the critical path from the latest input and causality (completion ≥
 /// every input time).
@@ -82,12 +86,23 @@ fn merkle_root_is_content_addressed() {
 
 /// Dedup refcounts: after any lookup/release interleaving, the number
 /// of live slots equals the number of distinct values with a positive
-/// reference count, and lookups of held values always dedup.
+/// reference count, and lookups of held values always dedup — under both
+/// fingerprints, over an alphabet whose last three values share a CRC-32.
 #[test]
 fn dedup_refcount_consistency() {
-    let ops = gen::vec_of(&gen::pair(&gen::range_u8(0..6), &gen::any_bool()), 1..120);
-    forall(&ops, |ops| {
-        let mut d = DedupStore::new(FingerprintAlgo::Md5);
+    let [a, b, c] = colliding_triple();
+    let alphabet = [Line::splat(0), Line::splat(4), Line::splat(5), a, b, c];
+    let ops = gen::pair(
+        &gen::any_bool(),
+        &gen::vec_of(&gen::pair(&gen::range_u8(0..6), &gen::any_bool()), 1..120),
+    );
+    forall(&ops, |(crc, ops)| {
+        let algo = if *crc {
+            FingerprintAlgo::Crc32
+        } else {
+            FingerprintAlgo::Md5
+        };
+        let mut d = DedupStore::new(algo);
         let mut refs: HashMap<u8, (u64, u64)> = HashMap::new(); // value -> (slot, count)
         for (v, release) in ops {
             if *release {
@@ -99,7 +114,7 @@ fn dedup_refcount_consistency() {
                     }
                 }
             } else {
-                let out = d.lookup(&Line::splat(*v));
+                let out = d.lookup(&alphabet[*v as usize]);
                 let e = refs.entry(*v).or_insert((out.slot(), 0));
                 if e.1 == 0 {
                     // fresh or re-allocated
@@ -110,6 +125,10 @@ fn dedup_refcount_consistency() {
                     assert_eq!(out.slot(), e.0);
                 }
                 e.1 += 1;
+            }
+            for (v, (slot, count)) in &refs {
+                let held = (*count > 0).then_some(*slot);
+                assert_eq!(d.peek(&alphabet[*v as usize]), held, "{algo:?} value {v}");
             }
         }
         let live_expected = refs.values().filter(|(_, c)| *c > 0).count();

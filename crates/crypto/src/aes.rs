@@ -152,14 +152,27 @@ impl Aes128 {
         }
     }
 
-    /// Encrypts one 16-byte block.
+    /// Encrypts one 16-byte block: on the CPU's AES instructions when
+    /// [`hardware_available`], else [`Aes128::encrypt_block_portable`].
+    /// The counter-mode hot path encrypts four blocks per cache line.
+    pub fn encrypt_block(&self, block: [u8; 16]) -> [u8; 16] {
+        #[cfg(target_arch = "x86_64")]
+        if hardware_available() {
+            // SAFETY: `hardware_available` confirmed the CPU has AES-NI.
+            return unsafe { ni::encrypt_block(&self.round_keys, block) };
+        }
+        self.encrypt_block_portable(block)
+    }
+
+    /// Encrypts one 16-byte block without CPU cryptography instructions:
+    /// the fallback of [`Aes128::encrypt_block`] and the oracle its
+    /// hardware path is tested against.
     ///
     /// Word-oriented: each column is a big-endian `u32` and a full
     /// SubBytes+ShiftRows+MixColumns round is four table lookups (byte
     /// rotations of [`Tables::te0`]) per column. Identical output to the
-    /// byte-wise definition; the counter-mode hot path encrypts four blocks
-    /// per cache line.
-    pub fn encrypt_block(&self, block: [u8; 16]) -> [u8; 16] {
+    /// byte-wise definition.
+    pub fn encrypt_block_portable(&self, block: [u8; 16]) -> [u8; 16] {
         let te0 = &tables().te0;
         let sbox = &tables().sbox;
         let rk = &self.round_key_words;
@@ -225,6 +238,47 @@ impl Aes128 {
         sub_bytes(&mut s, &t.inv_sbox);
         add_round_key(&mut s, &self.round_keys[0]);
         s
+    }
+}
+
+/// Whether [`Aes128::encrypt_block`] runs on the CPU's AES instructions
+/// (AES-NI). Detected on first use and fixed for the process.
+pub fn hardware_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static AVAILABLE: OnceLock<bool> = OnceLock::new();
+        *AVAILABLE.get_or_init(|| is_x86_feature_detected!("aes"))
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod ni {
+    use std::arch::x86_64::{
+        __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_loadu_si128, _mm_storeu_si128,
+        _mm_xor_si128,
+    };
+
+    /// AES-128 encryption of one block with AES-NI. The round keys are
+    /// the FIPS-197 byte strings, which is the byte order `aesenc` takes.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AES-NI.
+    #[target_feature(enable = "aes")]
+    pub(super) unsafe fn encrypt_block(round_keys: &[[u8; 16]; 11], block: [u8; 16]) -> [u8; 16] {
+        let rk = |r: usize| _mm_loadu_si128(round_keys[r].as_ptr().cast::<__m128i>());
+        let mut s = _mm_xor_si128(_mm_loadu_si128(block.as_ptr().cast()), rk(0));
+        for r in 1..10 {
+            s = _mm_aesenc_si128(s, rk(r));
+        }
+        s = _mm_aesenclast_si128(s, rk(10));
+        let mut out = [0u8; 16];
+        _mm_storeu_si128(out.as_mut_ptr().cast(), s);
+        out
     }
 }
 
@@ -395,7 +449,7 @@ mod tests {
                 *b = (i as u8).wrapping_mul(17).wrapping_add(j as u8 * 7);
             }
             assert_eq!(
-                aes.encrypt_block(block),
+                aes.encrypt_block_portable(block),
                 encrypt_block_reference(&aes, block),
                 "i={i}"
             );

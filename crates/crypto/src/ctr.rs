@@ -24,13 +24,14 @@ pub const LINE_BYTES: usize = 64;
 /// `(counter, address, block-index)` tuples.
 pub fn otp_for_line(key: &Aes128, counter: u64, addr: u64) -> [u8; LINE_BYTES] {
     let mut otp = [0u8; LINE_BYTES];
-    for i in 0..4u16 {
-        let mut block = [0u8; 16];
-        block[0..8].copy_from_slice(&counter.to_le_bytes());
-        block[8..14].copy_from_slice(&addr.to_le_bytes()[0..6]);
-        block[14..16].copy_from_slice(&i.to_le_bytes());
-        let pad = key.encrypt_block(block);
-        otp[16 * i as usize..16 * (i as usize + 1)].copy_from_slice(&pad);
+    for i in 0..4usize {
+        // Little-endian counter (bytes 0..8), low six address bytes
+        // (8..14), block index (14..16); built as one word so the block
+        // reaches the cipher in a single 16-byte store.
+        let block =
+            counter as u128 | ((addr & 0xFFFF_FFFF_FFFF) as u128) << 64 | (i as u128) << 112;
+        let pad = key.encrypt_block(block.to_le_bytes());
+        otp[16 * i..16 * (i + 1)].copy_from_slice(&pad);
     }
     otp
 }
@@ -110,6 +111,25 @@ mod tests {
         let mut ct2 = ct;
         ct2[0] ^= 1;
         assert_ne!(line_mac(&ct2, 1), m1);
+    }
+
+    #[test]
+    fn otp_block_layout() {
+        let k = key();
+        let (counter, addr) = (0x0102_0304_0506_0708u64, 0xAABB_CCDD_EEFF_1122u64);
+        let otp = otp_for_line(&k, counter, addr);
+        for i in 0..4u16 {
+            let mut block = [0u8; 16];
+            block[0..8].copy_from_slice(&counter.to_le_bytes());
+            block[8..14].copy_from_slice(&addr.to_le_bytes()[0..6]);
+            block[14..16].copy_from_slice(&i.to_le_bytes());
+            let i = i as usize;
+            assert_eq!(
+                otp[16 * i..16 * i + 16],
+                k.encrypt_block(block),
+                "block {i}"
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! (Integrity): 40 ns, MD5 (Deduplication): 321 ns"). This crate implements
 //! all four primitives from scratch — no external crypto dependencies — and
 //! validates them against the standard published test vectors (FIPS-197,
-//! FIPS-180, RFC 1321, IEEE 802.3).
+//! FIPS-180, RFC 1321, IEEE 802.3). On x86-64 CPUs with AES-NI and SHA-NI,
+//! the AES rounds and the SHA-1 compression function run on those
+//! instructions (detected once per process); the portable code is the
+//! fallback and the oracle they are tested against.
 //!
 //! Timing is *not* modeled here: the simulator charges the paper's fixed
 //! hardware latencies for each operation; this crate provides the functional

@@ -92,7 +92,119 @@ impl Sha1 {
     }
 }
 
-fn compress(h: &mut [u32; 5], chunk: &[u8; 64]) {
+/// Whether [`compress`] runs on the CPU's SHA extensions (SHA-NI).
+/// Detected on first use and fixed for the process.
+pub fn hardware_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static AVAILABLE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        *AVAILABLE.get_or_init(|| {
+            is_x86_feature_detected!("sha")
+                && is_x86_feature_detected!("ssse3")
+                && is_x86_feature_detected!("sse4.1")
+        })
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// The SHA-1 compression function: folds one 64-byte block into the
+/// state `h`, on the CPU's SHA extensions when [`hardware_available`],
+/// else with [`compress_portable`].
+pub fn compress(h: &mut [u32; 5], chunk: &[u8; 64]) {
+    #[cfg(target_arch = "x86_64")]
+    if hardware_available() {
+        // SAFETY: `hardware_available` confirmed SHA, SSSE3 and SSE4.1.
+        unsafe { ni::compress(h, chunk) };
+        return;
+    }
+    compress_portable(h, chunk)
+}
+
+#[cfg(target_arch = "x86_64")]
+mod ni {
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_extract_epi32, _mm_loadu_si128, _mm_set_epi32, _mm_set_epi64x,
+        _mm_sha1msg1_epu32, _mm_sha1msg2_epu32, _mm_sha1nexte_epu32, _mm_sha1rnds4_epu32,
+        _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_storeu_si128, _mm_xor_si128,
+    };
+
+    /// [`super::compress`] with SHA-NI. Lanes hold words most significant
+    /// first: `abcd` is `[a, b, c, d]` from the top lane down, and each
+    /// message vector holds four consecutive schedule words `W[4g..4g+4]`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support SHA, SSSE3 and SSE4.1.
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    pub(super) unsafe fn compress(h: &mut [u32; 5], chunk: &[u8; 64]) {
+        // Reverses all 16 bytes: big-endian words, word 0 in the top lane.
+        let bswap = _mm_set_epi64x(0x0001_0203_0405_0607, 0x0809_0a0b_0c0d_0e0f);
+        let mut w: [__m128i; 4] = [_mm_set_epi32(0, 0, 0, 0); 4];
+        for (g, wg) in w.iter_mut().enumerate() {
+            let bytes = _mm_loadu_si128(chunk.as_ptr().add(16 * g).cast());
+            *wg = _mm_shuffle_epi8(bytes, bswap);
+        }
+        let abcd_in = _mm_shuffle_epi32(_mm_loadu_si128(h.as_ptr().cast()), 0x1B);
+        let e_in = _mm_set_epi32(h[4] as i32, 0, 0, 0);
+
+        let mut abcd = abcd_in;
+        // The state entering the previous group of four rounds: four
+        // rounds after it, e = rotl30(its a).
+        let mut prev = abcd_in;
+        // Group `g` of four rounds with boolean function `f` (g / 5). Spelt
+        // out per group so every index is a constant and the schedule
+        // stays in registers.
+        macro_rules! group {
+            ($g:literal, $f:literal) => {
+                let g: usize = $g;
+                if g >= 4 {
+                    // W[4g..] from groups g-4 .. g-1, held in w[g % 4] onwards.
+                    let x = _mm_sha1msg1_epu32(w[g % 4], w[(g + 1) % 4]);
+                    w[g % 4] = _mm_sha1msg2_epu32(_mm_xor_si128(x, w[(g + 2) % 4]), w[(g + 3) % 4]);
+                }
+                let e = if g == 0 {
+                    _mm_add_epi32(e_in, w[0])
+                } else {
+                    _mm_sha1nexte_epu32(prev, w[g % 4])
+                };
+                prev = abcd;
+                abcd = _mm_sha1rnds4_epu32(abcd, e, $f);
+            };
+        }
+        group!(0, 0);
+        group!(1, 0);
+        group!(2, 0);
+        group!(3, 0);
+        group!(4, 0);
+        group!(5, 1);
+        group!(6, 1);
+        group!(7, 1);
+        group!(8, 1);
+        group!(9, 1);
+        group!(10, 2);
+        group!(11, 2);
+        group!(12, 2);
+        group!(13, 2);
+        group!(14, 2);
+        group!(15, 3);
+        group!(16, 3);
+        group!(17, 3);
+        group!(18, 3);
+        group!(19, 3);
+        let e_out = _mm_sha1nexte_epu32(prev, e_in);
+        abcd = _mm_shuffle_epi32(_mm_add_epi32(abcd, abcd_in), 0x1B);
+        _mm_storeu_si128(h.as_mut_ptr().cast(), abcd);
+        h[4] = _mm_extract_epi32(e_out, 3) as u32;
+    }
+}
+
+/// The SHA-1 compression function without CPU cryptography instructions:
+/// the fallback of [`compress`] and the oracle its hardware path is tested
+/// against.
+pub fn compress_portable(h: &mut [u32; 5], chunk: &[u8; 64]) {
     let mut w = [0u32; 80];
     for (i, word) in chunk.chunks_exact(4).enumerate() {
         w[i] = u32::from_be_bytes(word.try_into().expect("4-byte chunk"));

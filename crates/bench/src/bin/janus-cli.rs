@@ -14,8 +14,9 @@
 //! `--cores N`, `--tx N`, `--size BYTES`, `--dedup RATIO`, `--seed N`,
 //! `--crc32`, `--scale <N|unlimited>`, `--skew THETA`, `--aux FRACTION`,
 //! `--bmos <id,...|none>` (BMO stack override; see `--list-bmos`),
-//! `--jobs N` (worker threads for multi-variant sweeps; also honours the
-//! `JANUS_JOBS` environment variable; output is identical at any value),
+//! `--jobs N` (worker threads for multi-variant sweeps, else the
+//! `JANUS_JOBS` environment variable; output is identical at any value, and
+//! zero or a non-number exits with status 2),
 //! `--dump` (gem5-style stats to stdout),
 //! `--profile PATH` (causal profile: text report to PATH, `-` for stdout;
 //! see the `janus-prof` binary for the full profiling workflow).

@@ -5,9 +5,10 @@
 //! the open-ended driver for ad-hoc grids: pick workloads (`--workloads`
 //! CSV of slugs), variants (`--variants` CSV), `--tx`, `--cores`, and
 //! `--seed`, and get one row per point with cycles, throughput, and speedup
-//! over the grid's first variant. The JSONL sink and the global fan-out
-//! flags apply as everywhere else: `--jobs N` threads, `--shards N` worker
-//! processes — output is byte-identical at any fan-out.
+//! over the grid's first variant. The JSONL sink and the global `--jobs N`
+//! thread fan-out apply as everywhere else — output is byte-identical at any
+//! worker count, and a zero or non-numeric `--jobs` (or `JANUS_JOBS`) exits
+//! with status 2.
 
 use janus_bench::cli::arg_str;
 use janus_bench::cli::arg_u64;

@@ -16,9 +16,8 @@
 //!    sample counts this tool runs, both being the observed max). The run
 //!    also publishes the engine's schedule-template cache hit/miss counts.
 //! 2. **Raw queue throughput** — schedule/pop operations per second through
-//!    the calendar [`EventQueue`] and through the reference
-//!    [`HeapEventQueue`] on the same synthetic trace, so the hot-path
-//!    speedup over the old binary-heap implementation stays measurable.
+//!    the calendar [`EventQueue`] on a synthetic trace with the simulator's
+//!    delay mix.
 //! 3. **Sweep wall-clock** — a fig9-style 9-spec sweep at `--jobs 1` vs
 //!    `--jobs N` (`N` from `--jobs`/`JANUS_JOBS`, else the host's available
 //!    parallelism), pinning the thread-pool speedup.
@@ -32,10 +31,10 @@
 //! Knobs: `--tx N` (transactions per spec), `--samples K`, `--warmup K`,
 //! `--jobs N`, `--out PATH`.
 
-use janus_bench::cli::arg_str;
+use janus_bench::cli::{arg_str, jobs};
 use janus_bench::timing::median_wall_ms;
-use janus_bench::{arg_usize, banner, jobs, run_all_jobs, run_timed, RunSpec, Variant};
-use janus_sim::event::{EventQueue, HeapEventQueue};
+use janus_bench::{arg_usize, banner, run_all_jobs, run_timed, RunSpec, Variant};
+use janus_sim::event::EventQueue;
 use janus_sim::stats::Reservoir;
 use janus_sim::time::Cycles;
 use janus_trace::metrics::MetricsRegistry;
@@ -57,43 +56,12 @@ fn sweep_specs(tx: usize) -> Vec<RunSpec> {
     specs
 }
 
-/// The two queue implementations under one microbenchmark interface.
-trait Queue {
-    fn reset(&mut self);
-    fn push(&mut self, at: Cycles, payload: u64);
-    fn take(&mut self) -> Option<(Cycles, u64)>;
-}
-
-impl Queue for EventQueue<u64> {
-    fn reset(&mut self) {
-        self.clear();
-    }
-    fn push(&mut self, at: Cycles, payload: u64) {
-        self.schedule(at, payload);
-    }
-    fn take(&mut self) -> Option<(Cycles, u64)> {
-        self.pop()
-    }
-}
-
-impl Queue for HeapEventQueue<u64> {
-    fn reset(&mut self) {
-        self.clear();
-    }
-    fn push(&mut self, at: Cycles, payload: u64) {
-        self.schedule(at, payload);
-    }
-    fn take(&mut self) -> Option<(Cycles, u64)> {
-        self.pop()
-    }
-}
-
-/// Drives `ops` schedule/pop pairs through a queue with the simulator's
+/// Drives `ops` schedule/pop pairs through the queue with the simulator's
 /// delay mix: bursts at the current cycle, short device delays, occasional
 /// long (beyond-wheel) refresh horizons. Returns a checksum so the work
 /// cannot be optimized away.
-fn queue_trace(q: &mut impl Queue, ops: u64) -> u64 {
-    q.reset();
+fn queue_trace(q: &mut EventQueue<u64>, ops: u64) -> u64 {
+    q.clear();
     let mut now = 0u64; // tracks the queue clock (last popped timestamp)
     let mut state = 0x9e3779b97f4a7c15u64;
     let mut sum = 0u64;
@@ -107,9 +75,9 @@ fn queue_trace(q: &mut impl Queue, ops: u64) -> u64 {
             13 | 14 => 64 + state % 960, // queue/bank latency
             _ => 5000 + state % 4096,    // refresh horizon (overflow path)
         };
-        q.push(Cycles(now + delay), i);
+        q.schedule(Cycles(now + delay), i);
         if i % 2 == 1 {
-            let (t, p) = q.take().expect("queue nonempty");
+            let (t, p) = q.pop().expect("queue nonempty");
             sum = sum.wrapping_add(p);
             now = now.max(t.0);
         }
@@ -124,10 +92,7 @@ fn main() {
     let warmup = arg_usize("--warmup", 1);
     let out_path = arg_str("--out", "BENCH_perfsmoke.json");
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let n_jobs = match jobs() {
-        1 => host,
-        n => n,
-    };
+    let n_jobs = jobs().unwrap_or(host);
     banner(
         "perfsmoke — simulator self-benchmark",
         &format!("{tx} tx per spec, {samples} samples (warmup {warmup}), host cores {host}"),
@@ -178,20 +143,12 @@ fn main() {
         100.0 * sched_hits as f64 / (sched_hits + sched_misses).max(1) as f64
     );
 
-    // 2. Raw queue schedule+pop throughput, calendar vs reference heap.
+    // 2. Raw queue schedule+pop throughput.
     let ops: u64 = 1_000_000;
     let mut cal: EventQueue<u64> = EventQueue::with_capacity(4096);
     let cal_ms = median_wall_ms(warmup, samples, || queue_trace(&mut cal, ops));
-    let mut heap: HeapEventQueue<u64> = HeapEventQueue::with_capacity(4096);
-    let heap_ms = median_wall_ms(warmup, samples, || queue_trace(&mut heap, ops));
     let queue_ops_per_sec = ops as f64 / (cal_ms / 1e3);
-    let heap_ops_per_sec = ops as f64 / (heap_ms / 1e3);
-    println!(
-        "queue:        calendar {:.2} M ops/s vs heap {:.2} M ops/s  ({:.2}x)",
-        queue_ops_per_sec / 1e6,
-        heap_ops_per_sec / 1e6,
-        queue_ops_per_sec / heap_ops_per_sec
-    );
+    println!("queue:        {:.2} M ops/s", queue_ops_per_sec / 1e6);
 
     // 3. Sweep wall-clock. The serial-vs-fanned comparison only means
     // something when the host can actually fan out; on a 1-core box the
@@ -226,11 +183,6 @@ fn main() {
         m.set_f64("sweep_speedup", serial / sweep_wall_ms);
     }
     m.set_f64("queue_ops_per_sec", queue_ops_per_sec);
-    m.set_f64("heap_queue_ops_per_sec", heap_ops_per_sec);
-    m.set_f64(
-        "queue_speedup_vs_heap",
-        queue_ops_per_sec / heap_ops_per_sec,
-    );
     m.set_u64("events", events);
     m.set_u64("sched_cache_hits", sched_hits);
     m.set_u64("sched_cache_misses", sched_misses);

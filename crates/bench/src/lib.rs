@@ -9,7 +9,6 @@
 
 pub mod cli;
 pub mod pool;
-pub mod shard;
 pub mod timing;
 
 use std::io::Write as _;
@@ -25,7 +24,6 @@ use janus_workloads::traffic::{generate_tenants, Arrival, TenantSpec};
 use janus_workloads::{generate, Instrumentation, Workload, WorkloadConfig};
 
 pub use cli::{arg_usize, require_known_args};
-pub use shard::shards;
 
 /// The five evaluated system variants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -124,21 +122,11 @@ pub struct RunSpec {
     /// figures assume the default; non-default stacks label their metrics
     /// with `spec.bmo_stack`.
     pub bmo_stack: Option<Vec<janus_bmo::BmoId>>,
-    /// Run the one-event-at-a-time legacy dispatch loop instead of the
-    /// batched one (`--legacy-events` / `JANUS_LEGACY_EVENTS=1`). Both paths
-    /// must produce byte-identical reports; this is the executable spec the
-    /// batched loop is differentially tested against.
-    pub legacy_events: bool,
     /// How IRB capacity is apportioned across threads/tenants
     /// ([`IrbPolicy::Shared`] = the paper's configuration; metrics are only
     /// labeled for non-default policies or open-loop runs, so the published
     /// closed-loop JSONL stays byte-identical).
     pub irb_policy: IrbPolicy,
-    /// Force the engine's interpreted scheduler instead of compiled-template
-    /// replay (`--interpreted-sched` / `JANUS_INTERPRETED_SCHED=1`). Both
-    /// paths must produce byte-identical reports; this is the executable
-    /// spec the compiled path is differentially tested against.
-    pub interpreted_sched: bool,
     /// Multi-tenant open-loop mode: when set, the run ignores the
     /// one-program-per-core model and instead drives [`RunSpec::cores`]
     /// worker cores from `tenants` open-loop streams
@@ -178,9 +166,7 @@ impl RunSpec {
             profile: false,
             sample_every: None,
             bmo_stack: None,
-            legacy_events: legacy_events(),
             irb_policy: IrbPolicy::Shared,
-            interpreted_sched: interpreted_sched(),
             open_loop: None,
         }
     }
@@ -201,7 +187,6 @@ impl RunSpec {
             c.bmo_stack = stack.clone();
         }
         c.irb_policy = self.irb_policy;
-        c.interpreted_sched = self.interpreted_sched;
         c
     }
 
@@ -326,7 +311,7 @@ impl RunResult {
 /// metrics as one JSON line to `<dir>/<binary-name>.jsonl`. Every figure
 /// binary funnels through [`run`], so exporting machine-readable results
 /// for all of them is `JANUS_RESULTS_JSON_DIR=out cargo run --release ...`.
-pub(crate) fn sink_results_jsonl(result: &RunResult) {
+fn sink_results_jsonl(result: &RunResult) {
     let Ok(dir) = std::env::var("JANUS_RESULTS_JSON_DIR") else {
         return;
     };
@@ -383,7 +368,6 @@ pub fn run_quiet(spec: RunSpec) -> RunResult {
 /// processed those events.
 pub fn run_timed(spec: RunSpec) -> (RunResult, f64) {
     let mut sys = System::new(spec.config());
-    sys.set_batched(!spec.legacy_events);
     let tracer = if spec.profile {
         let cfg = spec
             .trace
@@ -466,54 +450,14 @@ pub fn run_timed(spec: RunSpec) -> (RunResult, f64) {
     )
 }
 
-/// Worker count for sweep fan-out: `--jobs N` process argument, else the
-/// `JANUS_JOBS` environment variable, else 1 (serial). Every figure/table
-/// binary funnels its sweep through [`run_all`], so
+/// Runs a batch of independent specs fanned across [`cli::jobs`] worker
+/// threads (serial when none is requested), returning results in spec
+/// order. Every figure/table binary funnels its sweep through here, so
 /// `cargo run --release --bin fig9 -- --jobs 8` (or `JANUS_JOBS=8` for a
-/// whole `scripts/regen_results.sh` invocation) parallelizes it.
-pub fn jobs() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .or_else(|| {
-            std::env::var("JANUS_JOBS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-        })
-        .filter(|&j| j >= 1)
-        .unwrap_or(1)
-}
-
-/// Whether runs should use the legacy one-event-at-a-time dispatch loop:
-/// `--legacy-events` process argument or `JANUS_LEGACY_EVENTS=1`. Accepted
-/// by every figure/table binary (like `--jobs`) so any published result can
-/// be regenerated through the pre-batching event loop for comparison.
-pub fn legacy_events() -> bool {
-    std::env::args().any(|a| a == "--legacy-events")
-        || std::env::var("JANUS_LEGACY_EVENTS").is_ok_and(|v| v == "1")
-}
-
-/// Whether runs should force the engine's interpreted sub-op scheduler
-/// instead of compiled-template replay: `--interpreted-sched` process
-/// argument or `JANUS_INTERPRETED_SCHED=1`. Accepted by every figure/table
-/// binary (like `--legacy-events`) so any published result can be
-/// regenerated through the pre-compilation scheduler for comparison.
-pub fn interpreted_sched() -> bool {
-    std::env::args().any(|a| a == "--interpreted-sched")
-        || std::env::var("JANUS_INTERPRETED_SCHED").is_ok_and(|v| v == "1")
-}
-
-/// Runs a batch of independent specs fanned across [`jobs`] worker threads
-/// — and, under `--shards N` / `JANUS_SHARDS`, across N worker *processes*
-/// ([`shard::shards`]) — returning results in spec order. Output is
-/// byte-identical at any shard and worker count.
+/// whole `scripts/regen_results.sh` invocation) parallelizes it; output is
+/// byte-identical at any worker count.
 pub fn run_all(specs: Vec<RunSpec>) -> Vec<RunResult> {
-    if let Some(results) = shard::maybe_run_sharded(&specs) {
-        return results;
-    }
-    run_all_jobs(specs, jobs())
+    run_all_jobs(specs, cli::jobs().unwrap_or(1))
 }
 
 /// [`run_all`] with an explicit worker count.

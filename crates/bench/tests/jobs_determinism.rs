@@ -1,13 +1,20 @@
 //! The sweep engine's determinism contract: fanning a batch of specs across
 //! worker threads changes wall-clock only — every rendered result is
 //! byte-identical at any `--jobs` value, across a sweep of three different
-//! BMO stacks.
+//! BMO stacks plus multi-tenant open-loop runs. A worker count that is zero
+//! or not a number is a usage error (exit status 2), never a silent serial
+//! run.
 
-use janus_bench::{run_all_jobs, RunSpec, Variant};
+use std::process::Command;
+
+use janus_bench::{run_all_jobs, OpenLoopSpec, RunSpec, Variant};
 use janus_bmo::BmoStack;
+use janus_core::irb::IrbPolicy;
+use janus_sim::time::Cycles;
+use janus_workloads::traffic::Arrival;
 use janus_workloads::Workload;
 
-fn three_stack_sweep() -> Vec<RunSpec> {
+fn sweep() -> Vec<RunSpec> {
     let mut specs = Vec::new();
     for stack in ["enc,int,dedup", "enc,ecc", "int"] {
         for variant in [Variant::Serialized, Variant::JanusManual] {
@@ -17,11 +24,27 @@ fn three_stack_sweep() -> Vec<RunSpec> {
             specs.push(s);
         }
     }
+    // Open-loop tenants sharing two cores: the per-tenant report section
+    // must come back from the workers in spec order too.
+    for policy in [IrbPolicy::Shared, IrbPolicy::Partitioned { quota: 64 }] {
+        let mut s = RunSpec::new(Workload::Tatp, Variant::JanusManual);
+        s.cores = 2;
+        s.transactions = 8;
+        s.irb_policy = policy;
+        s.open_loop = Some(OpenLoopSpec {
+            tenants: 4,
+            arrival: Arrival::Poisson {
+                mean: Cycles(10_000),
+            },
+            mix: vec![Workload::Tatp, Workload::HashTable],
+        });
+        specs.push(s);
+    }
     specs
 }
 
 fn rendered(jobs: usize) -> Vec<String> {
-    run_all_jobs(three_stack_sweep(), jobs)
+    run_all_jobs(sweep(), jobs)
         .iter()
         .map(|r| r.metrics().to_json())
         .collect()
@@ -30,7 +53,12 @@ fn rendered(jobs: usize) -> Vec<String> {
 #[test]
 fn jobs_1_4_8_render_byte_identical_results() {
     let serial = rendered(1);
-    assert_eq!(serial.len(), 6);
+    assert_eq!(serial.len(), 8);
+    assert!(
+        serial[6].contains("\"tenant3."),
+        "open-loop specs carry per-tenant rows: {}",
+        serial[6]
+    );
     assert_eq!(serial, rendered(4), "--jobs 4 diverged from --jobs 1");
     assert_eq!(serial, rendered(8), "--jobs 8 diverged from --jobs 1");
 }
@@ -41,4 +69,43 @@ fn oversubscribed_pool_still_ordered() {
     // result order must still be spec order.
     let serial = rendered(1);
     assert_eq!(serial, rendered(64));
+}
+
+#[test]
+fn malformed_worker_counts_exit_2() {
+    let sweep = |args: &[&str], env: Option<&str>| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_janus-sweep"));
+        cmd.args([
+            "--workloads",
+            "queue",
+            "--variants",
+            "serialized",
+            "--tx",
+            "2",
+        ]);
+        cmd.args(args)
+            .env_remove("JANUS_JOBS")
+            .env_remove("JANUS_RESULTS_JSON_DIR");
+        if let Some(v) = env {
+            cmd.env("JANUS_JOBS", v);
+        }
+        cmd.output().expect("spawn janus-sweep")
+    };
+    for (args, env, source) in [
+        (&["--jobs", "abc"][..], None, "--jobs"),
+        (&["--jobs", "0"][..], None, "--jobs"),
+        (&[][..], Some("lots"), "JANUS_JOBS"),
+    ] {
+        let out = sweep(args, env);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?} {env:?}: {stderr}");
+        assert!(stderr.contains(source), "{args:?} {env:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} {env:?}: ran anyway");
+    }
+    let ok = sweep(&["--jobs", "1"], None);
+    assert!(
+        ok.status.success(),
+        "{}",
+        String::from_utf8_lossy(&ok.stderr)
+    );
 }

@@ -180,7 +180,8 @@ impl BmoEngine {
     /// Enables or disables compiled-template replay. Disabled, every submit
     /// takes the interpreted scheduler (the executable specification the
     /// compiled path is differentially tested against); cache statistics
-    /// stay zero.
+    /// stay zero. Simulations always replay; this switch exists for the
+    /// differential tests.
     pub fn set_compiled(&mut self, on: bool) {
         self.compiled = on;
     }

@@ -146,12 +146,6 @@ pub struct JanusConfig {
     /// ([`IrbPolicy::Shared`] — the paper's configuration — unless the
     /// multi-tenant sweeps say otherwise).
     pub irb_policy: IrbPolicy,
-    /// Force the engine's interpreted scheduler for every submit instead of
-    /// compiled-template replay. The two are cycle-identical by
-    /// construction (the interpreted walk is the executable specification
-    /// replay is differentially tested against); this knob exists for that
-    /// test and for debugging, not as a design point.
-    pub interpreted_sched: bool,
 }
 
 impl JanusConfig {
@@ -179,7 +173,6 @@ impl JanusConfig {
             serialized_global: false,
             bmo_stack: BmoStack::paper().members().to_vec(),
             irb_policy: IrbPolicy::Shared,
-            interpreted_sched: false,
         }
     }
 

@@ -129,12 +129,11 @@ impl MemoryController {
     pub fn new(config: JanusConfig) -> Self {
         let stack = config.stack();
         let graph = stack.graph(&config.latencies);
-        let mut engine = BmoEngine::new(
+        let engine = BmoEngine::new(
             graph,
             config.mode.bmo_mode_with(config.serialized_global),
             config.total_bmo_units(),
         );
-        engine.set_compiled(!config.interpreted_sched);
         let pipeline = BmoPipeline::for_stack(&stack, config.latencies.dedup_algo);
         let mut wq = AdrWriteQueue::new(config.wq_capacity);
         wq.set_coalescing(config.wq_coalescing);

@@ -298,13 +298,6 @@ pub struct System {
     events: EventQueue<Ev>,
     events_processed: u64,
     sampler: Option<MetricsSampler>,
-    /// Batched hot path (default): drain each cycle's event cohort with one
-    /// queue operation and fast-forward over idle cycles. The per-event
-    /// [`System::step`] loop remains available as the executable
-    /// specification (`tests/hot_path_batched.rs` differentially tests the
-    /// two); both deliver events in identical order, so all outputs are
-    /// byte-identical.
-    batched: bool,
     /// Reused batch scratch: one allocation per run, not per cycle.
     batch_buf: Vec<(Cycles, Ev)>,
 }
@@ -334,19 +327,10 @@ impl System {
             events: EventQueue::with_capacity(pending),
             events_processed: 0,
             sampler: None,
-            batched: true,
             batch_buf: Vec::new(),
             mc,
             config,
         }
-    }
-
-    /// Selects the event-loop implementation: `true` (default) drains
-    /// same-cycle event cohorts in batches, `false` pops one event at a
-    /// time (the legacy executable specification). Both orders are
-    /// identical, so this changes simulator speed only, never output.
-    pub fn set_batched(&mut self, batched: bool) {
-        self.batched = batched;
     }
 
     /// Enables event tracing for this run; returns the [`Tracer`] handle
@@ -357,10 +341,8 @@ impl System {
     }
 
     /// Enables *causal* profiling for this run: tracing plus the `prof_*`
-    /// link events `janus-prof` needs to rebuild per-write span DAGs.
-    /// Identical across batched and legacy event loops — both deliver
-    /// events in the same order, and the profile is a pure function of the
-    /// trace stream.
+    /// link events `janus-prof` needs to rebuild per-write span DAGs. The
+    /// profile is a pure function of the trace stream.
     pub fn enable_profiling(&mut self, config: &TraceConfig) -> Tracer {
         self.mc.enable_profiling(config)
     }
@@ -476,7 +458,8 @@ impl System {
         Ok(self.report())
     }
 
-    /// Runs until simulated time exceeds `crash_at`, then abandons all
+    /// Runs every event at or before `crash_at` (including those scheduled
+    /// for `crash_at` itself while it is processed), then abandons all
     /// volatile state and returns the persistent snapshot + secure root
     /// (power loss).
     ///
@@ -496,12 +479,7 @@ impl System {
             });
         }
         self.start(programs);
-        while let Some(t) = self.events.peek_time() {
-            if t > crash_at {
-                break;
-            }
-            self.step();
-        }
+        self.run_loop(crash_at);
         Ok(self.mc.crash())
     }
 
@@ -515,24 +493,21 @@ impl System {
     /// Runs the event loop dry and finalises sampling (shared by the
     /// closed- and open-loop entry points).
     fn drain(&mut self) {
-        if self.batched {
-            self.run_batched();
-        } else {
-            while self.step() {}
-        }
+        self.run_loop(Cycles::MAX);
         if let Some(sampler) = &mut self.sampler {
             sampler.finish(self.events.now(), self.mc.stats());
         }
     }
 
-    /// The batched event loop: one queue operation per occupied cycle
-    /// (instead of one per event), jumping the clock straight to the next
-    /// deadline. Events a handler schedules for the *current* cycle are
-    /// picked up by the next `pop_batch` call at the same timestamp, so the
-    /// delivery order is exactly the per-event loop's FIFO order.
-    fn run_batched(&mut self) {
+    /// The event loop, shared by full runs (`until` = [`Cycles::MAX`]) and
+    /// crash runs: one queue operation per occupied cycle at or before
+    /// `until`, jumping the clock straight to the next deadline. Events a
+    /// handler schedules for the *current* cycle are picked up by the next
+    /// `pop_batch` call at the same timestamp, so delivery is exactly
+    /// `(time, schedule order)` FIFO.
+    fn run_loop(&mut self, until: Cycles) {
         let mut buf = std::mem::take(&mut self.batch_buf);
-        while self.events.pop_batch(&mut buf).is_some() {
+        while self.events.pop_batch(until, &mut buf).is_some() {
             for (t, ev) in buf.drain(..) {
                 self.events_processed += 1;
                 if let Some(sampler) = &mut self.sampler {
@@ -544,19 +519,6 @@ impl System {
         self.batch_buf = buf;
     }
 
-    fn step(&mut self) -> bool {
-        let Some((t, ev)) = self.events.pop() else {
-            return false;
-        };
-        self.events_processed += 1;
-        if let Some(sampler) = &mut self.sampler {
-            sampler.maybe_sample(t, self.mc.stats());
-        }
-        self.dispatch(t, ev);
-        true
-    }
-
-    /// Handles one event (shared by the batched and per-event loops).
     fn dispatch(&mut self, t: Cycles, ev: Ev) {
         match ev {
             Ev::Core(i) => self.step_core(t, i),

@@ -33,10 +33,10 @@
 //!   counter tracks so occupancy curves plot alongside spans.
 //!
 //! Everything is a pure function of the trace snapshot: two runs of the
-//! same simulation — batched or legacy event loop — produce byte-identical
-//! profiles. A ring-buffer wraparound would silently truncate causal
-//! chains, so [`Profile::build`] refuses to profile a stream that dropped
-//! events ([`ProfileError::Dropped`]).
+//! same simulation produce byte-identical profiles. A ring-buffer
+//! wraparound would silently truncate causal chains, so [`Profile::build`]
+//! refuses to profile a stream that dropped events
+//! ([`ProfileError::Dropped`]).
 
 mod profile;
 mod report;

@@ -97,7 +97,8 @@ struct NodeInst {
 
 /// How the engine scheduled each submitted job: by compiling a schedule
 /// template (cold), replaying one (warm), or walking the dependency graph
-/// interpretively (staged submits, unit contention, or `--interpreted-sched`).
+/// interpretively (staged submits, unit contention, or an engine with replay
+/// switched off by `BmoEngine::set_compiled(false)`).
 /// Counted from the engine's `prof_sched` markers; scheduling itself costs
 /// zero simulated cycles, so these are counts, not cycle attributions.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -31,12 +31,12 @@
 //!   forward — so every overflow entry predates every wheel entry for the
 //!   same cycle.
 //!
-//! [`HeapEventQueue`] keeps the original `BinaryHeap` implementation as an
-//! executable specification; property tests drive both through random
-//! schedule/pop interleavings and assert identical pop sequences.
+//! A `BinaryHeap` queue with explicit `(time, seq)` keys is the executable
+//! specification, kept as the test oracle in `tests/event_queue.rs`: its
+//! properties drive both queues through random schedule/pop interleavings
+//! and bounded re-entrant drains and assert identical delivery.
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::time::Cycles;
 
@@ -234,19 +234,25 @@ impl<E> EventQueue<E> {
     /// Drains every event scheduled for the next occupied cycle into `out`
     /// (appending, in exactly the order repeated [`EventQueue::pop`] calls
     /// would deliver them) and advances the clock to that cycle. Returns the
-    /// batch's timestamp, or `None` if the queue is empty.
+    /// batch's timestamp, or `None` — leaving the queue and the clock
+    /// untouched — if the queue is empty or its next event lies after
+    /// `until` (pass [`Cycles::MAX`] for no bound).
     ///
-    /// This is the batched hot path's entry point: one bitmap search yields
-    /// the whole same-cycle cohort, and the clock jump *is* the next-event
-    /// fast-forward — when all resources are quiescent, `now` moves straight
-    /// to the next deadline without visiting the idle cycles in between.
-    /// Events the caller schedules *for the same cycle while processing the
-    /// batch* are not in `out`; re-invoke until the returned time changes
-    /// (or use [`EventQueue::peek_time`]) to drain them in FIFO order.
-    pub fn pop_batch(&mut self, out: &mut Vec<(Cycles, E)>) -> Option<Cycles> {
+    /// This is the simulator loop's only entry point: one bitmap search
+    /// yields the whole same-cycle cohort, and the clock jump *is* the
+    /// next-event fast-forward — when all resources are quiescent, `now`
+    /// moves straight to the next deadline without visiting the idle cycles
+    /// in between. Events the caller schedules *for the same cycle while
+    /// processing the batch* are not in `out`; re-invoke until the returned
+    /// time changes (or use [`EventQueue::peek_time`]) to drain them in FIFO
+    /// order.
+    pub fn pop_batch(&mut self, until: Cycles, out: &mut Vec<(Cycles, E)>) -> Option<Cycles> {
         let time = match self.next_event()? {
             Next::Overflow { time } | Next::Wheel { time, .. } => time,
         };
+        if time > until {
+            return None;
+        }
         // Overflow entries for `time` pop before wheel entries (module docs:
         // they carry strictly earlier schedule order).
         if let Some(mut entry) = self.overflow.first_entry() {
@@ -384,141 +390,6 @@ impl<E> std::fmt::Debug for EventQueue<E> {
             .field("now", &self.now)
             .field("pending", &self.len)
             .field("overflow", &self.overflow_len)
-            .finish()
-    }
-}
-
-/// An entry in the reference heap: ordered by time, then by insertion
-/// sequence.
-struct Entry<E> {
-    time: Cycles,
-    seq: u64,
-    payload: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// The original `BinaryHeap` event queue, kept as the executable
-/// specification for [`EventQueue`].
-///
-/// Semantics are defined here in ~40 lines of obviously-correct code:
-/// explicit `(time, seq)` keys popped from a min-heap. The calendar queue
-/// must produce an identical pop sequence for any schedule/pop interleaving;
-/// the `tests/event_queue.rs` property suite asserts exactly that. It is not
-/// used on the simulation hot path.
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    next_seq: u64,
-    now: Cycles,
-}
-
-impl<E> HeapEventQueue<E> {
-    /// Creates an empty queue with the clock at time zero.
-    pub fn new() -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-            now: Cycles::ZERO,
-        }
-    }
-
-    /// Creates an empty queue pre-sized for `cap` pending events.
-    pub fn with_capacity(cap: usize) -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::with_capacity(cap),
-            next_seq: 0,
-            now: Cycles::ZERO,
-        }
-    }
-
-    /// Removes all pending events and resets the clock to zero.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.next_seq = 0;
-        self.now = Cycles::ZERO;
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> Cycles {
-        self.now
-    }
-
-    /// Schedules `payload` at absolute time `at`; panics if `at < now()`.
-    pub fn schedule(&mut self, at: Cycles, payload: E) {
-        assert!(
-            at >= self.now,
-            "event scheduled in the past: at={at:?} now={:?}",
-            self.now
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry {
-            time: at,
-            seq,
-            payload,
-        });
-    }
-
-    /// Schedules `payload` to fire `delay` cycles after the current time.
-    pub fn schedule_after(&mut self, delay: Cycles, payload: E) {
-        self.schedule(self.now + delay, payload);
-    }
-
-    /// Pops the earliest event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(Cycles, E)> {
-        self.heap.pop().map(|e| {
-            debug_assert!(e.time >= self.now);
-            self.now = e.time;
-            (e.time, e.payload)
-        })
-    }
-
-    /// Timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<Cycles> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> std::fmt::Debug for HeapEventQueue<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HeapEventQueue")
-            .field("now", &self.now)
-            .field("pending", &self.heap.len())
             .finish()
     }
 }
@@ -689,7 +560,7 @@ mod tests {
             if step() % 3 == 0 {
                 // Drain one batch from `a`, the same events one-by-one from `b`.
                 let mut batch = Vec::new();
-                if let Some(t) = a.pop_batch(&mut batch) {
+                if let Some(t) = a.pop_batch(Cycles::MAX, &mut batch) {
                     assert!(!batch.is_empty());
                     for ev in &batch {
                         assert_eq!(ev.0, t);
@@ -701,7 +572,7 @@ mod tests {
             }
         }
         let mut batch = Vec::new();
-        while a.pop_batch(&mut batch).is_some() {
+        while a.pop_batch(Cycles::MAX, &mut batch).is_some() {
             for ev in batch.drain(..) {
                 assert_eq!(Some(ev), b.pop());
             }
@@ -717,7 +588,7 @@ mod tests {
         q.pop();
         q.schedule(Cycles(10_000), 2); // in window: wheel, same cycle
         let mut batch = Vec::new();
-        assert_eq!(q.pop_batch(&mut batch), Some(Cycles(10_000)));
+        assert_eq!(q.pop_batch(Cycles::MAX, &mut batch), Some(Cycles(10_000)));
         assert_eq!(batch, vec![(Cycles(10_000), 1), (Cycles(10_000), 2)]);
         assert!(q.is_empty());
     }
@@ -727,42 +598,13 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(Cycles(123_456), "far");
         let mut batch = Vec::new();
-        assert_eq!(q.pop_batch(&mut batch), Some(Cycles(123_456)));
+        assert_eq!(q.pop_batch(Cycles(123_455), &mut batch), None);
+        assert_eq!(q.now(), Cycles::ZERO, "a bounded miss leaves the clock");
+        assert_eq!(
+            q.pop_batch(Cycles(123_456), &mut batch),
+            Some(Cycles(123_456))
+        );
         assert_eq!(q.now(), Cycles(123_456), "clock jumps over idle cycles");
         assert_eq!(batch.len(), 1);
-    }
-
-    #[test]
-    fn heap_reference_matches_on_a_mixed_trace() {
-        let mut a = EventQueue::new();
-        let mut b = HeapEventQueue::new();
-        let mut x = 0x9e3779b97f4a7c15u64;
-        let mut step = || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        for i in 0..5000u64 {
-            let delay = match step() % 4 {
-                0 => 0,                       // same-cycle burst
-                1 => step() % 64,             // short
-                2 => step() % 4096,           // to the horizon
-                _ => 4096 + step() % 100_000, // overflow
-            };
-            a.schedule_after(Cycles(delay), i);
-            b.schedule_after(Cycles(delay), i);
-            if step() % 3 == 0 {
-                assert_eq!(a.pop(), b.pop());
-                assert_eq!(a.now(), b.now());
-            }
-        }
-        loop {
-            let (pa, pb) = (a.pop(), b.pop());
-            assert_eq!(pa, pb);
-            if pa.is_none() {
-                break;
-            }
-        }
     }
 }

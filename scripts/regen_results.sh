@@ -27,10 +27,10 @@
 # `scripts/regen_results.sh --tx 40` for a quick pass, or
 # `scripts/regen_results.sh --jobs 8` to fan each binary's sweep across 8
 # worker threads — results are byte-identical at any worker count; setting
-# JANUS_JOBS=8 instead works too). `--shards N` fans each binary's sweep
-# across N worker *processes* (also byte-identical; composes with --jobs,
-# which then applies per worker). Hermetic: builds and runs with --locked
-# --offline only.
+# JANUS_JOBS=8 instead works too). With no arguments the pass reproduces the
+# committed results/ byte for byte, which CI checks with
+# `git diff --exit-code -- results/`. Hermetic: builds and runs with
+# --locked --offline only.
 set -eu
 
 cd "$(dirname "$0")/.."

@@ -1,120 +1,116 @@
-//! Differential tests: the batched event loop against the legacy
-//! one-event-at-a-time loop it replaced.
+//! Crash-snapshot pins for the one event loop.
 //!
-//! The legacy path (`RunSpec::legacy_events` / `System::set_batched(false)`)
-//! is kept as the executable specification of the simulator's semantics.
-//! The batched hot path — same-cycle cohort draining plus next-event
-//! fast-forward — is only a performance transformation, so every observable
-//! output must be **byte-identical** between the two:
+//! `System::run_until_crash` drains the same batched loop as a full run,
+//! bounded at the crash cycle: every same-cycle cohort at or before it is
+//! delivered (including events its handlers schedule for that cycle), and
+//! nothing after it. The persistent image and secure root it leaves behind
+//! are what recovery starts from, so they are pinned here as one FNV-1a
+//! digest per workload.
 //!
-//! * the human-readable [`ExecutionReport`] text dump,
-//! * the exported JSONL metrics line (what `results/` files are built from),
-//! * the simulator-only `events` counter (both paths dispatch the same
-//!   event sequence, not merely equivalent ones).
-//!
-//! Coverage: the full fig9 grid (every workload × every fig9 variant) and a
-//! property sweep over randomly permuted BMO stacks, which exercises BMO
-//! pipelines whose sub-op graphs (and hence event interleavings) differ
-//! from the paper's default trio.
+//! The digests were recorded from the per-event loop that produced crash
+//! snapshots before the bounded batch drain replaced it; a match means the
+//! one loop stops exactly where the per-event loop did. Each digest folds
+//! `{serialized, parallelized, janus-manual} × {1, 2} cores × 4 crash
+//! cycles`, with the two-core Janus runs on an all-seven-BMO stack. Crash
+//! cycles are fixed fractions of each configuration's full-run length, so
+//! every crash lands mid-run.
 
-use janus_bench::{run_quiet, RunSpec, Variant};
-use janus_bmo::BmoId;
-use janus_workloads::Workload;
+use janus::bmo::BmoId;
+use janus::core::config::{JanusConfig, SystemMode};
+use janus::core::system::System;
+use janus::core::Program;
+use janus::sim::time::Cycles;
+use janus::workloads::{generate, Instrumentation, Workload, WorkloadConfig};
 
-/// Runs `spec` through both dispatch loops and asserts byte-identity of
-/// every exported artifact.
-fn assert_paths_identical(mut spec: RunSpec) {
-    spec.legacy_events = true;
-    let legacy = run_quiet(spec.clone());
-    spec.legacy_events = false;
-    let batched = run_quiet(spec.clone());
-
-    let dump = |r: &janus_bench::RunResult| {
-        let mut buf = Vec::new();
-        r.report.dump(&mut buf).expect("dump to Vec cannot fail");
-        buf
-    };
-    let label = format!(
-        "{} [{}] cores={} stack={:?}",
-        spec.workload,
-        spec.variant.label(),
-        spec.cores,
-        spec.bmo_stack
-    );
-    assert_eq!(
-        dump(&legacy),
-        dump(&batched),
-        "{label}: report text dump diverged between legacy and batched loops"
-    );
-    assert_eq!(
-        legacy.metrics().to_json(),
-        batched.metrics().to_json(),
-        "{label}: JSONL metrics line diverged between legacy and batched loops"
-    );
-    assert_eq!(
-        legacy.report.events, batched.report.events,
-        "{label}: the two loops dispatched different event counts"
-    );
-}
-
-const FIG9_VARIANTS: [Variant; 3] = [
-    Variant::Serialized,
-    Variant::Parallelized,
-    Variant::JanusManual,
+/// `(workload, digest)`, recorded from the per-event loop.
+const PINNED: [(Workload, u64); 7] = [
+    (Workload::ArraySwap, 0x60ae91dc4083a90f),
+    (Workload::Queue, 0xa00cb50185791312),
+    (Workload::HashTable, 0x276bda797ff049c6),
+    (Workload::BTree, 0x34b9ec89a27ac13d),
+    (Workload::RbTree, 0x737fd6ff3359aa84),
+    (Workload::Tatp, 0xb35099267e12259a),
+    (Workload::Tpcc, 0x05a56eae5b0b624a),
 ];
 
-/// The full fig9 grid: all seven workloads, all three figure variants.
-#[test]
-fn batched_loop_matches_legacy_on_full_fig9_sweep() {
-    for w in Workload::all() {
-        for v in FIG9_VARIANTS {
-            let mut spec = RunSpec::new(w, v);
-            spec.transactions = 25;
-            assert_paths_identical(spec);
+/// `(mode, instrumentation, cores, all seven BMOs)` for every crash run.
+const CONFIGS: [(SystemMode, Instrumentation, usize, bool); 6] = [
+    (SystemMode::Serialized, Instrumentation::None, 1, false),
+    (SystemMode::Serialized, Instrumentation::None, 2, false),
+    (SystemMode::Parallelized, Instrumentation::None, 1, false),
+    (SystemMode::Parallelized, Instrumentation::None, 2, false),
+    (SystemMode::Janus, Instrumentation::Manual, 1, false),
+    (SystemMode::Janus, Instrumentation::Manual, 2, true),
+];
+
+/// Crash cycles as eighths of the full run.
+const CRASH_EIGHTHS: [u64; 4] = [1, 3, 5, 7];
+
+/// 64-bit FNV-1a, folded incrementally.
+struct Fnv(u64);
+
+impl Fnv {
+    fn eat(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
 }
 
-/// Multi-core runs schedule far more same-cycle cohorts (one Core event per
-/// core per cycle), which is exactly what the batch drain reorders if it is
-/// ever wrong about FIFO order within a cycle.
-#[test]
-fn batched_loop_matches_legacy_on_multicore_runs() {
-    for cores in [2, 4] {
-        let mut spec = RunSpec::new(Workload::Tatp, Variant::JanusManual);
-        spec.cores = cores;
-        spec.transactions = 20;
-        assert_paths_identical(spec);
+/// Folds every crash run of `workload` into one digest.
+fn crash_digest(workload: Workload) -> u64 {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for (mode, instrumentation, cores, all_bmos) in CONFIGS {
+        let mut config = JanusConfig::paper(mode, cores);
+        if all_bmos {
+            config.bmo_stack = BmoId::ALL.to_vec();
+        }
+        let wc = WorkloadConfig {
+            transactions: 12,
+            instrumentation,
+            ..WorkloadConfig::default()
+        };
+        let programs: Vec<Program> = (0..cores)
+            .map(|core| generate(workload, core, &wc).program)
+            .collect();
+        let full = System::new(config.clone()).run(programs.clone()).cycles;
+        let mut snapshots = Vec::new();
+        for eighth in CRASH_EIGHTHS {
+            let crash_at = Cycles(full.0 * eighth / 8);
+            let (snapshot, root) = System::new(config.clone())
+                .run_until_crash(programs.clone(), crash_at)
+                .expect("one program per core");
+            let mut image = Vec::new();
+            for (addr, line) in snapshot.iter() {
+                image.extend_from_slice(&addr.0.to_le_bytes());
+                image.extend_from_slice(line.as_bytes());
+            }
+            h.eat(format!("{mode:?}/{cores}/{all_bmos}@{}", crash_at.0).as_bytes());
+            h.eat(&image);
+            h.eat(&root);
+            snapshots.push(image);
+        }
+        snapshots.dedup();
+        assert!(
+            snapshots.len() > 1,
+            "{workload} {mode:?} x{cores}: every crash left the same image, so the \
+             crash cycles do not fall mid-run"
+        );
     }
+    h.0
 }
 
-/// Property test: random BMO stack permutations. Each permutation yields a
-/// different sub-op dependency graph, bank contention pattern, and event
-/// interleaving; the two loops must agree on all of them.
 #[test]
-fn batched_loop_matches_legacy_on_random_bmo_stack_permutations() {
-    let mut state = 0x243f6a8885a308d3u64; // deterministic xorshift seed
-    let mut rng = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    for trial in 0..6 {
-        // Fisher–Yates shuffle of the full registry, then keep a random
-        // non-empty prefix so short and long stacks are both covered.
-        let mut stack = BmoId::ALL.to_vec();
-        for i in (1..stack.len()).rev() {
-            let j = (rng() % (i as u64 + 1)) as usize;
-            stack.swap(i, j);
-        }
-        let keep = 1 + (rng() % stack.len() as u64) as usize;
-        stack.truncate(keep);
-
-        let workload = Workload::all()[trial % Workload::all().len()];
-        let mut spec = RunSpec::new(workload, Variant::JanusManual);
-        spec.transactions = 12;
-        spec.bmo_stack = Some(stack);
-        assert_paths_identical(spec);
-    }
+fn crash_snapshots_match_the_per_event_loop() {
+    let got: Vec<(Workload, u64)> = PINNED.iter().map(|&(w, _)| (w, crash_digest(w))).collect();
+    let table: String = got
+        .iter()
+        .map(|(w, d)| format!("    (Workload::{w:?}, {d:#018x}),\n"))
+        .collect();
+    assert_eq!(
+        got,
+        PINNED.to_vec(),
+        "crash snapshots diverged from the pinned digests; got:\n{table}"
+    );
 }

@@ -1,14 +1,8 @@
 //! Determinism contract for the causal profiler.
 //!
-//! A profile is a pure function of the simulated timeline, so:
-//!
-//! * two identical runs must produce **byte-identical** text and JSON
-//!   reports (CI also checks this end-to-end through the `janus-prof`
-//!   binary), and
-//! * the batched event loop and the legacy one-event-at-a-time loop —
-//!   already required to produce identical execution reports — must also
-//!   produce identical *profiles*: same causal chains, same accounting,
-//!   same blame ranking, to the byte.
+//! A profile is a pure function of the simulated timeline, so two identical
+//! runs must produce **byte-identical** text and JSON reports (CI also
+//! checks this end-to-end through the `janus-prof` binary).
 
 use janus::prof::Profile;
 use janus::sim::time::Cycles;
@@ -40,33 +34,6 @@ fn profiles_are_byte_identical_across_reruns() {
     assert_eq!(text_a, text_b);
     assert_eq!(json_a, json_b);
     janus::prof::validate_profile_json(&json_a).expect("profile validates");
-}
-
-#[test]
-fn batched_and_legacy_loops_profile_identically() {
-    for (workload, variant) in [
-        (Workload::Tatp, Variant::JanusManual),
-        (Workload::HashTable, Variant::Parallelized),
-        (Workload::ArraySwap, Variant::Serialized),
-    ] {
-        let mut spec = profiled_spec(workload, variant);
-        spec.legacy_events = true;
-        let (legacy_text, legacy_json) = profile_of(&spec);
-        spec.legacy_events = false;
-        let (batched_text, batched_json) = profile_of(&spec);
-        assert_eq!(
-            legacy_text,
-            batched_text,
-            "{workload} [{}]: text profiles diverge between event loops",
-            variant.label()
-        );
-        assert_eq!(
-            legacy_json,
-            batched_json,
-            "{workload} [{}]: JSON profiles diverge between event loops",
-            variant.label()
-        );
-    }
 }
 
 #[test]

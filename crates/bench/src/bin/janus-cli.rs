@@ -21,7 +21,7 @@
 //! `--profile PATH` (causal profile: text report to PATH, `-` for stdout;
 //! see the `janus-prof` binary for the full profiling workflow).
 
-use janus_bench::cli::{arg, flag};
+use janus_bench::cli::{self, arg, flag};
 use janus_bench::{run_all, RunSpec, Variant};
 use janus_bmo::BmoStack;
 use janus_workloads::Workload;
@@ -87,9 +87,7 @@ fn main() {
         .collect();
 
     let mut spec = RunSpec::new(workload, variants[0]);
-    if let Some(v) = arg("--cores") {
-        spec.cores = v.parse().expect("--cores N");
-    }
+    spec.cores = cli::cores(spec.cores);
     if let Some(v) = arg("--tx") {
         spec.transactions = v.parse().expect("--tx N");
     }

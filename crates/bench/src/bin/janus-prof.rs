@@ -19,7 +19,7 @@
 //! computes analytically. A disagreement means the profiler's causal chain
 //! reconstruction is broken, and the binary refuses to continue.
 
-use janus_bench::cli::arg;
+use janus_bench::cli::{self, arg};
 use janus_bench::{arg_usize, run_quiet, RunSpec, Variant};
 use janus_core::controller::MemoryController;
 use janus_core::{JanusConfig, SystemMode};
@@ -66,6 +66,7 @@ fn main() {
         ],
         &[],
     );
+    let cores = cli::cores(1);
     calibration_probe();
 
     let workload: Workload = match arg("--workload").as_deref().unwrap_or("tatp").parse() {
@@ -87,7 +88,7 @@ fn main() {
         }
     };
     let mut spec = RunSpec::new(workload, variant);
-    spec.cores = arg_usize("--cores", 1);
+    spec.cores = cores;
     spec.transactions = arg_usize("--tx", 40);
     spec.seed = arg_usize("--seed", 42) as u64;
     spec.profile = true;

@@ -10,8 +10,7 @@
 //! worker count, and a zero or non-numeric `--jobs` (or `JANUS_JOBS`) exits
 //! with status 2.
 
-use janus_bench::cli::arg_str;
-use janus_bench::cli::arg_u64;
+use janus_bench::cli::{self, arg_str, arg_u64};
 use janus_bench::{arg_usize, banner, row, run_all, RunSpec, Variant};
 use janus_workloads::Workload;
 
@@ -51,7 +50,7 @@ fn main() {
         &[],
     );
     let tx = arg_usize("--tx", 60);
-    let cores = arg_usize("--cores", 1);
+    let cores = cli::cores(1);
     let seed = arg_u64("--seed", 42);
     let workloads: Vec<Workload> = match arg_str("--workloads", "").as_str() {
         "" => Workload::all().to_vec(),

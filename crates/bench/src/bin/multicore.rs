@@ -18,7 +18,7 @@
 //! Output is deterministic: byte-identical across reruns and at any
 //! `--jobs` fan-out.
 
-use janus_bench::cli::{arg, arg_u64, flag};
+use janus_bench::cli::{self, arg, arg_u64, flag};
 use janus_bench::{arg_usize, banner, row, run_all, OpenLoopSpec, RunSpec, Variant};
 use janus_core::irb::IrbPolicy;
 use janus_sim::time::Cycles;
@@ -81,7 +81,7 @@ fn main() {
         &["--traffic-digest"],
     );
     let tx = arg_usize("--tx", 40);
-    let cores = arg_usize("--cores", 4);
+    let cores = cli::cores(4);
     let seed = arg_u64("--seed", 42);
     let policies: Vec<IrbPolicy> = match arg("--irb-policy") {
         Some(p) => vec![parse_policy(&p)],

@@ -5,7 +5,8 @@
 //! helpers. The strict validator ([`require_known_args`]) makes a typo a
 //! hard usage error (exit status 2) instead of a silently default-configured
 //! "result". The one flag every binary accepts, `--jobs N`, is parsed here
-//! too ([`jobs`]).
+//! too ([`jobs`]), and so is the simulated core count, `--cores N`
+//! ([`cores`]).
 
 use std::num::NonZeroUsize;
 
@@ -81,6 +82,13 @@ pub fn jobs() -> Option<usize> {
         }
     };
     Some(jobs.get())
+}
+
+/// Simulated core count: `--cores N`, else `default`. Zero or a non-number
+/// exits with status 2 like any other malformed flag, before a
+/// configuration with no cores can be built.
+pub fn cores(default: usize) -> usize {
+    parse_arg::<NonZeroUsize>("--cores", "a positive integer").map_or(default, NonZeroUsize::get)
 }
 
 /// Strict argument validation for the figure/table binaries: every token

@@ -3,7 +3,7 @@
 //! byte-identical at any `--jobs` value, across a sweep of three different
 //! BMO stacks plus multi-tenant open-loop runs. A worker count that is zero
 //! or not a number is a usage error (exit status 2), never a silent serial
-//! run.
+//! run, and so is such a core count, never a panic.
 
 use std::process::Command;
 
@@ -108,4 +108,34 @@ fn malformed_worker_counts_exit_2() {
         "{}",
         String::from_utf8_lossy(&ok.stderr)
     );
+}
+
+#[test]
+fn malformed_core_counts_exit_2() {
+    for (bin, value) in [
+        (env!("CARGO_BIN_EXE_janus-cli"), "0"),
+        (env!("CARGO_BIN_EXE_janus-cli"), "abc"),
+        (env!("CARGO_BIN_EXE_multicore"), "0"),
+        (env!("CARGO_BIN_EXE_janus-sweep"), "0"),
+        (env!("CARGO_BIN_EXE_janus-prof"), "0"),
+    ] {
+        let out = Command::new(bin)
+            .args(["--cores", value])
+            .env_remove("JANUS_JOBS")
+            .env_remove("JANUS_RESULTS_JSON_DIR")
+            .output()
+            .expect("spawn bench binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{bin} --cores {value}: {stderr}"
+        );
+        assert_eq!(
+            stderr.trim_end(),
+            "error: --cores requires a positive integer value",
+            "{bin} --cores {value}"
+        );
+        assert!(out.stdout.is_empty(), "{bin} --cores {value}: ran anyway");
+    }
 }

@@ -9,9 +9,9 @@
 //!   corresponding sub-operations complete on the shared BMO units;
 //! * the Janus front end: request queue + decoder ([`crate::queues`]),
 //!   Intermediate Result Buffer ([`crate::irb`]);
-//! * the persistence back end: ADR write queue, banked NVM device, the
-//!   persistent-domain functional contents, and the secure Merkle-root
-//!   register;
+//! * the persistence back end: ADR write queue, banked NVM device, and the
+//!   secure Merkle-root register — plus, in crash runs only, the
+//!   [`DurabilityLog`] that a crash image folds from;
 //! * the counter cache and Merkle Tree cache used on the read path.
 //!
 //! Every write is processed functionally at arrival (so results never depend
@@ -29,7 +29,7 @@ use janus_nvm::cache::{CacheConfig, SetAssocCache};
 use janus_nvm::device::{AccessKind, NvmDevice};
 use janus_nvm::line::Line;
 use janus_nvm::store::LineStore;
-use janus_nvm::wq::{AdrWriteQueue, PersistentDomain};
+use janus_nvm::wq::{AdrWriteQueue, DurabilityLog};
 use janus_sim::stats::{CounterId, HistogramId, StatSet};
 use janus_sim::time::Cycles;
 use janus_trace::{Category, TraceConfig, Tracer};
@@ -58,7 +58,10 @@ pub struct MemoryController {
     req_queue: RequestQueue,
     wq: AdrWriteQueue,
     device: NvmDevice,
-    persist: PersistentDomain,
+    /// Every line each write made durable, stamped at arrival. `Some` only
+    /// once a crash entry point of [`crate::system::System`] switched it
+    /// on: full runs never read durable state, so they record nothing.
+    durability: Option<DurabilityLog>,
     counter_cache: SetAssocCache,
     merkle_cache: SetAssocCache,
     /// Completion times of in-flight pre-execution operations (bounded by
@@ -143,7 +146,7 @@ impl MemoryController {
             req_queue: RequestQueue::new(config.total_req_queue()),
             wq,
             device: NvmDevice::new(config.nvm),
-            persist: PersistentDomain::new(),
+            durability: None,
             counter_cache: SetAssocCache::new(CacheConfig::counter_cache()),
             merkle_cache: SetAssocCache::new(CacheConfig::merkle_cache()),
             inflight_ops: Vec::new(),
@@ -533,12 +536,16 @@ impl MemoryController {
         // commit-critical writes (and every write when selective metadata
         // atomicity is disabled), whose unreconstructable metadata is
         // flushed with the data (§4.3.2). Functional persistence is atomic
-        // per write; crash points in tests sit at write boundaries.
+        // per write, stamped at arrival; crash runs log it.
+        if let Some(log) = &mut self.durability {
+            for (addr, value) in &fx.line_writes {
+                log.record(now, *addr, *value);
+            }
+        }
         let flush_meta = commit_critical || !self.config.selective_atomicity;
         let mut first_accept = None;
         let mut last_accept = bmo_done;
-        for (addr, value) in &fx.line_writes {
-            self.persist.persist(*addr, *value);
+        for (addr, _) in &fx.line_writes {
             let is_meta = addr.0 >= janus_bmo::metadata::META_BASE;
             if is_meta {
                 let acc = self.counter_cache.access(*addr, true);
@@ -825,14 +832,30 @@ impl MemoryController {
     // Crash / recovery / maintenance
     // ------------------------------------------------------------------
 
-    /// Simulates power loss: returns the persistent-domain contents and the
-    /// secure root register (everything else — caches, IRB, engine state —
-    /// is lost).
-    pub fn crash(&self) -> (LineStore, NodeHash) {
-        (self.persist.snapshot(), self.secure_root())
+    /// Starts recording the [`DurabilityLog`] from the next write on.
+    pub(crate) fn record_durability(&mut self) {
+        self.durability.get_or_insert_with(DurabilityLog::default);
     }
 
-    /// Rebuilds the functional pipeline from a persistent snapshot,
+    /// The durability log, if this controller records one.
+    #[cfg(test)]
+    pub(crate) fn durability_log(&self) -> Option<&DurabilityLog> {
+        self.durability.as_ref()
+    }
+
+    /// Simulates power loss at `at`: the durable image is the fold of the
+    /// log entries stamped at or before `at`; caches, IRB and engine state
+    /// are lost. Without a log the image is empty, so the crash entry
+    /// points of [`crate::system::System`] switch it on before the first
+    /// write. The secure root register is not in the log: read it with
+    /// [`Self::secure_root`] at the crash point itself.
+    pub(crate) fn crash_image(&self, at: Cycles) -> LineStore {
+        self.durability
+            .as_ref()
+            .map_or_else(LineStore::new, |log| log.image_at(at))
+    }
+
+    /// Rebuilds the functional pipeline from a crash's durable image,
     /// verifying integrity (recovery after power loss).
     ///
     /// # Errors
@@ -854,10 +877,6 @@ impl MemoryController {
         mc.pipeline = pipeline;
         // The recovered pipeline's root equals the verified register, so
         // `secure_root()` needs no separate restore.
-        // The persistent domain resumes from the snapshot.
-        for (a, l) in snapshot.iter() {
-            mc.persist.persist(a, *l);
-        }
         Ok(mc)
     }
 
@@ -903,6 +922,18 @@ mod tests {
 
     fn mc(mode: SystemMode) -> MemoryController {
         MemoryController::new(JanusConfig::paper(mode, 1))
+    }
+
+    /// A controller that records its durability log, as crash runs do.
+    fn logged(config: JanusConfig) -> MemoryController {
+        let mut m = MemoryController::new(config);
+        m.record_durability();
+        m
+    }
+
+    /// Power loss after every write so far.
+    fn crash(m: &MemoryController) -> (LineStore, NodeHash) {
+        (m.crash_image(Cycles::MAX), m.secure_root())
     }
 
     fn pre_both(mcx: &mut MemoryController, now: Cycles, obj: u32, line: u64, data: Line) {
@@ -1034,7 +1065,7 @@ mod tests {
 
     #[test]
     fn crash_and_recover_round_trip() {
-        let mut m = mc(SystemMode::Janus);
+        let mut m = logged(JanusConfig::paper(SystemMode::Janus, 1));
         for i in 0..10u64 {
             m.handle_write(
                 Cycles(i * 10_000),
@@ -1044,7 +1075,7 @@ mod tests {
                 true,
             );
         }
-        let (snapshot, root) = m.crash();
+        let (snapshot, root) = crash(&m);
         let r =
             MemoryController::recover(&snapshot, JanusConfig::paper(SystemMode::Janus, 1), root)
                 .expect("recovery succeeds");
@@ -1054,11 +1085,31 @@ mod tests {
     }
 
     #[test]
-    fn read_path_charges_device_latency_when_cold() {
+    fn crash_images_fold_the_log_at_the_crash_cycle() {
+        let mut m = logged(JanusConfig::paper(SystemMode::Serialized, 1));
+        m.handle_write(Cycles(0), 0, LineAddr(1), Line::splat(1), true);
+        let at_first = m.crash_image(Cycles(0));
+        m.handle_write(Cycles(50_000), 0, LineAddr(2), Line::splat(2), true);
+        assert!(m.durability_log().is_some_and(|log| log.len() >= 2));
+        assert!(m.crash_image(Cycles(0)).same_contents(&at_first));
+        assert!(!m.crash_image(Cycles(50_000)).same_contents(&at_first));
+        assert!(m.crash_image(Cycles(49_999)).same_contents(&at_first));
+    }
+
+    #[test]
+    fn an_unlogged_controller_records_nothing_and_never_panics() {
         let mut m = mc(SystemMode::Janus);
+        m.handle_write(Cycles(0), 0, LineAddr(1), Line::splat(1), true);
+        assert!(m.durability_log().is_none());
+        assert!(m.crash_image(Cycles::MAX).is_empty());
+    }
+
+    #[test]
+    fn read_path_charges_device_latency_when_cold() {
+        let mut m = logged(JanusConfig::paper(SystemMode::Janus, 1));
         m.handle_write(Cycles(0), 0, LineAddr(1), Line::splat(1), false);
         // Cold caches: a fresh controller reading the recovered state.
-        let (snapshot, root) = m.crash();
+        let (snapshot, root) = crash(&m);
         let mut r =
             MemoryController::recover(&snapshot, JanusConfig::paper(SystemMode::Janus, 1), root)
                 .unwrap();
@@ -1131,11 +1182,11 @@ mod tests {
         // Merkle verification latency and writes never dedup.
         let mut config = JanusConfig::paper(SystemMode::Janus, 1);
         config.bmo_stack = BmoStack::parse("enc").unwrap().members().to_vec();
-        let mut m = MemoryController::new(config.clone());
+        let mut m = logged(config.clone());
         m.handle_write(Cycles(0), 0, LineAddr(1), Line::splat(7), true);
         let out = m.handle_write(Cycles(50_000), 0, LineAddr(2), Line::splat(7), true);
         assert!(!out.dup, "no dedup BMO stacked");
-        let (snapshot, root) = m.crash();
+        let (snapshot, root) = crash(&m);
         assert_eq!(root, [0u8; 20], "no Merkle tree without integrity");
         let r = MemoryController::recover(&snapshot, config, root).expect("recovery");
         assert_eq!(r.read_value(LineAddr(1)), Line::splat(7));

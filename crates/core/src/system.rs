@@ -16,6 +16,7 @@
 //! as workers pulling tenant transactions from [`TenantStream`]s as they
 //! arrive, with per-tenant latency distributions in the report.
 
+use janus_bmo::integrity::NodeHash;
 use janus_nvm::addr::LineAddr;
 use janus_nvm::cache::{Access, CacheConfig, SetAssocCache};
 use janus_nvm::line::Line;
@@ -35,7 +36,7 @@ use crate::tenant::{FrontEnd, TenantStream};
 
 /// A run request that contradicts the system's configuration — returned by
 /// the fallible entry points ([`System::try_run`],
-/// [`System::run_until_crash`], [`System::try_run_tenants`]) so
+/// [`System::run_until_crashes`], [`System::try_run_tenants`]) so
 /// harnesses can surface a usage error (exit status 2) instead of a panic.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
@@ -371,7 +372,7 @@ impl System {
         self.sampler.as_ref()
     }
 
-    /// Access to the memory controller (reads, crash snapshots, …).
+    /// Access to the memory controller (reads, statistics, recovery state).
     pub fn controller(&self) -> &MemoryController {
         &self.mc
     }
@@ -460,8 +461,8 @@ impl System {
 
     /// Runs every event at or before `crash_at` (including those scheduled
     /// for `crash_at` itself while it is processed), then abandons all
-    /// volatile state and returns the persistent snapshot + secure root
-    /// (power loss).
+    /// volatile state and returns the durable image + secure root (power
+    /// loss): the one-point case of [`System::run_until_crashes`].
     ///
     /// # Errors
     ///
@@ -471,16 +472,48 @@ impl System {
         &mut self,
         programs: Vec<Program>,
         crash_at: Cycles,
-    ) -> Result<(LineStore, janus_bmo::integrity::NodeHash), ConfigError> {
+    ) -> Result<(LineStore, NodeHash), ConfigError> {
+        let mut crashes = self.run_until_crashes(programs, &[crash_at])?;
+        Ok(crashes.remove(0))
+    }
+
+    /// Crashes one run at each of `crash_points`: records the controller's
+    /// durability log, drains the run loop to each point in ascending order
+    /// and reads the secure root there, then folds the log at each point.
+    /// Returns one `(durable image, secure root)` per point, in the
+    /// caller's order; points may repeat and need not be sorted. Each
+    /// result is what a fresh system's [`System::run_until_crash`] returns
+    /// at that point.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::ProgramCount`] when the number of programs does not
+    /// match the configured core count.
+    pub fn run_until_crashes(
+        &mut self,
+        programs: Vec<Program>,
+        crash_points: &[Cycles],
+    ) -> Result<Vec<(LineStore, NodeHash)>, ConfigError> {
         if programs.len() != self.config.cores {
             return Err(ConfigError::ProgramCount {
                 programs: programs.len(),
                 cores: self.config.cores,
             });
         }
+        self.mc.record_durability();
         self.start(programs);
-        self.run_loop(crash_at);
-        Ok(self.mc.crash())
+        let mut ascending: Vec<usize> = (0..crash_points.len()).collect();
+        ascending.sort_by_key(|&i| crash_points[i]);
+        let mut roots = vec![NodeHash::default(); crash_points.len()];
+        for i in ascending {
+            self.run_loop(crash_points[i]);
+            roots[i] = self.mc.secure_root();
+        }
+        Ok(crash_points
+            .iter()
+            .zip(roots)
+            .map(|(&at, root)| (self.mc.crash_image(at), root))
+            .collect())
     }
 
     fn start(&mut self, programs: Vec<Program>) {
@@ -1288,6 +1321,35 @@ mod tests {
                 sys.read_value(LineAddr(i % 32))
             );
         }
+    }
+
+    #[test]
+    fn only_crash_runs_record_the_durability_log() {
+        let config = JanusConfig::paper(SystemMode::Serialized, 1);
+        let mut full = System::new(config.clone());
+        full.try_run(vec![persist_program(10, false)]).unwrap();
+        assert!(full.controller().durability_log().is_none());
+
+        let mut open = System::new(config.clone());
+        let stream = TenantStream {
+            arrivals: vec![Cycles::ZERO, Cycles(1_000)],
+            txs: vec![persist_program(2, false), persist_program(3, false)],
+        };
+        let report = open.try_run_tenants(vec![stream]).unwrap();
+        assert_eq!(report.writes, 5);
+        assert!(open.controller().durability_log().is_none());
+
+        let mut crashed = System::new(config);
+        crashed
+            .run_until_crash(vec![persist_program(10, false)], Cycles::MAX)
+            .unwrap();
+        let writes = crashed.controller().stats().counter_value("writes");
+        assert_eq!(writes, 10);
+        let log = crashed
+            .controller()
+            .durability_log()
+            .expect("crash runs log");
+        assert!(log.len() as u64 >= writes, "{} entries", log.len());
     }
 
     #[test]

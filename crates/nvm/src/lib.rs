@@ -13,7 +13,8 @@
 //!   paper's tRCD/tCL/tCWD/tWR timing parameters.
 //! * [`wq`] — the ADR-protected write queue: "writes to NVM become
 //!   persistent (or non-volatile) as soon as they are placed in the write
-//!   queue in the memory controller" (§2.3).
+//!   queue in the memory controller" (§2.3) — plus the durability log that
+//!   crash runs record and fold into the image a crash leaves.
 //! * [`store`] — the functional backing store holding actual line values, so
 //!   that encryption/integrity/dedup and crash recovery can be checked
 //!   end-to-end, not just timed.

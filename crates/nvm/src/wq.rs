@@ -17,6 +17,7 @@ use janus_trace::{Category, Tracer};
 use crate::addr::LineAddr;
 use crate::device::{AccessKind, NvmDevice};
 use crate::line::Line;
+use crate::store::LineStore;
 
 /// One accepted (persistent) write still draining to the device.
 #[derive(Clone, Copy, Debug)]
@@ -25,9 +26,8 @@ struct Pending {
     drains_at: Cycles,
 }
 
-/// The write queue. Functionally it records persistent line values into a
-/// caller-provided store at acceptance time; timing-wise it models occupancy
-/// against the device drain rate.
+/// The write queue's timing: occupancy against the device drain rate. What
+/// the queue holds functionally, crash runs record in a [`DurabilityLog`].
 ///
 /// # Example
 ///
@@ -164,45 +164,59 @@ impl AdrWriteQueue {
     }
 }
 
-/// The persistent domain's functional contents: what survives a crash.
+/// What survives a crash, as a log: every line value the controller hands
+/// to the write queue, stamped with the cycle the write reached the
+/// controller.
 ///
-/// ADR guarantees accepted writes drain; the simulator models a crash by
-/// discarding all volatile state (caches, in-flight BMOs, IRB) and keeping
-/// exactly the contents recorded here.
+/// The functional model makes a write durable as a whole when it reaches
+/// the controller, and ADR guarantees the queue drains, so a crash at cycle
+/// `c` keeps exactly the entries stamped at or before `c`
+/// ([`DurabilityLog::image_at`]) and loses all volatile state (caches,
+/// in-flight BMOs, IRB). One log therefore yields the crash image at any
+/// cycle of the run it recorded.
+///
+/// # Example
+///
+/// ```
+/// use janus_nvm::{wq::DurabilityLog, addr::LineAddr, line::Line};
+/// use janus_sim::time::Cycles;
+///
+/// let mut log = DurabilityLog::default();
+/// log.record(Cycles(10), LineAddr(1), Line::splat(1));
+/// log.record(Cycles(20), LineAddr(1), Line::splat(2));
+/// assert_eq!(log.image_at(Cycles(15)).read(LineAddr(1)), Line::splat(1));
+/// assert_eq!(log.image_at(Cycles(20)).read(LineAddr(1)), Line::splat(2));
+/// ```
 #[derive(Clone, Debug, Default)]
-pub struct PersistentDomain {
-    store: crate::store::LineStore,
+pub struct DurabilityLog {
+    entries: Vec<(Cycles, LineAddr, Line)>,
 }
 
-impl PersistentDomain {
-    /// An empty (all-zero) persistent space.
-    pub fn new() -> Self {
-        Self::default()
+impl DurabilityLog {
+    /// Appends a line value that became durable with a write stamped `at`.
+    pub fn record(&mut self, at: Cycles, addr: LineAddr, value: Line) {
+        self.entries.push((at, addr, value));
     }
 
-    /// Records a persistent line value (called at write-queue acceptance).
-    pub fn persist(&mut self, addr: LineAddr, value: Line) {
-        self.store.write(addr, value);
-    }
-
-    /// Reads the persistent value of a line (zero if never written).
-    pub fn read(&self, addr: LineAddr) -> Line {
-        self.store.read(addr)
-    }
-
-    /// Number of distinct lines ever persisted.
+    /// Number of entries recorded.
     pub fn len(&self) -> usize {
-        self.store.len()
+        self.entries.len()
     }
 
-    /// Whether nothing has been persisted.
+    /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
+        self.entries.is_empty()
     }
 
-    /// Snapshot for crash-recovery tests.
-    pub fn snapshot(&self) -> crate::store::LineStore {
-        self.store.clone()
+    /// The durable image of a crash at `crash`: the entries stamped at or
+    /// before it, applied in recording order, so the later of two entries
+    /// for one line wins and a zero value leaves the line unwritten.
+    pub fn image_at(&self, crash: Cycles) -> LineStore {
+        self.entries
+            .iter()
+            .filter(|(at, _, _)| *at <= crash)
+            .map(|&(_, addr, value)| (addr, value))
+            .collect()
     }
 }
 
@@ -243,13 +257,57 @@ mod tests {
     }
 
     #[test]
-    fn persistent_domain_round_trip() {
-        let mut pd = PersistentDomain::new();
-        assert!(pd.is_empty());
-        pd.persist(LineAddr(7), Line::splat(9));
-        assert_eq!(pd.read(LineAddr(7)), Line::splat(9));
-        assert_eq!(pd.read(LineAddr(8)), Line::zero());
-        assert_eq!(pd.len(), 1);
+    fn empty_log_folds_to_an_empty_image() {
+        let log = DurabilityLog::default();
+        assert!(log.is_empty());
+        assert!(log.image_at(Cycles::MAX).is_empty());
+    }
+
+    #[test]
+    fn entries_after_the_crash_are_excluded() {
+        let mut log = DurabilityLog::default();
+        log.record(Cycles(5), LineAddr(1), Line::splat(1));
+        log.record(Cycles(9), LineAddr(2), Line::splat(2));
+        log.record(Cycles(12), LineAddr(1), Line::splat(3));
+        assert_eq!(log.len(), 3);
+        assert!(log.image_at(Cycles(4)).is_empty());
+        let at_9 = log.image_at(Cycles(9));
+        assert_eq!(at_9.len(), 2);
+        assert_eq!(at_9.read(LineAddr(1)), Line::splat(1));
+        assert_eq!(at_9.read(LineAddr(2)), Line::splat(2));
+        assert_eq!(log.image_at(Cycles(11)).read(LineAddr(1)), Line::splat(1));
+        assert_eq!(log.image_at(Cycles(12)).read(LineAddr(1)), Line::splat(3));
+    }
+
+    #[test]
+    fn a_zero_value_removes_the_line() {
+        let mut log = DurabilityLog::default();
+        log.record(Cycles(1), LineAddr(7), Line::splat(9));
+        log.record(Cycles(2), LineAddr(7), Line::zero());
+        assert_eq!(log.image_at(Cycles(1)).read(LineAddr(7)), Line::splat(9));
+        let image = log.image_at(Cycles(2));
+        assert!(image.is_empty(), "zero is the default, as in LineStore");
+        assert_eq!(image.read(LineAddr(7)), Line::zero());
+    }
+
+    #[test]
+    fn the_later_of_two_same_cycle_entries_wins() {
+        let mut log = DurabilityLog::default();
+        log.record(Cycles(3), LineAddr(4), Line::splat(1));
+        log.record(Cycles(3), LineAddr(4), Line::splat(2));
+        let image = log.image_at(Cycles(3));
+        assert_eq!(image.len(), 1);
+        assert_eq!(image.read(LineAddr(4)), Line::splat(2));
+    }
+
+    #[test]
+    fn the_image_iterates_in_ascending_address_order() {
+        let mut log = DurabilityLog::default();
+        for (i, a) in [40u64, 3, 17, 1 << 30, 0, 9].into_iter().enumerate() {
+            log.record(Cycles(i as u64), LineAddr(a), Line::splat(i as u8 + 1));
+        }
+        let addrs: Vec<u64> = log.image_at(Cycles::MAX).iter().map(|(a, _)| a.0).collect();
+        assert_eq!(addrs, [0, 3, 9, 17, 40, 1 << 30]);
     }
 
     #[test]

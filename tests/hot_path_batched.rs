@@ -1,19 +1,23 @@
-//! Crash-snapshot pins for the one event loop.
+//! Crash-snapshot pins for the one event loop and the durability log.
 //!
-//! `System::run_until_crash` drains the same batched loop as a full run,
-//! bounded at the crash cycle: every same-cycle cohort at or before it is
-//! delivered (including events its handlers schedule for that cycle), and
-//! nothing after it. The persistent image and secure root it leaves behind
-//! are what recovery starts from, so they are pinned here as one FNV-1a
-//! digest per workload.
+//! `System::run_until_crashes` drains the same batched loop as a full run,
+//! bounded at each crash cycle in turn: every same-cycle cohort at or
+//! before it is delivered (including events its handlers schedule for that
+//! cycle), and nothing after it. The secure root is read at each point, and
+//! the durable image is the durability log folded at that point. Image and
+//! root are what recovery starts from, so they are pinned here as one
+//! FNV-1a digest per workload.
 //!
 //! The digests were recorded from the per-event loop that produced crash
-//! snapshots before the bounded batch drain replaced it; a match means the
-//! one loop stops exactly where the per-event loop did. Each digest folds
-//! `{serialized, parallelized, janus-manual} × {1, 2} cores × 4 crash
-//! cycles`, with the two-core Janus runs on an all-seven-BMO stack. Crash
-//! cycles are fixed fractions of each configuration's full-run length, so
-//! every crash lands mid-run.
+//! snapshots, one fresh run per crash, from a store written at every write,
+//! before the bounded batch drain and the log replaced them. A match means
+//! the one loop stops exactly where the per-event loop did, and that the
+//! log folded at a cycle reproduces that store's contents there. Each
+//! digest folds `{serialized, parallelized, janus-manual} × {1, 2} cores ×
+//! 4 crash cycles`, with the two-core Janus runs on an all-seven-BMO stack;
+//! each configuration's four crashes come from one run. Crash cycles are
+//! fixed fractions of each configuration's full-run length, so every crash
+//! lands mid-run.
 
 use janus::bmo::BmoId;
 use janus::core::config::{JanusConfig, SystemMode};
@@ -75,12 +79,12 @@ fn crash_digest(workload: Workload) -> u64 {
             .map(|core| generate(workload, core, &wc).program)
             .collect();
         let full = System::new(config.clone()).run(programs.clone()).cycles;
+        let points = CRASH_EIGHTHS.map(|eighth| Cycles(full.0 * eighth / 8));
+        let crashes = System::new(config)
+            .run_until_crashes(programs, &points)
+            .expect("one program per core");
         let mut snapshots = Vec::new();
-        for eighth in CRASH_EIGHTHS {
-            let crash_at = Cycles(full.0 * eighth / 8);
-            let (snapshot, root) = System::new(config.clone())
-                .run_until_crash(programs.clone(), crash_at)
-                .expect("one program per core");
+        for (crash_at, (snapshot, root)) in points.into_iter().zip(crashes) {
             let mut image = Vec::new();
             for (addr, line) in snapshot.iter() {
                 image.extend_from_slice(&addr.0.to_le_bytes());

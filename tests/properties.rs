@@ -150,6 +150,83 @@ fn system_crash_is_always_recoverable() {
     });
 }
 
+/// Crashing one run at many points gives, at each point, exactly the
+/// durable image and secure root that a fresh run crashed at that point
+/// alone gives. Random stacks over every registered BMO run on one or two
+/// cores. Points repeat, come unsorted, and may fall before the first write
+/// (cycle 0) or after the run ends.
+#[test]
+fn crashing_one_run_at_many_points_matches_separate_runs() {
+    use janus::bmo::BmoId;
+    use janus::core::Program;
+
+    let per_core = gen::vec_of(&gen::pair(&gen::range_u64(0..12), &arb_line()), 1..12);
+    let g = gen::tuple4(
+        &gen::vec_of(&per_core, 1..3),
+        &gen::range_usize(0..3),
+        &gen::vec_of(&gen::range_usize(0..BmoId::ALL.len()), 0..10),
+        &gen::vec_of(&gen::range_u64(0..27), 1..7),
+    );
+    forall_cfg(&cfg(), &g, |(cores, mode, picks, twentieths)| {
+        let mode = [
+            SystemMode::Serialized,
+            SystemMode::Parallelized,
+            SystemMode::Janus,
+        ][*mode];
+        let mut config = JanusConfig::paper(mode, cores.len());
+        config.bmo_stack.clear();
+        for &i in picks {
+            if !config.bmo_stack.contains(&BmoId::ALL[i]) {
+                config.bmo_stack.push(BmoId::ALL[i]);
+            }
+        }
+        let programs: Vec<Program> = cores
+            .iter()
+            .enumerate()
+            .map(|(core, writes)| {
+                let mut b = ProgramBuilder::new();
+                for (addr, value) in writes {
+                    let line = LineAddr(core as u64 * 64 + addr);
+                    b.tx_begin();
+                    if mode == SystemMode::Janus {
+                        let obj = b.pre_init();
+                        b.pre_both(obj, line, vec![*value]);
+                        b.compute(2000);
+                    }
+                    b.store(line, *value);
+                    b.clwb(line);
+                    b.fence();
+                    b.tx_commit();
+                }
+                b.build()
+            })
+            .collect();
+        let full = System::new(config.clone()).run(programs.clone()).cycles;
+        // Twentieths of the full run: 21 and up lie after it ends.
+        let points: Vec<Cycles> = twentieths.iter().map(|k| Cycles(full.0 * k / 20)).collect();
+        let crashes = System::new(config.clone())
+            .run_until_crashes(programs.clone(), &points)
+            .expect("one program per core");
+        assert_eq!(crashes.len(), points.len());
+        for (at, (image, root)) in points.iter().zip(&crashes) {
+            let (alone, alone_root) = System::new(config.clone())
+                .run_until_crash(programs.clone(), *at)
+                .expect("one program per core");
+            assert!(
+                image.iter().eq(alone.iter()),
+                "crash at {at} of {points:?} on [{}]: durable images differ",
+                config.stack()
+            );
+            assert_eq!(
+                *root,
+                alone_root,
+                "crash at {at} of {points:?} on [{}]: secure roots differ",
+                config.stack()
+            );
+        }
+    });
+}
+
 /// Poisson traffic really has the requested rate: over many arrivals the
 /// empirical mean inter-arrival gap lands within 10% of the configured
 /// mean, whatever the seed (law of large numbers: at n = 4000 exponential

@@ -43,11 +43,6 @@ pub fn arg_u64(name: &str, default: u64) -> u64 {
     parse_or_exit(name, default, "an unsigned integer")
 }
 
-/// [`arg_usize`] for floating-point values (ratios, skew parameters).
-pub fn arg_f64(name: &str, default: f64) -> f64 {
-    parse_or_exit(name, default, "a number")
-}
-
 fn parse_or_exit<T: std::str::FromStr>(name: &str, default: T, what: &str) -> T {
     parse_arg(name, what).unwrap_or(default)
 }

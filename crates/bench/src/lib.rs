@@ -357,16 +357,6 @@ pub fn run(spec: RunSpec) -> RunResult {
 /// thread in spec order, keeping exported files byte-identical at any
 /// worker count.
 pub fn run_quiet(spec: RunSpec) -> RunResult {
-    run_timed(spec).0
-}
-
-/// [`run_quiet`] plus the wall-clock seconds the *event loop proper* took —
-/// `System::try_run`/`try_run_tenants` only, excluding workload generation,
-/// system construction, and oracle verification. This is `perfsmoke`'s
-/// events-per-second denominator's counterpart: the events/sec metric is
-/// honest only if the numerator's wall time covers exactly the loop that
-/// processed those events.
-pub fn run_timed(spec: RunSpec) -> (RunResult, f64) {
     let mut sys = System::new(spec.config());
     let tracer = if spec.profile {
         let cfg = spec
@@ -389,7 +379,7 @@ pub fn run_timed(spec: RunSpec) -> (RunResult, f64) {
         eprintln!("error: invalid run configuration: {e}");
         std::process::exit(2);
     };
-    let (report, oracles, loop_secs) = if spec.open_loop.is_some() {
+    let (report, oracles) = if spec.open_loop.is_some() {
         let traffic = generate_tenants(&spec.tenant_specs(), spec.seed);
         let mut streams = Vec::with_capacity(traffic.len());
         let mut oracles = Vec::with_capacity(traffic.len());
@@ -401,9 +391,8 @@ pub fn run_timed(spec: RunSpec) -> (RunResult, f64) {
             streams.push(t.stream);
             oracles.push(t.expected);
         }
-        let t0 = std::time::Instant::now();
         let report = sys.try_run_tenants(streams).unwrap_or_else(|e| surface(e));
-        (report, oracles, t0.elapsed().as_secs_f64())
+        (report, oracles)
     } else {
         let mut programs = Vec::with_capacity(spec.cores);
         let mut oracles = Vec::with_capacity(spec.cores);
@@ -418,9 +407,8 @@ pub fn run_timed(spec: RunSpec) -> (RunResult, f64) {
             }
             oracles.push(expected);
         }
-        let t0 = std::time::Instant::now();
         let report = sys.try_run(programs).unwrap_or_else(|e| surface(e));
-        (report, oracles, t0.elapsed().as_secs_f64())
+        (report, oracles)
     };
     for (unit, oracle) in oracles.iter().enumerate() {
         for (line, value) in oracle.iter() {
@@ -439,15 +427,12 @@ pub fn run_timed(spec: RunSpec) -> (RunResult, f64) {
         }
     }
     let samples = sys.samples().to_vec();
-    (
-        RunResult {
-            report,
-            spec,
-            tracer,
-            samples,
-        },
-        loop_secs,
-    )
+    RunResult {
+        report,
+        spec,
+        tracer,
+        samples,
+    }
 }
 
 /// Runs a batch of independent specs fanned across [`cli::jobs`] worker

@@ -110,34 +110,6 @@ impl BenchHarness {
     }
 }
 
-/// Times `f` over `samples` runs after `warmup` untimed runs, returning the
-/// median wall-clock milliseconds.
-///
-/// For macro-scale measurements — whole simulations or sweeps — where
-/// [`BenchHarness`]'s calibration loop (which repeats the body until a
-/// target batch duration is reached) would multiply an already-long run.
-pub fn median_wall_ms<R>(warmup: usize, samples: usize, f: impl FnMut() -> R) -> f64 {
-    let mut ms = wall_samples_ms(warmup, samples, f);
-    ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    ms[ms.len() / 2]
-}
-
-/// Times `f` over `samples` runs after `warmup` untimed runs, returning
-/// every sample's wall-clock milliseconds in measurement order — for
-/// callers that want a distribution (percentiles), not just the median.
-pub fn wall_samples_ms<R>(warmup: usize, samples: usize, mut f: impl FnMut() -> R) -> Vec<f64> {
-    for _ in 0..warmup {
-        std::hint::black_box(f());
-    }
-    (0..samples.max(1))
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(f());
-            t.elapsed().as_secs_f64() * 1e3
-        })
-        .collect()
-}
-
 fn fmt_ns(ns: f64) -> String {
     if ns < 1_000.0 {
         format!("{ns:.1} ns")

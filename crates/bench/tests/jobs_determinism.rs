@@ -3,7 +3,8 @@
 //! byte-identical at any `--jobs` value, across a sweep of three different
 //! BMO stacks plus multi-tenant open-loop runs. A worker count that is zero
 //! or not a number is a usage error (exit status 2), never a silent serial
-//! run, and so is such a core count, never a panic.
+//! run, and so is such a core count, never a panic, and a partitioned IRB
+//! quota above the IRB's capacity.
 
 use std::process::Command;
 
@@ -138,4 +139,30 @@ fn malformed_core_counts_exit_2() {
         );
         assert!(out.stdout.is_empty(), "{bin} --cores {value}: ran anyway");
     }
+}
+
+#[test]
+fn irb_quota_above_capacity_exits_2() {
+    let out = Command::new(env!("CARGO_BIN_EXE_multicore"))
+        .args([
+            "--irb-policy",
+            "partitioned:99999999",
+            "--tx",
+            "4",
+            "--tenants",
+            "2",
+            "--cores",
+            "1",
+        ])
+        .env_remove("JANUS_JOBS")
+        .env_remove("JANUS_RESULTS_JSON_DIR")
+        .output()
+        .expect("spawn multicore");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert_eq!(
+        stderr.trim_end(),
+        "error: invalid run configuration: \
+         IRB policy partitioned:99999999 exceeds the IRB's 64 entries"
+    );
 }

@@ -270,11 +270,6 @@ impl DedupStore {
         true
     }
 
-    /// The plaintext value stored in a live slot.
-    pub fn slot_value(&self, slot: u64) -> Option<&Line> {
-        self.live_info(slot).map(|i| &i.value)
-    }
-
     /// Current refcount of a slot (0 if dead).
     pub fn refcount(&self, slot: u64) -> u64 {
         self.live_info(slot).map_or(0, |i| i.refcount)

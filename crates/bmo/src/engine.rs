@@ -24,8 +24,6 @@
 //! are reused) and [`BmoEngine::invalidate_all`] (metadata changed under the
 //! job: everything re-runs).
 
-use std::rc::Rc;
-
 use janus_sim::hash::FxHashMap;
 use janus_sim::resource::UnitPool;
 use janus_sim::time::Cycles;
@@ -124,18 +122,17 @@ pub struct BmoEngine {
     /// Completion time of the last job in `SerializedGlobal` mode.
     serial_tail: Cycles,
     tracer: Tracer,
-    /// Compiled replay templates, keyed by the job's `dup` flag (the only
-    /// shape bit that varies per engine — see [`crate::sched`]). Compiled
-    /// lazily on the first full submit of each shape.
-    templates: [Option<Rc<SchedTemplate>>; 2],
+    /// Compiled replay templates, indexed by the job's `dup` flag (the only
+    /// shape bit that varies per engine — see [`crate::sched`]). Both are
+    /// compiled when the engine is built.
+    templates: [SchedTemplate; 2],
     /// Whether full submits may replay a compiled template. Off
     /// (`set_compiled(false)`) the interpreted scheduler — the executable
-    /// spec — handles everything, as before this cache existed.
+    /// spec — handles everything.
     compiled: bool,
-    /// Template-cache statistics: warm replays / everything else
-    /// (cold compiles, contention fallbacks, staged submits).
-    sched_hits: u64,
-    sched_misses: u64,
+    /// Full submits that fell back to the interpreted scheduler because a
+    /// unit window their template touches was saturated.
+    replay_fallbacks: u64,
     /// Reused `(window, charge)` scratch for the replay validity probe.
     replay_windows: Vec<(u64, u64)>,
 }
@@ -156,6 +153,7 @@ impl BmoEngine {
             })
             .map(|n| (n, graph.node(n).latency))
             .collect();
+        let templates = [false, true].map(|dup| SchedTemplate::compile(&graph, &topo, mode, dup));
         BmoEngine {
             graph,
             mode,
@@ -169,29 +167,27 @@ impl BmoEngine {
             jobs_submitted: 0,
             serial_tail: Cycles::ZERO,
             tracer: Tracer::disabled(),
-            templates: [None, None],
+            templates,
             compiled: true,
-            sched_hits: 0,
-            sched_misses: 0,
+            replay_fallbacks: 0,
             replay_windows: Vec::new(),
         }
     }
 
     /// Enables or disables compiled-template replay. Disabled, every submit
     /// takes the interpreted scheduler (the executable specification the
-    /// compiled path is differentially tested against); cache statistics
-    /// stay zero. Simulations always replay; this switch exists for the
-    /// differential tests.
+    /// compiled path is differentially tested against) and
+    /// [`Self::replay_fallbacks`] stays zero. Simulations always replay;
+    /// this switch exists for the differential tests.
     pub fn set_compiled(&mut self, on: bool) {
         self.compiled = on;
     }
 
-    /// Schedule-template cache statistics: `(hits, misses)`. A hit is a
-    /// warm template replay; a miss is a cold compile, a contention
-    /// fallback to the interpreted scheduler, or a staged (partial) submit.
-    /// Both stay zero when replay is disabled.
-    pub fn sched_cache_stats(&self) -> (u64, u64) {
-        (self.sched_hits, self.sched_misses)
+    /// Full submits that fell back to the interpreted scheduler because
+    /// the units were contended in a window their template touches.
+    /// Staged submits always interpret and are not counted.
+    pub fn replay_fallbacks(&self) -> u64 {
+        self.replay_fallbacks
     }
 
     /// Attaches a tracer: every scheduled sub-operation becomes a span in
@@ -275,13 +271,6 @@ impl BmoEngine {
         let full = addr_at.is_some_and(|t| t <= submit) && data_at.is_some_and(|t| t <= submit);
         let replayed = full && self.compiled && self.try_replay(JobId(id), submit, dup);
         if !replayed {
-            if self.compiled {
-                self.sched_misses += 1;
-            }
-            if self.tracer.causal() {
-                self.tracer
-                    .instant(Category::Engine, "prof_sched", submit, id, 2);
-            }
             self.schedule(JobId(id));
         }
         if self.mode == BmoMode::SerializedGlobal {
@@ -360,49 +349,18 @@ impl BmoEngine {
         self.schedule(id);
     }
 
-    /// Compiled-template replay for a full submit at `submit`. Lazily
-    /// compiles the shape's [`SchedTemplate`] (keyed by `dup`), probes the
-    /// unit pool for room in every window the template touches, and — if
-    /// everything fits — commits the whole schedule without a graph walk.
-    /// Returns `false` (emitting nothing) when a window is saturated; the
-    /// caller falls back to [`Self::schedule`], whose first-fit placement
-    /// would genuinely differ under that contention.
+    /// Compiled-template replay for a full submit at `submit`: probes the
+    /// unit pool for room in every window the shape's [`SchedTemplate`]
+    /// touches and — if everything fits — commits the whole schedule
+    /// without a graph walk. Returns `false` (emitting nothing, counting a
+    /// fallback) when a window is saturated; the caller falls back to
+    /// [`Self::schedule`], whose first-fit placement would genuinely differ
+    /// under that contention.
     fn try_replay(&mut self, id: JobId, submit: Cycles, dup: bool) -> bool {
-        let slot = usize::from(dup);
-        let cold = self.templates[slot].is_none();
-        if cold {
-            self.templates[slot] = Some(Rc::new(SchedTemplate::compile(
-                &self.graph,
-                &self.topo,
-                self.mode,
-                dup,
-            )));
-        }
-        let tpl = self.templates[slot]
-            .as_ref()
-            .expect("just compiled")
-            .clone();
-        let mut windows = std::mem::take(&mut self.replay_windows);
-        let fits = tpl.windows_fit(submit, &self.pool, &mut windows);
-        self.replay_windows = windows;
-        if !fits {
+        let tpl = &self.templates[usize::from(dup)];
+        if !tpl.windows_fit(submit, &self.pool, &mut self.replay_windows) {
+            self.replay_fallbacks += 1;
             return false;
-        }
-        if cold {
-            self.sched_misses += 1;
-        } else {
-            self.sched_hits += 1;
-        }
-        if self.tracer.causal() {
-            // Cache marker for janus-prof: 0 = cold compile (+ replay),
-            // 1 = warm replay; the interpreted path emits 2.
-            self.tracer.instant(
-                Category::Engine,
-                "prof_sched",
-                submit,
-                id.0,
-                u64::from(!cold),
-            );
         }
         let job = self.jobs.get_mut(&id.0).expect("submitting job exists");
         for s in &tpl.slots {
@@ -790,22 +748,18 @@ mod tests {
     }
 
     #[test]
-    fn schedule_cache_counts_cold_warm_and_staged() {
-        let mut e = engine(BmoMode::Parallelized, UnitPool::UNLIMITED);
-        // Cold compile for the non-dup shape, then two warm replays.
-        e.submit(Cycles(0), Some(Cycles(0)), Some(Cycles(0)), false);
-        assert_eq!(e.sched_cache_stats(), (0, 1));
-        e.submit(Cycles(10_000), Some(Cycles(0)), Some(Cycles(0)), false);
-        e.submit(Cycles(20_000), Some(Cycles(0)), Some(Cycles(0)), false);
-        assert_eq!(e.sched_cache_stats(), (2, 1));
-        // The dup shape is its own template: cold once, warm after.
-        e.submit(Cycles(30_000), Some(Cycles(0)), Some(Cycles(0)), true);
-        assert_eq!(e.sched_cache_stats(), (2, 2));
-        e.submit(Cycles(40_000), Some(Cycles(0)), Some(Cycles(0)), true);
-        assert_eq!(e.sched_cache_stats(), (3, 2));
-        // Staged submits never replay.
+    fn uncontended_and_staged_submits_never_fall_back() {
+        let mut e = engine(BmoMode::Parallelized, 4);
+        // Full submits of both shapes pass the window probe and replay.
+        for (i, dup) in [false, false, true, true, false].into_iter().enumerate() {
+            let t = Cycles(i as u64 * 10_000);
+            e.submit(t, Some(Cycles(0)), Some(Cycles(0)), dup);
+        }
+        // Staged submits always interpret; that is not a fallback.
         e.submit(Cycles(50_000), Some(Cycles(50_000)), None, false);
-        assert_eq!(e.sched_cache_stats(), (3, 3));
+        e.submit(Cycles(60_000), None, Some(Cycles(60_000)), true);
+        assert_eq!(e.jobs_submitted(), 7);
+        assert_eq!(e.replay_fallbacks(), 0);
     }
 
     #[test]
@@ -813,16 +767,16 @@ mod tests {
         let mut compiled = engine(BmoMode::Parallelized, 4);
         let mut interpreted = engine(BmoMode::Parallelized, 4);
         interpreted.set_compiled(false);
+        // Jobs 300 cycles apart overlap on the units without saturating a
+        // window (100 apart, the compiled engine falls back 8 times).
         for i in 0..32u64 {
-            let t = Cycles(i * 100);
+            let t = Cycles(i * 300);
             let jc = compiled.submit(t, Some(t), Some(t), i % 3 == 0);
             let ji = interpreted.submit(t, Some(t), Some(t), i % 3 == 0);
             assert_eq!(compiled.completion(jc), interpreted.completion(ji));
         }
-        assert_eq!(interpreted.sched_cache_stats(), (0, 0));
-        let (hits, misses) = compiled.sched_cache_stats();
-        assert!(hits > 0, "back-to-back full submits should warm-replay");
-        assert_eq!(hits + misses, 32);
+        assert_eq!(interpreted.replay_fallbacks(), 0);
+        assert_eq!(compiled.replay_fallbacks(), 0);
     }
 
     #[test]
@@ -834,22 +788,18 @@ mod tests {
         let mut compiled = engine(BmoMode::Parallelized, 1);
         let mut interpreted = engine(BmoMode::Parallelized, 1);
         interpreted.set_compiled(false);
-        let mut fallbacks = 0u64;
         for burst in 0..8u64 {
             let t = Cycles(burst * 50_000);
             for _ in 0..6 {
-                let before = compiled.sched_cache_stats();
                 let jc = compiled.submit(t, Some(t), Some(t), false);
                 let ji = interpreted.submit(t, Some(t), Some(t), false);
                 assert_eq!(compiled.completion(jc), interpreted.completion(ji));
-                if compiled.sched_cache_stats().1 > before.1 {
-                    fallbacks += 1;
-                }
             }
         }
         assert!(
-            fallbacks > 1,
+            compiled.replay_fallbacks() > 1,
             "a 1-unit pool under bursts must reject some replays"
         );
+        assert_eq!(interpreted.replay_fallbacks(), 0);
     }
 }

@@ -195,11 +195,6 @@ impl PathOram {
     pub fn max_stash(&self) -> usize {
         self.max_stash
     }
-
-    /// Current stash occupancy.
-    pub fn stash_len(&self) -> usize {
-        self.stash.len()
-    }
 }
 
 #[cfg(test)]

@@ -210,11 +210,6 @@ impl BmoPipeline {
         Self::for_stack(&BmoStack::paper(), algo)
     }
 
-    /// Creates an empty default-stack pipeline with an explicit key.
-    pub fn with_key(algo: FingerprintAlgo, key: [u8; 16]) -> Self {
-        Self::for_stack_with_key(&BmoStack::paper(), algo, key)
-    }
-
     /// Creates an empty pipeline running exactly the given stack's
     /// transforms, with the default key.
     pub fn for_stack(stack: &BmoStack, algo: FingerprintAlgo) -> Self {

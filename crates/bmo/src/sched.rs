@@ -1,5 +1,5 @@
 //! Compiled sub-op schedules: one topological scheduling pass per
-//! `(stack, request shape)`, replayed for every subsequent full submit.
+//! `(stack, request shape)`, replayed for every full submit.
 //!
 //! For a *full* submit — address and data both available at the submit
 //! cycle — the interpreted scheduler ([`crate::engine::BmoEngine`]) walks
@@ -24,10 +24,13 @@
 //! expectation (the differential property test in
 //! `tests/compiled_differential.rs` holds them to it).
 //!
-//! Request shapes are keyed by the job's `dup` flag only: the graph, mode,
-//! and unit count are fixed per engine, staged (partial) submits always
-//! take the interpreted path, and `dup` is the one remaining bit that
-//! changes which nodes exist.
+//! The engine compiles both request shapes when it is built, one template
+//! per value of the job's `dup` flag: the graph, mode, and unit count are
+//! fixed per engine, staged (partial) submits always take the interpreted
+//! path, and `dup` is the one remaining bit that changes which nodes exist.
+//! The engine counts the full submits that fall back
+//! ([`crate::engine::BmoEngine::replay_fallbacks`]); nothing in the trace
+//! says which path ran.
 
 use janus_sim::resource::UnitPool;
 use janus_sim::time::Cycles;

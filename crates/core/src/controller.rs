@@ -212,17 +212,6 @@ impl MemoryController {
         &self.stats
     }
 
-    /// The engine's schedule-template cache statistics: `(hits, misses)`.
-    pub fn sched_cache_stats(&self) -> (u64, u64) {
-        self.engine.sched_cache_stats()
-    }
-
-    /// Mutable statistics access (the system layer contributes core-side
-    /// counters).
-    pub fn stats_mut(&mut self) -> &mut StatSet {
-        &mut self.stats
-    }
-
     /// IRB statistics (inserted, consumed, drops, expired, stale).
     pub fn irb_stats(&self) -> (u64, u64, u64, u64, u64) {
         self.irb.stats()

@@ -30,7 +30,7 @@ use janus_trace::{TraceConfig, Tracer};
 use crate::config::JanusConfig;
 use crate::controller::MemoryController;
 use crate::ir::{Op, Program};
-use crate::irb::IrbKey;
+use crate::irb::{IrbKey, IrbPolicy};
 use crate::queues::{PreFunc, PreRequest};
 use crate::tenant::{FrontEnd, TenantStream};
 
@@ -63,6 +63,13 @@ pub enum ConfigError {
         /// The offending tenant.
         tenant: usize,
     },
+    /// A partitioned IRB's per-thread quota exceeds the IRB's capacity.
+    IrbQuota {
+        /// The configured per-thread quota.
+        quota: usize,
+        /// Total IRB entries ([`JanusConfig::total_irb_entries`]).
+        capacity: usize,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -85,6 +92,10 @@ impl std::fmt::Display for ConfigError {
             ConfigError::UnsortedArrivals { tenant } => {
                 write!(f, "tenant {tenant}: arrivals are not sorted ascending")
             }
+            ConfigError::IrbQuota { quota, capacity } => write!(
+                f,
+                "IRB policy partitioned:{quota} exceeds the IRB's {capacity} entries"
+            ),
         }
     }
 }
@@ -216,18 +227,12 @@ pub struct ExecutionReport {
     pub mean_write_latency: Cycles,
     /// Mean demand-read (L2 miss) latency.
     pub mean_read_latency: Cycles,
-    /// Discrete events processed by the simulation loop — the denominator
-    /// of the `perfsmoke` events/sec metric. Deliberately excluded from
+    /// Discrete events processed by the simulation loop — janus-benchmark
+    /// publishes it as `core.events`. Deliberately excluded from
     /// [`ExecutionReport::fields`]: it describes the simulator, not the
     /// simulated machine, and the exported result files must stay
     /// byte-identical.
     pub events: u64,
-    /// Schedule-template cache `(hits, misses)` of the BMO engine. Like
-    /// [`ExecutionReport::events`], this describes the simulator — not the
-    /// simulated machine — so it is excluded from
-    /// [`ExecutionReport::fields`] and the exported result files; only
-    /// `perfsmoke` publishes it.
-    pub sched_cache: (u64, u64),
     /// Per-tenant statistics of an open-loop run
     /// ([`System::try_run_tenants`]); empty for closed-loop runs, which
     /// keeps every closed-loop export byte-identical to before the
@@ -402,10 +407,11 @@ impl System {
         self.try_run(programs).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible form of [`System::run`]: a program-count mismatch is a
-    /// [`ConfigError`] instead of a panic, so harnesses can report a usage
-    /// error and exit cleanly.
+    /// Fallible form of [`System::run`]: a program-count mismatch or an
+    /// IRB quota above capacity is a [`ConfigError`] instead of a panic, so
+    /// harnesses can report a usage error and exit cleanly.
     pub fn try_run(&mut self, programs: Vec<Program>) -> Result<ExecutionReport, ConfigError> {
+        self.check_config()?;
         if programs.len() != self.config.cores {
             return Err(ConfigError::ProgramCount {
                 programs: programs.len(),
@@ -426,11 +432,13 @@ impl System {
     /// # Errors
     ///
     /// [`ConfigError`] when there are no streams, a stream's arrival and
-    /// transaction vectors disagree in length, or arrivals are unsorted.
+    /// transaction vectors disagree in length, arrivals are unsorted, or the
+    /// IRB quota exceeds capacity.
     pub fn try_run_tenants(
         &mut self,
         streams: Vec<TenantStream>,
     ) -> Result<ExecutionReport, ConfigError> {
+        self.check_config()?;
         if streams.is_empty() {
             return Err(ConfigError::NoTenants);
         }
@@ -467,7 +475,8 @@ impl System {
     /// # Errors
     ///
     /// [`ConfigError::ProgramCount`] when the number of programs does not
-    /// match the configured core count.
+    /// match the configured core count, [`ConfigError::IrbQuota`] when the
+    /// IRB quota exceeds capacity.
     pub fn run_until_crash(
         &mut self,
         programs: Vec<Program>,
@@ -488,12 +497,14 @@ impl System {
     /// # Errors
     ///
     /// [`ConfigError::ProgramCount`] when the number of programs does not
-    /// match the configured core count.
+    /// match the configured core count, [`ConfigError::IrbQuota`] when the
+    /// IRB quota exceeds capacity.
     pub fn run_until_crashes(
         &mut self,
         programs: Vec<Program>,
         crash_points: &[Cycles],
     ) -> Result<Vec<(LineStore, NodeHash)>, ConfigError> {
+        self.check_config()?;
         if programs.len() != self.config.cores {
             return Err(ConfigError::ProgramCount {
                 programs: programs.len(),
@@ -514,6 +525,17 @@ impl System {
             .zip(roots)
             .map(|(&at, root)| (self.mc.crash_image(at), root))
             .collect())
+    }
+
+    /// The configuration checks every run entry point makes first.
+    fn check_config(&self) -> Result<(), ConfigError> {
+        let capacity = self.config.total_irb_entries();
+        match self.config.irb_policy {
+            IrbPolicy::Partitioned { quota } if quota > capacity => {
+                Err(ConfigError::IrbQuota { quota, capacity })
+            }
+            _ => Ok(()),
+        }
     }
 
     fn start(&mut self, programs: Vec<Program>) {
@@ -994,7 +1016,6 @@ impl System {
                 .and_then(|h| h.mean())
                 .unwrap_or(Cycles::ZERO),
             events: self.events_processed,
-            sched_cache: self.mc.sched_cache_stats(),
             tenants,
         }
     }

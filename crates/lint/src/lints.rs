@@ -27,7 +27,6 @@ use std::collections::BTreeMap;
 
 use janus_bmo::latency::BmoLatencies;
 use janus_bmo::BmoStack;
-use janus_core::config::JanusConfig;
 use janus_core::ir::{Op, PreObjId, Program};
 use janus_nvm::addr::LineAddr;
 use janus_nvm::line::Line;
@@ -69,16 +68,6 @@ impl LintOptions {
         LintOptions {
             latencies,
             ..LintOptions::default()
-        }
-    }
-
-    /// Options matching a simulator configuration (stack and IRB size).
-    pub fn from_config(cfg: &JanusConfig) -> LintOptions {
-        LintOptions {
-            latencies: BmoLatencies::paper(),
-            stack: cfg.stack(),
-            irb_entries: cfg.irb_entries_per_core,
-            fence_cost: None,
         }
     }
 

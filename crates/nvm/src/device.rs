@@ -170,11 +170,6 @@ impl NvmDevice {
         done
     }
 
-    /// Earliest time the bank holding `addr` is free.
-    pub fn bank_free_at(&self, addr: LineAddr) -> Cycles {
-        self.bank_busy[self.bank_of(addr)]
-    }
-
     /// (reads, writes) issued so far.
     pub fn stats(&self) -> (u64, u64) {
         (self.reads, self.writes)

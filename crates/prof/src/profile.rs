@@ -95,29 +95,6 @@ struct NodeInst {
     end: Cycles,
 }
 
-/// How the engine scheduled each submitted job: by compiling a schedule
-/// template (cold), replaying one (warm), or walking the dependency graph
-/// interpretively (staged submits, unit contention, or an engine with replay
-/// switched off by `BmoEngine::set_compiled(false)`).
-/// Counted from the engine's `prof_sched` markers; scheduling itself costs
-/// zero simulated cycles, so these are counts, not cycle attributions.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SchedCacheCounts {
-    /// First-submit template compilations (compile + replay).
-    pub cold: u64,
-    /// Warm template replays (no graph walk).
-    pub warm: u64,
-    /// Interpreted graph walks.
-    pub interpreted: u64,
-}
-
-impl SchedCacheCounts {
-    /// Total scheduled submits.
-    pub fn total(&self) -> u64 {
-        self.cold + self.warm + self.interpreted
-    }
-}
-
 /// Write-latency tail summary for one tenant (or one core, in closed-loop
 /// runs) — see [`Profile::tenant_tails`]. All latencies in cycles.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -223,7 +200,6 @@ pub struct Profile {
     /// critical chains) — utilization, including the NVM banks.
     busy: BTreeMap<&'static str, u64>,
     span: (Cycles, Cycles),
-    sched: SchedCacheCounts,
 }
 
 fn resource_of(kind: BmoKind) -> &'static str {
@@ -245,11 +221,6 @@ const RES_ENGINE: &str = "bmo.engine";
 const RES_IRB: &str = "controller.irb";
 /// Resource name for the ADR write queue.
 const RES_WQ: &str = "wq";
-/// Accounting row for the engine's schedule-compilation cache. Template
-/// compilation and replay take zero simulated cycles (the committed
-/// schedule is identical either way), so the row pins the category's
-/// *presence* while the counts live in [`Profile::sched_cache`].
-const RES_SCHED: &str = "bmo.sched";
 
 impl Profile {
     /// Replays a causal trace snapshot into a profile.
@@ -280,7 +251,6 @@ impl Profile {
             .map(|n| graph.succs(n).iter().map(|s| s.0).collect())
             .collect();
 
-        let mut sched = SchedCacheCounts::default();
         let mut nodes_by_job: FxHashMap<u64, Vec<Option<NodeInst>>> = Default::default();
         let mut pending: BTreeMap<u64, PendingWrite> = BTreeMap::new();
         let mut busy: BTreeMap<&'static str, u64> = BTreeMap::new();
@@ -353,17 +323,6 @@ impl Profile {
                             end: e.cycle,
                         });
                     }
-                    "prof_sched" => match ev.arg {
-                        0 => sched.cold += 1,
-                        1 => sched.warm += 1,
-                        2 => sched.interpreted += 1,
-                        arg => {
-                            return Err(ProfileError::Malformed(format!(
-                                "prof_sched for job {} carries unknown marker {arg}",
-                                ev.id
-                            )))
-                        }
-                    },
                     "prof_write" => {
                         pending.insert(
                             ev.id,
@@ -478,12 +437,6 @@ impl Profile {
             lo = Cycles(0);
             hi = Cycles(0);
         }
-        if sched.total() > 0 {
-            // Zero-cycle row: makes schedule compilation a first-class
-            // accounting category without disturbing the attributed==total
-            // and row-sum identities the validator pins.
-            accounting.entry(RES_SCHED).or_default();
-        }
         Ok(Profile {
             writes,
             accounting,
@@ -492,7 +445,6 @@ impl Profile {
             node_succs,
             busy,
             span: (lo, hi),
-            sched,
         })
     }
 
@@ -504,13 +456,6 @@ impl Profile {
     /// Per-resource attribution, name-ordered.
     pub fn accounting(&self) -> &BTreeMap<&'static str, Attribution> {
         &self.accounting
-    }
-
-    /// Schedule-compilation cache activity over the profiled run (see
-    /// [`SchedCacheCounts`]). All zeros when the run predates the compiled
-    /// scheduler or submitted no jobs.
-    pub fn sched_cache(&self) -> SchedCacheCounts {
-        self.sched
     }
 
     /// Sum of all writes' blocked intervals.

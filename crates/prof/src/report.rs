@@ -68,41 +68,6 @@ impl Profile {
             .unwrap();
         }
 
-        let sched = self.sched_cache();
-        if sched.total() > 0 {
-            writeln!(out).unwrap();
-            writeln!(
-                out,
-                "schedule cache ({} submits scheduled; compilation costs zero simulated cycles)",
-                sched.total()
-            )
-            .unwrap();
-            writeln!(
-                out,
-                "  {:<16} {:>10} {:>7}",
-                "cold compile",
-                sched.cold,
-                pct(sched.cold, sched.total())
-            )
-            .unwrap();
-            writeln!(
-                out,
-                "  {:<16} {:>10} {:>7}",
-                "warm replay",
-                sched.warm,
-                pct(sched.warm, sched.total())
-            )
-            .unwrap();
-            writeln!(
-                out,
-                "  {:<16} {:>10} {:>7}",
-                "interpreted",
-                sched.interpreted,
-                pct(sched.interpreted, sched.total())
-            )
-            .unwrap();
-        }
-
         if let Some(w) = self.critical_write() {
             writeln!(out).unwrap();
             writeln!(
@@ -212,14 +177,6 @@ impl Profile {
             .unwrap();
         }
         out.push(']');
-
-        let sched = self.sched_cache();
-        write!(
-            out,
-            ",\"sched_cache\":{{\"cold\":{},\"warm\":{},\"interpreted\":{}}}",
-            sched.cold, sched.warm, sched.interpreted
-        )
-        .unwrap();
 
         if let Some(w) = self.critical_write() {
             write!(
@@ -354,12 +311,6 @@ pub fn validate_profile_json(text: &str) -> Result<(), String> {
         return Err(format!(
             "accounting rows sum to {sum}, not attributed total {attributed}"
         ));
-    }
-
-    if let Some(sc) = doc.get("sched_cache") {
-        get_u64(sc, "cold")?;
-        get_u64(sc, "warm")?;
-        get_u64(sc, "interpreted")?;
     }
 
     let cw = doc

@@ -258,34 +258,3 @@ fn validator_rejects_a_corrupted_causal_link() {
         "rejected with a chain-integrity error, got: {err}"
     );
 }
-
-#[test]
-fn compiled_scheduler_replays_show_in_the_profile() {
-    // The engine's `prof_sched` markers classify every scheduled submit:
-    // steady-state submits replay the compiled template, and schedule
-    // compilation is its own (zero-cycle) accounting row. That replay is
-    // cycle-identical to the interpreted scheduler is the engine's own
-    // differential test (`compiled_differential.rs`).
-    let config = JanusConfig::paper(SystemMode::Janus, 1);
-    let (mut mc, tracer) = profiled_controller(config.clone());
-    let mut t = Cycles(0);
-    for i in 0..32u64 {
-        mc.handle_write(
-            t,
-            0,
-            LineAddr(i % 9),
-            Line::splat((i % 4) as u8),
-            i % 6 == 0,
-        );
-        t += Cycles(300 * (i % 3));
-    }
-    let profile = build(&mc, &tracer, &config);
-    let sched = profile.sched_cache();
-    assert!(sched.total() > 0, "scheduled submits are classified");
-    assert!(sched.warm > 0, "steady-state submits replay the template");
-    assert!(
-        profile.accounting().contains_key("bmo.sched"),
-        "schedule compilation appears as its own accounting category"
-    );
-    janus_prof::validate_profile_json(&profile.to_json()).expect("schema validates");
-}

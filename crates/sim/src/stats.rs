@@ -209,80 +209,6 @@ impl fmt::Display for Histogram {
     }
 }
 
-/// An exact-quantile sample store for *small* sample counts.
-///
-/// [`Histogram`]'s log2 buckets are the right trade for millions of
-/// simulated latencies, but they collapse a handful of close host-side
-/// timing samples into one bucket, making every reported percentile
-/// identical. A `Reservoir` keeps the raw samples and answers quantiles by
-/// nearest rank — exact, distinct, and still deterministic. Memory is one
-/// `u64` per sample, so callers should keep it to benchmark-harness sample
-/// counts, not per-event streams.
-///
-/// ```
-/// use janus_sim::{stats::Reservoir, time::Cycles};
-/// let mut r = Reservoir::new();
-/// for v in [30u64, 10, 20] {
-///     r.record(Cycles(v));
-/// }
-/// assert_eq!(r.count(), 3);
-/// assert_eq!(r.percentile(0.50), Some(Cycles(20)));
-/// assert_eq!(r.percentile(1.0), Some(Cycles(30)));
-/// assert_eq!(Reservoir::new().percentile(0.5), None);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct Reservoir {
-    samples: Vec<u64>,
-}
-
-impl Reservoir {
-    /// Creates an empty reservoir.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: Cycles) {
-        self.samples.push(value.0);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.samples.len() as u64
-    }
-
-    /// Exact nearest-rank percentile (`q` in \[0,1\]), or `None` if empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside \[0, 1\].
-    pub fn percentile(&self, q: f64) -> Option<Cycles> {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        if self.samples.is_empty() {
-            return None;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        let rank = (q * sorted.len() as f64).ceil().max(1.0) as usize;
-        Some(Cycles(sorted[rank.min(sorted.len()) - 1]))
-    }
-
-    /// Median ([`Reservoir::percentile`] at 0.5).
-    pub fn p50(&self) -> Option<Cycles> {
-        self.percentile(0.50)
-    }
-
-    /// 99th percentile.
-    pub fn p99(&self) -> Option<Cycles> {
-        self.percentile(0.99)
-    }
-
-    /// 99.9th percentile.
-    pub fn p999(&self) -> Option<Cycles> {
-        self.percentile(0.999)
-    }
-}
-
 /// A stable handle to a counter in one [`StatSet`], from
 /// [`StatSet::counter_id`]. Bumping through a handle is a plain vector
 /// index — no name lookup.
@@ -530,29 +456,6 @@ mod tests {
         // p999 must actually sit in the tail above p99's bucket midpoint.
         assert!(p999 >= Cycles(9_000), "p999 = {p999}");
         assert_eq!(Histogram::new().p999(), None);
-    }
-
-    #[test]
-    fn reservoir_quantiles_are_exact_and_distinct() {
-        // The motivating case: a handful of near-identical samples land in
-        // one Histogram bucket (identical p50/p99/p999), but the reservoir
-        // keeps them distinct.
-        let samples = [784u64, 786, 781, 790, 783];
-        let mut h = Histogram::new();
-        let mut r = Reservoir::new();
-        for &s in &samples {
-            h.record(Cycles(s));
-            r.record(Cycles(s));
-        }
-        assert_eq!(h.p50(), h.p99(), "histogram collapses close samples");
-        assert_eq!(r.p50(), Some(Cycles(784)));
-        assert_eq!(r.p99(), Some(Cycles(790)));
-        assert_eq!(r.p999(), Some(Cycles(790)));
-        assert_ne!(r.p50(), r.p99());
-        assert_eq!(r.count(), 5);
-        // Nearest-rank endpoints.
-        assert_eq!(r.percentile(0.0), Some(Cycles(781)));
-        assert_eq!(r.percentile(1.0), Some(Cycles(790)));
     }
 
     #[test]

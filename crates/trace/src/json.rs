@@ -3,8 +3,9 @@
 //! The workspace is hermetic (no crates.io), so the Chrome trace exporter
 //! and the metrics registry serialize by hand through [`write_str`] /
 //! [`write_f64`], and CI validates emitted files with [`parse`] — a small
-//! recursive-descent parser that accepts exactly RFC 8259 JSON. The parser
-//! is for validation and tests, not performance.
+//! recursive-descent parser that accepts exactly RFC 8259 JSON, nested at
+//! most [`MAX_DEPTH`] levels. The parser is for validation and tests, not
+//! performance.
 
 use std::fmt;
 
@@ -59,6 +60,12 @@ impl Value {
     }
 }
 
+/// The deepest array/object nesting [`parse`] accepts. The deepest document
+/// the workspace writes, a janus-benchmark record, nests 5 levels; the
+/// limit turns a hostile document into a [`ParseError`] instead of a stack
+/// overflow in the recursive descent.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parse failure: byte offset plus message.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError {
@@ -81,11 +88,13 @@ impl std::error::Error for ParseError {}
 ///
 /// # Errors
 ///
-/// Returns the first syntax error with its byte offset.
+/// Returns the first syntax error with its byte offset, or an error at the
+/// first `[`/`{` that nests deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -99,6 +108,8 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -136,8 +147,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -145,6 +156,20 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object with `f`, one level deeper.
+    fn nested(
+        &mut self,
+        f: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("arrays and objects nested too deeply"));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, ParseError> {
@@ -343,12 +368,21 @@ mod tests {
         assert_eq!(arr[3], Value::Bool(true));
         assert_eq!(arr[5], Value::Null);
         assert_eq!(arr[6].as_str(), Some("x\nA"));
+        let at_limit = format!(
+            "{}0{}",
+            "[{\"k\":".repeat(MAX_DEPTH / 2),
+            "}]".repeat(MAX_DEPTH / 2)
+        );
+        assert!(parse(&at_limit).is_ok(), "{MAX_DEPTH} levels parse");
     }
 
     #[test]
     fn rejects_malformed_documents() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let (over, deep) = (nested(MAX_DEPTH + 1), nested(200_000));
         for bad in [
-            "", "{", "[1,]", "{\"a\":}", "tru", "01", "1.", "\"\\q\"", "{} x", "[1 2]",
+            "", "{", "[1,]", "{\"a\":}", "tru", "01", "1.", "\"\\q\"", "{} x", "[1 2]", &over,
+            &deep,
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }

@@ -79,11 +79,6 @@ impl WorkloadCtx {
         self.mode
     }
 
-    /// Number of transactions emitted so far.
-    pub fn tx_count(&self) -> u64 {
-        self.tx_serial
-    }
-
     /// Emits a load.
     pub fn load(&mut self, line: LineAddr) {
         self.b.load(line);

@@ -216,4 +216,36 @@ fn config_errors_are_typed_not_panics() {
         sys.try_run_tenants(vec![unsorted]).unwrap_err(),
         ConfigError::UnsortedArrivals { tenant: 0 }
     ));
+
+    // A partitioned quota above the IRB's capacity is refused by every run
+    // entry point; a quota of exactly the capacity runs.
+    let mut config = JanusConfig::paper(SystemMode::Janus, 1);
+    let capacity = config.total_irb_entries();
+    config.irb_policy = IrbPolicy::Partitioned {
+        quota: capacity + 1,
+    };
+    let too_big = ConfigError::IrbQuota {
+        quota: capacity + 1,
+        capacity,
+    };
+    let program = || {
+        let mut b = ProgramBuilder::new();
+        b.persist_store(LineAddr(1), Line::splat(1));
+        b.build()
+    };
+    let mut sys = System::new(config.clone());
+    assert_eq!(sys.try_run(vec![program()]).unwrap_err(), too_big);
+    assert_eq!(
+        sys.run_until_crashes(vec![program()], &[Cycles(1000)])
+            .unwrap_err(),
+        too_big
+    );
+    let stream = TenantStream {
+        arrivals: vec![Cycles(0)],
+        txs: vec![program()],
+    };
+    assert_eq!(sys.try_run_tenants(vec![stream]).unwrap_err(), too_big);
+    assert!(too_big.to_string().contains("partitioned:65"), "{too_big}");
+    config.irb_policy = IrbPolicy::Partitioned { quota: capacity };
+    assert!(System::new(config).try_run(vec![program()]).is_ok());
 }

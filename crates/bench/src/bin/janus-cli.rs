@@ -8,23 +8,41 @@
 //!
 //! Flags: `--workload <array|queue|hash|rbtree|btree|tatp|tpcc>`,
 //! `--variant <serialized|parallelized|janus|auto|pgo|place|fixed|ideal>`
-//! (accepts a comma-separated list to sweep several variants in one
-//! invocation; `fixed` = manual instrumentation with a seeded §6 misuse
-//! repaired by the `janus-lint --fix` engine),
-//! `--cores N`, `--tx N`, `--size BYTES`, `--dedup RATIO`, `--seed N`,
-//! `--crc32`, `--scale <N|unlimited>`, `--skew THETA`, `--aux FRACTION`,
+//! (any name [`Variant`]'s `FromStr` accepts; a comma-separated list sweeps
+//! several variants in one invocation; `fixed` = manual instrumentation
+//! with a seeded §6 misuse repaired by the `janus-lint --fix` engine),
+//! `--cores N`, `--tx N`, `--size BYTES`, `--dedup RATIO` (in [0, 1]),
+//! `--seed N`, `--crc32`, `--scale <N|unlimited>` (N ≥ 1), `--skew THETA`
+//! (in [0, 1)), `--aux FRACTION` (in [0, 1]),
 //! `--bmos <id,...|none>` (BMO stack override; see `--list-bmos`),
 //! `--jobs N` (worker threads for multi-variant sweeps, else the
-//! `JANUS_JOBS` environment variable; output is identical at any value, and
-//! zero or a non-number exits with status 2),
+//! `JANUS_JOBS` environment variable; output is identical at any value),
 //! `--dump` (gem5-style stats to stdout),
 //! `--profile PATH` (causal profile: text report to PATH, `-` for stdout;
-//! see the `janus-prof` binary for the full profiling workflow).
+//! see the `janus-prof` binary for the full profiling workflow). Every
+//! value is checked before the run starts: a malformed one exits with
+//! status 2.
 
-use janus_bench::cli::{self, arg, flag};
+use janus_bench::cli::{self, flag, list_with, parse_with};
 use janus_bench::{run_all, RunSpec, Variant};
 use janus_bmo::BmoStack;
 use janus_workloads::Workload;
+
+/// `--skew`: a Zipf θ in [0, 1).
+fn skew(v: &str) -> Result<f64, &'static str> {
+    v.parse()
+        .ok()
+        .filter(|theta| (0.0..1.0).contains(theta))
+        .ok_or("requires a number in [0, 1)")
+}
+
+/// `--scale`: a resource multiplier of at least one, or `unlimited`.
+fn scale(v: &str) -> Result<usize, &'static str> {
+    match v {
+        "unlimited" => Ok(usize::MAX),
+        _ => cli::positive(v).map_err(|_| "requires a positive integer or `unlimited`"),
+    }
+}
 
 fn main() {
     janus_bench::require_known_args(
@@ -44,6 +62,26 @@ fn main() {
         ],
         &["--crc32", "--dump", "--list-bmos"],
     );
+    let workload = parse_with("--workload", str::parse::<Workload>).unwrap_or(Workload::Tatp);
+    let variants =
+        list_with("--variant", str::parse::<Variant>).unwrap_or(vec![Variant::JanusManual]);
+    let mut spec = RunSpec::new(workload, variants[0]);
+    spec.cores = cli::cores(spec.cores);
+    spec.transactions = cli::arg_usize("--tx", spec.transactions);
+    spec.tx_size_bytes = cli::arg_usize("--size", spec.tx_size_bytes);
+    spec.dedup_ratio = parse_with("--dedup", cli::fraction).unwrap_or(spec.dedup_ratio);
+    spec.seed = parse_with("--seed", cli::unsigned).unwrap_or(spec.seed);
+    spec.key_skew = parse_with("--skew", skew);
+    spec.aux_tx_fraction = parse_with("--aux", cli::fraction).unwrap_or(spec.aux_tx_fraction);
+    spec.crc32 = flag("--crc32");
+    spec.resource_scale = parse_with("--scale", scale);
+    spec.bmo_stack = parse_with("--bmos", BmoStack::parse).map(|s| s.members().to_vec());
+    let profile_path = parse_with("--profile", |v| match v {
+        "-" => Ok(v.to_string()),
+        _ => cli::output_path(v),
+    });
+    spec.profile = profile_path.is_some();
+
     if flag("--list-bmos") {
         println!(
             "Registered BMOs (stack with --bmos id,id,...; default: {}):",
@@ -60,74 +98,6 @@ fn main() {
         }
         return;
     }
-    let workload: Workload = match arg("--workload").as_deref().unwrap_or("tatp").parse() {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    let variants: Vec<Variant> = arg("--variant")
-        .unwrap_or_else(|| "janus".into())
-        .split(',')
-        .map(|v| match v.trim() {
-            "serialized" => Variant::Serialized,
-            "parallelized" => Variant::Parallelized,
-            "janus" | "manual" => Variant::JanusManual,
-            "auto" | "compiler" => Variant::JanusAuto,
-            "pgo" | "profile" => Variant::JanusAutoPgo,
-            "place" | "autoplace" => Variant::JanusAutoPlace,
-            "fixed" => Variant::JanusFixed,
-            "ideal" => Variant::Ideal,
-            other => {
-                eprintln!("unknown variant {other:?}");
-                std::process::exit(2);
-            }
-        })
-        .collect();
-
-    let mut spec = RunSpec::new(workload, variants[0]);
-    spec.cores = cli::cores(spec.cores);
-    if let Some(v) = arg("--tx") {
-        spec.transactions = v.parse().expect("--tx N");
-    }
-    if let Some(v) = arg("--size") {
-        spec.tx_size_bytes = v.parse().expect("--size BYTES");
-    }
-    if let Some(v) = arg("--dedup") {
-        spec.dedup_ratio = v.parse().expect("--dedup RATIO");
-    }
-    if let Some(v) = arg("--seed") {
-        spec.seed = v.parse().expect("--seed N");
-    }
-    if let Some(v) = arg("--skew") {
-        spec.key_skew = Some(v.parse().expect("--skew THETA"));
-    }
-    if let Some(v) = arg("--aux") {
-        spec.aux_tx_fraction = v.parse().expect("--aux FRACTION");
-    }
-    if flag("--crc32") {
-        spec.crc32 = true;
-    }
-    if let Some(v) = arg("--scale") {
-        spec.resource_scale = Some(if v == "unlimited" {
-            usize::MAX
-        } else {
-            v.parse().expect("--scale N|unlimited")
-        });
-    }
-    if let Some(v) = arg("--bmos") {
-        match BmoStack::parse(&v) {
-            Ok(stack) => spec.bmo_stack = Some(stack.members().to_vec()),
-            Err(e) => {
-                eprintln!("--bmos {v}: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let profile_path = arg("--profile");
-    spec.profile = profile_path.is_some();
 
     let specs: Vec<RunSpec> = variants
         .iter()
@@ -154,7 +124,7 @@ fn main() {
             if path == "-" {
                 print!("{text}");
             } else {
-                std::fs::write(path, text).expect("write profile report");
+                cli::write_output("--profile", path, text);
             }
         }
         if flag("--dump") {

@@ -24,11 +24,13 @@
 //! IRB no-drop bound for an N-tenant mix of the selected workloads),
 //! `--json` (one deterministic JSON object per program instead of text),
 //! `--deny` (exit 1 if any error-severity diagnostic fired; with `--fix`,
-//! post-fix diagnostics are counted). Output is byte-deterministic: same
+//! post-fix diagnostics are counted). Every value is checked before any
+//! analysis runs: a malformed one (`--irb-policy` without `--tenants`
+//! included) exits with status 2. Output is byte-deterministic: same
 //! flags, same bytes, at any `--jobs` value.
 
 use janus_bench::banner;
-use janus_bench::cli::{arg, flag};
+use janus_bench::cli::{self, flag, parse_with};
 use janus_bmo::latency::BmoLatencies;
 use janus_bmo::BmoStack;
 use janus_core::config::{JanusConfig, SystemMode};
@@ -65,6 +67,19 @@ fn main() {
         ],
     );
     let tx = janus_bench::arg_usize("--tx", 50);
+    let stack = parse_with("--bmos", BmoStack::parse).unwrap_or_else(BmoStack::paper);
+    let workloads = parse_with("--workload", |v| match v {
+        "all" => Ok(Workload::all().to_vec()),
+        w => w.parse().map(|w| vec![w]),
+    })
+    .unwrap_or_else(|| Workload::all().to_vec());
+    let instr = parse_with("--instr", |v| match v {
+        "manual" | "auto" | "place" | "none" => Ok(v.to_string()),
+        _ => Err(format!("must be one of manual|auto|place|none, got {v:?}")),
+    })
+    .unwrap_or_else(|| "manual".into());
+    let tenants = parse_with("--tenants", cli::positive);
+    let policy = parse_with("--irb-policy", IrbPolicy::parse).unwrap_or(IrbPolicy::Shared);
     let json_out = flag("--json");
     let dry_run = flag("--dry-run");
     let fix = flag("--fix") || dry_run;
@@ -72,31 +87,6 @@ fn main() {
     // emulating a fix that regresses diagnostics. The verification gates
     // below must catch it and exit 2.
     let sabotage = std::env::var("JANUS_FIX_SABOTAGE").is_ok_and(|v| v == "1");
-    let stack = match arg("--bmos") {
-        Some(v) => match BmoStack::parse(&v) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("--bmos {v}: {e}");
-                std::process::exit(2);
-            }
-        },
-        None => BmoStack::paper(),
-    };
-    let workloads: Vec<Workload> = match arg("--workload").as_deref() {
-        None | Some("all") => Workload::all().to_vec(),
-        Some(w) => match w.parse() {
-            Ok(w) => vec![w],
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        },
-    };
-    let instr = arg("--instr").unwrap_or_else(|| "manual".into());
-    if !matches!(instr.as_str(), "manual" | "auto" | "place" | "none") {
-        eprintln!("--instr must be one of manual|auto|place|none, got {instr:?}");
-        std::process::exit(2);
-    }
 
     let lat = BmoLatencies::paper();
     let opts = LintOptions {
@@ -257,24 +247,7 @@ fn main() {
         }
     }
 
-    if let Some(tenants) = arg("--tenants") {
-        let tenants: usize = match tenants.parse() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("--tenants must be a positive integer, got {tenants:?}");
-                std::process::exit(2);
-            }
-        };
-        let policy = match arg("--irb-policy") {
-            Some(s) => match IrbPolicy::parse(&s) {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("--irb-policy: {e}");
-                    std::process::exit(2);
-                }
-            },
-            None => IrbPolicy::Shared,
-        };
+    if let Some(tenants) = tenants {
         let specs: Vec<TenantSpec> = (0..tenants)
             .map(|t| {
                 let mut s = TenantSpec::new(

@@ -11,7 +11,9 @@
 //! cycles for the Chrome counter tracks, default 2000), `--out PATH` (text
 //! report; always also printed to stdout), `--json PATH` (profile JSON,
 //! schema `janus-profile-v1`), `--chrome PATH` (Chrome/Perfetto trace with
-//! occupancy counter tracks merged in).
+//! occupancy counter tracks merged in). Every value is checked, and every
+//! output file created, before the run starts: a malformed value or an
+//! output path that cannot be created exits with status 2.
 //!
 //! The run starts with a calibration probe: one cold write through the
 //! default paper stack under parallelized timing must measure a critical
@@ -19,7 +21,7 @@
 //! computes analytically. A disagreement means the profiler's causal chain
 //! reconstruction is broken, and the binary refuses to continue.
 
-use janus_bench::cli::{self, arg};
+use janus_bench::cli::{self, parse_with};
 use janus_bench::{arg_usize, run_quiet, RunSpec, Variant};
 use janus_core::controller::MemoryController;
 use janus_core::{JanusConfig, SystemMode};
@@ -66,33 +68,18 @@ fn main() {
         ],
         &[],
     );
-    let cores = cli::cores(1);
-    calibration_probe();
-
-    let workload: Workload = match arg("--workload").as_deref().unwrap_or("tatp").parse() {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    let variant = match arg("--variant").as_deref().unwrap_or("janus") {
-        "serialized" => Variant::Serialized,
-        "parallelized" => Variant::Parallelized,
-        "janus" | "manual" => Variant::JanusManual,
-        "auto" | "compiler" => Variant::JanusAuto,
-        "ideal" => Variant::Ideal,
-        other => {
-            eprintln!("unknown variant {other:?}");
-            std::process::exit(2);
-        }
-    };
+    let workload = parse_with("--workload", str::parse::<Workload>).unwrap_or(Workload::Tatp);
+    let variant = parse_with("--variant", str::parse::<Variant>).unwrap_or(Variant::JanusManual);
     let mut spec = RunSpec::new(workload, variant);
-    spec.cores = cores;
+    spec.cores = cli::cores(1);
     spec.transactions = arg_usize("--tx", 40);
-    spec.seed = arg_usize("--seed", 42) as u64;
+    spec.seed = parse_with("--seed", cli::unsigned).unwrap_or(42);
     spec.profile = true;
-    spec.sample_every = Some(arg_usize("--sample", 2000) as u64);
+    spec.sample_every = Some(parse_with("--sample", cli::unsigned).unwrap_or(2000));
+    let out_path = parse_with("--out", cli::output_path);
+    let json_path = parse_with("--json", cli::output_path);
+    let chrome_path = parse_with("--chrome", cli::output_path);
+    calibration_probe();
 
     let result = run_quiet(spec);
     let config = result.spec.config();
@@ -113,16 +100,16 @@ fn main() {
     println!();
     let text = profile.render_text();
     print!("{text}");
-    if let Some(path) = arg("--out") {
-        std::fs::write(&path, &text).expect("write text report");
+    if let Some(path) = out_path {
+        cli::write_output("--out", &path, &text);
     }
-    if let Some(path) = arg("--json") {
+    if let Some(path) = json_path {
         let json = profile.to_json();
         janus_prof::validate_profile_json(&json).expect("emitted profile validates");
-        std::fs::write(&path, json).expect("write profile JSON");
+        cli::write_output("--json", &path, json);
         println!("profile json -> {path}");
     }
-    if let Some(path) = arg("--chrome") {
+    if let Some(path) = chrome_path {
         let mut out = Vec::new();
         janus_prof::export_chrome_with_counters(
             &result.tracer.snapshot(),
@@ -131,7 +118,7 @@ fn main() {
             &mut out,
         )
         .expect("serialize chrome trace");
-        std::fs::write(&path, out).expect("write chrome trace");
+        cli::write_output("--chrome", &path, out);
         println!("chrome trace (+counter tracks) -> {path}");
     }
 }

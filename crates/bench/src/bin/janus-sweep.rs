@@ -3,46 +3,16 @@
 //!
 //! Unlike the figure binaries (each pinned to one published plot), this is
 //! the open-ended driver for ad-hoc grids: pick workloads (`--workloads`
-//! CSV of slugs), variants (`--variants` CSV), `--tx`, `--cores`, and
-//! `--seed`, and get one row per point with cycles, throughput, and speedup
-//! over the grid's first variant. The JSONL sink and the global `--jobs N`
-//! thread fan-out apply as everywhere else — output is byte-identical at any
-//! worker count, and a zero or non-numeric `--jobs` (or `JANUS_JOBS`) exits
-//! with status 2.
+//! CSV of slugs), variants (`--variants` CSV of the names `janus-cli`
+//! takes), `--tx`, `--cores`, and `--seed`, and get one row per point with
+//! cycles, throughput, and speedup over the grid's first variant. The JSONL
+//! sink and the global `--jobs N` thread fan-out apply as everywhere else —
+//! output is byte-identical at any worker count, and any malformed value,
+//! `--jobs` (or `JANUS_JOBS`) included, exits with status 2.
 
-use janus_bench::cli::{self, arg_str, arg_u64};
+use janus_bench::cli::{self, list_with, parse_with};
 use janus_bench::{arg_usize, banner, row, run_all, RunSpec, Variant};
 use janus_workloads::Workload;
-
-/// The sweepable variants by slug (the grid's first entry is the speedup
-/// baseline).
-const VARIANTS: [(&str, Variant); 7] = [
-    ("serialized", Variant::Serialized),
-    ("parallelized", Variant::Parallelized),
-    ("janus-manual", Variant::JanusManual),
-    ("janus-auto", Variant::JanusAuto),
-    ("janus-pgo", Variant::JanusAutoPgo),
-    ("janus-autoplace", Variant::JanusAutoPlace),
-    ("ideal", Variant::Ideal),
-];
-
-fn parse_variant(s: &str) -> Variant {
-    match VARIANTS.iter().find(|(slug, _)| *slug == s) {
-        Some(&(_, v)) => v,
-        None => {
-            let known: Vec<&str> = VARIANTS.iter().map(|(s, _)| *s).collect();
-            eprintln!("error: unknown variant {s:?} (known: {})", known.join(", "));
-            std::process::exit(2);
-        }
-    }
-}
-
-fn parse_workload(s: &str) -> Workload {
-    s.parse().unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
-}
 
 fn main() {
     janus_bench::require_known_args(
@@ -51,20 +21,16 @@ fn main() {
     );
     let tx = arg_usize("--tx", 60);
     let cores = cli::cores(1);
-    let seed = arg_u64("--seed", 42);
-    let workloads: Vec<Workload> = match arg_str("--workloads", "").as_str() {
-        "" => Workload::all().to_vec(),
-        csv => csv.split(',').map(parse_workload).collect(),
-    };
-    let variants: Vec<Variant> = match arg_str("--variants", "").as_str() {
-        "" => vec![
-            Variant::Serialized,
-            Variant::Parallelized,
-            Variant::JanusManual,
-            Variant::JanusAuto,
-        ],
-        csv => csv.split(',').map(parse_variant).collect(),
-    };
+    let seed = parse_with("--seed", cli::unsigned).unwrap_or(42);
+    let workloads = list_with("--workloads", str::parse::<Workload>)
+        .unwrap_or_else(|| Workload::all().to_vec());
+    // The grid's first variant is the speedup baseline.
+    let variants = list_with("--variants", str::parse::<Variant>).unwrap_or(vec![
+        Variant::Serialized,
+        Variant::Parallelized,
+        Variant::JanusManual,
+        Variant::JanusAuto,
+    ]);
 
     let mut specs = Vec::with_capacity(workloads.len() * variants.len());
     for &w in &workloads {

@@ -18,7 +18,7 @@
 //! Output is deterministic: byte-identical across reruns and at any
 //! `--jobs` fan-out.
 
-use janus_bench::cli::{self, arg, arg_u64, flag};
+use janus_bench::cli::{self, flag, parse_with};
 use janus_bench::{arg_usize, banner, row, run_all, OpenLoopSpec, RunSpec, Variant};
 use janus_core::irb::IrbPolicy;
 use janus_sim::time::Cycles;
@@ -32,20 +32,6 @@ const MIX: [Workload; 4] = [
     Workload::Queue,
     Workload::Tpcc,
 ];
-
-fn parse_policy(s: &str) -> IrbPolicy {
-    IrbPolicy::parse(s).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
-}
-
-fn parse_arrival(s: &str) -> Arrival {
-    Arrival::parse(s).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
-}
 
 fn spec_for(
     cores: usize,
@@ -82,24 +68,21 @@ fn main() {
     );
     let tx = arg_usize("--tx", 40);
     let cores = cli::cores(4);
-    let seed = arg_u64("--seed", 42);
-    let policies: Vec<IrbPolicy> = match arg("--irb-policy") {
-        Some(p) => vec![parse_policy(&p)],
+    let seed = parse_with("--seed", cli::unsigned).unwrap_or(42);
+    let policies = match parse_with("--irb-policy", IrbPolicy::parse) {
+        Some(p) => vec![p],
         None => vec![
             IrbPolicy::Shared,
             IrbPolicy::Banked { per_tenant: 64 },
             IrbPolicy::Partitioned { quota: 64 },
         ],
     };
-    let tenant_counts: Vec<usize> = match arg("--tenants") {
-        Some(t) => vec![t.parse().unwrap_or_else(|_| {
-            eprintln!("error: --tenants requires an unsigned integer value");
-            std::process::exit(2);
-        })],
+    let tenant_counts = match parse_with("--tenants", cli::unsigned) {
+        Some(t) => vec![t],
         None => vec![1, 4, 16],
     };
-    let arrivals: Vec<Arrival> = match arg("--arrival") {
-        Some(a) => vec![parse_arrival(&a)],
+    let arrivals = match parse_with("--arrival", Arrival::parse) {
+        Some(a) => vec![a],
         None => vec![
             Arrival::Poisson {
                 mean: Cycles(40_000),

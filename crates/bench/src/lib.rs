@@ -78,6 +78,44 @@ impl Variant {
             Variant::Ideal => "Non-blocking",
         }
     }
+
+    /// Every name a bench binary accepts for a variant (`--variant`,
+    /// `--variants`).
+    const NAMES: [(&'static str, Variant); 16] = [
+        ("serialized", Variant::Serialized),
+        ("parallelized", Variant::Parallelized),
+        ("janus", Variant::JanusManual),
+        ("manual", Variant::JanusManual),
+        ("janus-manual", Variant::JanusManual),
+        ("auto", Variant::JanusAuto),
+        ("compiler", Variant::JanusAuto),
+        ("janus-auto", Variant::JanusAuto),
+        ("pgo", Variant::JanusAutoPgo),
+        ("profile", Variant::JanusAutoPgo),
+        ("janus-pgo", Variant::JanusAutoPgo),
+        ("place", Variant::JanusAutoPlace),
+        ("autoplace", Variant::JanusAutoPlace),
+        ("janus-autoplace", Variant::JanusAutoPlace),
+        ("fixed", Variant::JanusFixed),
+        ("ideal", Variant::Ideal),
+    ];
+}
+
+impl std::str::FromStr for Variant {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match Variant::NAMES.iter().find(|(name, _)| *name == s) {
+            Some(&(_, v)) => Ok(v),
+            None => {
+                let known: Vec<&str> = Variant::NAMES.iter().map(|(name, _)| *name).collect();
+                Err(format!(
+                    "unknown variant {s:?} (known: {})",
+                    known.join(", ")
+                ))
+            }
+        }
+    }
 }
 
 /// A complete experiment specification.
@@ -581,6 +619,38 @@ mod tests {
         let mut plain = RunSpec::new(Workload::ArraySwap, Variant::JanusManual);
         plain.transactions = 8;
         assert_eq!(run(plain).metrics().get("spec.bmo_stack"), None);
+    }
+
+    #[test]
+    fn variant_names_select_the_same_variants_as_before() {
+        // The union of janus-cli's, janus-sweep's and janus-prof's old
+        // tables, each name with the variant it selected there.
+        let expected = [
+            ("serialized", Variant::Serialized),
+            ("parallelized", Variant::Parallelized),
+            ("janus", Variant::JanusManual),
+            ("manual", Variant::JanusManual),
+            ("janus-manual", Variant::JanusManual),
+            ("auto", Variant::JanusAuto),
+            ("compiler", Variant::JanusAuto),
+            ("janus-auto", Variant::JanusAuto),
+            ("pgo", Variant::JanusAutoPgo),
+            ("profile", Variant::JanusAutoPgo),
+            ("janus-pgo", Variant::JanusAutoPgo),
+            ("place", Variant::JanusAutoPlace),
+            ("autoplace", Variant::JanusAutoPlace),
+            ("janus-autoplace", Variant::JanusAutoPlace),
+            ("fixed", Variant::JanusFixed),
+            ("ideal", Variant::Ideal),
+        ];
+        for (name, variant) in expected {
+            assert_eq!(name.parse::<Variant>(), Ok(variant), "{name}");
+        }
+        assert_eq!(Variant::NAMES.len(), expected.len(), "no new names");
+        for bogus in ["", "Janus", "janus-fixed", "non-blocking", " janus"] {
+            let err = bogus.parse::<Variant>().unwrap_err();
+            assert!(err.starts_with("unknown variant"), "{bogus:?}: {err}");
+        }
     }
 
     #[test]

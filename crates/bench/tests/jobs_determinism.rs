@@ -4,7 +4,9 @@
 //! BMO stacks plus multi-tenant open-loop runs. A worker count that is zero
 //! or not a number is a usage error (exit status 2), never a silent serial
 //! run, and so is such a core count, never a panic, and a partitioned IRB
-//! quota above the IRB's capacity.
+//! quota above the IRB's capacity. So is every other malformed flag value
+//! of the bench drivers, checked before any work starts, while every
+//! variant name one driver accepts works in the others.
 
 use std::process::Command;
 
@@ -138,6 +140,78 @@ fn malformed_core_counts_exit_2() {
             "{bin} --cores {value}"
         );
         assert!(out.stdout.is_empty(), "{bin} --cores {value}: ran anyway");
+    }
+}
+
+#[test]
+fn malformed_values_exit_2_before_any_work() {
+    // A path under a regular file can never be created.
+    let unwritable = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/out");
+    let cli = env!("CARGO_BIN_EXE_janus-cli");
+    let prof = env!("CARGO_BIN_EXE_janus-prof");
+    let lint = env!("CARGO_BIN_EXE_janus-lint");
+    for (bin, args) in [
+        (cli, &["--tx", "abc"][..]),
+        (cli, &["--size", "abc"][..]),
+        (cli, &["--seed", "x"][..]),
+        (cli, &["--dedup", "x"][..]),
+        (cli, &["--scale", "abc"][..]),
+        (cli, &["--dedup", "2"][..]),
+        (cli, &["--skew", "-1"][..]),
+        (cli, &["--skew", "1"][..]),
+        (cli, &["--scale", "0"][..]),
+        (cli, &["--profile", unwritable][..]),
+        (cli, &["--aux", "5"][..]),
+        (cli, &["--aux", "-1"][..]),
+        (prof, &["--out", unwritable][..]),
+        (prof, &["--json", unwritable][..]),
+        (prof, &["--chrome", unwritable][..]),
+        (lint, &["--tenants", "abc"][..]),
+        (lint, &["--irb-policy", "bogus"][..]),
+        (lint, &["--instr", "bogus"][..]),
+    ] {
+        let out = Command::new(bin)
+            .args(args)
+            .env_remove("JANUS_JOBS")
+            .env_remove("JANUS_RESULTS_JSON_DIR")
+            .output()
+            .expect("spawn bench binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let what = format!("{bin} {args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(2), "{what}");
+        assert_eq!(stderr.lines().count(), 1, "{what}");
+        assert!(
+            stderr.starts_with(&format!("error: {} ", args[0])),
+            "{what}"
+        );
+        assert!(!stderr.contains("panicked"), "{what}");
+        assert!(out.stdout.is_empty(), "{what}: ran anyway");
+    }
+}
+
+#[test]
+fn every_driver_takes_every_variant_name() {
+    for (bin, args) in [
+        (
+            env!("CARGO_BIN_EXE_janus-sweep"),
+            &["--variants", "janus", "--workloads", "queue", "--tx", "2"][..],
+        ),
+        (
+            env!("CARGO_BIN_EXE_janus-prof"),
+            &["--variant", "pgo", "--tx", "2"][..],
+        ),
+    ] {
+        let out = Command::new(bin)
+            .args(args)
+            .env_remove("JANUS_JOBS")
+            .env_remove("JANUS_RESULTS_JSON_DIR")
+            .output()
+            .expect("spawn bench binary");
+        assert!(
+            out.status.success(),
+            "{bin} {args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
 }
 

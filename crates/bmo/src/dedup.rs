@@ -18,7 +18,7 @@
 //!
 //! Slot state is slot-indexed: the store allocates its own slots densely
 //! (the most recently freed slot first, else the next unused index), so
-//! per-slot records live in a [`SlotTable`] indexed by slot. Slots sharing
+//! per-slot records live in a `SlotTable` indexed by slot. Slots sharing
 //! a fingerprint form a chain threaded through the records' `next` field,
 //! and the fingerprint table maps a fingerprint to its chain head only.
 

@@ -228,8 +228,9 @@ pub struct ExecutionReport {
     /// Mean demand-read (L2 miss) latency.
     pub mean_read_latency: Cycles,
     /// Discrete events processed by the simulation loop — janus-benchmark
-    /// publishes it as `core.events`. Deliberately excluded from
-    /// [`ExecutionReport::fields`]: it describes the simulator, not the
+    /// publishes it as `core.events`. Deliberately excluded from the field
+    /// list behind [`ExecutionReport::dump`] and
+    /// [`ExecutionReport::to_metrics`]: it describes the simulator, not the
     /// simulated machine, and the exported result files must stay
     /// byte-identical.
     pub events: u64,
@@ -370,11 +371,6 @@ impl System {
     /// [`System::enable_sampling`] was called before the run).
     pub fn samples(&self) -> &[Sample] {
         self.sampler.as_ref().map_or(&[], |s| s.samples())
-    }
-
-    /// The sampler itself (for JSON/CSV export of the time-series).
-    pub fn sampler(&self) -> Option<&MetricsSampler> {
-        self.sampler.as_ref()
     }
 
     /// Access to the memory controller (reads, statistics, recovery state).
@@ -1112,7 +1108,7 @@ impl ExecutionReport {
 
     /// The report as a machine-readable [`MetricsRegistry`] (same names as
     /// [`ExecutionReport::dump`], plus derived machine-only fields), for
-    /// JSON/CSV export.
+    /// JSON export.
     pub fn to_metrics(&self) -> MetricsRegistry {
         let mut m = MetricsRegistry::new();
         for (name, value) in self.fields() {

@@ -170,8 +170,8 @@ impl Aes128 {
     ///
     /// Word-oriented: each column is a big-endian `u32` and a full
     /// SubBytes+ShiftRows+MixColumns round is four table lookups (byte
-    /// rotations of [`Tables::te0`]) per column. Identical output to the
-    /// byte-wise definition.
+    /// rotations of one 256-entry `u32` table) per column. Identical
+    /// output to the byte-wise definition.
     pub fn encrypt_block_portable(&self, block: [u8; 16]) -> [u8; 16] {
         let te0 = &tables().te0;
         let sbox = &tables().sbox;

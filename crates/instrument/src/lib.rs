@@ -49,6 +49,9 @@ pub mod dynamic;
 pub mod misuse;
 
 use janus_core::ir::{Op, PreObjId, Program};
+use janus_lint::cfg::{regions, Region};
+use janus_lint::dataflow::is_blocking;
+use janus_lint::place::clamp_to_cond;
 use janus_nvm::addr::LineAddr;
 use janus_nvm::line::Line;
 
@@ -80,79 +83,6 @@ impl InstrumentReport {
     }
 }
 
-/// Per-op region context computed in one linear scan.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct Region {
-    /// Innermost function instance id (0 = top level).
-    func: u32,
-    /// Loop nesting depth.
-    loop_depth: u32,
-    /// Innermost loop instance id (valid when `loop_depth > 0`).
-    loop_id: u32,
-    /// Index of the innermost enclosing `CondBegin` (+1 = earliest legal
-    /// insertion point inside it), if any.
-    cond_begin: Option<usize>,
-}
-
-/// Computes every op's [`Region`], plus the index of each function
-/// instance's `FuncBegin` (indexed by [`Region::func`]; 0 for top level).
-fn regions(ops: &[Op]) -> (Vec<Region>, Vec<usize>) {
-    let mut out = Vec::with_capacity(ops.len());
-    let mut func_start = vec![0usize];
-    let mut func_stack = vec![0u32];
-    let mut next_func = 1u32;
-    let mut loop_stack: Vec<u32> = Vec::new();
-    let mut next_loop = 1u32;
-    let mut cond_stack: Vec<usize> = Vec::new();
-    for (i, op) in ops.iter().enumerate() {
-        match op {
-            Op::FuncBegin(_) => {
-                func_stack.push(next_func);
-                func_start.push(i);
-                next_func += 1;
-            }
-            Op::LoopBegin => {
-                loop_stack.push(next_loop);
-                next_loop += 1;
-            }
-            Op::CondBegin => cond_stack.push(i),
-            _ => {}
-        }
-        out.push(Region {
-            func: *func_stack.last().expect("top level"),
-            loop_depth: loop_stack.len() as u32,
-            loop_id: loop_stack.last().copied().unwrap_or(0),
-            cond_begin: cond_stack.last().copied(),
-        });
-        match op {
-            Op::FuncEnd => {
-                func_stack.pop();
-            }
-            Op::LoopEnd => {
-                loop_stack.pop();
-            }
-            Op::CondEnd => {
-                cond_stack.pop();
-            }
-            _ => {}
-        }
-    }
-    (out, func_start)
-}
-
-/// Whether the `sfence` search starting after `clwb_idx` finds a fence
-/// before the function ends (i.e., this is a *blocking* writeback).
-fn is_blocking(ops: &[Op], clwb_idx: usize) -> bool {
-    for op in &ops[clwb_idx + 1..] {
-        match op {
-            Op::Fence => return true,
-            Op::FuncEnd => return false,
-            _ => {}
-        }
-    }
-    false
-}
-
 /// One planned insertion: ops to splice in *before* index `at`.
 struct Insertion {
     at: usize,
@@ -180,7 +110,17 @@ fn run_pass(
     scan_from: impl Fn(&[usize], u32) -> usize,
 ) -> (Program, InstrumentReport) {
     let ops = &program.ops;
-    let (regs, func_start) = regions(ops);
+    let regs = regions(ops);
+    // Each function instance's `FuncBegin` index, by `Region::func` (ids
+    // count `FuncBegin`s in program order; 0 is the top level).
+    let func_start: Vec<usize> = std::iter::once(0)
+        .chain(
+            ops.iter()
+                .enumerate()
+                .filter(|(_, op)| matches!(op, Op::FuncBegin(_)))
+                .map(|(i, _)| i),
+        )
+        .collect();
     let mut report = InstrumentReport::default();
     let mut insertions: Vec<Insertion> = Vec::new();
     // Fresh pre_obj ids beyond any already present.
@@ -340,18 +280,6 @@ fn find_data_marker(
     None
 }
 
-/// Keeps an insertion inside the writeback's conditional region: if the
-/// writeback sits under a `CondBegin` and the candidate point is before it,
-/// the insertion moves to just inside the conditional (§4.5.1: "our pass
-/// conservatively inserts the pre-execution function under the same
-/// conditional statement").
-fn clamp_to_cond(regs: &[Region], clwb_idx: usize, at: usize) -> usize {
-    match regs[clwb_idx].cond_begin {
-        Some(cb) if at <= cb => cb + 1,
-        _ => at,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -442,7 +370,7 @@ mod tests {
     /// program holds: `[top-level write, function nested between a marker
     /// and its write, marker for the write's line in another function]`.
     fn shapes(p: &Program) -> [bool; 3] {
-        let (regs, _) = regions(&p.ops);
+        let regs = regions(&p.ops);
         let covers = |op: &Op, line: LineAddr| match op {
             Op::AddrGen {
                 line: first,

@@ -211,8 +211,8 @@ fn intersect(idom: &[u32], mut a: u32, mut b: u32) -> u32 {
     a
 }
 
-/// One linear scan computing each op's region context (mirrors the
-/// instrumentation pass so both layers agree about scopes).
+/// One linear scan computing each op's region context (the instrumentation
+/// pass calls this too, so both layers agree about scopes).
 pub fn regions(ops: &[Op]) -> Vec<Region> {
     let mut out = Vec::with_capacity(ops.len());
     let mut func_stack = vec![0u32];

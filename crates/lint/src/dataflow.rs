@@ -100,7 +100,8 @@ pub struct WriteKnowledge {
 }
 
 /// Whether the writeback at `clwb_idx` is *blocking*: a fence follows it
-/// before its function returns (same rule as the instrumentation pass).
+/// before its function returns (the instrumentation pass uses this rule
+/// too).
 pub fn is_blocking(ops: &[Op], clwb_idx: usize) -> bool {
     for op in &ops[clwb_idx + 1..] {
         match op {

@@ -350,7 +350,7 @@ fn candidates_for(
             if let Some((cfg, writes)) = flow {
                 if let Some(wk) = writes.iter().find(|wk| wk.clwb == d.at) {
                     if let Some(m) = wk.addr_known {
-                        let target = clamp_to_cond(cfg, d.at, m + 1);
+                        let target = clamp_to_cond(&cfg.regions, d.at, m + 1);
                         if target < r {
                             let obj = ops[r].pre_obj();
                             out.push(hoist_edit(ops, r, obj, target));

@@ -7,7 +7,7 @@
 //! that never happen, and issuing requests too close to the writeback —
 //! are all *statically detectable*. This crate makes that claim concrete:
 //!
-//! * [`cfg`] — a control-flow graph over the program IR with basic-block
+//! * [`cfg`](mod@cfg) — a control-flow graph over the program IR with basic-block
 //!   regions and dominators (do-while loop semantics: a trace's loop body
 //!   executed at least once, so it dominates post-loop code).
 //! * [`dataflow`] — reaching-definitions over the provenance markers: the

@@ -32,7 +32,7 @@ use janus_core::ir::{Op, PreObjId, Program};
 use janus_nvm::addr::LineAddr;
 use janus_nvm::line::Line;
 
-use crate::cfg::Cfg;
+use crate::cfg::{Cfg, Region};
 use crate::dataflow::{analyze_writes, Defs};
 
 /// Statistics of one placement run.
@@ -138,10 +138,10 @@ pub fn auto_place(program: &Program) -> (Program, PlaceReport) {
             report.skipped_no_addr += 1;
             continue;
         };
-        let addr_at = clamp_to_cond(&cfg, wk.clwb, addr_marker + 1);
+        let addr_at = clamp_to_cond(&cfg.regions, wk.clwb, addr_marker + 1);
         let kind = match (wk.data_known, wk.data_value) {
             (Some(j), Some(value)) => {
-                let data_at = clamp_to_cond(&cfg, wk.clwb, j + 1);
+                let data_at = clamp_to_cond(&cfg.regions, wk.clwb, j + 1);
                 let (lo, hi) = (addr_at.min(data_at), addr_at.max(data_at));
                 if ops[lo..hi].iter().all(is_marker) {
                     PlanKind::Both { at: hi, value }
@@ -173,7 +173,7 @@ pub fn auto_place(program: &Program) -> (Program, PlaceReport) {
     for mut p in plans {
         if let Some(&c) = last_consume.get(&p.line.0) {
             if p.reg_point() < c {
-                let deferred = clamp_to_cond(&cfg, p.clwb, c + 1);
+                let deferred = clamp_to_cond(&cfg.regions, p.clwb, c + 1);
                 if deferred >= p.clwb {
                     report.skipped_overlap += 1;
                     continue;
@@ -320,11 +320,14 @@ fn is_marker(op: &Op) -> bool {
     matches!(op, Op::AddrGen { .. } | Op::DataGen { .. })
 }
 
-/// Keeps an insertion inside the writeback's conditional region (§4.5.1:
-/// the pass "conservatively inserts the pre-execution function under the
-/// same conditional statement").
-pub(crate) fn clamp_to_cond(cfg: &Cfg, clwb_idx: usize, at: usize) -> usize {
-    match cfg.regions[clwb_idx].cond_begin {
+/// Keeps an insertion inside the writeback's conditional region: if the
+/// writeback at `clwb_idx` sits under a `CondBegin` and `at` is not past
+/// it, the insertion moves to just inside the conditional (§4.5.1: the
+/// pass "conservatively inserts the pre-execution function under the same
+/// conditional statement"). `regions` is [`regions`](crate::cfg::regions)'s
+/// output.
+pub fn clamp_to_cond(regions: &[Region], clwb_idx: usize, at: usize) -> usize {
+    match regions[clwb_idx].cond_begin {
         Some(cb) if at <= cb => cb + 1,
         _ => at,
     }

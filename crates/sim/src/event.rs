@@ -12,7 +12,7 @@
 //! Almost every delay in the simulator is short and bounded — BMO sub-op
 //! latencies top out at 1284 cycles, NVM array timings at ~1000, pipeline
 //! initiation intervals at 40 — so the queue is a calendar (timing-wheel)
-//! queue rather than a binary heap: a ring of [`WHEEL`] one-cycle slots
+//! queue rather than a binary heap: a ring of `WHEEL` one-cycle slots
 //! holding intrusive FIFO lists in a slab arena, with a two-level occupancy
 //! bitmap (`u64` summary over 64 `u64` words) so the next occupied slot is
 //! found with a couple of `trailing_zeros` instructions. Events scheduled

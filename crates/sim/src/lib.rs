@@ -11,9 +11,8 @@
 //!   nanoseconds).
 //! * [`event`] — a deterministic discrete-event queue ([`EventQueue`]) with
 //!   stable FIFO ordering among simultaneous events.
-//! * [`resource`] — bounded FIFO queues with drop/backpressure semantics
-//!   ([`BoundedFifo`]) and execution-unit pools ([`UnitPool`]), used to model
-//!   the Pre-execution Request/Operation Queues and the BMO units.
+//! * [`resource`] — the execution-unit pool ([`UnitPool`]) that models the
+//!   shared BMO units.
 //! * [`stats`] — counters and latency histograms used by the experiment
 //!   harness to report every figure of the paper.
 //! * [`rng`] — a small deterministic PRNG (SplitMix64 / xoshiro256**) so that
@@ -40,7 +39,7 @@ pub mod stats;
 pub mod time;
 
 pub use event::EventQueue;
-pub use resource::{BoundedFifo, UnitPool};
+pub use resource::UnitPool;
 pub use rng::SimRng;
 pub use stats::{Counter, Histogram, StatSet};
 pub use time::{Cycles, CLOCK_GHZ};

@@ -1,164 +1,14 @@
-//! Hardware resource models: bounded FIFO queues and execution-unit pools.
+//! Hardware resource model: the BMO execution-unit pool.
 //!
-//! The Janus hardware (paper §4.3.2, Figure 7a) contains three bounded
-//! structures — the Pre-execution Request Queue, the Pre-execution Operation
-//! Queue, and the Intermediate Result Buffer — plus a pool of BMO execution
-//! units ("4 units per core, shared"). [`BoundedFifo`] models the queues,
-//! including the two overflow policies the paper describes (§4.6: drop the
-//! *newest* request when the request queue is full for immediate requests, or
-//! drop the *oldest* buffered request to make space); [`UnitPool`] models the
-//! unit pool with busy-until bookkeeping.
-
-use std::collections::VecDeque;
+//! The Janus hardware (paper §4.3.2, Figure 7a) shares a pool of BMO
+//! execution units across cores ("4 units per core, shared");
+//! [`UnitPool`] models it with windowed capacity bookkeeping. The bounded
+//! pre-execution structures and their drop policies (§4.3.2, §4.6) live in
+//! `janus-core`: the request queue (`queues::RequestQueue`), the operation
+//! queue's bound in the memory controller, and the Intermediate Result
+//! Buffer (`irb`).
 
 use crate::time::Cycles;
-
-/// What a [`BoundedFifo`] does when `push` is called while full.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OverflowPolicy {
-    /// Reject the incoming element (paper: "If the buffer/queue is full, it
-    /// drops newer requests", §4.3.2).
-    DropNewest,
-    /// Evict the element at the head to make space (paper §4.6: "it discards
-    /// the buffered pre-execution requests at the top of the queue to make
-    /// space for the new requests").
-    DropOldest,
-}
-
-/// Outcome of a [`BoundedFifo::push`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PushOutcome<T> {
-    /// Element accepted; nothing was displaced.
-    Accepted,
-    /// Element rejected (policy [`OverflowPolicy::DropNewest`]); returned.
-    Rejected(T),
-    /// Element accepted; the previous head was evicted and is returned
-    /// (policy [`OverflowPolicy::DropOldest`]).
-    Evicted(T),
-}
-
-impl<T> PushOutcome<T> {
-    /// Whether the pushed element now resides in the queue.
-    pub fn is_accepted(&self) -> bool {
-        !matches!(self, PushOutcome::Rejected(_))
-    }
-}
-
-/// A fixed-capacity FIFO with an explicit overflow policy.
-///
-/// # Example
-///
-/// ```
-/// use janus_sim::resource::{BoundedFifo, OverflowPolicy, PushOutcome};
-///
-/// let mut q = BoundedFifo::new(2, OverflowPolicy::DropNewest);
-/// assert!(q.push(1).is_accepted());
-/// assert!(q.push(2).is_accepted());
-/// assert_eq!(q.push(3), PushOutcome::Rejected(3));
-/// assert_eq!(q.pop(), Some(1));
-/// ```
-#[derive(Clone, Debug)]
-pub struct BoundedFifo<T> {
-    items: VecDeque<T>,
-    capacity: usize,
-    policy: OverflowPolicy,
-    dropped: u64,
-}
-
-impl<T> BoundedFifo<T> {
-    /// Creates a queue holding at most `capacity` elements.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize, policy: OverflowPolicy) -> Self {
-        assert!(capacity > 0, "queue capacity must be non-zero");
-        BoundedFifo {
-            items: VecDeque::with_capacity(capacity),
-            capacity,
-            policy,
-            dropped: 0,
-        }
-    }
-
-    /// Attempts to enqueue `item`, applying the overflow policy when full.
-    pub fn push(&mut self, item: T) -> PushOutcome<T> {
-        if self.items.len() < self.capacity {
-            self.items.push_back(item);
-            return PushOutcome::Accepted;
-        }
-        self.dropped += 1;
-        match self.policy {
-            OverflowPolicy::DropNewest => PushOutcome::Rejected(item),
-            OverflowPolicy::DropOldest => {
-                let evicted = self.items.pop_front().expect("full queue has a head");
-                self.items.push_back(item);
-                PushOutcome::Evicted(evicted)
-            }
-        }
-    }
-
-    /// Dequeues the oldest element.
-    pub fn pop(&mut self) -> Option<T> {
-        self.items.pop_front()
-    }
-
-    /// Peeks at the oldest element.
-    pub fn front(&self) -> Option<&T> {
-        self.items.front()
-    }
-
-    /// Number of queued elements.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Whether the queue is at capacity.
-    pub fn is_full(&self) -> bool {
-        self.items.len() == self.capacity
-    }
-
-    /// Capacity supplied at construction.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// How many pushes hit a full queue (for the harness's drop statistics).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Iterates over queued elements, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.items.iter()
-    }
-
-    /// Mutable iteration, oldest first (used for request coalescing).
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.items.iter_mut()
-    }
-
-    /// Removes and returns all elements for which `pred` returns true,
-    /// preserving FIFO order of the remainder.
-    pub fn drain_filter(&mut self, mut pred: impl FnMut(&T) -> bool) -> Vec<T> {
-        let mut kept = VecDeque::with_capacity(self.items.len());
-        let mut taken = Vec::new();
-        while let Some(item) = self.items.pop_front() {
-            if pred(&item) {
-                taken.push(item);
-            } else {
-                kept.push_back(item);
-            }
-        }
-        self.items = kept;
-        taken
-    }
-}
 
 /// A pool of identical execution units modeled as a windowed capacity
 /// ledger.
@@ -362,55 +212,6 @@ impl UnitPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fifo_order_preserved() {
-        let mut q = BoundedFifo::new(4, OverflowPolicy::DropNewest);
-        for i in 0..4 {
-            assert!(q.push(i).is_accepted());
-        }
-        assert!(q.is_full());
-        assert_eq!(q.pop(), Some(0));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn drop_newest_rejects_incoming() {
-        let mut q = BoundedFifo::new(1, OverflowPolicy::DropNewest);
-        q.push("a");
-        assert_eq!(q.push("b"), PushOutcome::Rejected("b"));
-        assert_eq!(q.front(), Some(&"a"));
-        assert_eq!(q.dropped(), 1);
-    }
-
-    #[test]
-    fn drop_oldest_evicts_head() {
-        let mut q = BoundedFifo::new(2, OverflowPolicy::DropOldest);
-        q.push(1);
-        q.push(2);
-        assert_eq!(q.push(3), PushOutcome::Evicted(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
-    }
-
-    #[test]
-    fn drain_filter_partitions() {
-        let mut q = BoundedFifo::new(8, OverflowPolicy::DropNewest);
-        for i in 0..6 {
-            q.push(i);
-        }
-        let evens = q.drain_filter(|x| x % 2 == 0);
-        assert_eq!(evens, vec![0, 2, 4]);
-        let rest: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(rest, vec![1, 3, 5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be non-zero")]
-    fn zero_capacity_panics() {
-        let _ = BoundedFifo::<u8>::new(0, OverflowPolicy::DropNewest);
-    }
 
     #[test]
     fn unit_pool_serializes_beyond_capacity() {

@@ -18,11 +18,12 @@
 //!   `chrome://tracing` or [Perfetto](https://ui.perfetto.dev). The
 //!   serializer is hand-rolled ([`json`]): the workspace stays hermetic.
 //! * **Metrics pipeline** ([`metrics`], [`sampler`]) — a
-//!   [`metrics::MetricsRegistry`] turns [`janus_sim::stats::StatSet`]
-//!   counters/histograms (and any named scalar) into JSON or CSV, and a
-//!   [`sampler::MetricsSampler`] snapshots counters every N cycles into a
-//!   time-series, so per-epoch occupancy/latency curves can be plotted
-//!   instead of inferred from free-text dumps.
+//!   [`metrics::MetricsRegistry`] turns named scalars (counters, derived
+//!   ratios, labels) into an ordered JSON object, and a
+//!   [`sampler::MetricsSampler`] snapshots a [`janus_sim::stats::StatSet`]'s
+//!   counters every N cycles into a time-series that renders as Chrome
+//!   counter tracks, so per-epoch occupancy curves can be read instead of
+//!   inferred from free-text dumps.
 //!
 //! The tracer is a cheap clonable handle ([`Tracer`]): the simulator's
 //! components (memory controller, BMO engine, NVM device, write queue) each

@@ -1,16 +1,12 @@
-//! Machine-readable metrics: a named, ordered registry exportable as JSON
-//! or CSV.
+//! Machine-readable metrics: a named, ordered registry exported as JSON.
 //!
 //! The simulator's free-text report (`ExecutionReport::dump`) is for eyes;
-//! this registry is for scripts. [`MetricsRegistry::from_stat_set`] lifts a
-//! [`StatSet`]'s counters and histogram summaries into named scalars, and
-//! callers add derived values (speedups, epoch counts) with
-//! [`MetricsRegistry::set`]. Insertion order is preserved so exports diff
-//! cleanly across runs.
+//! this registry is for scripts. Callers set named scalars (counters,
+//! derived ratios, labels) with [`MetricsRegistry::set`] and its typed
+//! shorthands. Insertion order is preserved so exports diff cleanly across
+//! runs.
 
 use std::fmt;
-
-use janus_sim::stats::StatSet;
 
 use crate::json;
 
@@ -93,40 +89,6 @@ impl MetricsRegistry {
         self.entries.iter().map(|(n, v)| (n.as_str(), v))
     }
 
-    /// Imports every counter and histogram summary from a [`StatSet`],
-    /// prefixing names with `prefix` (pass `""` for none).
-    ///
-    /// Each histogram `h` contributes `h.count`, and — when it has samples —
-    /// `h.mean`, `h.min`, `h.max`, `h.p50`, `h.p99` (cycles). Empty
-    /// histograms contribute only their zero count: absent data stays
-    /// absent instead of masquerading as zero latency.
-    pub fn import_stat_set(&mut self, prefix: &str, stats: &StatSet) {
-        for (name, value) in stats.counters() {
-            self.set_u64(format!("{prefix}{name}"), value);
-        }
-        for (name, h) in stats.histograms() {
-            self.set_u64(format!("{prefix}{name}.count"), h.count());
-            if let Some(mean) = h.mean() {
-                self.set_u64(format!("{prefix}{name}.mean"), mean.0);
-                self.set_u64(format!("{prefix}{name}.min"), h.min().0);
-                self.set_u64(format!("{prefix}{name}.max"), h.max().0);
-                if let Some(p50) = h.percentile(0.5) {
-                    self.set_u64(format!("{prefix}{name}.p50"), p50.0);
-                }
-                if let Some(p99) = h.percentile(0.99) {
-                    self.set_u64(format!("{prefix}{name}.p99"), p99.0);
-                }
-            }
-        }
-    }
-
-    /// Builds a registry from a [`StatSet`] alone.
-    pub fn from_stat_set(stats: &StatSet) -> Self {
-        let mut reg = Self::new();
-        reg.import_stat_set("", stats);
-        reg
-    }
-
     /// Serializes as a single JSON object, keys in insertion order.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(self.entries.len() * 32 + 2);
@@ -146,35 +108,11 @@ impl MetricsRegistry {
         out.push('}');
         out
     }
-
-    /// Serializes as long-form CSV (`metric,value` header plus one row per
-    /// metric, insertion order).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("metric,value\n");
-        for (name, value) in &self.entries {
-            // Metric names are identifiers and values are scalars; quoting
-            // is only needed for string values that could contain commas.
-            match value {
-                MetricValue::Str(s) if s.contains(',') || s.contains('"') => {
-                    out.push_str(name);
-                    out.push(',');
-                    out.push('"');
-                    out.push_str(&s.replace('"', "\"\""));
-                    out.push_str("\"\n");
-                }
-                _ => {
-                    out.push_str(&format!("{name},{value}\n"));
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use janus_sim::time::Cycles;
 
     #[test]
     fn set_preserves_order_and_replaces() {
@@ -189,31 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn imports_stat_set_with_histogram_summaries() {
-        let mut s = StatSet::new();
-        s.counter("writes").add(7);
-        s.histogram("lat").record(Cycles(10));
-        s.histogram("lat").record(Cycles(30));
-        let m = MetricsRegistry::from_stat_set(&s);
-        assert_eq!(m.get("writes"), Some(&MetricValue::U64(7)));
-        assert_eq!(m.get("lat.count"), Some(&MetricValue::U64(2)));
-        assert_eq!(m.get("lat.mean"), Some(&MetricValue::U64(20)));
-        assert_eq!(m.get("lat.min"), Some(&MetricValue::U64(10)));
-        assert_eq!(m.get("lat.max"), Some(&MetricValue::U64(30)));
-        assert!(m.get("lat.p99").is_some());
-    }
-
-    #[test]
-    fn empty_histograms_export_count_only() {
-        let mut s = StatSet::new();
-        s.histogram("never"); // created but no samples
-        let m = MetricsRegistry::from_stat_set(&s);
-        assert_eq!(m.get("never.count"), Some(&MetricValue::U64(0)));
-        assert_eq!(m.get("never.mean"), None, "no fabricated zero mean");
-        assert_eq!(m.get("never.p50"), None);
-    }
-
-    #[test]
     fn json_export_parses_and_keeps_order() {
         let mut m = MetricsRegistry::new();
         m.set_str("workload", "tpcc");
@@ -225,17 +138,5 @@ mod tests {
         assert_eq!(v.get("writes").unwrap().as_f64(), Some(10.0));
         assert_eq!(v.get("speedup").unwrap().as_f64(), Some(2.05));
         assert!(text.find("workload").unwrap() < text.find("speedup").unwrap());
-    }
-
-    #[test]
-    fn csv_export_quotes_when_needed() {
-        let mut m = MetricsRegistry::new();
-        m.set_u64("n", 3);
-        m.set_str("label", "a,b\"c");
-        let csv = m.to_csv();
-        let lines: Vec<_> = csv.lines().collect();
-        assert_eq!(lines[0], "metric,value");
-        assert_eq!(lines[1], "n,3");
-        assert_eq!(lines[2], "label,\"a,b\"\"c\"");
     }
 }

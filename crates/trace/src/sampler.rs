@@ -4,15 +4,13 @@
 //! the ADR queue in the first 10 µs looks identical to steady load. The
 //! [`MetricsSampler`] snapshots every counter in a [`StatSet`] whenever
 //! simulated time crosses the next sampling epoch, producing a time-series
-//! exportable as JSON or wide-form CSV.
-
-use std::collections::BTreeSet;
+//! that [`MetricsSampler::counter_events_of`] turns into Chrome counter
+//! tracks.
 
 use janus_sim::stats::StatSet;
 use janus_sim::time::Cycles;
 
 use crate::event::{Category, EventKind, TraceEvent};
-use crate::json;
 
 /// One snapshot: the cycle it was taken at plus every counter's value.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -82,39 +80,13 @@ impl MetricsSampler {
         &self.samples
     }
 
-    /// Serializes as a JSON array of `{"cycle": …, "<counter>": …}` objects.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, s) in self.samples.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"cycle\":");
-            out.push_str(&format!("{}", s.cycle.0));
-            for (name, value) in &s.counters {
-                out.push(',');
-                json::write_str(&mut out, name);
-                out.push(':');
-                out.push_str(&format!("{value}"));
-            }
-            out.push('}');
-        }
-        out.push(']');
-        out
-    }
-
-    /// Converts the time-series into Chrome trace `Counter` events so
+    /// Converts a sampled time-series (as returned by e.g.
+    /// `System::samples`) into Chrome trace `Counter` events so
     /// occupancy/utilization curves render in Perfetto as counter tracks
     /// alongside spans. One event per (sample, counter), in sample order
     /// then counter-name order — fully deterministic. Counter names are
     /// interned `&'static str`s straight from the [`StatSet`], so this
     /// allocates only the returned vector.
-    pub fn to_counter_events(&self) -> Vec<TraceEvent> {
-        Self::counter_events_of(&self.samples)
-    }
-
-    /// [`MetricsSampler::to_counter_events`] over a detached sample slice
-    /// (as returned by e.g. `System::samples`).
     pub fn counter_events_of(samples: &[Sample]) -> Vec<TraceEvent> {
         let mut out = Vec::with_capacity(samples.iter().map(|s| s.counters.len()).sum::<usize>());
         for s in samples {
@@ -133,41 +105,12 @@ impl MetricsSampler {
         }
         out
     }
-
-    /// Serializes as wide-form CSV: a `cycle` column plus one column per
-    /// counter name seen in any sample (union, name order); counters absent
-    /// from an early sample (not yet lazily created) read as 0.
-    pub fn to_csv(&self) -> String {
-        let columns: BTreeSet<&'static str> = self
-            .samples
-            .iter()
-            .flat_map(|s| s.counters.iter().map(|(n, _)| *n))
-            .collect();
-        let mut out = String::from("cycle");
-        for c in &columns {
-            out.push(',');
-            out.push_str(c);
-        }
-        out.push('\n');
-        for s in &self.samples {
-            out.push_str(&format!("{}", s.cycle.0));
-            for c in &columns {
-                let v = s
-                    .counters
-                    .iter()
-                    .find(|(n, _)| n == c)
-                    .map_or(0, |(_, v)| *v);
-                out.push_str(&format!(",{v}"));
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
 
     #[test]
     fn samples_on_epoch_crossings_only() {
@@ -201,26 +144,6 @@ mod tests {
     }
 
     #[test]
-    fn json_and_csv_exports() {
-        let mut s = StatSet::new();
-        let mut sampler = MetricsSampler::new(Cycles(10));
-        s.counter("reads").add(1);
-        sampler.maybe_sample(Cycles(10), &s);
-        s.counter("writes").add(3);
-        sampler.maybe_sample(Cycles(20), &s);
-        let doc = json::parse(&sampler.to_json()).unwrap();
-        let arr = doc.as_array().unwrap();
-        assert_eq!(arr.len(), 2);
-        assert_eq!(arr[0].get("cycle").unwrap().as_f64(), Some(10.0));
-        assert_eq!(arr[1].get("writes").unwrap().as_f64(), Some(3.0));
-        let csv = sampler.to_csv();
-        let lines: Vec<_> = csv.lines().collect();
-        assert_eq!(lines[0], "cycle,reads,writes");
-        assert_eq!(lines[1], "10,1,0", "missing counter reads as 0");
-        assert_eq!(lines[2], "20,1,3");
-    }
-
-    #[test]
     fn counter_events_cover_every_sample_in_order() {
         let mut s = StatSet::new();
         let mut sampler = MetricsSampler::new(Cycles(10));
@@ -228,7 +151,7 @@ mod tests {
         sampler.maybe_sample(Cycles(10), &s);
         s.counter("writes").add(3);
         sampler.maybe_sample(Cycles(20), &s);
-        let evs = sampler.to_counter_events();
+        let evs = MetricsSampler::counter_events_of(sampler.samples());
         assert_eq!(evs.len(), 3, "1 counter at t=10 + 2 at t=20");
         assert!(evs.iter().all(|e| e.kind == EventKind::Counter));
         assert_eq!(

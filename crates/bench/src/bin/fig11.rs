@@ -4,7 +4,9 @@
 //! serialized baseline; "the automated solution does not provide a
 //! significant performance benefit in RB-Tree and Queue" (loops and
 //! pointers); "on average, the automated solution is only 13.3% slower than
-//! our best-effort manual instrumentation".
+//! our best-effort manual instrumentation". The third column is
+//! `janus_lint::auto_place`, placement beyond the paper's pass (§6 future
+//! work); the coverage column is the paper pass's.
 
 use janus_bench::{arg_usize, banner, geomean, row, run_all, speedup, RunSpec, Variant};
 use janus_instrument::instrument;
@@ -14,7 +16,7 @@ const VARIANTS: [Variant; 4] = [
     Variant::Serialized,
     Variant::JanusManual,
     Variant::JanusAuto,
-    Variant::JanusAutoPgo,
+    Variant::JanusAutoPlace,
 ];
 
 fn main() {
@@ -32,7 +34,7 @@ fn main() {
                 "workload".into(),
                 "manual".into(),
                 "auto".into(),
-                "auto-PGO".into(),
+                "auto-place".into(),
                 "pass coverage".into()
             ],
             &widths
@@ -50,25 +52,25 @@ fn main() {
 
     let mut manual_all = Vec::new();
     let mut auto_all = Vec::new();
-    let mut pgo_all = Vec::new();
+    let mut place_all = Vec::new();
     for w in Workload::all() {
         let serialized = results.next().expect("one result per spec");
         let manual = speedup(&serialized, &results.next().expect("one result per spec"));
         let auto = speedup(&serialized, &results.next().expect("one result per spec"));
-        let pgo = speedup(&serialized, &results.next().expect("one result per spec"));
-        // Instrumentation coverage report from the pass itself.
+        let place = speedup(&serialized, &results.next().expect("one result per spec"));
+        // The paper pass's coverage of the program the auto column ran.
         let plain = generate(
             w,
             0,
             &WorkloadConfig {
-                transactions: 5,
+                transactions: tx,
                 ..WorkloadConfig::default()
             },
         );
         let (_, rep) = instrument(&plain.program);
         manual_all.push(manual);
         auto_all.push(auto);
-        pgo_all.push(pgo);
+        place_all.push(place);
         println!(
             "{}",
             row(
@@ -76,7 +78,7 @@ fn main() {
                     w.name().into(),
                     format!("{manual:.2}x"),
                     format!("{auto:.2}x"),
-                    format!("{pgo:.2}x"),
+                    format!("{place:.2}x"),
                     format!("{:.0}%", rep.coverage() * 100.0),
                 ],
                 &widths
@@ -86,7 +88,7 @@ fn main() {
     println!("{}", "-".repeat(66));
     let m = geomean(&manual_all);
     let a = geomean(&auto_all);
-    let p = geomean(&pgo_all);
+    let p = geomean(&place_all);
     println!(
         "{}",
         row(
@@ -102,7 +104,7 @@ fn main() {
     );
     println!("\npaper: manual 2.35x, auto 2.00x, gap 13.3%; RB-Tree and Queue see");
     println!("       little automated benefit (loops and pointers, §4.5.2).");
-    println!("auto-PGO is our implementation of the paper's §6 future work: profile-");
-    println!("guided placement recovers the loop/pointer workloads the static pass");
-    println!("cannot handle.");
+    println!("auto-place goes beyond the paper's pass (§6 future work): janus-lint's");
+    println!("dominance-based placement recovers the loop/pointer workloads the");
+    println!("static pass cannot handle.");
 }

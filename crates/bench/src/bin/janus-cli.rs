@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Flags: `--workload <array|queue|hash|rbtree|btree|tatp|tpcc>`,
-//! `--variant <serialized|parallelized|janus|auto|pgo|place|fixed|ideal>`
+//! `--variant <serialized|parallelized|janus|auto|place|fixed|ideal>`
 //! (any name [`Variant`]'s `FromStr` accepts; a comma-separated list sweeps
 //! several variants in one invocation; `fixed` = manual instrumentation
 //! with a seeded §6 misuse repaired by the `janus-lint --fix` engine),

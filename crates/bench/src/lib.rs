@@ -36,8 +36,6 @@ pub enum Variant {
     JanusManual,
     /// Janus with the automated compiler pass.
     JanusAuto,
-    /// Janus with the profile-guided pass (the §6 future-work extension).
-    JanusAutoPgo,
     /// Janus with `janus-lint`'s dominance-based placement pass
     /// ([`janus_lint::auto_place`]).
     JanusAutoPlace,
@@ -58,7 +56,6 @@ impl Variant {
             Variant::Parallelized => SystemMode::Parallelized,
             Variant::JanusManual
             | Variant::JanusAuto
-            | Variant::JanusAutoPgo
             | Variant::JanusAutoPlace
             | Variant::JanusFixed => SystemMode::Janus,
             Variant::Ideal => SystemMode::Ideal,
@@ -72,7 +69,6 @@ impl Variant {
             Variant::Parallelized => "Parallelization",
             Variant::JanusManual => "Janus (Manual)",
             Variant::JanusAuto => "Janus (Auto)",
-            Variant::JanusAutoPgo => "Janus (PGO)",
             Variant::JanusAutoPlace => "Janus (AutoPlace)",
             Variant::JanusFixed => "Janus (Fixed)",
             Variant::Ideal => "Non-blocking",
@@ -81,7 +77,7 @@ impl Variant {
 
     /// Every name a bench binary accepts for a variant (`--variant`,
     /// `--variants`).
-    const NAMES: [(&'static str, Variant); 16] = [
+    const NAMES: [(&'static str, Variant); 13] = [
         ("serialized", Variant::Serialized),
         ("parallelized", Variant::Parallelized),
         ("janus", Variant::JanusManual),
@@ -90,9 +86,6 @@ impl Variant {
         ("auto", Variant::JanusAuto),
         ("compiler", Variant::JanusAuto),
         ("janus-auto", Variant::JanusAuto),
-        ("pgo", Variant::JanusAutoPgo),
-        ("profile", Variant::JanusAutoPgo),
-        ("janus-pgo", Variant::JanusAutoPgo),
         ("place", Variant::JanusAutoPlace),
         ("autoplace", Variant::JanusAutoPlace),
         ("janus-autoplace", Variant::JanusAutoPlace),
@@ -276,7 +269,6 @@ impl RunSpec {
         let out = generate(self.workload, core, &cfg);
         let program = match self.variant {
             Variant::JanusAuto => instrument(&out.program).0,
-            Variant::JanusAutoPgo => janus_instrument::dynamic::instrument_dynamic(&out.program).0,
             Variant::JanusAutoPlace => janus_lint::auto_place(&out.program).0,
             Variant::JanusFixed => {
                 // Start from the hand instrumentation, seed the canonical
@@ -624,7 +616,8 @@ mod tests {
     #[test]
     fn variant_names_select_the_same_variants_as_before() {
         // The union of janus-cli's, janus-sweep's and janus-prof's old
-        // tables, each name with the variant it selected there.
+        // tables, each name with the variant it selected there, less the
+        // three names of the deleted profile-guided pass.
         let expected = [
             ("serialized", Variant::Serialized),
             ("parallelized", Variant::Parallelized),
@@ -634,9 +627,6 @@ mod tests {
             ("auto", Variant::JanusAuto),
             ("compiler", Variant::JanusAuto),
             ("janus-auto", Variant::JanusAuto),
-            ("pgo", Variant::JanusAutoPgo),
-            ("profile", Variant::JanusAutoPgo),
-            ("janus-pgo", Variant::JanusAutoPgo),
             ("place", Variant::JanusAutoPlace),
             ("autoplace", Variant::JanusAutoPlace),
             ("janus-autoplace", Variant::JanusAutoPlace),
@@ -646,8 +636,8 @@ mod tests {
         for (name, variant) in expected {
             assert_eq!(name.parse::<Variant>(), Ok(variant), "{name}");
         }
-        assert_eq!(Variant::NAMES.len(), expected.len(), "no new names");
-        for bogus in ["", "Janus", "janus-fixed", "non-blocking", " janus"] {
+        assert_eq!(Variant::NAMES.len(), 13, "no new names");
+        for bogus in ["", "Janus", "janus-fixed", "non-blocking", " janus", "pgo"] {
             let err = bogus.parse::<Variant>().unwrap_err();
             assert!(err.starts_with("unknown variant"), "{bogus:?}: {err}");
         }

@@ -148,6 +148,7 @@ fn malformed_values_exit_2_before_any_work() {
     // A path under a regular file can never be created.
     let unwritable = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/out");
     let cli = env!("CARGO_BIN_EXE_janus-cli");
+    let sweep = env!("CARGO_BIN_EXE_janus-sweep");
     let prof = env!("CARGO_BIN_EXE_janus-prof");
     let lint = env!("CARGO_BIN_EXE_janus-lint");
     for (bin, args) in [
@@ -169,6 +170,10 @@ fn malformed_values_exit_2_before_any_work() {
         (lint, &["--tenants", "abc"][..]),
         (lint, &["--irb-policy", "bogus"][..]),
         (lint, &["--instr", "bogus"][..]),
+        // The deleted profile-guided pass's names.
+        (cli, &["--variant", "pgo"][..]),
+        (sweep, &["--variants", "janus-pgo"][..]),
+        (prof, &["--variant", "profile"][..]),
     ] {
         let out = Command::new(bin)
             .args(args)
@@ -198,7 +203,7 @@ fn every_driver_takes_every_variant_name() {
         ),
         (
             env!("CARGO_BIN_EXE_janus-prof"),
-            &["--variant", "pgo", "--tx", "2"][..],
+            &["--variant", "place", "--tx", "2"][..],
         ),
     ] {
         let out = Command::new(bin)

@@ -13,6 +13,8 @@
 //! function/loop/conditional region structure the pass's placement rules
 //! depend on (§4.5).
 
+use std::collections::BTreeSet;
+
 use janus_nvm::addr::LineAddr;
 use janus_nvm::line::Line;
 
@@ -213,6 +215,39 @@ impl Program {
         Program {
             ops: self.ops.iter().filter(|o| !o.is_pre()).cloned().collect(),
         }
+    }
+
+    /// The first `pre_obj` id above every id an op of this program uses:
+    /// a rewrite numbering its objects from here never collides with an
+    /// existing one.
+    pub fn next_pre_obj(&self) -> u32 {
+        self.ops
+            .iter()
+            .filter_map(|o| o.pre_obj().map(|PreObjId(n)| n + 1))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// The program rewritten: each `(at, ops)` of `insert` lands before
+    /// the op at index `at` (`at == len` appends), and the ops at the
+    /// indices in `remove` are left out. Inserts at one index keep their
+    /// given order and precede the op there, even when that op is removed.
+    pub fn splice(&self, mut insert: Vec<(usize, Vec<Op>)>, remove: &BTreeSet<usize>) -> Program {
+        insert.sort_by_key(|(at, _)| *at);
+        let kept = self.ops.len() - remove.range(..self.ops.len()).count();
+        let inserted: usize = insert.iter().map(|(_, ops)| ops.len()).sum();
+        let mut out = Vec::with_capacity(kept + inserted);
+        let mut pending = insert.into_iter().peekable();
+        for (i, op) in self.ops.iter().enumerate() {
+            while let Some((_, ops)) = pending.next_if(|(at, _)| *at == i) {
+                out.extend(ops);
+            }
+            if !remove.contains(&i) {
+                out.push(op.clone());
+            }
+        }
+        out.extend(pending.flat_map(|(_, ops)| ops));
+        Program { ops: out }
     }
 }
 
@@ -500,6 +535,58 @@ mod tests {
         assert_eq!(*p.ops.last().unwrap(), Op::FuncEnd);
         assert!(p.ops.contains(&Op::LoopBegin));
         assert!(p.ops.contains(&Op::CondEnd));
+    }
+
+    fn computes(cycles: &[u32]) -> Program {
+        Program {
+            ops: cycles.iter().map(|&c| Op::Compute(c)).collect(),
+        }
+    }
+
+    #[test]
+    fn splice_keeps_the_given_order_of_inserts_at_one_index() {
+        let p = computes(&[0, 1]);
+        let out = p.splice(
+            vec![
+                (1, vec![Op::Compute(10)]),
+                (0, vec![Op::Compute(20)]),
+                (1, vec![Op::Compute(11), Op::Compute(12)]),
+            ],
+            &BTreeSet::new(),
+        );
+        assert_eq!(out, computes(&[20, 0, 10, 11, 12, 1]));
+    }
+
+    #[test]
+    fn splice_at_len_appends() {
+        let p = computes(&[0, 1]);
+        let out = p.splice(vec![(2, vec![Op::Fence])], &BTreeSet::new());
+        assert_eq!(out.ops.last(), Some(&Op::Fence));
+        assert_eq!(out.len(), 3);
+        assert_eq!(
+            Program::default().splice(vec![(0, vec![Op::Fence])], &BTreeSet::new()),
+            Program {
+                ops: vec![Op::Fence]
+            }
+        );
+    }
+
+    #[test]
+    fn splice_emits_inserts_before_removing_the_op_at_their_index() {
+        let p = computes(&[0, 1, 2]);
+        let out = p.splice(vec![(1, vec![Op::Compute(10)])], &BTreeSet::from([1, 2]));
+        assert_eq!(out, computes(&[0, 10]));
+        assert_eq!(out.ops.capacity(), out.len(), "sized exactly");
+    }
+
+    #[test]
+    fn next_pre_obj_counts_every_interface_op() {
+        assert_eq!(Program::default().next_pre_obj(), 0);
+        let mut b = ProgramBuilder::new();
+        b.pre_init(); // PreObjId(0)
+        b.pre_addr(PreObjId(5), LineAddr(1), 1); // no PreInit for 5
+        b.pre_start_buf(PreObjId(3));
+        assert_eq!(b.build().next_pre_obj(), 6);
     }
 
     #[test]

@@ -45,8 +45,9 @@
 //! assert!(instrumented.ops.iter().any(|o| matches!(o, Op::PreData { .. })));
 //! ```
 
-pub mod dynamic;
 pub mod misuse;
+
+use std::collections::BTreeSet;
 
 use janus_core::ir::{Op, PreObjId, Program};
 use janus_lint::cfg::{regions, Region};
@@ -83,12 +84,6 @@ impl InstrumentReport {
     }
 }
 
-/// One planned insertion: ops to splice in *before* index `at`.
-struct Insertion {
-    at: usize,
-    ops: Vec<Op>,
-}
-
 /// Runs the pass: returns the instrumented program and a report.
 ///
 /// Any pre-execution ops already present are preserved (the pass is
@@ -122,16 +117,9 @@ fn run_pass(
         )
         .collect();
     let mut report = InstrumentReport::default();
-    let mut insertions: Vec<Insertion> = Vec::new();
-    // Fresh pre_obj ids beyond any already present.
-    let mut next_obj: u32 = ops
-        .iter()
-        .filter_map(|o| match o {
-            Op::PreInit(PreObjId(n)) => Some(n + 1),
-            _ => None,
-        })
-        .max()
-        .unwrap_or(0);
+    // Ops to splice in before each index.
+    let mut insertions: Vec<(usize, Vec<Op>)> = Vec::new();
+    let mut next_obj = program.next_pre_obj();
 
     for (i, op) in ops.iter().enumerate() {
         let Op::Clwb(line) = op else { continue };
@@ -184,32 +172,14 @@ fn run_pass(
             first_insert_at = first_insert_at.min(at);
         }
         // PRE_INIT goes just before the earliest injected call.
-        insertions.push(Insertion {
-            at: first_insert_at,
-            ops: vec![Op::PreInit(obj)],
-        });
+        insertions.push((first_insert_at, vec![Op::PreInit(obj)]));
         for (at, op) in planned {
-            insertions.push(Insertion { at, ops: vec![op] });
+            insertions.push((at, vec![op]));
         }
         report.instrumented_writes += 1;
     }
 
-    // Splice insertions (stable by target index, preserving plan order for
-    // equal indices).
-    insertions.sort_by_key(|ins| ins.at);
-    let mut out = Vec::with_capacity(ops.len() + insertions.len());
-    let mut ins_iter = insertions.into_iter().peekable();
-    for (i, op) in ops.iter().enumerate() {
-        while ins_iter.peek().is_some_and(|ins| ins.at == i) {
-            out.extend(ins_iter.next().expect("peeked").ops);
-        }
-        out.push(op.clone());
-    }
-    for ins in ins_iter {
-        out.extend(ins.ops);
-    }
-
-    (Program { ops: out }, report)
+    (program.splice(insertions, &BTreeSet::new()), report)
 }
 
 /// Finds the usable `AddrGen` marker for the writeback at `clwb_idx`:

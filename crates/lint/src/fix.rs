@@ -46,7 +46,7 @@
 //! `janus-lint` bin does) differentially check the rewritten program
 //! against `janus-instrument`'s `trace_oracle` for semantic preservation.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use janus_core::ir::{Op, PreObjId, Program};
 use janus_nvm::addr::LineAddr;
@@ -140,9 +140,9 @@ impl FixOutcome {
     }
 }
 
-/// One candidate rewrite: ops to remove and ops to splice in (insertions
-/// land *before* the given index; an index equal to the program length
-/// appends).
+/// One candidate rewrite: ops to remove and ops to splice in, applied by
+/// [`Program::splice`] (insertions land *before* the given index; an index
+/// equal to the program length appends).
 #[derive(Clone, Debug)]
 struct Edit {
     kind: FixKind,
@@ -170,27 +170,6 @@ fn strictly_reduces(base: &LintReport, trial: &LintReport) -> bool {
         && PROGRAM_CODES
             .iter()
             .all(|&c| trial.count(c) <= base.count(c))
-}
-
-/// Applies an edit, producing the rewritten program.
-fn apply_edit(ops: &[Op], edit: &Edit) -> Program {
-    let mut inserts: BTreeMap<usize, Vec<Op>> = BTreeMap::new();
-    for (at, new_ops) in &edit.insert {
-        inserts
-            .entry(*at)
-            .or_default()
-            .extend(new_ops.iter().cloned());
-    }
-    let mut out = Vec::with_capacity(ops.len() + edit.insert.len() * 2);
-    for i in 0..=ops.len() {
-        if let Some(new_ops) = inserts.get(&i) {
-            out.extend(new_ops.iter().cloned());
-        }
-        if i < ops.len() && !edit.remove.contains(&i) {
-            out.push(ops[i].clone());
-        }
-    }
-    Program { ops: out }
 }
 
 /// Indices of every op operating on `obj`, in program order.
@@ -445,7 +424,7 @@ pub fn fix_program(program: &Program, opts: &LintOptions) -> FixOutcome {
         let mut accepted = false;
         'diags: for d in &report.diagnostics {
             for edit in candidates_for(d, &current.ops, flow.as_ref()) {
-                let trial = apply_edit(&current.ops, &edit);
+                let trial = current.splice(edit.insert, &edit.remove);
                 let trial_report = lint_program(&trial, opts);
                 if strictly_reduces(&report, &trial_report) {
                     applied.push(AppliedFix {
@@ -489,7 +468,7 @@ pub fn fix_program(program: &Program, opts: &LintOptions) -> FixOutcome {
                 current.pre_op_count()
             ),
         };
-        let trial = apply_edit(&current.ops, &strip);
+        let trial = current.splice(strip.insert, &strip.remove);
         let trial_report = lint_program(&trial, opts);
         if strictly_reduces(&report, &trial_report) {
             applied.push(AppliedFix {

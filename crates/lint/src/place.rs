@@ -6,7 +6,7 @@
 //! dataflow proves the write's address (and, when available, data) is
 //! known on *every* path to the writeback — which covers writebacks
 //! inside loops and markers in preceding do-while loop bodies, the two
-//! cases the paper's static pass leaves to profile-guided placement.
+//! cases the paper's static pass leaves to future work (§6).
 //!
 //! Placement rules:
 //!
@@ -23,10 +23,12 @@
 //!   into one buffered group (`PRE_BOTH_BUF`… `PRE_START_BUF`) under a
 //!   single `pre_obj`.
 //! * A request that would be issued while an earlier request for the same
-//!   line is still outstanding is dropped (the IRB keys results by line;
-//!   the overlap would shadow the earlier hint and waste both).
+//!   line is still outstanding is deferred to just after that request's
+//!   writeback (the IRB keys results by line; the overlap would shadow
+//!   the earlier hint and waste both). It is dropped only when no room is
+//!   left: the deferred point does not precede its own writeback.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use janus_core::ir::{Op, PreObjId, Program};
 use janus_nvm::addr::LineAddr;
@@ -113,12 +115,6 @@ impl Plan {
     }
 }
 
-/// Ops to splice in *before* index `at` (same idiom as `janus-instrument`).
-struct Insertion {
-    at: usize,
-    ops: Vec<Op>,
-}
-
 /// Runs the placement pass: returns the instrumented program and a report.
 pub fn auto_place(program: &Program) -> (Program, PlaceReport) {
     let ops = &program.ops;
@@ -193,18 +189,15 @@ pub fn auto_place(program: &Program) -> (Program, PlaceReport) {
 
     // Phase 3: collapse `PRE_BOTH` plans sharing one insertion point into
     // buffered groups; emit everything else individually.
-    let mut next_obj: u32 = ops
-        .iter()
-        .filter_map(|o| o.pre_obj().map(|PreObjId(n)| n + 1))
-        .max()
-        .unwrap_or(0);
+    let mut next_obj = program.next_pre_obj();
     let mut groups: BTreeMap<usize, Vec<Plan>> = BTreeMap::new();
     for p in &plans {
         if let Some(at) = p.both_at() {
             groups.entry(at).or_default().push(*p);
         }
     }
-    let mut insertions: Vec<Insertion> = Vec::new();
+    // Ops to splice in before each index.
+    let mut insertions: Vec<(usize, Vec<Op>)> = Vec::new();
     for (&at, members) in &groups {
         if members.len() < 2 {
             continue; // singletons are emitted as plain PRE_BOTH below
@@ -223,7 +216,7 @@ pub fn auto_place(program: &Program) -> (Program, PlaceReport) {
             });
         }
         group_ops.push(Op::PreStartBuf(obj));
-        insertions.push(Insertion { at, ops: group_ops });
+        insertions.push((at, group_ops));
         report.buffered_groups += 1;
         for p in members {
             report.placed_writes += 1;
@@ -238,9 +231,9 @@ pub fn auto_place(program: &Program) -> (Program, PlaceReport) {
         next_obj += 1;
         match p.kind {
             PlanKind::Both { at, value } => {
-                insertions.push(Insertion {
+                insertions.push((
                     at,
-                    ops: vec![
+                    vec![
                         Op::PreInit(obj),
                         Op::PreBoth {
                             obj,
@@ -248,7 +241,7 @@ pub fn auto_place(program: &Program) -> (Program, PlaceReport) {
                             values: vec![value],
                         },
                     ],
-                });
+                ));
                 report.pre_both_inserted += 1;
             }
             PlanKind::Split {
@@ -256,32 +249,29 @@ pub fn auto_place(program: &Program) -> (Program, PlaceReport) {
                 data_at,
                 value,
             } => {
-                insertions.push(Insertion {
-                    at: addr_at.min(data_at),
-                    ops: vec![Op::PreInit(obj)],
-                });
-                insertions.push(Insertion {
-                    at: data_at,
-                    ops: vec![Op::PreData {
+                insertions.push((addr_at.min(data_at), vec![Op::PreInit(obj)]));
+                insertions.push((
+                    data_at,
+                    vec![Op::PreData {
                         obj,
                         values: vec![value],
                     }],
-                });
-                insertions.push(Insertion {
-                    at: addr_at,
-                    ops: vec![Op::PreAddr {
+                ));
+                insertions.push((
+                    addr_at,
+                    vec![Op::PreAddr {
                         obj,
                         line: p.line,
                         nlines: 1,
                     }],
-                });
+                ));
                 report.pre_addr_inserted += 1;
                 report.pre_data_inserted += 1;
             }
             PlanKind::AddrOnly { addr_at } => {
-                insertions.push(Insertion {
-                    at: addr_at,
-                    ops: vec![
+                insertions.push((
+                    addr_at,
+                    vec![
                         Op::PreInit(obj),
                         Op::PreAddr {
                             obj,
@@ -289,7 +279,7 @@ pub fn auto_place(program: &Program) -> (Program, PlaceReport) {
                             nlines: 1,
                         },
                     ],
-                });
+                ));
                 report.pre_addr_inserted += 1;
             }
         }
@@ -297,21 +287,7 @@ pub fn auto_place(program: &Program) -> (Program, PlaceReport) {
         report.placed_in_loops += p.in_loop as u64;
     }
 
-    // Phase 4: splice (stable by target index, preserving plan order).
-    insertions.sort_by_key(|ins| ins.at);
-    let mut out = Vec::with_capacity(ops.len() + insertions.len() * 2);
-    let mut ins_iter = insertions.into_iter().peekable();
-    for (i, op) in ops.iter().enumerate() {
-        while ins_iter.peek().is_some_and(|ins| ins.at == i) {
-            out.extend(ins_iter.next().expect("peeked").ops);
-        }
-        out.push(op.clone());
-    }
-    for ins in ins_iter {
-        out.extend(ins.ops);
-    }
-
-    (Program { ops: out }, report)
+    (program.splice(insertions, &BTreeSet::new()), report)
 }
 
 /// Zero-cost provenance markers: collapsing a request across them loses no

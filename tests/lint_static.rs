@@ -321,7 +321,8 @@ fn fixed_seeded_misuse_recovers_manual_speedup() {
 
 /// The acceptance bar for the placement pass: on the Figure 9 workloads,
 /// `auto_place`'s speedup over the serialized baseline must be at least
-/// 95% of the hand instrumentation's.
+/// 95% of the hand instrumentation's, and it must never take more cycles
+/// than the paper's pass it succeeds.
 #[test]
 fn auto_place_recovers_manual_speedup() {
     const TX: usize = 40;
@@ -339,11 +340,16 @@ fn auto_place_recovers_manual_speedup() {
         let serialized = run_cycles(bare.program.clone(), &bare);
         let manual_cycles = run_cycles(manual.program.clone(), &manual);
         let placed_cycles = run_cycles(auto_place(&bare.program).0, &bare);
+        let paper_cycles = run_cycles(instrument(&bare.program).0, &bare);
         let manual_speedup = serialized / manual_cycles;
         let placed_speedup = serialized / placed_cycles;
         assert!(
             placed_speedup >= 0.95 * manual_speedup,
             "{w}: auto_place speedup {placed_speedup:.2}x < 95% of manual {manual_speedup:.2}x"
+        );
+        assert!(
+            placed_cycles <= paper_cycles,
+            "{w}: auto_place {placed_cycles} cycles > the paper pass's {paper_cycles}"
         );
     }
 }

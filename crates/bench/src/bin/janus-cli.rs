@@ -26,6 +26,7 @@
 use janus_bench::cli::{self, flag, list_with, parse_with};
 use janus_bench::{run_all, RunSpec, Variant};
 use janus_bmo::BmoStack;
+use janus_core::config::JanusConfig;
 use janus_workloads::Workload;
 
 /// `--skew`: a Zipf θ in [0, 1).
@@ -36,12 +37,17 @@ fn skew(v: &str) -> Result<f64, &'static str> {
         .ok_or("requires a number in [0, 1)")
 }
 
-/// `--scale`: a resource multiplier of at least one, or `unlimited`.
-fn scale(v: &str) -> Result<usize, &'static str> {
-    match v {
-        "unlimited" => Ok(usize::MAX),
-        _ => cli::positive(v).map_err(|_| "requires a positive integer or `unlimited`"),
+/// `--scale`: `unlimited`, or a resource multiplier of at least one whose
+/// scaled resource counts fit `base`.
+fn scale(v: &str, base: &JanusConfig) -> Result<usize, &'static str> {
+    if v == "unlimited" {
+        return Ok(usize::MAX);
     }
+    let k = cli::positive(v).map_err(|_| "requires a positive integer or `unlimited`")?;
+    base.clone()
+        .scale_resources(k)
+        .map(|_| k)
+        .ok_or("overflows the simulated resource counts")
 }
 
 fn main() {
@@ -74,7 +80,8 @@ fn main() {
     spec.key_skew = parse_with("--skew", skew);
     spec.aux_tx_fraction = parse_with("--aux", cli::fraction).unwrap_or(spec.aux_tx_fraction);
     spec.crc32 = flag("--crc32");
-    spec.resource_scale = parse_with("--scale", scale);
+    let base = spec.config();
+    spec.resource_scale = parse_with("--scale", |v| scale(v, &base));
     spec.bmo_stack = parse_with("--bmos", BmoStack::parse).map(|s| s.members().to_vec());
     let profile_path = parse_with("--profile", |v| match v {
         "-" => Ok(v.to_string()),

@@ -212,7 +212,11 @@ impl RunSpec {
         match self.resource_scale {
             None => {}
             Some(usize::MAX) => c = c.unlimited(),
-            Some(k) => c = c.scale_resources(k),
+            Some(k) => {
+                c = c
+                    .scale_resources(k)
+                    .expect("resource scale overflows the configuration")
+            }
         }
         if let Some(stack) = &self.bmo_stack {
             c.bmo_stack = stack.clone();

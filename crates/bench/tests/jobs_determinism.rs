@@ -161,6 +161,9 @@ fn malformed_values_exit_2_before_any_work() {
         (cli, &["--skew", "-1"][..]),
         (cli, &["--skew", "1"][..]),
         (cli, &["--scale", "0"][..]),
+        // 4 units per core wrap to 0; the units' window capacity wraps.
+        (cli, &["--scale", "4611686018427387904"][..]),
+        (cli, &["--scale", "1152921504606846976"][..]),
         (cli, &["--profile", unwritable][..]),
         (cli, &["--aux", "5"][..]),
         (cli, &["--aux", "-1"][..]),

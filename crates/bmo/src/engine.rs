@@ -29,7 +29,6 @@ use janus_sim::resource::UnitPool;
 use janus_sim::time::Cycles;
 use janus_trace::{Category, Tracer};
 
-use crate::sched::SchedTemplate;
 use crate::subop::{BmoKind, DepGraph, NodeId};
 
 /// Initiation interval of a pipelined BMO unit: a unit accepts a new
@@ -63,7 +62,7 @@ impl JobId {
 }
 
 /// The trace category a sub-operation's BMO kind maps to.
-pub(crate) fn category_of(kind: BmoKind) -> Category {
+fn category_of(kind: BmoKind) -> Category {
     match kind {
         BmoKind::Encryption => Category::Encryption,
         BmoKind::Integrity => Category::Integrity,
@@ -85,6 +84,29 @@ struct Job {
     node_end: Vec<Option<Cycles>>,
     /// Cycles of unit time wasted by invalidated (re-run) sub-operations.
     wasted: Cycles,
+}
+
+/// When node `n` of `job` could start if nothing else constrained it
+/// (`avail`: submission plus the external inputs it needs) and when its
+/// predecessors release it (`ready`); `None` while an input or a live
+/// predecessor is missing. `ready − avail` is the node's dependency wait.
+fn release(graph: &DepGraph, job: &Job, n: NodeId) -> Option<(Cycles, Cycles)> {
+    let op = graph.node(n);
+    let mut avail = job.submit;
+    if op.needs_addr {
+        avail = avail.max(job.addr_at?);
+    }
+    if op.needs_data {
+        avail = avail.max(job.data_at?);
+    }
+    let mut ready = avail;
+    for &p in graph.preds(n) {
+        // Cancelled predecessors are transparent.
+        if !(job.dup && graph.node(p).skip_if_dup) {
+            ready = ready.max(job.node_end[p.0]?);
+        }
+    }
+    Some((avail, ready))
 }
 
 /// The engine. One per memory controller.
@@ -122,19 +144,6 @@ pub struct BmoEngine {
     /// Completion time of the last job in `SerializedGlobal` mode.
     serial_tail: Cycles,
     tracer: Tracer,
-    /// Compiled replay templates, indexed by the job's `dup` flag (the only
-    /// shape bit that varies per engine — see [`crate::sched`]). Both are
-    /// compiled when the engine is built.
-    templates: [SchedTemplate; 2],
-    /// Whether full submits may replay a compiled template. Off
-    /// (`set_compiled(false)`) the interpreted scheduler — the executable
-    /// spec — handles everything.
-    compiled: bool,
-    /// Full submits that fell back to the interpreted scheduler because a
-    /// unit window their template touches was saturated.
-    replay_fallbacks: u64,
-    /// Reused `(window, charge)` scratch for the replay validity probe.
-    replay_windows: Vec<(u64, u64)>,
 }
 
 impl BmoEngine {
@@ -153,7 +162,6 @@ impl BmoEngine {
             })
             .map(|n| (n, graph.node(n).latency))
             .collect();
-        let templates = [false, true].map(|dup| SchedTemplate::compile(&graph, &topo, mode, dup));
         BmoEngine {
             graph,
             mode,
@@ -167,27 +175,7 @@ impl BmoEngine {
             jobs_submitted: 0,
             serial_tail: Cycles::ZERO,
             tracer: Tracer::disabled(),
-            templates,
-            compiled: true,
-            replay_fallbacks: 0,
-            replay_windows: Vec::new(),
         }
-    }
-
-    /// Enables or disables compiled-template replay. Disabled, every submit
-    /// takes the interpreted scheduler (the executable specification the
-    /// compiled path is differentially tested against) and
-    /// [`Self::replay_fallbacks`] stays zero. Simulations always replay;
-    /// this switch exists for the differential tests.
-    pub fn set_compiled(&mut self, on: bool) {
-        self.compiled = on;
-    }
-
-    /// Full submits that fell back to the interpreted scheduler because
-    /// the units were contended in a window their template touches.
-    /// Staged submits always interpret and are not counted.
-    pub fn replay_fallbacks(&self) -> u64 {
-        self.replay_fallbacks
     }
 
     /// Attaches a tracer: every scheduled sub-operation becomes a span in
@@ -264,15 +252,7 @@ impl BmoEngine {
             id,
             u64::from(addr_at.is_some()) | u64::from(data_at.is_some()) << 1 | u64::from(dup) << 2,
         );
-        // A *full* submit — both inputs available at the (possibly clamped)
-        // submit cycle — is a fixed request shape: replay its compiled
-        // template, falling back to the interpreted scheduler under unit
-        // contention. Staged submits always interpret.
-        let full = addr_at.is_some_and(|t| t <= submit) && data_at.is_some_and(|t| t <= submit);
-        let replayed = full && self.compiled && self.try_replay(JobId(id), submit, dup);
-        if !replayed {
-            self.schedule(JobId(id));
-        }
+        self.schedule(JobId(id));
         if self.mode == BmoMode::SerializedGlobal {
             if let Some(done) = self.completion(JobId(id)) {
                 self.serial_tail = self.serial_tail.max(done);
@@ -349,118 +329,34 @@ impl BmoEngine {
         self.schedule(id);
     }
 
-    /// Compiled-template replay for a full submit at `submit`: probes the
-    /// unit pool for room in every window the shape's [`SchedTemplate`]
-    /// touches and — if everything fits — commits the whole schedule
-    /// without a graph walk. Returns `false` (emitting nothing, counting a
-    /// fallback) when a window is saturated; the caller falls back to
-    /// [`Self::schedule`], whose first-fit placement would genuinely differ
-    /// under that contention.
-    fn try_replay(&mut self, id: JobId, submit: Cycles, dup: bool) -> bool {
-        let tpl = &self.templates[usize::from(dup)];
-        if !tpl.windows_fit(submit, &self.pool, &mut self.replay_windows) {
-            self.replay_fallbacks += 1;
-            return false;
-        }
-        let job = self.jobs.get_mut(&id.0).expect("submitting job exists");
-        for s in &tpl.slots {
-            let ready = Cycles(submit.0 + s.rel_ready);
-            let end = Cycles(submit.0 + s.rel_end);
-            self.pool.record_acquisition(s.latency);
-            self.pool
-                .charge_window((submit.0 + s.rel_ready) / UnitPool::WINDOW, s.charge);
-            if self.tracer.causal() {
-                // Same causal record the interpreted scheduler emits: every
-                // input of a full submit is available at the submit cycle.
-                self.tracer.instant_link(
-                    Category::Engine,
-                    "prof_node",
-                    submit,
-                    id.0,
-                    s.node.0 as u64,
-                    ready.0,
-                );
-            }
-            self.tracer
-                .span(s.cat, s.name, ready, end, id.0, s.latency.0);
-            job.node_end[s.node.0] = Some(end);
-        }
-        true
-    }
-
     /// Greedy list scheduling: dispatch every node whose inputs and
     /// predecessors are satisfied. Predecessors precede their successors in
     /// `topo`, and input availability cannot change mid-walk, so a single
     /// topological pass schedules everything currently schedulable.
     fn schedule(&mut self, id: JobId) {
         let job = self.jobs.get_mut(&id.0).expect("unknown or retired job");
-        for idx in 0..self.topo.len() {
-            let n = self.topo[idx];
-            if job.node_end[n.0].is_some() {
-                continue;
-            }
+        let serialized = self.mode != BmoMode::Parallelized;
+        // Serialized modes (monolithic execution): the latest end over the
+        // live nodes earlier in `topo`, every one of which a node waits for.
+        let mut prefix = Cycles::ZERO;
+        for &n in &self.topo {
             let op = self.graph.node(n);
+            // Cancelled nodes are transparent, to the prefix too — even one
+            // an earlier pass ran before the duplicate outcome was known.
             if job.dup && op.skip_if_dup {
-                continue; // cancelled entirely
-            }
-            // External inputs: `avail` is when the node *could* start if
-            // nothing else constrained it — submission plus its operands.
-            let mut avail = job.submit;
-            if op.needs_addr {
-                match job.addr_at {
-                    Some(t) => avail = avail.max(t),
-                    None => continue,
-                }
-            }
-            if op.needs_data {
-                match job.data_at {
-                    Some(t) => avail = avail.max(t),
-                    None => continue,
-                }
-            }
-            // `ready` additionally waits for intra-job dependencies (and,
-            // in serialized modes, monolithic ordering); ready − avail is
-            // the node's dependency-wait, start − ready its unit queueing.
-            let mut ready = avail;
-            // Predecessors (skipped nodes are transparent).
-            let mut all_preds = true;
-            for &p in self.graph.preds(n) {
-                let pop = self.graph.node(p);
-                if job.dup && pop.skip_if_dup {
-                    continue;
-                }
-                match job.node_end[p.0] {
-                    Some(t) => ready = ready.max(t),
-                    None => {
-                        all_preds = false;
-                        break;
-                    }
-                }
-            }
-            if !all_preds {
                 continue;
             }
-            // Serialized modes: also wait for every earlier node in
-            // the canonical order (monolithic execution).
-            if self.mode != BmoMode::Parallelized {
-                let mut ok = true;
-                for &m in &self.topo[..idx] {
-                    let mop = self.graph.node(m);
-                    if job.dup && mop.skip_if_dup {
-                        continue;
-                    }
-                    match job.node_end[m.0] {
-                        Some(t) => ready = ready.max(t),
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if !ok {
-                    continue;
-                }
+            if let Some(end) = job.node_end[n.0] {
+                prefix = prefix.max(end);
+                continue;
             }
+            let Some((avail, ready)) = release(&self.graph, job, n) else {
+                if serialized {
+                    break; // every later node waits for this one
+                }
+                continue;
+            };
+            let ready = if serialized { ready.max(prefix) } else { ready };
             let (start, end) = self.pool.acquire_pipelined(ready, op.latency, UNIT_II);
             if self.tracer.causal() {
                 // Causal record for janus-prof: when the node's inputs were
@@ -479,6 +375,7 @@ impl BmoEngine {
             self.tracer
                 .span(category_of(op.bmo), op.name, start, end, id.0, op.latency.0);
             job.node_end[n.0] = Some(end);
+            prefix = prefix.max(end);
         }
     }
 
@@ -745,61 +642,5 @@ mod tests {
             e.completion(j),
             Some(Cycles(1000) + e.graph().critical_path())
         );
-    }
-
-    #[test]
-    fn uncontended_and_staged_submits_never_fall_back() {
-        let mut e = engine(BmoMode::Parallelized, 4);
-        // Full submits of both shapes pass the window probe and replay.
-        for (i, dup) in [false, false, true, true, false].into_iter().enumerate() {
-            let t = Cycles(i as u64 * 10_000);
-            e.submit(t, Some(Cycles(0)), Some(Cycles(0)), dup);
-        }
-        // Staged submits always interpret; that is not a fallback.
-        e.submit(Cycles(50_000), Some(Cycles(50_000)), None, false);
-        e.submit(Cycles(60_000), None, Some(Cycles(60_000)), true);
-        assert_eq!(e.jobs_submitted(), 7);
-        assert_eq!(e.replay_fallbacks(), 0);
-    }
-
-    #[test]
-    fn schedule_cache_disabled_stays_zero_and_matches_compiled() {
-        let mut compiled = engine(BmoMode::Parallelized, 4);
-        let mut interpreted = engine(BmoMode::Parallelized, 4);
-        interpreted.set_compiled(false);
-        // Jobs 300 cycles apart overlap on the units without saturating a
-        // window (100 apart, the compiled engine falls back 8 times).
-        for i in 0..32u64 {
-            let t = Cycles(i * 300);
-            let jc = compiled.submit(t, Some(t), Some(t), i % 3 == 0);
-            let ji = interpreted.submit(t, Some(t), Some(t), i % 3 == 0);
-            assert_eq!(compiled.completion(jc), interpreted.completion(ji));
-        }
-        assert_eq!(interpreted.replay_fallbacks(), 0);
-        assert_eq!(compiled.replay_fallbacks(), 0);
-    }
-
-    #[test]
-    fn contention_falls_back_to_interpreted_identically() {
-        // One unit: bursts of simultaneous submits saturate windows, forcing
-        // the replay validity probe to reject and the interpreted scheduler
-        // to take over — with identical completions to an always-interpreted
-        // engine.
-        let mut compiled = engine(BmoMode::Parallelized, 1);
-        let mut interpreted = engine(BmoMode::Parallelized, 1);
-        interpreted.set_compiled(false);
-        for burst in 0..8u64 {
-            let t = Cycles(burst * 50_000);
-            for _ in 0..6 {
-                let jc = compiled.submit(t, Some(t), Some(t), false);
-                let ji = interpreted.submit(t, Some(t), Some(t), false);
-                assert_eq!(compiled.completion(jc), interpreted.completion(ji));
-            }
-        }
-        assert!(
-            compiled.replay_fallbacks() > 1,
-            "a 1-unit pool under bursts must reject some replays"
-        );
-        assert_eq!(interpreted.replay_fallbacks(), 0);
     }
 }

@@ -51,7 +51,6 @@ pub mod latency;
 pub mod metadata;
 pub mod oram;
 pub mod pipeline;
-pub mod sched;
 mod slots;
 pub mod stack;
 pub mod subop;
@@ -60,6 +59,5 @@ pub mod wear;
 pub use engine::{BmoEngine, BmoMode, JobId};
 pub use latency::BmoLatencies;
 pub use pipeline::BmoPipeline;
-pub use sched::SchedTemplate;
 pub use stack::{Bmo, BmoId, BmoStack, ComposeIssue, Footprint, StackError, Transform};
 pub use subop::{DepGraph, EdgeError, ExternalClass, NodeId};

@@ -6,10 +6,12 @@ use janus_bmo::dedup::DedupStore;
 use janus_bmo::engine::{BmoEngine, BmoMode};
 use janus_bmo::integrity::MerkleTree;
 use janus_bmo::latency::BmoLatencies;
-use janus_bmo::subop::DepGraph;
+use janus_bmo::subop::{DepGraph, NodeId};
+use janus_bmo::{BmoId, BmoStack};
 use janus_check::{forall, gen};
 use janus_crypto::FingerprintAlgo;
 use janus_nvm::line::Line;
+use janus_sim::resource::UnitPool;
 use janus_sim::time::Cycles;
 use std::collections::HashMap;
 
@@ -17,35 +19,114 @@ use std::collections::HashMap;
 mod crc;
 use crc::colliding_triple;
 
-/// Whatever the input arrival times, a job's completion respects both
-/// the critical path from the latest input and causality (completion ≥
-/// every input time).
+/// The stack a random sequence of BMO indices names: deduped keeping first
+/// occurrence, it is a random (subset, order) pair over the registry.
+fn stack_of(picks: &[usize]) -> BmoStack {
+    let mut ids: Vec<BmoId> = Vec::new();
+    for &i in picks {
+        let id = BmoId::ALL[i];
+        if !ids.contains(&id) {
+            ids.push(id);
+        }
+    }
+    BmoStack::new(ids).expect("distinct ids form a stack")
+}
+
+/// Whatever the stack, mode, unit count and input arrival times — each
+/// input given at submit or provided later — a job's completion respects
+/// causality (completion ≥ every input a live node needs) and the graph's
+/// span (critical path, or serial sum in the serialized modes) from the
+/// latest such input. On unlimited units two schedules are exact: a full
+/// non-duplicate submit takes exactly the span, and a serialized job ends
+/// where one chain over the live topological order ends, each node also
+/// waiting for the inputs it needs.
 #[test]
 fn engine_completion_bounds() {
-    let g = gen::tuple4(
-        &gen::range_u64(0..10_000),
-        &gen::range_u64(0..20_000),
-        &gen::range_u64(0..20_000),
-        &gen::any_bool(),
+    let g = gen::tuple5(
+        &gen::vec_of(&gen::range_usize(0..7), 0..14),
+        &gen::range_u8(0..3),
+        &gen::range_usize(1..6),
+        &gen::tuple4(
+            &gen::range_u64(0..10_000),
+            &gen::range_u64(0..20_000),
+            &gen::range_u64(0..20_000),
+            &gen::any_bool(),
+        ),
+        &gen::pair(&gen::any_bool(), &gen::any_bool()),
     );
-    forall(&g, |(submit, addr_delta, data_delta, dup)| {
-        let graph = DepGraph::standard(&BmoLatencies::paper());
-        let cp = graph.critical_path();
-        let mut e = BmoEngine::new(graph, BmoMode::Parallelized, 4);
-        let (s, a, d) = (
-            Cycles(*submit),
-            Cycles(submit + addr_delta),
-            Cycles(submit + data_delta),
-        );
-        let j = e.submit(s, Some(a), Some(d), *dup);
-        let done = e.completion(j).unwrap();
-        let last_input = a.max(d);
-        assert!(done >= last_input, "completion before inputs");
-        assert!(
-            done <= last_input + cp + Cycles(2_000),
-            "completion {done:?} too far past inputs {last_input:?}"
-        );
-    });
+    forall(
+        &g,
+        |(picks, mode, units, inputs, (addr_late, data_late))| {
+            let (submit, addr_delta, data_delta, dup) = *inputs;
+            let graph = stack_of(picks).graph(&BmoLatencies::paper());
+            let mode = [
+                BmoMode::Serialized,
+                BmoMode::SerializedGlobal,
+                BmoMode::Parallelized,
+            ][usize::from(*mode)];
+            let units = if *units == 5 {
+                UnitPool::UNLIMITED
+            } else {
+                *units
+            };
+            let serialized = mode != BmoMode::Parallelized;
+            let span = if serialized {
+                graph.serial_sum()
+            } else {
+                graph.critical_path()
+            };
+            let (s, a, d) = (
+                Cycles(submit),
+                Cycles(submit + addr_delta),
+                Cycles(submit + data_delta),
+            );
+            let live: Vec<NodeId> = graph
+                .topo_order()
+                .into_iter()
+                .filter(|&n| !(dup && graph.node(n).skip_if_dup))
+                .collect();
+            // When a live node's external inputs are all available.
+            let avail = |n: NodeId| {
+                let op = graph.node(n);
+                let mut t = s;
+                if op.needs_addr {
+                    t = t.max(a);
+                }
+                if op.needs_data {
+                    t = t.max(d);
+                }
+                t
+            };
+            let last_input = live.iter().map(|&n| avail(n)).max().unwrap_or(s);
+
+            let mut e = BmoEngine::new(graph.clone(), mode, units);
+            let j = e.submit(s, (!addr_late).then_some(a), (!data_late).then_some(d), dup);
+            if *addr_late {
+                e.provide_addr(j, a);
+            }
+            if *data_late {
+                e.provide_data(j, d);
+            }
+            let done = e.completion(j).expect("every input provided");
+            assert!(done >= last_input, "completion before inputs");
+            assert!(
+                done <= last_input + span + Cycles(2_000),
+                "completion {done:?} too far past inputs {last_input:?}"
+            );
+            if units != UnitPool::UNLIMITED {
+                return;
+            }
+            let mut full = BmoEngine::new(graph.clone(), mode, units);
+            let j = full.submit(s, Some(s), Some(s), false);
+            assert_eq!(full.completion(j), Some(s + span), "full submit ({mode:?})");
+            if serialized {
+                let chain = live
+                    .iter()
+                    .fold(s, |t, &n| t.max(avail(n)) + graph.node(n).latency);
+                assert_eq!(done, chain, "serialized chain ({mode:?})");
+            }
+        },
+    );
 }
 
 /// Serialized mode is never faster than parallelized for the same job.
@@ -142,22 +223,12 @@ fn dedup_refcount_consistency() {
 /// serialized engine never completes before the parallelized one.
 #[test]
 fn any_stack_permutation_composes_validly() {
-    use janus_bmo::{BmoId, BmoStack};
-    // A random sequence of BMO indices, deduped keeping first occurrence,
-    // is a random (subset, order) pair over the registry.
     let g = gen::pair(
         &gen::vec_of(&gen::range_usize(0..7), 0..14),
         &gen::range_u64(0..10_000),
     );
     forall(&g, |(picks, submit)| {
-        let mut ids: Vec<BmoId> = Vec::new();
-        for i in picks {
-            let id = BmoId::ALL[*i];
-            if !ids.contains(&id) {
-                ids.push(id);
-            }
-        }
-        let stack = BmoStack::new(ids.iter().copied()).expect("distinct ids form a stack");
+        let stack = stack_of(picks);
         let lat = BmoLatencies::paper();
         let graph = stack.graph(&lat);
         // Acyclic: topo_order only emits nodes whose preds are all placed,
@@ -192,7 +263,6 @@ fn any_stack_permutation_composes_validly() {
 fn parallel_relation_symmetric() {
     let g = gen::pair(&gen::range_usize(0..11), &gen::range_usize(0..11));
     forall(&g, |(i, j)| {
-        use janus_bmo::subop::NodeId;
         let g = DepGraph::standard(&BmoLatencies::paper());
         let (a, b) = (NodeId(*i), NodeId(*j));
         assert_eq!(g.can_parallel(&[a], &[b]), g.can_parallel(&[b], &[a]));

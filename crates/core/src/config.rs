@@ -184,14 +184,25 @@ impl JanusConfig {
     }
 
     /// Scales the pre-execution resources (BMO units + buffers) by `factor`
-    /// — the Figure 14 sweep.
-    pub fn scale_resources(mut self, factor: usize) -> Self {
+    /// — the Figure 14 sweep. `None` when a scaled per-core count, its
+    /// total across the cores, or the BMO unit pool's window capacity
+    /// (`units × UnitPool::WINDOW` unit-cycles) overflows.
+    pub fn scale_resources(mut self, factor: usize) -> Option<Self> {
         assert!(factor >= 1, "scale factor must be positive");
-        self.bmo_units_per_core *= factor;
-        self.irb_entries_per_core *= factor;
-        self.req_queue_per_core *= factor;
-        self.op_queue_per_core *= factor;
-        self
+        let cores = self.cores;
+        let scale = |per_core: usize| {
+            let scaled = per_core.checked_mul(factor)?;
+            scaled.checked_mul(cores)?;
+            Some(scaled)
+        };
+        self.bmo_units_per_core = scale(self.bmo_units_per_core)?;
+        self.irb_entries_per_core = scale(self.irb_entries_per_core)?;
+        self.req_queue_per_core = scale(self.req_queue_per_core)?;
+        self.op_queue_per_core = scale(self.op_queue_per_core)?;
+        u64::try_from(self.total_bmo_units())
+            .ok()?
+            .checked_mul(UnitPool::WINDOW)?;
+        Some(self)
     }
 
     /// Makes every pre-execution resource unlimited (Figure 14 "Unlimited").
@@ -268,9 +279,21 @@ mod tests {
 
     #[test]
     fn resource_scaling() {
-        let c = JanusConfig::paper(SystemMode::Janus, 1).scale_resources(4);
+        let c = JanusConfig::paper(SystemMode::Janus, 1)
+            .scale_resources(4)
+            .unwrap();
         assert_eq!(c.bmo_units_per_core, 16);
         assert_eq!(c.irb_entries_per_core, 256);
+        // 4 units per core wrap to 0; 4 × 64 unit-cycles per window wrap.
+        for overflowing in [1 << 62, 1 << 60] {
+            assert!(JanusConfig::paper(SystemMode::Janus, 1)
+                .scale_resources(overflowing)
+                .is_none());
+        }
+        // Fits per core, overflows across 4 cores.
+        assert!(JanusConfig::paper(SystemMode::Janus, 4)
+            .scale_resources(1 << 58)
+            .is_none());
     }
 
     #[test]

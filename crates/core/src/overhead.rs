@@ -114,7 +114,11 @@ mod tests {
     #[test]
     fn scales_with_resources() {
         let base = overhead(&JanusConfig::paper(SystemMode::Janus, 1));
-        let doubled = overhead(&JanusConfig::paper(SystemMode::Janus, 1).scale_resources(2));
+        let doubled = overhead(
+            &JanusConfig::paper(SystemMode::Janus, 1)
+                .scale_resources(2)
+                .unwrap(),
+        );
         assert!(doubled.total_bytes > base.total_bytes * 19 / 10);
     }
 }

@@ -92,21 +92,23 @@ impl std::error::Error for ParseError {}
 /// first `[`/`{` that nests deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
-        bytes: text.as_bytes(),
+        text,
         pos: 0,
         depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != text.len() {
         return Err(p.err("trailing characters after document"));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
+    /// Byte offset into `text`. Every step advances over whole characters,
+    /// so it always sits on a char boundary.
     pos: usize,
     /// Arrays and objects open around the current position.
     depth: usize,
@@ -118,7 +120,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -137,7 +139,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, lit: &str, v: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -245,13 +247,16 @@ impl<'a> Parser<'a> {
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
+                                .as_bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("non-ascii \\u escape"))?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
+                            // Exactly four hex digits: no sign, no other
+                            // character.
+                            let cp = hex
+                                .iter()
+                                .try_fold(0, |cp, &b| Some(cp << 4 | char::from(b).to_digit(16)?))
+                                .ok_or_else(|| self.err("invalid \\u escape"))?;
                             // Surrogates are replaced; the exporter never
                             // emits them.
                             out.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
@@ -263,11 +268,11 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar.
-                    let start = self.pos;
-                    let s = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = s.chars().next().ok_or_else(|| self.err("empty"))?;
+                    // Copy one character; `peek` saw its first byte.
+                    let ch = self.text[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("a character starts at pos");
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -314,8 +319,8 @@ impl<'a> Parser<'a> {
                 return Err(self.err("expected exponent digits"));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Value::Number)
             .map_err(|_| self.err("number out of range"))
     }
@@ -381,8 +386,19 @@ mod tests {
         let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
         let (over, deep) = (nested(MAX_DEPTH + 1), nested(200_000));
         for bad in [
-            "", "{", "[1,]", "{\"a\":}", "tru", "01", "1.", "\"\\q\"", "{} x", "[1 2]", &over,
+            "",
+            "{",
+            "[1,]",
+            "{\"a\":}",
+            "tru",
+            "01",
+            "1.",
+            "\"\\q\"",
+            "{} x",
+            "[1 2]",
+            &over,
             &deep,
+            "\"\\u+041\"",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
@@ -411,6 +427,18 @@ mod tests {
         out.clear();
         write_f64(&mut out, f64::NAN);
         assert_eq!(out, "null");
+    }
+
+    #[test]
+    fn multi_mib_documents_parse() {
+        // A Chrome-trace-shaped document; parsing is linear in its length.
+        let event = r#"{"name":"E1 ✓","cat":"bmo.encryption","ph":"X","ts":12.5,"dur":0.25,"pid":0,"tid":3,"args":{"job":7,"arg":"\u0041"}}"#;
+        let doc = format!("[{}]", vec![event; 20_000].join(","));
+        assert!(doc.len() >= 2 << 20, "{} bytes", doc.len());
+        let v = parse(&doc).unwrap();
+        let events = v.as_array().unwrap();
+        assert_eq!(events.len(), 20_000);
+        assert_eq!(events[19_999].get("name").unwrap().as_str(), Some("E1 ✓"));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use janus_bmo::ecc;
 use janus_bmo::engine::{BmoEngine, BmoMode};
 use janus_bmo::integrity::MerkleTree;
 use janus_bmo::latency::BmoLatencies;
-use janus_bmo::subop::DepGraph;
+use janus_bmo::BmoStack;
 use janus_crypto::FingerprintAlgo;
 use janus_nvm::addr::LineAddr;
 use janus_nvm::cache::{CacheConfig, SetAssocCache};
@@ -97,7 +97,7 @@ fn main() {
 
     {
         let mut e = BmoEngine::new(
-            DepGraph::standard(&BmoLatencies::paper()),
+            BmoStack::paper().graph(&BmoLatencies::paper()),
             BmoMode::Parallelized,
             4,
         );

@@ -4,7 +4,8 @@
 
 use janus_bench::banner;
 use janus_bmo::latency::BmoLatencies;
-use janus_bmo::subop::{DepGraph, EdgeKind};
+use janus_bmo::subop::EdgeKind;
+use janus_bmo::BmoStack;
 
 fn main() {
     janus_bench::require_known_args(&["--tx"], &[]);
@@ -12,7 +13,7 @@ fn main() {
         "Figure 6 — BMO sub-operation dependency graph",
         "nodes, edges, external classes, and timing bounds",
     );
-    let g = DepGraph::standard(&BmoLatencies::paper());
+    let g = BmoStack::paper().graph(&BmoLatencies::paper());
     println!(
         "{:<6} {:<14} {:>10}  {:<8}",
         "node", "bmo", "latency", "class"

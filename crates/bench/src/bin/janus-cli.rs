@@ -11,9 +11,10 @@
 //! (any name [`Variant`]'s `FromStr` accepts; a comma-separated list sweeps
 //! several variants in one invocation; `fixed` = manual instrumentation
 //! with a seeded §6 misuse repaired by the `janus-lint --fix` engine),
-//! `--cores N`, `--tx N`, `--size BYTES`, `--dedup RATIO` (in [0, 1]),
-//! `--seed N`, `--crc32`, `--scale <N|unlimited>` (N ≥ 1), `--skew THETA`
-//! (in [0, 1)), `--aux FRACTION` (in [0, 1]),
+//! `--cores N` (at most 64, one data region per core), `--tx N`,
+//! `--size BYTES`, `--dedup RATIO` (in [0, 1]), `--seed N`, `--crc32`,
+//! `--scale <N|unlimited>` (N ≥ 1), `--skew THETA` (in [0, 1)),
+//! `--aux FRACTION` (in [0, 1]),
 //! `--bmos <id,...|none>` (BMO stack override; see `--list-bmos`),
 //! `--jobs N` (worker threads for multi-variant sweeps, else the
 //! `JANUS_JOBS` environment variable; output is identical at any value),
@@ -95,12 +96,11 @@ fn main() {
             BmoStack::paper()
         );
         for id in janus_bmo::BmoId::ALL {
-            let spec = id.spec();
             println!(
                 "  {:<6} {:<40} pre-exec: {:?}",
                 id.as_str(),
-                spec.name(),
-                spec.pre_exec()
+                id.name(),
+                id.pre_exec()
             );
         }
         return;

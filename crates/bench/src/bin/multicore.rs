@@ -67,7 +67,9 @@ fn main() {
         &["--traffic-digest"],
     );
     let tx = arg_usize("--tx", 40);
-    let cores = cli::cores(4);
+    // Worker cores run no workload instance of their own (the tenants do),
+    // so only the tenant count is bounded by the data region.
+    let cores = parse_with("--cores", cli::positive).unwrap_or(4);
     let seed = parse_with("--seed", cli::unsigned).unwrap_or(42);
     let policies = match parse_with("--irb-policy", IrbPolicy::parse) {
         Some(p) => vec![p],
@@ -77,7 +79,7 @@ fn main() {
             IrbPolicy::Partitioned { quota: 64 },
         ],
     };
-    let tenant_counts = match parse_with("--tenants", cli::unsigned) {
+    let tenant_counts = match parse_with("--tenants", cli::instances) {
         Some(t) => vec![t],
         None => vec![1, 4, 16],
     };

@@ -10,11 +10,20 @@
 //! ([`positive`], [`unsigned`], [`fraction`], [`output_path`]) plug into
 //! it, and so does any `FromStr` or `parse` of a library type. The one flag
 //! every binary accepts, `--jobs N`, is parsed here too ([`jobs`]), and so
-//! is the simulated core count, `--cores N` ([`cores`]).
+//! is the simulated core count of a closed-loop run, `--cores N`
+//! ([`cores`]).
 
 use std::fmt::Display;
 use std::num::NonZeroUsize;
 use std::str::FromStr;
+
+use janus_bmo::metadata::DATA_LINES;
+use janus_workloads::pmem::CORE_REGION_LINES;
+
+/// The most workload instances one run holds: each closed-loop core and
+/// each open-loop tenant writes its own `CORE_REGION_LINES` region of the
+/// `DATA_LINES`-line data region, so one more would write past its end.
+pub const MAX_INSTANCES: usize = (DATA_LINES / CORE_REGION_LINES) as usize;
 
 /// Whether the bare flag `--name` is present.
 pub fn flag(name: &str) -> bool {
@@ -57,6 +66,18 @@ pub fn positive(v: &str) -> Result<usize, &'static str> {
     v.parse::<NonZeroUsize>()
         .map(NonZeroUsize::get)
         .map_err(|_| "requires a positive integer value")
+}
+
+/// Reader for a workload instance count (closed-loop cores, open-loop
+/// tenants): a positive integer no larger than [`MAX_INSTANCES`].
+pub fn instances(v: &str) -> Result<usize, String> {
+    let n = positive(v)?;
+    if n > MAX_INSTANCES {
+        return Err(format!(
+            "requires at most {MAX_INSTANCES} (one {CORE_REGION_LINES}-line data region per workload instance)"
+        ));
+    }
+    Ok(n)
 }
 
 /// Reader for an unsigned integer (transaction counts, seeds, cycles).
@@ -108,11 +129,12 @@ pub fn jobs() -> Option<usize> {
     })
 }
 
-/// Simulated core count: `--cores N`, else `default`. Zero or a non-number
-/// exits with status 2 like any other malformed flag, before a
-/// configuration with no cores can be built.
+/// Simulated core count of a closed-loop run, where each core runs its own
+/// workload instance: `--cores N`, else `default`. Zero, a non-number or a
+/// count above [`MAX_INSTANCES`] exits with status 2 like any other
+/// malformed flag, before the configuration is built.
 pub fn cores(default: usize) -> usize {
-    parse_with("--cores", positive).unwrap_or(default)
+    parse_with("--cores", instances).unwrap_or(default)
 }
 
 /// Strict argument validation for the figure/table binaries: every token

@@ -6,7 +6,8 @@
 //! run, and so is such a core count, never a panic, and a partitioned IRB
 //! quota above the IRB's capacity. So is every other malformed flag value
 //! of the bench drivers, checked before any work starts, while every
-//! variant name one driver accepts works in the others.
+//! variant name one driver accepts works in the others. `janus-cli
+//! --list-bmos` prints the BMO registry byte for byte as pinned here.
 
 use std::process::Command;
 
@@ -151,6 +152,7 @@ fn malformed_values_exit_2_before_any_work() {
     let sweep = env!("CARGO_BIN_EXE_janus-sweep");
     let prof = env!("CARGO_BIN_EXE_janus-prof");
     let lint = env!("CARGO_BIN_EXE_janus-lint");
+    let multicore = env!("CARGO_BIN_EXE_multicore");
     for (bin, args) in [
         (cli, &["--tx", "abc"][..]),
         (cli, &["--size", "abc"][..]),
@@ -177,6 +179,13 @@ fn malformed_values_exit_2_before_any_work() {
         (cli, &["--variant", "pgo"][..]),
         (sweep, &["--variants", "janus-pgo"][..]),
         (prof, &["--variant", "profile"][..]),
+        // Each closed-loop core and open-loop tenant runs a workload
+        // instance in its own region of the data region, which has 64.
+        (cli, &["--cores", "65", "--tx", "1"][..]),
+        (sweep, &["--cores", "65", "--tx", "1"][..]),
+        (prof, &["--cores", "65", "--tx", "1"][..]),
+        (multicore, &["--tenants", "65", "--tx", "1"][..]),
+        (multicore, &["--tenants", "0", "--tx", "1"][..]),
     ] {
         let out = Command::new(bin)
             .args(args)
@@ -224,6 +233,24 @@ fn every_driver_takes_every_variant_name() {
 }
 
 #[test]
+fn open_loop_worker_cores_are_not_workload_instances() {
+    // The tenants own the data regions; any number of worker cores serves
+    // them, 64 regions or not.
+    assert_eq!(janus_bench::cli::MAX_INSTANCES, 64);
+    let out = Command::new(env!("CARGO_BIN_EXE_multicore"))
+        .args(["--cores", "65", "--tenants", "4", "--tx", "2"])
+        .env_remove("JANUS_JOBS")
+        .env_remove("JANUS_RESULTS_JSON_DIR")
+        .output()
+        .expect("spawn multicore");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
 fn irb_quota_above_capacity_exits_2() {
     let out = Command::new(env!("CARGO_BIN_EXE_multicore"))
         .args([
@@ -246,5 +273,28 @@ fn irb_quota_above_capacity_exits_2() {
         stderr.trim_end(),
         "error: invalid run configuration: \
          IRB policy partitioned:99999999 exceeds the IRB's 64 entries"
+    );
+}
+
+#[test]
+fn list_bmos_prints_the_registry() {
+    let out = Command::new(env!("CARGO_BIN_EXE_janus-cli"))
+        .arg("--list-bmos")
+        .env_remove("JANUS_JOBS")
+        .output()
+        .expect("spawn janus-cli");
+    assert!(out.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "\
+Registered BMOs (stack with --bmos id,id,...; default: enc,int,dedup):
+  enc    counter-mode encryption                  pre-exec: Both
+  int    Merkle-tree integrity                    pre-exec: None
+  dedup  fingerprint deduplication                pre-exec: Both
+  comp   inline compression                       pre-exec: Data
+  wear   Start-Gap wear-leveling                  pre-exec: Addr
+  ecc    SECDED error correction                  pre-exec: Data
+  oram   oblivious frame relocation               pre-exec: Addr
+"
     );
 }

@@ -29,7 +29,7 @@ use janus_sim::resource::UnitPool;
 use janus_sim::time::Cycles;
 use janus_trace::{Category, Tracer};
 
-use crate::subop::{BmoKind, DepGraph, NodeId};
+use crate::subop::{DepGraph, NodeId};
 
 /// Initiation interval of a pipelined BMO unit: a unit accepts a new
 /// cache-line-sized sub-operation every 10 ns even while earlier results
@@ -58,19 +58,6 @@ impl JobId {
     /// The raw numeric id — the correlation key trace events use.
     pub fn raw(self) -> u64 {
         self.0
-    }
-}
-
-/// The trace category a sub-operation's BMO kind maps to.
-fn category_of(kind: BmoKind) -> Category {
-    match kind {
-        BmoKind::Encryption => Category::Encryption,
-        BmoKind::Integrity => Category::Integrity,
-        BmoKind::Dedup => Category::Dedup,
-        BmoKind::Compression => Category::Compression,
-        BmoKind::WearLeveling => Category::WearLeveling,
-        BmoKind::Ecc => Category::Ecc,
-        BmoKind::Oram => Category::Oram,
     }
 }
 
@@ -114,10 +101,10 @@ fn release(graph: &DepGraph, job: &Job, n: NodeId) -> Option<(Cycles, Cycles)> {
 /// # Example
 ///
 /// ```
-/// use janus_bmo::{BmoEngine, BmoMode, BmoLatencies, DepGraph};
+/// use janus_bmo::{BmoEngine, BmoMode, BmoLatencies, BmoStack};
 /// use janus_sim::time::Cycles;
 ///
-/// let graph = DepGraph::standard(&BmoLatencies::paper());
+/// let graph = BmoStack::paper().graph(&BmoLatencies::paper());
 /// let mut eng = BmoEngine::new(graph, BmoMode::Parallelized, 4);
 /// // An ordinary write: both inputs available at arrival.
 /// let job = eng.submit(Cycles(0), Some(Cycles(0)), Some(Cycles(0)), false);
@@ -373,7 +360,7 @@ impl BmoEngine {
                 );
             }
             self.tracer
-                .span(category_of(op.bmo), op.name, start, end, id.0, op.latency.0);
+                .span(op.bmo.category(), op.name, start, end, id.0, op.latency.0);
             job.node_end[n.0] = Some(end);
             prefix = prefix.max(end);
         }
@@ -450,9 +437,10 @@ impl BmoEngine {
 mod tests {
     use super::*;
     use crate::latency::BmoLatencies;
+    use crate::stack::BmoStack;
 
     fn engine(mode: BmoMode, units: usize) -> BmoEngine {
-        BmoEngine::new(DepGraph::standard(&BmoLatencies::paper()), mode, units)
+        BmoEngine::new(BmoStack::paper().graph(&BmoLatencies::paper()), mode, units)
     }
 
     #[test]

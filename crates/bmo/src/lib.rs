@@ -21,24 +21,30 @@
 //!   state of the three evaluated BMOs: co-located counter/remap metadata
 //!   (the DeWrite scheme), counter-mode AES with per-line MACs, a sparse
 //!   SHA-1 Bonsai Merkle Tree, and a reference-counted dedup store.
-//! * [`stack`] — the BMO registry: each BMO contributes its graph fragment,
-//!   functional transform, footprint, and pre-executability through one
-//!   [`stack::Bmo`] trait; a [`stack::BmoStack`] is an ordered subset that
-//!   every layer (timing graph, pipeline, controller, CLI) consumes.
-//! * [`pipeline`] — composes a stack's transforms into a functional
+//! * [`stack`] — the BMO registry: [`BmoId`] names each BMO, and its
+//!   methods give the BMO's graph fragment, inter-BMO edges,
+//!   pre-executability and trace category; a [`stack::BmoStack`] is an
+//!   ordered subset that every layer (timing graph, pipeline, controller,
+//!   CLI) consumes.
+//! * [`pipeline`] — runs the functional stage of each BMO in a stack as one
 //!   write/read pipeline with end-to-end verification and crash recovery.
 //!
 //! # Example: the Figure 6 dependency analysis
 //!
 //! ```
 //! use janus_bmo::latency::BmoLatencies;
-//! use janus_bmo::subop::{DepGraph, ExternalClass};
+//! use janus_bmo::subop::ExternalClass;
+//! use janus_bmo::{BmoId, BmoStack};
 //!
-//! let g = DepGraph::standard(&BmoLatencies::paper());
+//! let g = BmoStack::paper().graph(&BmoLatencies::paper());
 //! // E1–E2 are address-dependent; D1–D2 data-dependent; the rest both.
 //! assert_eq!(g.external_class(g.node_by_name("E1").unwrap()), ExternalClass::Addr);
 //! assert_eq!(g.external_class(g.node_by_name("D2").unwrap()), ExternalClass::Data);
 //! assert_eq!(g.external_class(g.node_by_name("I3").unwrap()), ExternalClass::Both);
+//! // Each node knows its BMO, and the BMO its own facts.
+//! let d1 = g.node(g.node_by_name("D1").unwrap());
+//! assert_eq!(d1.bmo, BmoId::Dedup);
+//! assert_eq!(d1.bmo.pre_exec(), ExternalClass::Both);
 //! ```
 
 pub mod compression;
@@ -59,5 +65,5 @@ pub mod wear;
 pub use engine::{BmoEngine, BmoMode, JobId};
 pub use latency::BmoLatencies;
 pub use pipeline::BmoPipeline;
-pub use stack::{Bmo, BmoId, BmoStack, ComposeIssue, Footprint, StackError, Transform};
+pub use stack::{BmoId, BmoStack, ComposeIssue, StackError};
 pub use subop::{DepGraph, EdgeError, ExternalClass, NodeId};

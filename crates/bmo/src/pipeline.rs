@@ -5,10 +5,12 @@
 //! persist ([`WriteEffects`]). Which stages run — dedup slot allocation,
 //! payload compression, counter-mode encryption + MAC, SECDED check bytes,
 //! the Merkle tree over the metadata region, Start-Gap wear-leveling,
-//! oblivious frame relocation — is decided entirely by the stack's declared
-//! [`Transform`]s: the pipeline contains no per-BMO wiring of its own, so
-//! any subset and ordering selectable by [`BmoStack`] runs end-to-end,
-//! including crash recovery ([`BmoPipeline::recover_stack`]).
+//! oblivious frame relocation — is decided by which BMOs the stack
+//! contains: one flag per [`BmoId`], read from the stack once, switches
+//! that BMO's stage, so any subset and ordering selectable by [`BmoStack`]
+//! runs end-to-end, including crash recovery
+//! ([`BmoPipeline::recover_stack`]). A BMO's stage is the one part of it
+//! that lives here rather than in the [`crate::stack`] registry.
 //!
 //! The timing of the same operations is modeled separately by
 //! [`crate::engine`] on the stack's composed dependency graph; keeping the
@@ -37,7 +39,7 @@ use crate::metadata::{
     META_BASE, META_LINES, ORAM_MAP_BASE, ORAM_REG_ADDR, SLOT_LINES, WEAR_REG_ADDR,
 };
 use crate::slots::SlotTable;
-use crate::stack::{BmoStack, Transform};
+use crate::stack::{BmoId, BmoStack};
 use crate::wear::StartGap;
 
 /// Merkle-tree height covering the metadata region (8⁸ = 2²⁴ leaves =
@@ -115,8 +117,8 @@ impl std::fmt::Display for IntegrityError {
 
 impl std::error::Error for IntegrityError {}
 
-/// Which functional stages the stack enables (derived once from the
-/// members' [`Transform`] declarations).
+/// Which functional stages the stack enables: one per member BMO, read
+/// once from the stack.
 #[derive(Clone, Copy, Debug, Default)]
 struct Caps {
     dedup: bool,
@@ -131,13 +133,13 @@ struct Caps {
 impl Caps {
     fn of(stack: &BmoStack) -> Caps {
         Caps {
-            dedup: stack.has_transform(Transform::DedupSlots),
-            compress: stack.has_transform(Transform::CompressPayload),
-            encrypt: stack.has_transform(Transform::EncryptPayload),
-            ecc: stack.has_transform(Transform::EccPayload),
-            merkle: stack.has_transform(Transform::MerkleMetadata),
-            wear: stack.has_transform(Transform::WearRemap),
-            oram: stack.has_transform(Transform::OramRelocate),
+            dedup: stack.contains(BmoId::Dedup),
+            compress: stack.contains(BmoId::Compression),
+            encrypt: stack.contains(BmoId::Encryption),
+            ecc: stack.contains(BmoId::Ecc),
+            merkle: stack.contains(BmoId::Integrity),
+            wear: stack.contains(BmoId::WearLeveling),
+            oram: stack.contains(BmoId::Oram),
         }
     }
 }

@@ -1,17 +1,28 @@
 //! The BMO stack registry: one description per backend memory operation,
 //! consumed by every layer.
 //!
-//! Each BMO registers a [`Bmo`] implementation contributing four things:
+//! [`BmoId`] names each BMO, and its methods hold everything a layer needs
+//! to know about one, each a single `match` over the ids:
 //!
-//! * **(a)** its sub-operation graph fragment ([`Bmo::sub_ops`], chained by
-//!   intra edges in declaration order) plus the inter-BMO edges it provides
-//!   ([`Bmo::inter_edges`], named source → sink pairs);
-//! * **(b)** its functional read/write transform ([`Bmo::transform`]), the
-//!   stage [`crate::pipeline::BmoPipeline`] enables when the BMO is present;
-//! * **(c)** its metadata/cache footprint ([`Bmo::footprint`]);
-//! * **(d)** its pre-executability classification ([`Bmo::pre_exec`]):
-//!   whether the BMO's sub-operations can start from the write's address,
-//!   its data, or need both (§4.2).
+//! * [`BmoId::sub_ops`] — its sub-operation graph fragment, chained by
+//!   intra edges in declaration order;
+//! * [`BmoId::inter_edges`] — the inter-BMO edges it provides, named
+//!   source → sink pairs;
+//! * [`BmoId::pre_exec`] — its pre-executability class: whether its
+//!   sub-operations can start from the write's address, its data, or need
+//!   both (§4.2);
+//! * [`BmoId::category`] — the trace category its sub-operation spans
+//!   carry, which is also the resource janus-prof charges them to;
+//! * [`BmoId::name`] and [`BmoId::as_str`] — its name in `--list-bmos`
+//!   and its id in config files and `--bmos` lists.
+//!
+//! Adding a BMO means adding one `BmoId` variant, listing it in
+//! [`BmoId::ALL`] and [`BmoId::parse`], and writing the arm the compiler
+//! then asks for in each method above (a new trace category, if its spans
+//! need their own, goes in `janus_trace::Category`). The one piece that
+//! lives outside this file is the BMO's functional stage: its flag and code
+//! in [`crate::pipeline`], which runs the stage when the BMO is in the
+//! stack.
 //!
 //! A [`BmoStack`] is an ordered subset of registered BMOs. The timing graph
 //! ([`BmoStack::graph`]), the functional pipeline, the controller's
@@ -24,15 +35,16 @@
 //! added (nodes + intra chain) in stack order, then every member's declared
 //! inter edges are added in stack order, silently skipping edges whose
 //! endpoint belongs to a BMO not in the stack. For the default paper stack
-//! this reproduces [`DepGraph::standard`] node-for-node and
+//! this reproduces the paper's Figure 6 graph node-for-node and
 //! adjacency-for-adjacency, which is what pins the paper's figures.
 
 use std::fmt;
 
 use janus_sim::time::Cycles;
+use janus_trace::Category;
 
 use crate::latency::BmoLatencies;
-use crate::subop::{BmoKind, DepGraph, EdgeKind, ExternalClass, SubOp};
+use crate::subop::{DepGraph, EdgeKind, ExternalClass, SubOp};
 
 /// Identifier of a registered BMO.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -92,16 +104,113 @@ impl BmoId {
         }
     }
 
-    /// The registry entry for this id.
-    pub fn spec(self) -> &'static dyn Bmo {
+    /// Human-readable name (for `--list-bmos` and docs).
+    pub fn name(self) -> &'static str {
         match self {
-            BmoId::Encryption => &Encryption,
-            BmoId::Integrity => &Integrity,
-            BmoId::Dedup => &Dedup,
-            BmoId::Compression => &Compression,
-            BmoId::WearLeveling => &WearLeveling,
-            BmoId::Ecc => &Ecc,
-            BmoId::Oram => &Oram,
+            BmoId::Encryption => "counter-mode encryption",
+            BmoId::Integrity => "Merkle-tree integrity",
+            BmoId::Dedup => "fingerprint deduplication",
+            BmoId::Compression => "inline compression",
+            BmoId::WearLeveling => "Start-Gap wear-leveling",
+            BmoId::Ecc => "SECDED error correction",
+            BmoId::Oram => "oblivious frame relocation",
+        }
+    }
+
+    /// The sub-op fragment, in intra-chain order: consecutive sub-ops are
+    /// linked by [`EdgeKind::Intra`] edges when the graph is composed.
+    pub fn sub_ops(self, lat: &BmoLatencies) -> Vec<SubOp> {
+        let op = |name, latency, needs_addr, needs_data, skip_if_dup| SubOp {
+            name,
+            bmo: self,
+            latency,
+            needs_addr,
+            needs_data,
+            skip_if_dup,
+        };
+        match self {
+            BmoId::Encryption => vec![
+                op("E1", lat.counter_gen, true, false, false),
+                op("E2", lat.aes, false, false, false),
+                op("E3", lat.xor, false, true, true),
+                op("E4", lat.sha1, false, false, true),
+            ],
+            BmoId::Integrity => {
+                let inner_levels = lat.merkle_levels.saturating_sub(2) as u64;
+                vec![
+                    op("I1", lat.sha1, false, false, false),
+                    op("I2", lat.sha1 * inner_levels, false, false, false),
+                    op("I3", lat.sha1, false, false, false),
+                ]
+            }
+            BmoId::Dedup => vec![
+                op("D1", lat.dedup_hash, false, true, false),
+                op("D2", lat.dedup_lookup, false, false, false),
+                op("D3", lat.map_update, true, false, false),
+                op("D4", lat.aes, false, false, false),
+            ],
+            BmoId::Compression => vec![op("C1", Cycles::from_ns(20), false, true, true)],
+            BmoId::WearLeveling => vec![op("W1", Cycles::from_ns(1), true, false, false)],
+            BmoId::Ecc => vec![op("EC1", Cycles::from_ns(2), false, true, true)],
+            BmoId::Oram => vec![op("O1", Cycles::from_ns(1000), true, false, true)],
+        }
+    }
+
+    /// Inter-BMO edges this BMO *provides* (its own node is the source),
+    /// as `(from, to)` sub-op names. Edges whose sink belongs to a BMO
+    /// absent from the stack are skipped during composition.
+    pub fn inter_edges(self) -> &'static [(&'static str, &'static str)] {
+        match self {
+            // E1→D4: the address mapping co-locates with the counter.
+            // E1→I1: the Merkle tree covers the latest counter.
+            // E3→EC1: check bytes protect the ciphertext actually stored.
+            BmoId::Encryption => &[("E1", "D4"), ("E1", "I1"), ("E3", "EC1")],
+            // The tree root is terminal; other BMOs feed it.
+            BmoId::Integrity => &[],
+            // D2→E3: duplicate writes are not encrypted.
+            // D2→I1: the tree covers the remap entry.
+            // D2→EC1: duplicates store no line, so no check bytes either.
+            BmoId::Dedup => &[("D2", "E3"), ("D2", "I1"), ("D2", "EC1")],
+            // C1→E3: the compressed data is what gets encrypted.
+            // C1→EC1: …and what the check bytes protect when unencrypted.
+            BmoId::Compression => &[("C1", "E3"), ("C1", "EC1")],
+            // W1→D3: the mapping update uses the wear-leveled address.
+            BmoId::WearLeveling => &[("W1", "D3")],
+            // Terminal: consumes the stored payload, feeds nothing.
+            BmoId::Ecc => &[],
+            // O1→W1: wear-leveling remaps the already-relocated frame.
+            BmoId::Oram => &[("O1", "W1")],
+        }
+    }
+
+    /// Pre-executability class: the union of the direct external inputs of
+    /// the BMO's own sub-ops (before ancestor merging).
+    pub fn pre_exec(self) -> ExternalClass {
+        match self {
+            // E1 needs the address, E3 needs the data.
+            BmoId::Encryption => ExternalClass::Both,
+            // Driven purely through inter edges (E1/D2 → I1).
+            BmoId::Integrity => ExternalClass::None,
+            // D1 needs the data, D3 needs the address.
+            BmoId::Dedup => ExternalClass::Both,
+            BmoId::Compression => ExternalClass::Data,
+            BmoId::WearLeveling => ExternalClass::Addr,
+            BmoId::Ecc => ExternalClass::Data,
+            BmoId::Oram => ExternalClass::Addr,
+        }
+    }
+
+    /// The trace category of this BMO's sub-operation spans; its name is
+    /// the resource janus-prof charges their service time to.
+    pub fn category(self) -> Category {
+        match self {
+            BmoId::Encryption => Category::Encryption,
+            BmoId::Integrity => Category::Integrity,
+            BmoId::Dedup => Category::Dedup,
+            BmoId::Compression => Category::Compression,
+            BmoId::WearLeveling => Category::WearLeveling,
+            BmoId::Ecc => Category::Ecc,
+            BmoId::Oram => Category::Oram,
         }
     }
 }
@@ -109,354 +218,6 @@ impl BmoId {
 impl fmt::Display for BmoId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-/// The functional stage a BMO contributes to the write/read transform —
-/// [`crate::pipeline::BmoPipeline`] enables exactly the stages of its stack.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Transform {
-    /// Content-addressed slot allocation; duplicate writes are cancelled.
-    DedupSlots,
-    /// Payload compression before any cipher stage.
-    CompressPayload,
-    /// Counter-mode encryption plus a keyed MAC of the stored payload.
-    EncryptPayload,
-    /// SECDED check bytes over the stored payload.
-    EccPayload,
-    /// Merkle tree over the co-located counter/remap metadata region.
-    MerkleMetadata,
-    /// Start-Gap remap of slot frames to level write wear.
-    WearRemap,
-    /// Oblivious relocation of slot frames on every fresh write.
-    OramRelocate,
-}
-
-/// Metadata/cache footprint of one BMO (§5 overhead discussion).
-#[derive(Clone, Copy, Debug)]
-pub struct Footprint {
-    /// Bytes of co-located per-line NVM metadata the BMO consumes.
-    pub meta_bytes_per_line: u32,
-    /// Controller-side SRAM (caches, registers, stash) in bytes.
-    pub sram_bytes: u64,
-    /// One-line description of what the footprint holds.
-    pub note: &'static str,
-}
-
-/// One registered backend memory operation.
-///
-/// Implementations are unit structs; the registry hands out `&'static dyn
-/// Bmo` via [`BmoId::spec`]. Everything a layer needs to know about a BMO —
-/// timing fragment, functional stage, footprint, pre-executability — comes
-/// from here, so adding a BMO means adding one impl and one `BmoId`.
-pub trait Bmo {
-    /// The BMO's registry id.
-    fn id(&self) -> BmoId;
-    /// Human-readable name (for `--list-bmos` and docs).
-    fn name(&self) -> &'static str;
-    /// The sub-op fragment, in intra-chain order: consecutive sub-ops are
-    /// linked by [`EdgeKind::Intra`] edges when the graph is composed.
-    fn sub_ops(&self, lat: &BmoLatencies) -> Vec<SubOp>;
-    /// Inter-BMO edges this BMO *provides* (its own node is the source),
-    /// as `(from, to)` sub-op names. Edges whose sink belongs to a BMO
-    /// absent from the stack are skipped during composition.
-    fn inter_edges(&self) -> &'static [(&'static str, &'static str)];
-    /// The functional stage the pipeline enables for this BMO.
-    fn transform(&self) -> Transform;
-    /// Metadata/cache footprint.
-    fn footprint(&self) -> Footprint;
-    /// Pre-executability class: the union of the direct external inputs of
-    /// the BMO's own sub-ops (before ancestor merging).
-    fn pre_exec(&self) -> ExternalClass;
-}
-
-fn op(
-    name: &'static str,
-    bmo: BmoKind,
-    latency: Cycles,
-    needs_addr: bool,
-    needs_data: bool,
-    skip_if_dup: bool,
-) -> SubOp {
-    SubOp {
-        name,
-        bmo,
-        latency,
-        needs_addr,
-        needs_data,
-        skip_if_dup,
-    }
-}
-
-struct Encryption;
-
-impl Bmo for Encryption {
-    fn id(&self) -> BmoId {
-        BmoId::Encryption
-    }
-    fn name(&self) -> &'static str {
-        "counter-mode encryption"
-    }
-    fn sub_ops(&self, lat: &BmoLatencies) -> Vec<SubOp> {
-        use BmoKind::Encryption as E;
-        vec![
-            op("E1", E, lat.counter_gen, true, false, false),
-            op("E2", E, lat.aes, false, false, false),
-            op("E3", E, lat.xor, false, true, true),
-            op("E4", E, lat.sha1, false, false, true),
-        ]
-    }
-    fn inter_edges(&self) -> &'static [(&'static str, &'static str)] {
-        // E1→D4: the address mapping co-locates with the counter.
-        // E1→I1: the Merkle tree covers the latest counter.
-        // E3→EC1: check bytes protect the ciphertext actually stored.
-        &[("E1", "D4"), ("E1", "I1"), ("E3", "EC1")]
-    }
-    fn transform(&self) -> Transform {
-        Transform::EncryptPayload
-    }
-    fn footprint(&self) -> Footprint {
-        Footprint {
-            meta_bytes_per_line: 8,
-            sram_bytes: 64 * 1024,
-            note: "per-line write counter (co-located) + counter cache",
-        }
-    }
-    fn pre_exec(&self) -> ExternalClass {
-        ExternalClass::Both // E1 needs the address, E3 needs the data.
-    }
-}
-
-struct Integrity;
-
-impl Bmo for Integrity {
-    fn id(&self) -> BmoId {
-        BmoId::Integrity
-    }
-    fn name(&self) -> &'static str {
-        "Merkle-tree integrity"
-    }
-    fn sub_ops(&self, lat: &BmoLatencies) -> Vec<SubOp> {
-        use BmoKind::Integrity as I;
-        vec![
-            op("I1", I, lat.sha1, false, false, false),
-            op(
-                "I2",
-                I,
-                lat.sha1 * lat.merkle_levels.saturating_sub(2) as u64,
-                false,
-                false,
-                false,
-            ),
-            op("I3", I, lat.sha1, false, false, false),
-        ]
-    }
-    fn inter_edges(&self) -> &'static [(&'static str, &'static str)] {
-        &[] // The tree root is terminal; other BMOs feed it.
-    }
-    fn transform(&self) -> Transform {
-        Transform::MerkleMetadata
-    }
-    fn footprint(&self) -> Footprint {
-        Footprint {
-            meta_bytes_per_line: 0,
-            sram_bytes: 128 * 1024,
-            note: "tree nodes over the metadata region + node cache",
-        }
-    }
-    fn pre_exec(&self) -> ExternalClass {
-        ExternalClass::None // Driven purely through inter edges (E1/D2 → I1).
-    }
-}
-
-struct Dedup;
-
-impl Bmo for Dedup {
-    fn id(&self) -> BmoId {
-        BmoId::Dedup
-    }
-    fn name(&self) -> &'static str {
-        "fingerprint deduplication"
-    }
-    fn sub_ops(&self, lat: &BmoLatencies) -> Vec<SubOp> {
-        use BmoKind::Dedup as D;
-        vec![
-            op("D1", D, lat.dedup_hash, false, true, false),
-            op("D2", D, lat.dedup_lookup, false, false, false),
-            op("D3", D, lat.map_update, true, false, false),
-            op("D4", D, lat.aes, false, false, false),
-        ]
-    }
-    fn inter_edges(&self) -> &'static [(&'static str, &'static str)] {
-        // D2→E3: duplicate writes are not encrypted.
-        // D2→I1: the tree covers the remap entry.
-        // D2→EC1: duplicates store no line, so no check bytes either.
-        &[("D2", "E3"), ("D2", "I1"), ("D2", "EC1")]
-    }
-    fn transform(&self) -> Transform {
-        Transform::DedupSlots
-    }
-    fn footprint(&self) -> Footprint {
-        Footprint {
-            meta_bytes_per_line: 8,
-            sram_bytes: 256 * 1024,
-            note: "remap entry (co-located) + fingerprint store",
-        }
-    }
-    fn pre_exec(&self) -> ExternalClass {
-        ExternalClass::Both // D1 needs the data, D3 needs the address.
-    }
-}
-
-struct Compression;
-
-impl Bmo for Compression {
-    fn id(&self) -> BmoId {
-        BmoId::Compression
-    }
-    fn name(&self) -> &'static str {
-        "inline compression"
-    }
-    fn sub_ops(&self, _lat: &BmoLatencies) -> Vec<SubOp> {
-        vec![op(
-            "C1",
-            BmoKind::Compression,
-            Cycles::from_ns(20),
-            false,
-            true,
-            true,
-        )]
-    }
-    fn inter_edges(&self) -> &'static [(&'static str, &'static str)] {
-        // C1→E3: the compressed data is what gets encrypted.
-        // C1→EC1: …and what the check bytes protect when unencrypted.
-        &[("C1", "E3"), ("C1", "EC1")]
-    }
-    fn transform(&self) -> Transform {
-        Transform::CompressPayload
-    }
-    fn footprint(&self) -> Footprint {
-        Footprint {
-            meta_bytes_per_line: 1,
-            sram_bytes: 0,
-            note: "scheme tag in the per-slot auxiliary line",
-        }
-    }
-    fn pre_exec(&self) -> ExternalClass {
-        ExternalClass::Data
-    }
-}
-
-struct WearLeveling;
-
-impl Bmo for WearLeveling {
-    fn id(&self) -> BmoId {
-        BmoId::WearLeveling
-    }
-    fn name(&self) -> &'static str {
-        "Start-Gap wear-leveling"
-    }
-    fn sub_ops(&self, _lat: &BmoLatencies) -> Vec<SubOp> {
-        vec![op(
-            "W1",
-            BmoKind::WearLeveling,
-            Cycles::from_ns(1),
-            true,
-            false,
-            false,
-        )]
-    }
-    fn inter_edges(&self) -> &'static [(&'static str, &'static str)] {
-        // W1→D3: the mapping update uses the wear-leveled address.
-        &[("W1", "D3")]
-    }
-    fn transform(&self) -> Transform {
-        Transform::WearRemap
-    }
-    fn footprint(&self) -> Footprint {
-        Footprint {
-            meta_bytes_per_line: 0,
-            sram_bytes: 48,
-            note: "start/gap registers (persisted to one NVM line)",
-        }
-    }
-    fn pre_exec(&self) -> ExternalClass {
-        ExternalClass::Addr
-    }
-}
-
-struct Ecc;
-
-impl Bmo for Ecc {
-    fn id(&self) -> BmoId {
-        BmoId::Ecc
-    }
-    fn name(&self) -> &'static str {
-        "SECDED error correction"
-    }
-    fn sub_ops(&self, _lat: &BmoLatencies) -> Vec<SubOp> {
-        vec![op(
-            "EC1",
-            BmoKind::Ecc,
-            Cycles::from_ns(2),
-            false,
-            true,
-            true,
-        )]
-    }
-    fn inter_edges(&self) -> &'static [(&'static str, &'static str)] {
-        &[] // Terminal: consumes the stored payload, feeds nothing.
-    }
-    fn transform(&self) -> Transform {
-        Transform::EccPayload
-    }
-    fn footprint(&self) -> Footprint {
-        Footprint {
-            meta_bytes_per_line: 8,
-            sram_bytes: 0,
-            note: "8 SECDED check bytes in the per-slot auxiliary line",
-        }
-    }
-    fn pre_exec(&self) -> ExternalClass {
-        ExternalClass::Data
-    }
-}
-
-struct Oram;
-
-impl Bmo for Oram {
-    fn id(&self) -> BmoId {
-        BmoId::Oram
-    }
-    fn name(&self) -> &'static str {
-        "oblivious frame relocation"
-    }
-    fn sub_ops(&self, _lat: &BmoLatencies) -> Vec<SubOp> {
-        vec![op(
-            "O1",
-            BmoKind::Oram,
-            Cycles::from_ns(1000),
-            true,
-            false,
-            true,
-        )]
-    }
-    fn inter_edges(&self) -> &'static [(&'static str, &'static str)] {
-        // O1→W1: wear-leveling remaps the already-relocated frame.
-        &[("O1", "W1")]
-    }
-    fn transform(&self) -> Transform {
-        Transform::OramRelocate
-    }
-    fn footprint(&self) -> Footprint {
-        Footprint {
-            meta_bytes_per_line: 8,
-            sram_bytes: 8,
-            note: "position-map entries (persisted) + epoch register",
-        }
-    }
-    fn pre_exec(&self) -> ExternalClass {
-        ExternalClass::Addr
     }
 }
 
@@ -488,7 +249,7 @@ impl fmt::Display for StackError {
 impl std::error::Error for StackError {}
 
 /// One edge the checked composer ([`BmoStack::try_graph`]) had to skip,
-/// with the sub-op names declared by the offending [`Bmo::inter_edges`].
+/// with the sub-op names declared by the offending [`BmoId::inter_edges`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ComposeIssue {
     /// Declared source sub-op name.
@@ -567,11 +328,6 @@ impl BmoStack {
         self.members.contains(&id)
     }
 
-    /// Whether any member contributes the given functional transform.
-    pub fn has_transform(&self, t: Transform) -> bool {
-        self.members.iter().any(|m| m.spec().transform() == t)
-    }
-
     /// The comma-separated id list (`parse` round-trips it).
     pub fn id_list(&self) -> String {
         if self.members.is_empty() {
@@ -605,7 +361,7 @@ impl BmoStack {
         let mut issues = Vec::new();
         for id in &self.members {
             let mut prev: Option<(crate::subop::NodeId, &'static str)> = None;
-            for sub in id.spec().sub_ops(lat) {
+            for sub in id.sub_ops(lat) {
                 let name = sub.name;
                 let n = g.add_node(sub);
                 if let Some((p, pname)) = prev {
@@ -621,7 +377,7 @@ impl BmoStack {
             }
         }
         for id in &self.members {
-            for &(from, to) in id.spec().inter_edges() {
+            for &(from, to) in id.inter_edges() {
                 if let (Some(f), Some(t)) = (g.node_by_name(from), g.node_by_name(to)) {
                     if let Err(error) = g.try_add_edge(f, t, EdgeKind::Inter) {
                         issues.push(ComposeIssue { from, to, error });
@@ -697,7 +453,7 @@ mod tests {
         // direct external inputs of the BMO's own sub-ops.
         let lat = BmoLatencies::paper();
         for id in BmoId::ALL {
-            let ops = id.spec().sub_ops(&lat);
+            let ops = id.sub_ops(&lat);
             let addr = ops.iter().any(|o| o.needs_addr);
             let data = ops.iter().any(|o| o.needs_data);
             let derived = match (addr, data) {
@@ -706,7 +462,7 @@ mod tests {
                 (false, true) => ExternalClass::Data,
                 (false, false) => ExternalClass::None,
             };
-            assert_eq!(id.spec().pre_exec(), derived, "{id}");
+            assert_eq!(id.pre_exec(), derived, "{id}");
         }
     }
 
@@ -760,24 +516,5 @@ mod tests {
             assert_eq!(BmoId::parse(&id.as_str().to_uppercase()).unwrap(), id);
         }
         assert!(BmoId::parse("quantum").is_err());
-    }
-
-    #[test]
-    fn transforms_are_one_to_one() {
-        let mut ts: Vec<Transform> = BmoId::ALL.iter().map(|id| id.spec().transform()).collect();
-        let n = ts.len();
-        ts.dedup();
-        assert_eq!(ts.len(), n, "two BMOs claim the same transform");
-        assert!(BmoStack::paper().has_transform(Transform::EncryptPayload));
-        assert!(!BmoStack::paper().has_transform(Transform::EccPayload));
-    }
-
-    #[test]
-    fn footprints_are_described() {
-        for id in BmoId::ALL {
-            assert!(!id.spec().footprint().note.is_empty(), "{id}");
-            assert_eq!(id.spec().id(), id);
-            assert!(!id.spec().name().is_empty());
-        }
     }
 }

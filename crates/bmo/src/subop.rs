@@ -21,26 +21,7 @@
 
 use janus_sim::time::Cycles;
 
-use crate::latency::BmoLatencies;
-
-/// Which BMO a sub-operation belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum BmoKind {
-    /// Counter-mode encryption (E1–E4).
-    Encryption,
-    /// Bonsai-Merkle-Tree integrity verification (I1–I3).
-    Integrity,
-    /// Fingerprint deduplication (D1–D4).
-    Dedup,
-    /// Optional extension: inline compression (C1).
-    Compression,
-    /// Optional extension: wear-leveling remap (W1).
-    WearLeveling,
-    /// Optional extension: SECDED check-byte generation (EC1).
-    Ecc,
-    /// Optional extension: oblivious frame relocation (O1).
-    Oram,
-}
+use crate::stack::BmoId;
 
 /// Index of a sub-operation node within its graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -67,8 +48,21 @@ pub enum ExternalClass {
     /// Both address and data (pre-executable once both are known).
     Both,
     /// Neither — the node has no external requirement of its own nor through
-    /// ancestors (does not occur in the standard graph after merging).
+    /// ancestors (does not occur in the paper's graph after merging).
     None,
+}
+
+impl ExternalClass {
+    /// The class of a set of sub-operations that together need the
+    /// address (`needs_addr`) and the data (`needs_data`).
+    pub fn of(needs_addr: bool, needs_data: bool) -> ExternalClass {
+        match (needs_addr, needs_data) {
+            (true, true) => ExternalClass::Both,
+            (true, false) => ExternalClass::Addr,
+            (false, true) => ExternalClass::Data,
+            (false, false) => ExternalClass::None,
+        }
+    }
 }
 
 /// Why an edge insertion was rejected (the checked counterpart of the
@@ -103,7 +97,7 @@ pub struct SubOp {
     /// Short name from the paper ("E1", "D2", …).
     pub name: &'static str,
     /// Owning BMO.
-    pub bmo: BmoKind,
+    pub bmo: BmoId,
     /// Execution latency on a BMO unit.
     pub latency: Cycles,
     /// Direct external dependency on the write's address.
@@ -296,12 +290,7 @@ impl DepGraph {
                 }
             }
         }
-        match (needs_addr, needs_data) {
-            (true, true) => ExternalClass::Both,
-            (true, false) => ExternalClass::Addr,
-            (false, true) => ExternalClass::Data,
-            (false, false) => ExternalClass::None,
-        }
+        ExternalClass::of(needs_addr, needs_data)
     }
 
     /// Topological order (insertion order refined by dependencies).
@@ -342,24 +331,6 @@ impl DepGraph {
     pub fn serial_sum(&self) -> Cycles {
         self.nodes.iter().map(|n| n.latency).sum()
     }
-
-    /// Builds the standard three-BMO graph of Figure 6 (encryption E1–E4,
-    /// integrity I1–I3, deduplication D1–D4) with the given latencies.
-    ///
-    /// Equivalent to `BmoStack::paper().graph(lat)` — the fragments and
-    /// inter-BMO edges live with each BMO in the [`crate::stack`] registry.
-    pub fn standard(lat: &BmoLatencies) -> DepGraph {
-        crate::stack::BmoStack::paper().graph(lat)
-    }
-
-    /// The extended graph for the ablation study: the standard three BMOs
-    /// plus inline compression (C1, data-dependent, before encryption) and
-    /// wear-leveling (W1, address-dependent, before the mapping update).
-    ///
-    /// Equivalent to `BmoStack::extended().graph(lat)`.
-    pub fn extended(lat: &BmoLatencies) -> DepGraph {
-        crate::stack::BmoStack::extended().graph(lat)
-    }
 }
 
 impl Default for DepGraph {
@@ -371,9 +342,11 @@ impl Default for DepGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::latency::BmoLatencies;
+    use crate::stack::BmoStack;
 
     fn g() -> DepGraph {
-        DepGraph::standard(&BmoLatencies::paper())
+        BmoStack::paper().graph(&BmoLatencies::paper())
     }
 
     fn ids(g: &DepGraph, names: &[&str]) -> Vec<NodeId> {
@@ -480,7 +453,7 @@ mod tests {
 
     #[test]
     fn extended_graph_classes() {
-        let g = DepGraph::extended(&BmoLatencies::paper());
+        let g = BmoStack::extended().graph(&BmoLatencies::paper());
         assert_eq!(g.len(), 13);
         let c1 = g.node_by_name("C1").unwrap();
         let w1 = g.node_by_name("W1").unwrap();

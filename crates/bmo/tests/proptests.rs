@@ -6,7 +6,7 @@ use janus_bmo::dedup::DedupStore;
 use janus_bmo::engine::{BmoEngine, BmoMode};
 use janus_bmo::integrity::MerkleTree;
 use janus_bmo::latency::BmoLatencies;
-use janus_bmo::subop::{DepGraph, NodeId};
+use janus_bmo::subop::NodeId;
 use janus_bmo::{BmoId, BmoStack};
 use janus_check::{forall, gen};
 use janus_crypto::FingerprintAlgo;
@@ -135,8 +135,8 @@ fn serialized_never_faster() {
     let g = gen::pair(&gen::range_u64(0..10_000), &gen::any_bool());
     forall(&g, |(submit, dup)| {
         let lat = BmoLatencies::paper();
-        let mut ser = BmoEngine::new(DepGraph::standard(&lat), BmoMode::Serialized, 4);
-        let mut par = BmoEngine::new(DepGraph::standard(&lat), BmoMode::Parallelized, 4);
+        let mut ser = BmoEngine::new(BmoStack::paper().graph(&lat), BmoMode::Serialized, 4);
+        let mut par = BmoEngine::new(BmoStack::paper().graph(&lat), BmoMode::Parallelized, 4);
         let t = Cycles(*submit);
         let js = ser.submit(t, Some(t), Some(t), *dup);
         let jp = par.submit(t, Some(t), Some(t), *dup);
@@ -263,7 +263,7 @@ fn any_stack_permutation_composes_validly() {
 fn parallel_relation_symmetric() {
     let g = gen::pair(&gen::range_usize(0..11), &gen::range_usize(0..11));
     forall(&g, |(i, j)| {
-        let g = DepGraph::standard(&BmoLatencies::paper());
+        let g = BmoStack::paper().graph(&BmoLatencies::paper());
         let (a, b) = (NodeId(*i), NodeId(*j));
         assert_eq!(g.can_parallel(&[a], &[b]), g.can_parallel(&[b], &[a]));
         if i == j {

@@ -907,7 +907,6 @@ impl std::fmt::Debug for MemoryController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use janus_bmo::subop::DepGraph;
 
     fn mc(mode: SystemMode) -> MemoryController {
         MemoryController::new(JanusConfig::paper(mode, 1))
@@ -986,7 +985,7 @@ mod tests {
     fn janus_without_pre_request_pays_parallelized_latency() {
         let mut m = mc(SystemMode::Janus);
         let out = m.handle_write(Cycles(0), 0, LineAddr(5), Line::splat(9), false);
-        let cp = DepGraph::standard(&m.config.latencies).critical_path();
+        let cp = BmoStack::paper().graph(&m.config.latencies).critical_path();
         assert!(out.persist_at >= cp);
         assert_eq!(m.stats().counter_value("pre_miss"), 1);
     }

@@ -513,9 +513,9 @@ mod tests {
 
     fn fake_job() -> JobId {
         // JobIds are opaque; get a real one from a throwaway engine.
-        use janus_bmo::{BmoEngine, BmoLatencies, BmoMode, DepGraph};
+        use janus_bmo::{BmoEngine, BmoLatencies, BmoMode, BmoStack};
         let mut e = BmoEngine::new(
-            DepGraph::standard(&BmoLatencies::paper()),
+            BmoStack::paper().graph(&BmoLatencies::paper()),
             BmoMode::Parallelized,
             1,
         );

@@ -26,7 +26,7 @@
 use std::collections::HashMap;
 
 use janus_bmo::latency::BmoLatencies;
-use janus_bmo::subop::DepGraph;
+use janus_bmo::BmoStack;
 use janus_core::ir::{Op, PreObjId, Program};
 use janus_lint::{LintCode, LintOptions, LintReport};
 use janus_nvm::addr::LineAddr;
@@ -279,7 +279,7 @@ pub fn trace_oracle(program: &Program) -> MisuseReport {
 /// per line, `PRE_DATA` binds to address-only hints of the same `pre_obj`,
 /// stores compare values, `clwb`s consume and check windows).
 pub fn trace_oracle_with(program: &Program, lat: &BmoLatencies) -> MisuseReport {
-    let required = DepGraph::standard(lat).critical_path();
+    let required = BmoStack::paper().graph(lat).critical_path();
     let mut report = MisuseReport::default();
     // Active hints by target line; data-only hints by obj until bound.
     let mut by_line: HashMap<LineAddr, Hint> = HashMap::new();

@@ -11,8 +11,8 @@
 //! only misbehave under some composition order is caught in CI.
 
 use janus_bmo::latency::BmoLatencies;
-use janus_bmo::subop::EdgeKind;
-use janus_bmo::{Bmo, BmoId, BmoStack, EdgeError, ExternalClass};
+use janus_bmo::subop::{EdgeKind, SubOp};
+use janus_bmo::{BmoId, BmoStack, EdgeError, ExternalClass};
 
 use crate::report::{Diagnostic, LintCode};
 
@@ -59,36 +59,31 @@ pub fn lint_stack(stack: &BmoStack, lat: &BmoLatencies) -> Vec<Diagnostic> {
         );
     }
     for &id in stack.members() {
-        if let Some(d) = lint_bmo_class(id.spec(), lat) {
+        if let Some(d) = lint_bmo_class(id, id.pre_exec(), &id.sub_ops(lat)) {
             out.push(d.with_stack(label.clone()));
         }
     }
     out
 }
 
-/// Checks one BMO's declared pre-executability class against the union of
-/// the direct external inputs of its sub-operation fragment.
-pub fn lint_bmo_class(bmo: &dyn Bmo, lat: &BmoLatencies) -> Option<Diagnostic> {
-    let ops = bmo.sub_ops(lat);
-    let addr = ops.iter().any(|o| o.needs_addr);
-    let data = ops.iter().any(|o| o.needs_data);
-    let derived = match (addr, data) {
-        (true, true) => ExternalClass::Both,
-        (true, false) => ExternalClass::Addr,
-        (false, true) => ExternalClass::Data,
-        (false, false) => ExternalClass::None,
-    };
-    let declared = bmo.pre_exec();
+/// Checks BMO `id`'s `declared` pre-executability class against the union
+/// of the direct external inputs of its sub-operation `fragment`.
+pub fn lint_bmo_class(
+    id: BmoId,
+    declared: ExternalClass,
+    fragment: &[SubOp],
+) -> Option<Diagnostic> {
+    let derived = ExternalClass::of(
+        fragment.iter().any(|o| o.needs_addr),
+        fragment.iter().any(|o| o.needs_data),
+    );
     if declared == derived {
         return None;
     }
     Some(Diagnostic::new(
         LintCode::GraphClassMismatch,
         0,
-        format!(
-            "{} declares pre-executability {declared:?} but its sub-ops require {derived:?}",
-            bmo.id()
-        ),
+        format!("{id} declares pre-executability {declared:?} but its sub-ops require {derived:?}"),
     ))
 }
 
@@ -134,7 +129,6 @@ fn permutations(items: &[BmoId]) -> Vec<Vec<BmoId>> {
 mod tests {
     use super::*;
     use crate::report::Severity;
-    use janus_bmo::{Footprint, Transform};
 
     #[test]
     fn paper_stack_is_structurally_clean() {
@@ -161,36 +155,11 @@ mod tests {
 
     #[test]
     fn class_mismatch_fires_on_a_lying_bmo() {
-        struct Liar;
-        impl Bmo for Liar {
-            fn id(&self) -> BmoId {
-                BmoId::Compression
-            }
-            fn name(&self) -> &'static str {
-                "liar"
-            }
-            fn sub_ops(&self, lat: &BmoLatencies) -> Vec<janus_bmo::subop::SubOp> {
-                BmoId::Compression.spec().sub_ops(lat) // needs data only
-            }
-            fn inter_edges(&self) -> &'static [(&'static str, &'static str)] {
-                &[]
-            }
-            fn transform(&self) -> Transform {
-                Transform::CompressPayload
-            }
-            fn footprint(&self) -> Footprint {
-                Footprint {
-                    meta_bytes_per_line: 0,
-                    sram_bytes: 0,
-                    note: "",
-                }
-            }
-            fn pre_exec(&self) -> ExternalClass {
-                ExternalClass::Addr // lie: C1 needs data
-            }
-        }
         let lat = BmoLatencies::paper();
-        let d = lint_bmo_class(&Liar, &lat).expect("mismatch must fire");
+        // A lie: C1 needs data, not the address.
+        let fragment = BmoId::Compression.sub_ops(&lat);
+        let d = lint_bmo_class(BmoId::Compression, ExternalClass::Addr, &fragment)
+            .expect("mismatch must fire");
         assert_eq!(d.code, LintCode::GraphClassMismatch);
         assert!(
             d.message.contains("Addr") && d.message.contains("Data"),
@@ -199,7 +168,10 @@ mod tests {
         );
         // And the real registry is honest.
         for id in BmoId::ALL {
-            assert!(lint_bmo_class(id.spec(), &lat).is_none(), "{id}");
+            assert!(
+                lint_bmo_class(id, id.pre_exec(), &id.sub_ops(&lat)).is_none(),
+                "{id}"
+            );
         }
     }
 

@@ -3,10 +3,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use janus_bmo::subop::{BmoKind, DepGraph};
+use janus_bmo::subop::DepGraph;
 use janus_sim::hash::FxHashMap;
 use janus_sim::time::Cycles;
-use janus_trace::{Category, EventKind, TraceEvent};
+use janus_trace::{EventKind, TraceEvent};
 
 /// Why a profile could not be built from a trace stream.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -202,18 +202,6 @@ pub struct Profile {
     span: (Cycles, Cycles),
 }
 
-fn resource_of(kind: BmoKind) -> &'static str {
-    match kind {
-        BmoKind::Encryption => Category::Encryption.as_str(),
-        BmoKind::Integrity => Category::Integrity.as_str(),
-        BmoKind::Dedup => Category::Dedup.as_str(),
-        BmoKind::Compression => Category::Compression.as_str(),
-        BmoKind::WearLeveling => Category::WearLeveling.as_str(),
-        BmoKind::Ecc => Category::Ecc.as_str(),
-        BmoKind::Oram => Category::Oram.as_str(),
-    }
-}
-
 /// Resource name for the engine itself (dependency/serialization waits
 /// that no single BMO owns).
 const RES_ENGINE: &str = "bmo.engine";
@@ -244,7 +232,7 @@ impl Profile {
         let node_names: Vec<&'static str> = graph.node_ids().map(|n| graph.node(n).name).collect();
         let node_res: Vec<&'static str> = graph
             .node_ids()
-            .map(|n| resource_of(graph.node(n).bmo))
+            .map(|n| graph.node(n).bmo.category().as_str())
             .collect();
         let node_succs: Vec<Vec<usize>> = graph
             .node_ids()

@@ -21,7 +21,7 @@ use janus_instrument::instrument;
 use janus_trace::metrics::MetricsRegistry;
 use janus_trace::{TraceConfig, Tracer};
 use janus_workloads::traffic::{generate_tenants, Arrival, TenantSpec};
-use janus_workloads::{generate, Instrumentation, Workload, WorkloadConfig};
+use janus_workloads::{try_generate, GenError, Instrumentation, Workload, WorkloadConfig};
 
 pub use cli::{arg_usize, require_known_args};
 
@@ -252,11 +252,14 @@ impl RunSpec {
     fn program_for_core(
         &self,
         core: usize,
-    ) -> (
-        Program,
-        janus_nvm::store::LineStore,
-        Vec<(janus_nvm::addr::LineAddr, u64)>,
-    ) {
+    ) -> Result<
+        (
+            Program,
+            janus_nvm::store::LineStore,
+            Vec<(janus_nvm::addr::LineAddr, u64)>,
+        ),
+        GenError,
+    > {
         let instrumentation = match self.variant {
             Variant::JanusManual | Variant::JanusFixed => Instrumentation::Manual,
             _ => Instrumentation::None,
@@ -270,7 +273,7 @@ impl RunSpec {
             key_skew: self.key_skew,
             aux_tx_fraction: self.aux_tx_fraction,
         };
-        let out = generate(self.workload, core, &cfg);
+        let out = try_generate(self.workload, core, &cfg)?;
         let program = match self.variant {
             Variant::JanusAuto => instrument(&out.program).0,
             Variant::JanusAutoPlace => janus_lint::auto_place(&out.program).0,
@@ -283,7 +286,7 @@ impl RunSpec {
             }
             _ => out.program,
         };
-        (program, out.expected, out.resident)
+        Ok((program, out.expected, out.resident))
     }
 }
 
@@ -407,10 +410,15 @@ pub fn run_quiet(spec: RunSpec) -> RunResult {
     if let Some(every) = spec.sample_every {
         sys.enable_sampling(janus_sim::time::Cycles(every));
     }
-    // A run request the configuration rejects is a usage error, not a bug in
-    // the harness: report it and exit with the CLI usage status.
+    // A run request the configuration or the workload generator rejects is
+    // a usage error, not a bug in the harness: report it and exit with the
+    // CLI usage status.
     let surface = |e: janus_core::system::ConfigError| -> ! {
         eprintln!("error: invalid run configuration: {e}");
+        std::process::exit(2);
+    };
+    let surface_gen = |e: GenError| -> ! {
+        eprintln!("error: cannot generate {}: {e}", spec.workload);
         std::process::exit(2);
     };
     let (report, oracles) = if spec.open_loop.is_some() {
@@ -431,7 +439,9 @@ pub fn run_quiet(spec: RunSpec) -> RunResult {
         let mut programs = Vec::with_capacity(spec.cores);
         let mut oracles = Vec::with_capacity(spec.cores);
         for core in 0..spec.cores {
-            let (p, expected, resident) = spec.program_for_core(core);
+            let (p, expected, resident) = spec
+                .program_for_core(core)
+                .unwrap_or_else(|e| surface_gen(e));
             programs.push(p);
             // Steady-state measurement: the workload's written set and its
             // declared resident structures start warm in the shared L2.

@@ -187,23 +187,50 @@ fn malformed_values_exit_2_before_any_work() {
         (multicore, &["--tenants", "65", "--tx", "1"][..]),
         (multicore, &["--tenants", "0", "--tx", "1"][..]),
     ] {
-        let out = Command::new(bin)
-            .args(args)
-            .env_remove("JANUS_JOBS")
-            .env_remove("JANUS_RESULTS_JSON_DIR")
-            .output()
-            .expect("spawn bench binary");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        let what = format!("{bin} {args:?}: {stderr}");
-        assert_eq!(out.status.code(), Some(2), "{what}");
-        assert_eq!(stderr.lines().count(), 1, "{what}");
+        let stderr = exits_2(bin, args);
         assert!(
             stderr.starts_with(&format!("error: {} ", args[0])),
-            "{what}"
+            "{bin} {args:?}: {stderr}"
         );
-        assert!(!stderr.contains("panicked"), "{what}");
-        assert!(out.stdout.is_empty(), "{what}: ran anyway");
     }
+    // Well-formed flags whose workload cannot be generated: the array does
+    // not fit its core region, and more distinct keys arrive than the hash
+    // table has slots.
+    for (args, reason) in [
+        (
+            &["--workload", "array", "--size", "65536", "--tx", "1"][..],
+            "core region",
+        ),
+        (
+            &["--workload", "hash", "--tx", "20000", "--size", "4096"][..],
+            "slots of the hash table",
+        ),
+    ] {
+        let stderr = exits_2(cli, args);
+        assert!(
+            stderr.starts_with("error: cannot generate ") && stderr.contains(reason),
+            "{cli} {args:?}: {stderr}"
+        );
+    }
+}
+
+/// Runs `bin` with `args` and checks the usage-error contract: exit 2, one
+/// `error:` line on stderr, no panic, nothing on stdout. Returns stderr.
+fn exits_2(bin: &str, args: &[&str]) -> String {
+    let out = Command::new(bin)
+        .args(args)
+        .env_remove("JANUS_JOBS")
+        .env_remove("JANUS_RESULTS_JSON_DIR")
+        .output()
+        .expect("spawn bench binary");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    let what = format!("{bin} {args:?}: {stderr}");
+    assert_eq!(out.status.code(), Some(2), "{what}");
+    assert_eq!(stderr.lines().count(), 1, "{what}");
+    assert!(stderr.starts_with("error: "), "{what}");
+    assert!(!stderr.contains("panicked"), "{what}");
+    assert!(out.stdout.is_empty(), "{what}: ran anyway");
+    stderr
 }
 
 #[test]

@@ -198,13 +198,11 @@ impl BmoEngine {
         let id = self.next_id;
         self.next_id += 1;
         self.jobs_submitted += 1;
-        // Periodically retire fully past unit-pool ledger windows. Every
-        // engine entry point runs at the event loop's monotone current
-        // time, so windows before this submit can never be consulted
-        // again; without this the ledger grows for the whole run.
-        if self.jobs_submitted.is_multiple_of(4096) {
-            self.pool.retire_before(submit);
-        }
+        // Every engine entry point runs at the event loop's monotone
+        // current time, so unit-pool windows before this submit are never
+        // consulted again. Dropping them is a pop from the ledger's front,
+        // which keeps its run as short as the bookings ahead of the clock.
+        self.pool.retire_before(submit);
         let submit = if self.mode == BmoMode::SerializedGlobal {
             // One write's BMOs at a time across the controller.
             submit.max(self.serial_tail)

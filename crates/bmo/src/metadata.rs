@@ -205,8 +205,10 @@ impl MetadataStore {
     /// Sets an entry and returns the updated metadata line value (what must
     /// be written back to NVM).
     fn set(&mut self, loc: MetaLoc, entry: MetaEntry) -> (LineAddr, Line) {
-        self.lines.write_u64(loc.line, loc.offset, entry.encode());
-        (loc.line, self.lines.read(loc.line))
+        (
+            loc.line,
+            self.lines.update_u64(loc.line, loc.offset, entry.encode()),
+        )
     }
 
     /// The entry for a logical line.

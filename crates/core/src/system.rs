@@ -555,24 +555,51 @@ impl System {
     /// `until`, jumping the clock straight to the next deadline. Events a
     /// handler schedules for the *current* cycle are picked up by the next
     /// `pop_batch` call at the same timestamp, so delivery is exactly
-    /// `(time, schedule order)` FIFO.
+    /// `(time, schedule order)` FIFO. Only the last event of a cohort may
+    /// run a core's next step in place (see [`System::run_core`]).
     fn run_loop(&mut self, until: Cycles) {
         let mut buf = std::mem::take(&mut self.batch_buf);
         while self.events.pop_batch(until, &mut buf).is_some() {
-            for (t, ev) in buf.drain(..) {
-                self.events_processed += 1;
-                if let Some(sampler) = &mut self.sampler {
-                    sampler.maybe_sample(t, self.mc.stats());
-                }
-                self.dispatch(t, ev);
+            let last = buf.len() - 1;
+            for (k, (t, ev)) in buf.drain(..).enumerate() {
+                self.count_event(t);
+                self.dispatch(t, ev, (k == last).then_some(until));
             }
         }
         self.batch_buf = buf;
     }
 
-    fn dispatch(&mut self, t: Cycles, ev: Ev) {
+    /// Counts a delivered event and offers its cycle to the sampler.
+    fn count_event(&mut self, t: Cycles) {
+        self.events_processed += 1;
+        if let Some(sampler) = &mut self.sampler {
+            sampler.maybe_sample(t, self.mc.stats());
+        }
+    }
+
+    /// Steps core `i` at `t` and books its next step. When the step ended
+    /// its cohort (`inline_until` is then the loop's bound), the next step
+    /// is due within that bound, and no pending event is due at or before
+    /// it, the queue would deliver that step next and alone: it runs here
+    /// instead, counted and sampled as if popped, with the clock moved by
+    /// [`EventQueue::advance_to`]. The schedule is the one the queue gives.
+    fn run_core(&mut self, mut t: Cycles, i: usize, inline_until: Option<Cycles>) {
+        while let Some(next) = self.step_core(t, i) {
+            let inline = inline_until.is_some_and(|until| next <= until)
+                && self.events.peek_time().is_none_or(|due| due > next);
+            if !inline {
+                self.events.schedule(next, Ev::Core(i));
+                return;
+            }
+            self.events.advance_to(next);
+            self.count_event(next);
+            t = next;
+        }
+    }
+
+    fn dispatch(&mut self, t: Cycles, ev: Ev, inline_until: Option<Cycles>) {
         match ev {
-            Ev::Core(i) => self.step_core(t, i),
+            Ev::Core(i) => self.run_core(t, i, inline_until),
             Ev::CoreWake(i) => {
                 // Stale wakes (the core picked up work since the wake was
                 // scheduled) are ignored — only parked cores re-check.
@@ -657,16 +684,22 @@ impl System {
         self.cores[i].tenant.map_or(i, |(tenant, _)| tenant)
     }
 
-    fn step_core(&mut self, t: Cycles, i: usize) {
+    /// Executes core `i`'s next op at `t`. Returns when the core's
+    /// following step is due, or `None` when it waits on a fence or has
+    /// finished.
+    fn step_core(&mut self, t: Cycles, i: usize) -> Option<Cycles> {
         if self.cores[i].done() {
             if self.cores[i].outstanding == 0 {
                 self.core_idle(t, i);
             }
-            return;
+            return None;
         }
         let thread = self.thread_of(i);
         let pc = self.cores[i].pc;
-        let op = self.cores[i].program.ops[pc].clone();
+        // The core never looks back, so it takes the op rather than cloning
+        // it: a pre-execution op's values move into its request, and a
+        // `DataGen` marker's are dropped here.
+        let op = std::mem::replace(&mut self.cores[i].program.ops[pc], Op::FuncEnd);
         self.cores[i].pc += 1;
         let ct = self.config.core;
         let wb = self.config.writeback;
@@ -707,7 +740,7 @@ impl System {
                     next_at = t + ct.fence_issue;
                 } else {
                     self.cores[i].fence_blocked = true;
-                    return; // resumed by the last Persisted event
+                    return None; // resumed by the last Persisted event
                 }
             }
             Op::TxBegin => {
@@ -845,8 +878,7 @@ impl System {
             | Op::CondBegin
             | Op::CondEnd => {}
         }
-
-        self.events.schedule(next_at.max(t), Ev::Core(i));
+        Some(next_at.max(t))
     }
 
     fn send_pre(&mut self, t: Cycles, _core: usize, req: PreRequest, kind: PreArrivalKind) {

@@ -9,6 +9,77 @@ use janus_sim::hash::FxHashMap;
 use crate::addr::LineAddr;
 use crate::line::Line;
 
+/// Lines per group: one bit each in a `u64` presence mask.
+const GROUP_SHIFT: u32 = 6;
+const GROUP_MASK: u64 = (1 << GROUP_SHIFT) - 1;
+
+/// The stored lines of one aligned 64-line group.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct Group {
+    /// Bit `i` is set iff line `64·g + i` is stored.
+    mask: u64,
+    /// The stored lines in address order: line `i` sits at the number of
+    /// set mask bits below bit `i`.
+    lines: Vec<Line>,
+}
+
+impl Group {
+    /// Position of bit `bit`'s line in `lines` (present or not).
+    fn index(&self, bit: u32) -> usize {
+        (self.mask & ((1u64 << bit) - 1)).count_ones() as usize
+    }
+
+    fn get(&self, bit: u32) -> Line {
+        if self.mask & (1u64 << bit) == 0 {
+            return Line::zero();
+        }
+        self.lines[self.index(bit)]
+    }
+
+    /// Stores `line` at `bit`, leaving the bit clear when `line` is zero.
+    /// Returns the change in the number of stored lines.
+    fn set(&mut self, bit: u32, line: Line) -> isize {
+        let i = self.index(bit);
+        match (self.mask & (1u64 << bit) != 0, line.is_zero()) {
+            (true, false) => {
+                self.lines[i] = line;
+                0
+            }
+            (true, true) => {
+                self.lines.remove(i);
+                self.mask &= !(1u64 << bit);
+                -1
+            }
+            (false, false) => {
+                // Most groups of a scattered store hold one line: start at
+                // exactly one rather than `Vec`'s minimum of four.
+                if self.lines.capacity() == 0 {
+                    self.lines.reserve_exact(1);
+                }
+                self.lines.insert(i, line);
+                self.mask |= 1u64 << bit;
+                1
+            }
+            (false, true) => 0,
+        }
+    }
+
+    /// The stored lines with their addresses, ascending; `key` is the
+    /// group's index (`addr >> 6`).
+    fn iter(&self, key: u64) -> impl Iterator<Item = (LineAddr, &Line)> {
+        let mut rest = self.mask;
+        self.lines.iter().map(move |line| {
+            let bit = rest.trailing_zeros();
+            rest &= rest - 1;
+            (LineAddr(key << GROUP_SHIFT | u64::from(bit)), line)
+        })
+    }
+}
+
+fn split(addr: LineAddr) -> (u64, u32) {
+    (addr.0 >> GROUP_SHIFT, (addr.0 & GROUP_MASK) as u32)
+}
+
 /// A sparse, zero-default map of line values.
 ///
 /// # Example
@@ -22,12 +93,18 @@ use crate::line::Line;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct LineStore {
-    // Hashed map (deterministic FxHash, no per-process random state) for the
-    // per-access hot path; [`LineStore::iter`] sorts before yielding, because
-    // iteration order feeds cache warm-up and recovery replay and therefore
-    // must not depend on insertion order — a std HashMap here once made
-    // same-seed runs diverge from process to process.
-    lines: FxHashMap<LineAddr, Line>,
+    // A directory of aligned 64-line groups, each a presence mask over its
+    // non-zero lines packed in address order. A dense region costs one
+    // directory entry per 64 lines and no per-line key; a lone line costs
+    // about what a hash entry would. The directory is hashed rather than
+    // paged because the regions this stores span about 2²⁸ lines, and a
+    // scattered store (ORAM's) holds about one line per group. The hash is
+    // deterministic FxHash, but [`LineStore::iter`] still sorts the groups:
+    // iteration order feeds cache warm-up and recovery replay and must not
+    // depend on insertion order. Invariants: no stored line is zero, no
+    // group is empty, and `len` counts the stored lines.
+    groups: FxHashMap<u64, Group>,
+    len: usize,
 }
 
 impl LineStore {
@@ -38,24 +115,43 @@ impl LineStore {
 
     /// Reads a line; unwritten lines read as zero.
     pub fn read(&self, addr: LineAddr) -> Line {
-        self.lines.get(&addr).copied().unwrap_or_default()
+        let (key, bit) = split(addr);
+        self.groups.get(&key).map_or(Line::zero(), |g| g.get(bit))
     }
 
     /// Writes a line.
     pub fn write(&mut self, addr: LineAddr, value: Line) {
-        if value.is_zero() {
-            // Keep the map sparse; zero is the default.
-            self.lines.remove(&addr);
+        let (key, bit) = split(addr);
+        let g = if value.is_zero() {
+            // Zero is the default: a zero write never makes a group.
+            match self.groups.get_mut(&key) {
+                Some(g) => g,
+                None => return,
+            }
         } else {
-            self.lines.insert(addr, value);
-        }
+            self.groups.entry(key).or_default()
+        };
+        let gained = g.set(bit, value);
+        let emptied = g.mask == 0;
+        self.settle(key, gained, emptied);
+    }
+
+    /// Read-modify-write of a u64 word within a line, in one directory
+    /// lookup. Returns the updated line.
+    pub fn update_u64(&mut self, addr: LineAddr, offset: usize, value: u64) -> Line {
+        let (key, bit) = split(addr);
+        let g = self.groups.entry(key).or_default();
+        let mut line = g.get(bit);
+        line.write_u64(offset, value);
+        let gained = g.set(bit, line);
+        let emptied = g.mask == 0;
+        self.settle(key, gained, emptied);
+        line
     }
 
     /// Read-modify-write of a u64 word within a line.
     pub fn write_u64(&mut self, addr: LineAddr, offset: usize, value: u64) {
-        let mut line = self.read(addr);
-        line.write_u64(offset, value);
-        self.write(addr, line);
+        self.update_u64(addr, offset, value);
     }
 
     /// Reads a u64 word within a line.
@@ -65,27 +161,40 @@ impl LineStore {
 
     /// Number of non-zero lines.
     pub fn len(&self) -> usize {
-        self.lines.len()
+        self.len
     }
 
     /// Whether every line is zero.
     pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
+        self.len == 0
     }
 
     /// Iterates over non-zero lines in ascending address order.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &Line)> {
-        let mut v: Vec<(LineAddr, &Line)> = self.lines.iter().map(|(a, l)| (*a, l)).collect();
-        v.sort_unstable_by_key(|(a, _)| *a);
-        v.into_iter()
+        let mut groups: Vec<(u64, &Group)> = self.groups.iter().map(|(k, g)| (*k, g)).collect();
+        groups.sort_unstable_by_key(|(k, _)| *k);
+        groups.into_iter().flat_map(|(k, g)| g.iter(k))
     }
 
     /// Compares the non-zero contents of two stores (zero-default aware).
     pub fn same_contents(&self, other: &LineStore) -> bool {
-        if self.lines.len() != other.lines.len() {
-            return false;
+        // Both sides hold only non-zero lines in non-empty groups, so equal
+        // contents means equal groups.
+        self.len == other.len
+            && self.groups.len() == other.groups.len()
+            && self
+                .groups
+                .iter()
+                .all(|(k, g)| other.groups.get(k) == Some(g))
+    }
+
+    /// Books a group's change in stored lines, and drops the group once
+    /// it is empty.
+    fn settle(&mut self, key: u64, gained: isize, emptied: bool) {
+        self.len = self.len.wrapping_add_signed(gained);
+        if emptied {
+            self.groups.remove(&key);
         }
-        self.lines.iter().all(|(a, l)| other.read(*a) == *l)
     }
 }
 

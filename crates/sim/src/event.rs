@@ -238,7 +238,7 @@ impl<E> EventQueue<E> {
     /// untouched — if the queue is empty or its next event lies after
     /// `until` (pass [`Cycles::MAX`] for no bound).
     ///
-    /// This is the simulator loop's only entry point: one bitmap search
+    /// This is how the simulator loop takes events: one bitmap search
     /// yields the whole same-cycle cohort, and the clock jump *is* the
     /// next-event fast-forward — when all resources are quiescent, `now`
     /// moves straight to the next deadline without visiting the idle cycles
@@ -288,6 +288,29 @@ impl<E> EventQueue<E> {
         debug_assert!(time >= self.now);
         self.now = time;
         Some(time)
+    }
+
+    /// Moves the clock to `to` without delivering anything. The caller has
+    /// just run, in place, the one event it would otherwise have scheduled
+    /// for `to` and popped next; see `System::run_loop` in `janus-core`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to` is before the current time, or if a pending event is
+    /// due at or before `to`: that event would have been delivered first.
+    pub fn advance_to(&mut self, to: Cycles) {
+        assert!(
+            to >= self.now,
+            "clock moved backwards: to={to:?} now={:?}",
+            self.now
+        );
+        if let Some(next) = self.peek_time() {
+            assert!(
+                next > to,
+                "advancing to {to:?} would skip an event due at {next:?}"
+            );
+        }
+        self.now = to;
     }
 
     /// Number of pending events.
@@ -591,6 +614,53 @@ mod tests {
         assert_eq!(q.pop_batch(Cycles::MAX, &mut batch), Some(Cycles(10_000)));
         assert_eq!(batch, vec![(Cycles(10_000), 1), (Cycles(10_000), 2)]);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "would skip an event")]
+    fn advance_to_refuses_to_pass_a_pending_event() {
+        let mut q = EventQueue::new();
+        q.schedule(Cycles(5), ());
+        q.advance_to(Cycles(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "would skip an event")]
+    fn advance_to_refuses_an_event_due_at_the_target() {
+        // That event was scheduled first, so it must be delivered first.
+        let mut q = EventQueue::new();
+        q.schedule(Cycles(10), ());
+        q.advance_to(Cycles(10));
+    }
+
+    #[test]
+    fn advance_to_keeps_fifo_for_later_schedules() {
+        let mut q = EventQueue::new();
+        q.schedule(Cycles(9_000), "far, overflow");
+        q.schedule(Cycles(100), "early");
+        q.advance_to(Cycles(50));
+        assert_eq!(q.now(), Cycles(50));
+        q.advance_to(Cycles(50)); // no-op
+        q.schedule(Cycles(100), "late");
+        q.schedule(Cycles(60), "mid");
+        q.schedule(Cycles(50), "now");
+        assert_eq!(q.pop(), Some((Cycles(50), "now")));
+        assert_eq!(q.pop(), Some((Cycles(60), "mid")));
+        assert_eq!(q.pop(), Some((Cycles(100), "early")));
+        assert_eq!(q.pop(), Some((Cycles(100), "late")));
+        // Into the overflow entry's wheel window: an equal-time wheel entry
+        // scheduled after the jump still pops after it.
+        q.advance_to(Cycles(8_000));
+        q.schedule(Cycles(9_000), "far, wheel");
+        let mut batch = Vec::new();
+        assert_eq!(q.pop_batch(Cycles::MAX, &mut batch), Some(Cycles(9_000)));
+        assert_eq!(
+            batch,
+            vec![
+                (Cycles(9_000), "far, overflow"),
+                (Cycles(9_000), "far, wheel")
+            ]
+        );
     }
 
     #[test]

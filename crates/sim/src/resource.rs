@@ -8,6 +8,8 @@
 //! queue's bound in the memory controller, and the Intermediate Result
 //! Buffer (`irb`).
 
+use std::collections::VecDeque;
+
 use crate::time::Cycles;
 
 /// A pool of identical execution units modeled as a windowed capacity
@@ -24,6 +26,12 @@ use crate::time::Cycles;
 /// ready time with room. This is bandwidth-exact and start-time-accurate to
 /// within one window.
 ///
+/// The ledger is a run of consecutive windows starting at a base window:
+/// bookings land at most a few thousand cycles past the caller's clock, so
+/// the run stays short, a window is found by indexing, and
+/// [`UnitPool::retire_before`] drops past windows from the front. Windows
+/// outside the run hold no bookings.
+///
 /// The special capacity [`UnitPool::UNLIMITED`] models the "Unlimited"
 /// configuration of Figure 14.
 #[derive(Clone, Debug)]
@@ -31,8 +39,10 @@ pub struct UnitPool {
     unlimited: bool,
     /// Unit-cycles each window offers (`units × WINDOW`).
     capacity: u64,
-    /// Unit-cycles consumed per window index.
-    ledger: crate::hash::FxHashMap<u64, u64>,
+    /// Index of the window `ledger[0]` books.
+    base: u64,
+    /// Unit-cycles consumed per window, from window `base` on.
+    ledger: VecDeque<u64>,
     total_busy: Cycles,
     acquisitions: u64,
 }
@@ -64,14 +74,34 @@ impl UnitPool {
         UnitPool {
             unlimited,
             capacity,
-            ledger: crate::hash::FxHashMap::default(),
+            base: 0,
+            ledger: VecDeque::new(),
             total_busy: Cycles::ZERO,
             acquisitions: 0,
         }
     }
 
     fn used(&self, w: u64) -> u64 {
-        self.ledger.get(&w).copied().unwrap_or(0)
+        w.checked_sub(self.base)
+            .and_then(|i| self.ledger.get(usize::try_from(i).ok()?))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// The ledger slot of window `w`, growing the run to cover it.
+    fn slot(&mut self, w: u64) -> &mut u64 {
+        if self.ledger.is_empty() {
+            self.base = w;
+        }
+        while w < self.base {
+            self.ledger.push_front(0);
+            self.base -= 1;
+        }
+        let i = usize::try_from(w - self.base).expect("ledger run fits in memory");
+        if i >= self.ledger.len() {
+            self.ledger.resize(i + 1, 0);
+        }
+        &mut self.ledger[i]
     }
 
     /// Earliest time at which spare capacity exists, given the current time.
@@ -113,13 +143,12 @@ impl UnitPool {
         if self.unlimited {
             return (now, now + latency);
         }
-        // First fit: a saturated window already has a ledger entry (its
-        // capacity is positive), so probing inserts only the window that
-        // takes the charge.
+        // First fit.
         let mut w = now.0 / Self::WINDOW;
         loop {
-            let used = self.ledger.entry(w).or_insert(0);
-            if *used + occupancy <= self.capacity {
+            let capacity = self.capacity;
+            let used = self.slot(w);
+            if *used + occupancy <= capacity {
                 *used += occupancy;
                 let start = Cycles((w * Self::WINDOW).max(now.0));
                 return (start, start + latency);
@@ -138,20 +167,18 @@ impl UnitPool {
         self.acquisitions
     }
 
-    /// Drops ledger entries for windows strictly before `now`'s window.
+    /// Forgets the windows strictly before `now`'s window.
     ///
-    /// Safe whenever the caller's clock is monotone: every placement
-    /// search and [`Self::free_at`] scan starts at `now /
-    /// WINDOW` and only moves forward, so fully past windows can never be
-    /// consulted again. Without pruning the ledger grows one entry per ~64
-    /// busy cycles for the whole run, and its rehashing shows up in the
-    /// event-loop profile.
+    /// Exact whenever the caller's clock is monotone: every placement
+    /// search and [`Self::free_at`] scan starts at `now / WINDOW` and only
+    /// moves forward, so fully past windows are never consulted again.
+    /// Dropping them from the front keeps the run as short as the furthest
+    /// booking ahead of the clock.
     pub fn retire_before(&mut self, now: Cycles) {
-        if self.unlimited {
-            return;
-        }
-        let w = now.0 / Self::WINDOW;
-        self.ledger.retain(|&i, _| i >= w);
+        let past = (now.0 / Self::WINDOW).saturating_sub(self.base);
+        let past = usize::try_from(past).map_or(self.ledger.len(), |n| n.min(self.ledger.len()));
+        self.ledger.drain(..past);
+        self.base += past as u64;
     }
 }
 

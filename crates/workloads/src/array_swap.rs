@@ -10,7 +10,7 @@ use janus_sim::rng::SimRng;
 
 use crate::undo::WorkloadCtx;
 use crate::values::ValueGen;
-use crate::{WorkloadConfig, WorkloadOutput};
+use crate::{GenError, WorkloadConfig, WorkloadOutput};
 
 /// Items in the array.
 const ARRAY_ITEMS: u64 = 1024;
@@ -20,12 +20,12 @@ const INDEX_COMPUTE: u32 = 40;
 const COPY_COMPUTE: u32 = 180;
 
 /// Generates the workload.
-pub fn generate(core: usize, cfg: &WorkloadConfig) -> WorkloadOutput {
+pub fn generate(core: usize, cfg: &WorkloadConfig) -> Result<WorkloadOutput, GenError> {
     let mut ctx = WorkloadCtx::new(core, cfg.instrumentation);
     let mut rng = SimRng::new(cfg.seed ^ (core as u64) << 32);
     let mut gen = ValueGen::new(cfg.seed ^ 0xA55A ^ core as u64, cfg.dedup_ratio);
     let item_lines = cfg.payload_lines() as u64;
-    let base = ctx.heap.alloc(ARRAY_ITEMS * item_lines);
+    let base = ctx.heap.alloc(ARRAY_ITEMS * item_lines)?;
     let item_addr = |i: u64| LineAddr(base.0 + i * item_lines);
 
     let zipf = cfg
@@ -71,11 +71,11 @@ pub fn generate(core: usize, cfg: &WorkloadConfig) -> WorkloadOutput {
 
     let resident = vec![(base, ARRAY_ITEMS * item_lines)];
     let expected = ctx.expected.clone();
-    WorkloadOutput {
+    Ok(WorkloadOutput {
         program: ctx.build(),
         expected,
         resident,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -91,7 +91,8 @@ mod tests {
                 transactions: 3,
                 ..WorkloadConfig::default()
             },
-        );
+        )
+        .expect("fits");
         // Per tx: header + 2 log lines + 2 updates + 1 commit = 6 writes.
         assert_eq!(out.program.write_count(), 18);
     }
@@ -105,7 +106,8 @@ mod tests {
                 instrumentation: Instrumentation::Manual,
                 ..WorkloadConfig::default()
             },
-        );
+        )
+        .expect("fits");
         let pre_both = out
             .program
             .ops
@@ -125,7 +127,8 @@ mod tests {
                 tx_size_bytes: 512, // 8 lines per item
                 ..WorkloadConfig::default()
             },
-        );
+        )
+        .expect("fits");
         // Per tx: header + 16 log + 16 updates + commit = 34.
         assert_eq!(out.program.write_count(), 68);
     }

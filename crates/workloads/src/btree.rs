@@ -17,7 +17,7 @@ use janus_sim::rng::SimRng;
 
 use crate::undo::WorkloadCtx;
 use crate::values::ValueGen;
-use crate::{WorkloadConfig, WorkloadOutput};
+use crate::{GenError, WorkloadConfig, WorkloadOutput};
 
 /// Maximum keys per node (order 7: 6 keys, 7 children).
 const MAX_KEYS: usize = 6;
@@ -196,15 +196,15 @@ fn encode_node(n: &BNode) -> [Line; 2] {
 }
 
 /// Generates the workload.
-pub fn generate(core: usize, cfg: &WorkloadConfig) -> WorkloadOutput {
+pub fn generate(core: usize, cfg: &WorkloadConfig) -> Result<WorkloadOutput, GenError> {
     let mut ctx = WorkloadCtx::new(core, cfg.instrumentation);
     let mut rng = SimRng::new(cfg.seed ^ 0xB7 ^ (core as u64) << 32);
     let mut gen = ValueGen::new(cfg.seed ^ 0xB733 ^ core as u64, cfg.dedup_ratio);
     let item_lines = cfg.payload_lines() as u64;
     // Node arena (2 lines per node) + payload arena.
     let max_nodes = (cfg.transactions as u64 * 2).max(128);
-    let node_arena = ctx.heap.alloc(max_nodes * 2);
-    let payload_arena = ctx.heap.alloc(cfg.transactions as u64 * item_lines + 1);
+    let node_arena = ctx.heap.alloc(max_nodes * 2)?;
+    let payload_arena = ctx.heap.alloc(cfg.transactions as u64 * item_lines + 1)?;
     let node_addr = |i: usize| LineAddr(node_arena.0 + i as u64 * 2);
 
     let mut tree = Mirror::new();
@@ -267,11 +267,11 @@ pub fn generate(core: usize, cfg: &WorkloadConfig) -> WorkloadOutput {
 
     let resident = Vec::new();
     let expected = ctx.expected.clone();
-    WorkloadOutput {
+    Ok(WorkloadOutput {
         program: ctx.build(),
         expected,
         resident,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -317,7 +317,8 @@ mod tests {
                 transactions: 30,
                 ..WorkloadConfig::default()
             },
-        );
+        )
+        .expect("fits");
         // Node lines + payload + log + commit: well above 4 writes/tx.
         assert!(out.program.write_count() > 30 * 5);
     }

@@ -16,7 +16,7 @@ use janus_sim::rng::SimRng;
 
 use crate::undo::WorkloadCtx;
 use crate::values::ValueGen;
-use crate::{WorkloadConfig, WorkloadOutput};
+use crate::{GenError, WorkloadConfig, WorkloadOutput};
 
 /// Number of slots (power of two).
 const SLOTS: u64 = 16384;
@@ -33,7 +33,7 @@ fn hash_of(key: u64) -> u64 {
 }
 
 /// Generates the workload.
-pub fn generate(core: usize, cfg: &WorkloadConfig) -> WorkloadOutput {
+pub fn generate(core: usize, cfg: &WorkloadConfig) -> Result<WorkloadOutput, GenError> {
     let mut ctx = WorkloadCtx::new(core, cfg.instrumentation);
     let mut rng = SimRng::new(cfg.seed ^ 0x4A5 ^ (core as u64) << 32);
     let mut gen = ValueGen::new(cfg.seed ^ 0x7AB ^ core as u64, cfg.dedup_ratio);
@@ -42,7 +42,7 @@ pub fn generate(core: usize, cfg: &WorkloadConfig) -> WorkloadOutput {
     // payloads (Figure 13) shrink the slot count to fit the core region.
     let slot_lines = 1 + item_lines;
     let slots = SLOTS.min((1 << 19) / slot_lines).max(256);
-    let base = ctx.heap.alloc(slots * slot_lines);
+    let base = ctx.heap.alloc(slots * slot_lines)?;
     let slot_addr = |i: u64| LineAddr(base.0 + (i % slots) * slot_lines);
 
     // Host-side mirror of slot occupancy.
@@ -70,7 +70,7 @@ pub fn generate(core: usize, cfg: &WorkloadConfig) -> WorkloadOutput {
                 _ => idx += 1,
             }
             if probes > slots {
-                panic!("hash table full");
+                return Err(GenError::HashTableFull { slots });
             }
         }
         let slot = slot_addr(idx);
@@ -121,11 +121,11 @@ pub fn generate(core: usize, cfg: &WorkloadConfig) -> WorkloadOutput {
     // smaller gains for Hash Table.
     let resident = Vec::new();
     let expected = ctx.expected.clone();
-    WorkloadOutput {
+    Ok(WorkloadOutput {
         program: ctx.build(),
         expected,
         resident,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -141,7 +141,8 @@ mod tests {
                 transactions: 10,
                 ..WorkloadConfig::default()
             },
-        );
+        )
+        .expect("fits");
         // Every written header line has occupied=1 and a key.
         let headers = out
             .expected
@@ -159,7 +160,8 @@ mod tests {
                 transactions: 5,
                 ..WorkloadConfig::default()
             },
-        );
+        )
+        .expect("fits");
         let loads = out
             .program
             .ops
@@ -178,7 +180,8 @@ mod tests {
                 instrumentation: Instrumentation::Manual,
                 ..WorkloadConfig::default()
             },
-        );
+        )
+        .expect("fits");
         let has_data = out
             .program
             .ops

@@ -223,8 +223,54 @@ pub struct WorkloadOutput {
     pub resident: Vec<(janus_nvm::addr::LineAddr, u64)>,
 }
 
+/// Why a workload cannot be generated at the requested size.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum GenError {
+    /// The core's data region ([`pmem::CORE_REGION_LINES`] lines) cannot
+    /// hold an allocation.
+    RegionExhausted {
+        /// Lines the allocation asked for.
+        requested: u64,
+        /// Lines still free in the region.
+        free: u64,
+    },
+    /// A new hash-table key found no free slot: more distinct keys than
+    /// the table, whose slot count shrinks as values grow, has slots.
+    HashTableFull {
+        /// The table's slot count.
+        slots: u64,
+    },
+}
+
+impl std::fmt::Display for GenError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GenError::RegionExhausted { requested, free } => write!(
+                f,
+                "the workload needs {requested} more lines of its \
+                 {}-line core region, which has {free} free",
+                pmem::CORE_REGION_LINES
+            ),
+            GenError::HashTableFull { slots } => {
+                write!(f, "all {slots} slots of the hash table hold other keys")
+            }
+        }
+    }
+}
+
+impl std::error::Error for GenError {}
+
 /// Generates workload `w` for core `core`.
-pub fn generate(w: Workload, core: usize, cfg: &WorkloadConfig) -> WorkloadOutput {
+///
+/// # Errors
+///
+/// [`GenError`] when the transaction count or size does not fit the
+/// workload's data structure in the core's region.
+pub fn try_generate(
+    w: Workload,
+    core: usize,
+    cfg: &WorkloadConfig,
+) -> Result<WorkloadOutput, GenError> {
     match w {
         Workload::ArraySwap => array_swap::generate(core, cfg),
         Workload::Queue => queue::generate(core, cfg),
@@ -234,6 +280,15 @@ pub fn generate(w: Workload, core: usize, cfg: &WorkloadConfig) -> WorkloadOutpu
         Workload::Tatp => tatp::generate(core, cfg),
         Workload::Tpcc => tpcc::generate(core, cfg),
     }
+}
+
+/// Generates workload `w` for core `core`.
+///
+/// # Panics
+///
+/// Panics where [`try_generate`] returns an error.
+pub fn generate(w: Workload, core: usize, cfg: &WorkloadConfig) -> WorkloadOutput {
+    try_generate(w, core, cfg).unwrap_or_else(|e| panic!("{w}: {e}"))
 }
 
 #[cfg(test)]

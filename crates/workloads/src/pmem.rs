@@ -7,6 +7,8 @@
 
 use janus_nvm::addr::LineAddr;
 
+use crate::GenError;
+
 /// Lines reserved per core region (2²⁰ lines = 64 MB of data space each).
 pub const CORE_REGION_LINES: u64 = 1 << 20;
 
@@ -23,9 +25,10 @@ pub const COMMIT_LINES: u64 = 256;
 /// ```
 /// use janus_workloads::pmem::PmemHeap;
 /// let mut h = PmemHeap::for_core(0);
-/// let a = h.alloc(4);
-/// let b = h.alloc(1);
+/// let a = h.alloc(4)?;
+/// let b = h.alloc(1)?;
 /// assert_eq!(b.0, a.0 + 4);
+/// # Ok::<(), janus_workloads::GenError>(())
 /// ```
 #[derive(Clone, Debug)]
 pub struct PmemHeap {
@@ -47,19 +50,21 @@ impl PmemHeap {
 
     /// Allocates `nlines` consecutive lines.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the region is exhausted.
-    pub fn alloc(&mut self, nlines: u64) -> LineAddr {
-        assert!(
-            self.next + nlines <= self.limit,
-            "core region exhausted ({} + {nlines} > {})",
-            self.next,
-            self.limit
-        );
+    /// [`GenError::RegionExhausted`] when the rest of the region is
+    /// smaller than `nlines`.
+    pub fn alloc(&mut self, nlines: u64) -> Result<LineAddr, GenError> {
+        let free = self.limit - self.next;
+        if nlines > free {
+            return Err(GenError::RegionExhausted {
+                requested: nlines,
+                free,
+            });
+        }
         let a = LineAddr(self.next);
         self.next += nlines;
-        a
+        Ok(a)
     }
 
     /// First line of the undo-log area.
@@ -86,15 +91,15 @@ mod tests {
     fn core_regions_are_disjoint() {
         let mut a = PmemHeap::for_core(0);
         let mut b = PmemHeap::for_core(1);
-        let la = a.alloc(10);
-        let lb = b.alloc(10);
+        let la = a.alloc(10).expect("fits");
+        let lb = b.alloc(10).expect("fits");
         assert!(lb.0 >= la.0 + CORE_REGION_LINES - 10);
     }
 
     #[test]
     fn log_and_commit_do_not_overlap_heap() {
         let mut h = PmemHeap::for_core(0);
-        let first = h.alloc(1);
+        let first = h.alloc(1).expect("fits");
         assert!(first.0 >= h.commit_base().0 + COMMIT_LINES);
         assert!(h.log_base().0 < h.commit_base().0);
     }
@@ -102,16 +107,25 @@ mod tests {
     #[test]
     fn allocations_are_consecutive() {
         let mut h = PmemHeap::for_core(2);
-        let a = h.alloc(3);
-        let b = h.alloc(2);
+        let a = h.alloc(3).expect("fits");
+        let b = h.alloc(2).expect("fits");
         assert_eq!(b.0, a.0 + 3);
         assert_eq!(h.allocated(), 5);
     }
 
     #[test]
-    #[should_panic(expected = "exhausted")]
-    fn exhaustion_panics() {
+    fn exhaustion_is_an_error() {
         let mut h = PmemHeap::for_core(0);
-        h.alloc(CORE_REGION_LINES);
+        let free = CORE_REGION_LINES - LOG_LINES - COMMIT_LINES;
+        assert_eq!(
+            h.alloc(CORE_REGION_LINES),
+            Err(GenError::RegionExhausted {
+                requested: CORE_REGION_LINES,
+                free
+            })
+        );
+        // A failed request takes nothing: the whole rest still fits.
+        assert!(h.alloc(free).is_ok());
+        assert!(h.alloc(1).is_err());
     }
 }

@@ -15,7 +15,7 @@ use janus_sim::rng::SimRng;
 
 use crate::undo::WorkloadCtx;
 use crate::values::ValueGen;
-use crate::{WorkloadConfig, WorkloadOutput};
+use crate::{GenError, WorkloadConfig, WorkloadOutput};
 
 /// Capacity of the circular buffer (items).
 const QUEUE_CAP: u64 = 512;
@@ -25,13 +25,13 @@ const PTR_COMPUTE: u32 = 60;
 const ITEM_COMPUTE: u32 = 260;
 
 /// Generates the workload.
-pub fn generate(core: usize, cfg: &WorkloadConfig) -> WorkloadOutput {
+pub fn generate(core: usize, cfg: &WorkloadConfig) -> Result<WorkloadOutput, GenError> {
     let mut ctx = WorkloadCtx::new(core, cfg.instrumentation);
     let mut rng = SimRng::new(cfg.seed ^ 0x0B1 ^ (core as u64) << 32);
     let mut gen = ValueGen::new(cfg.seed ^ 0xBEE ^ core as u64, cfg.dedup_ratio);
     let item_lines = cfg.payload_lines() as u64;
-    let meta = ctx.heap.alloc(1); // [head, tail, count]
-    let slots = ctx.heap.alloc(QUEUE_CAP * item_lines);
+    let meta = ctx.heap.alloc(1)?; // [head, tail, count]
+    let slots = ctx.heap.alloc(QUEUE_CAP * item_lines)?;
     let slot_addr = |i: u64| LineAddr(slots.0 + (i % QUEUE_CAP) * item_lines);
 
     let (mut head, mut tail, mut count) = (0u64, 0u64, 0u64);
@@ -91,11 +91,11 @@ pub fn generate(core: usize, cfg: &WorkloadConfig) -> WorkloadOutput {
 
     let resident = vec![(meta, 1), (slots, QUEUE_CAP * item_lines)];
     let expected = ctx.expected.clone();
-    WorkloadOutput {
+    Ok(WorkloadOutput {
         program: ctx.build(),
         expected,
         resident,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -110,7 +110,8 @@ mod tests {
                 transactions: 6,
                 ..WorkloadConfig::default()
             },
-        );
+        )
+        .expect("fits");
         let loops = out
             .program
             .ops
@@ -128,7 +129,8 @@ mod tests {
                 transactions: 1,
                 ..WorkloadConfig::default()
             },
-        );
+        )
+        .expect("fits");
         // The meta line must exist in the expected state with count = 1.
         let meta_line = out
             .expected
@@ -148,7 +150,8 @@ mod tests {
                 transactions: 200,
                 ..WorkloadConfig::default()
             },
-        );
+        )
+        .expect("fits");
         assert!(out.program.write_count() > 200);
     }
 }

@@ -21,7 +21,7 @@ use janus_sim::rng::SimRng;
 
 use crate::undo::WorkloadCtx;
 use crate::values::ValueGen;
-use crate::{WorkloadConfig, WorkloadOutput};
+use crate::{GenError, WorkloadConfig, WorkloadOutput};
 
 /// Sentinel for "no node".
 const NIL: u64 = u64::MAX;
@@ -235,7 +235,7 @@ fn encode(n: &Node) -> Line {
 }
 
 /// Generates the workload.
-pub fn generate(core: usize, cfg: &WorkloadConfig) -> WorkloadOutput {
+pub fn generate(core: usize, cfg: &WorkloadConfig) -> Result<WorkloadOutput, GenError> {
     let mut ctx = WorkloadCtx::new(core, cfg.instrumentation);
     let mut rng = SimRng::new(cfg.seed ^ 0x2B ^ (core as u64) << 32);
     let mut gen = ValueGen::new(cfg.seed ^ 0xFACE ^ core as u64, cfg.dedup_ratio);
@@ -243,7 +243,7 @@ pub fn generate(core: usize, cfg: &WorkloadConfig) -> WorkloadOutput {
     // Node arena: struct line + payload block per node.
     let node_lines = 1 + item_lines;
     let capacity = (cfg.transactions as u64 + 2).max(64);
-    let arena = ctx.heap.alloc(capacity * node_lines);
+    let arena = ctx.heap.alloc(capacity * node_lines)?;
     let struct_addr = |i: u64| LineAddr(arena.0 + i * node_lines);
 
     let mut tree = Mirror::new();
@@ -312,11 +312,11 @@ pub fn generate(core: usize, cfg: &WorkloadConfig) -> WorkloadOutput {
 
     let resident = Vec::new();
     let expected = ctx.expected.clone();
-    WorkloadOutput {
+    Ok(WorkloadOutput {
         program: ctx.build(),
         expected,
         resident,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -359,7 +359,8 @@ mod tests {
                 transactions: 20,
                 ..WorkloadConfig::default()
             },
-        );
+        )
+        .expect("fits");
         assert!(out.program.write_count() >= 20 * 4);
     }
 
@@ -371,7 +372,8 @@ mod tests {
                 transactions: 3,
                 ..WorkloadConfig::default()
             },
-        );
+        )
+        .expect("fits");
         // Every AddrGen for the node arena sits between LoopBegin/LoopEnd
         // (log/commit-record markers outside loops are expected).
         let heap_start = crate::pmem::LOG_LINES + crate::pmem::COMMIT_LINES;

@@ -13,7 +13,7 @@ use janus_sim::rng::SimRng;
 
 use crate::undo::WorkloadCtx;
 use crate::values::ValueGen;
-use crate::{WorkloadConfig, WorkloadOutput};
+use crate::{GenError, WorkloadConfig, WorkloadOutput};
 
 /// Subscriber population.
 const SUBSCRIBERS: u64 = 8192;
@@ -23,11 +23,11 @@ const RECORD_LINES: u64 = 3;
 const VALIDATE_COMPUTE: u32 = 120;
 
 /// Generates the workload.
-pub fn generate(core: usize, cfg: &WorkloadConfig) -> WorkloadOutput {
+pub fn generate(core: usize, cfg: &WorkloadConfig) -> Result<WorkloadOutput, GenError> {
     let mut ctx = WorkloadCtx::new(core, cfg.instrumentation);
     let mut rng = SimRng::new(cfg.seed ^ 0x7A79 ^ (core as u64) << 32);
     let mut gen = ValueGen::new(cfg.seed ^ 0x7A80 ^ core as u64, cfg.dedup_ratio);
-    let base = ctx.heap.alloc(SUBSCRIBERS * RECORD_LINES);
+    let base = ctx.heap.alloc(SUBSCRIBERS * RECORD_LINES)?;
     let record = |s: u64| LineAddr(base.0 + s * RECORD_LINES);
     let zipf = cfg
         .key_skew
@@ -92,11 +92,11 @@ pub fn generate(core: usize, cfg: &WorkloadConfig) -> WorkloadOutput {
     // Steady state: the subscriber table is LLC-resident.
     let resident = vec![(base, SUBSCRIBERS * RECORD_LINES)];
     let expected = ctx.expected.clone();
-    WorkloadOutput {
+    Ok(WorkloadOutput {
         program: ctx.build(),
         expected,
         resident,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -112,7 +112,8 @@ mod tests {
                 transactions: 20,
                 ..WorkloadConfig::default()
             },
-        );
+        )
+        .expect("fits");
         // Between 3 (header+loc+commit? no: log hdr + 1 log + 1 update + 1
         // commit = 4) and 6 writes per tx.
         let w = out.program.write_count();
@@ -127,7 +128,8 @@ mod tests {
                 transactions: 5,
                 ..WorkloadConfig::default()
             },
-        );
+        )
+        .expect("fits");
         assert!(!out.program.ops.iter().any(|o| matches!(o, Op::LoopBegin)));
     }
 
@@ -140,7 +142,8 @@ mod tests {
                 aux_tx_fraction: 0.5,
                 ..WorkloadConfig::default()
             },
-        );
+        )
+        .expect("fits");
         let stats = out.program.stats();
         assert_eq!(stats.transactions, 60);
         // Read-only transactions have no fences; update transactions have 3.
@@ -153,7 +156,8 @@ mod tests {
                 transactions: 20,
                 ..WorkloadConfig::default()
             },
-        );
+        )
+        .expect("fits");
         assert_eq!(plain.program.stats().fences, 60);
     }
 
@@ -166,7 +170,8 @@ mod tests {
                 instrumentation: Instrumentation::Manual,
                 ..WorkloadConfig::default()
             },
-        );
+        )
+        .expect("fits");
         // The first PreBoth appears before the first Load.
         let pre = out
             .program

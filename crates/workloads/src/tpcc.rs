@@ -13,7 +13,7 @@ use janus_sim::rng::SimRng;
 
 use crate::undo::WorkloadCtx;
 use crate::values::ValueGen;
-use crate::{WorkloadConfig, WorkloadOutput};
+use crate::{GenError, WorkloadConfig, WorkloadOutput};
 
 /// Maximum orders storable per core region.
 const MAX_ORDERS: u64 = 4096;
@@ -27,15 +27,15 @@ const PRICING_COMPUTE: u32 = 800;
 const CUSTOMERS: u64 = 3000;
 
 /// Generates the workload.
-pub fn generate(core: usize, cfg: &WorkloadConfig) -> WorkloadOutput {
+pub fn generate(core: usize, cfg: &WorkloadConfig) -> Result<WorkloadOutput, GenError> {
     let mut ctx = WorkloadCtx::new(core, cfg.instrumentation);
     let mut rng = SimRng::new(cfg.seed ^ 0x79CC ^ (core as u64) << 32);
     let mut gen = ValueGen::new(cfg.seed ^ 0x79CD ^ core as u64, cfg.dedup_ratio);
 
-    let district = ctx.heap.alloc(1); // [next_o_id, ytd]
-    let orders = ctx.heap.alloc(MAX_ORDERS * ORDER_LINES);
-    let order_lines = ctx.heap.alloc(MAX_ORDERS * MAX_OL);
-    let customers = ctx.heap.alloc(CUSTOMERS); // [c_id, balance, payments]
+    let district = ctx.heap.alloc(1)?; // [next_o_id, ytd]
+    let orders = ctx.heap.alloc(MAX_ORDERS * ORDER_LINES)?;
+    let order_lines = ctx.heap.alloc(MAX_ORDERS * MAX_OL)?;
+    let customers = ctx.heap.alloc(CUSTOMERS)?; // [c_id, balance, payments]
     let mut next_o_id = 0u64;
     let mut ol_cursor = 0u64;
 
@@ -112,11 +112,11 @@ pub fn generate(core: usize, cfg: &WorkloadConfig) -> WorkloadOutput {
 
     let resident = Vec::new();
     let expected = ctx.expected.clone();
-    WorkloadOutput {
+    Ok(WorkloadOutput {
         program: ctx.build(),
         expected,
         resident,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -131,7 +131,8 @@ mod tests {
                 transactions: 10,
                 ..WorkloadConfig::default()
             },
-        );
+        )
+        .expect("fits");
         // ≥ 5 order lines + 2 header + district + log(2) + commit ≈ 11+.
         assert!(out.program.write_count() >= 10 * 10);
     }
@@ -144,7 +145,8 @@ mod tests {
                 transactions: 7,
                 ..WorkloadConfig::default()
             },
-        );
+        )
+        .expect("fits");
         // The district line's final next_o_id is 7.
         let district_value = out
             .expected
@@ -163,7 +165,8 @@ mod tests {
                 aux_tx_fraction: 0.5,
                 ..WorkloadConfig::default()
             },
-        );
+        )
+        .expect("fits");
         // Customer records exist: [c_id, balance, payments] with payments ≥ 1.
         let paid = out
             .expected
@@ -189,7 +192,8 @@ mod tests {
                 transactions: 3,
                 ..WorkloadConfig::default()
             },
-        );
+        )
+        .expect("fits");
         let headers = out
             .expected
             .iter()

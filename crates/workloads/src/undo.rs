@@ -320,7 +320,7 @@ mod tests {
 
     fn tx_ops(mode: Instrumentation) -> Program {
         let mut ctx = WorkloadCtx::new(0, mode);
-        let target = ctx.heap.alloc(1);
+        let target = ctx.heap.alloc(1).expect("fits");
         ctx.begin_tx();
         ctx.declare_both(0, target, &[Line::splat(2)]);
         ctx.load(target);
@@ -354,7 +354,7 @@ mod tests {
     #[test]
     fn expected_state_records_all_writes() {
         let mut ctx = WorkloadCtx::new(0, Instrumentation::None);
-        let t = ctx.heap.alloc(1);
+        let t = ctx.heap.alloc(1).expect("fits");
         ctx.begin_tx();
         ctx.backup(&[(t, Line::zero())]);
         ctx.update(&[(t, Line::splat(9))]);
@@ -369,7 +369,7 @@ mod tests {
     #[test]
     fn log_wraps_around() {
         let mut ctx = WorkloadCtx::new(0, Instrumentation::None);
-        let t = ctx.heap.alloc(1);
+        let t = ctx.heap.alloc(1).expect("fits");
         for _ in 0..(LOG_LINES as usize) {
             ctx.begin_tx();
             ctx.backup(&[(t, ctx.current(t))]);
@@ -384,7 +384,7 @@ mod tests {
     #[test]
     fn recovery_noop_when_committed() {
         let mut ctx = WorkloadCtx::new(0, Instrumentation::None);
-        let t = ctx.heap.alloc(1);
+        let t = ctx.heap.alloc(1).expect("fits");
         ctx.begin_tx();
         ctx.backup(&[(t, Line::zero())]);
         ctx.update(&[(t, Line::splat(5))]);
@@ -397,7 +397,7 @@ mod tests {
     #[test]
     fn recovery_rolls_back_uncommitted_tx() {
         let mut ctx = WorkloadCtx::new(0, Instrumentation::None);
-        let t = ctx.heap.alloc(1);
+        let t = ctx.heap.alloc(1).expect("fits");
         // Committed tx 0 establishing old value 5.
         ctx.begin_tx();
         ctx.backup(&[(t, Line::zero())]);

@@ -22,7 +22,10 @@ fn bucket_of(key: u64) -> u64 {
 
 fn main() {
     let mut ctx = WorkloadCtx::new(0, Instrumentation::Manual);
-    let base = ctx.heap.alloc(BUCKETS);
+    let base = ctx
+        .heap
+        .alloc(BUCKETS)
+        .expect("64 lines fit a fresh core region");
     let entry = |key: u64| LineAddr(base.0 + bucket_of(key) % BUCKETS);
 
     // Five committed puts.

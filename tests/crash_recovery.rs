@@ -80,7 +80,7 @@ fn mid_run_crash_recovers_to_a_consistent_prefix() {
 fn undo_log_rolls_back_torn_transactions() {
     // Build a program whose last transaction updates but never commits.
     let mut ctx = WorkloadCtx::new(0, Instrumentation::None);
-    let target = ctx.heap.alloc(1);
+    let target = ctx.heap.alloc(1).expect("fits");
     ctx.begin_tx();
     ctx.backup(&[(target, Line::zero())]);
     ctx.update(&[(target, Line::splat(1))]);

@@ -1,4 +1,5 @@
-//! Crash-snapshot pins for the one event loop and the durability log.
+//! Crash-snapshot pins for the one event loop and the durability log, and
+//! pins of the events and counter samples it delivers.
 //!
 //! `System::run_until_crashes` drains the same batched loop as a full run,
 //! bounded at each crash cycle in turn: every same-cycle cohort at or
@@ -24,6 +25,7 @@ use janus::core::config::{JanusConfig, SystemMode};
 use janus::core::system::System;
 use janus::core::Program;
 use janus::sim::time::Cycles;
+use janus::workloads::traffic::{generate_tenants, Arrival, TenantSpec};
 use janus::workloads::{generate, Instrumentation, Workload, WorkloadConfig};
 
 /// `(workload, digest)`, recorded from the per-event loop.
@@ -116,5 +118,74 @@ fn crash_snapshots_match_the_per_event_loop() {
         got,
         PINNED.to_vec(),
         "crash snapshots diverged from the pinned digests; got:\n{table}"
+    );
+}
+
+/// Delivered-event counts, and a digest of the counter samples taken every
+/// 1000 cycles, for one closed-loop and one open-loop run, recorded from
+/// the loop that delivered every core step through the event queue. The
+/// loop now runs a core's next step in place when the queue would deliver
+/// it next and alone; such a step must be counted, and offered to the
+/// sampler, exactly once and at the same point.
+#[test]
+fn event_counts_and_samples_match_the_queue_only_loop() {
+    let sampled = |sys: &System| {
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        for s in sys.samples() {
+            h.eat(&s.cycle.0.to_le_bytes());
+            for (name, value) in &s.counters {
+                h.eat(name.as_bytes());
+                h.eat(&value.to_le_bytes());
+            }
+        }
+        (sys.samples().len(), h.0)
+    };
+    // Closed loop: TPC-C on two cores with hand-placed pre-execution.
+    let wc = WorkloadConfig {
+        transactions: 40,
+        instrumentation: Instrumentation::Manual,
+        ..WorkloadConfig::default()
+    };
+    let programs: Vec<Program> = (0..2)
+        .map(|core| generate(Workload::Tpcc, core, &wc).program)
+        .collect();
+    let mut sys = System::new(JanusConfig::paper(SystemMode::Janus, 2));
+    sys.enable_sampling(Cycles(1000));
+    let closed = sys.run(programs).events;
+    let closed_samples = sampled(&sys);
+    // Open loop: four tenants of mixed workloads on two cores.
+    let specs: Vec<TenantSpec> = [
+        Workload::Tatp,
+        Workload::HashTable,
+        Workload::Queue,
+        Workload::Tpcc,
+    ]
+    .into_iter()
+    .map(|w| {
+        TenantSpec::new(
+            w,
+            8,
+            Arrival::Poisson {
+                mean: Cycles(5_000),
+            },
+        )
+    })
+    .collect();
+    let streams = generate_tenants(&specs, 7)
+        .into_iter()
+        .map(|t| t.stream)
+        .collect();
+    let mut sys = System::new(JanusConfig::paper(SystemMode::Janus, 2));
+    sys.enable_sampling(Cycles(1000));
+    let open = sys.try_run_tenants(streams).expect("valid streams").events;
+    let open_samples = sampled(&sys);
+    assert_eq!(
+        (closed, closed_samples, open, open_samples),
+        (
+            7434,
+            (212, 0x962c_1995_44ba_57ff),
+            1615,
+            (207, 0x92c2_6b8a_243a_6714)
+        )
     );
 }

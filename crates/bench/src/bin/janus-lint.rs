@@ -43,8 +43,8 @@ use janus_lint::{
 };
 use janus_sim::time::Cycles;
 use janus_trace::json;
-use janus_workloads::traffic::{generate_tenants, Arrival, TenantSpec};
-use janus_workloads::{generate, Instrumentation, Workload, WorkloadConfig};
+use janus_workloads::traffic::{try_generate_tenants, Arrival, TenantSpec};
+use janus_workloads::{try_generate, Instrumentation, Workload, WorkloadConfig};
 
 fn main() {
     janus_bench::require_known_args(
@@ -115,7 +115,7 @@ fn main() {
             },
             ..WorkloadConfig::default()
         };
-        let out = generate(w, 0, &cfg);
+        let out = try_generate(w, 0, &cfg).unwrap_or_else(|e| cli::cannot_generate(w, e));
         let mut program = match instr.as_str() {
             "auto" => instrument(&out.program).0,
             "place" => auto_place(&out.program).0,
@@ -265,7 +265,8 @@ fn main() {
                 s
             })
             .collect();
-        let traffic = generate_tenants(&specs, 0);
+        let traffic = try_generate_tenants(&specs, 0)
+            .unwrap_or_else(|e| cli::cannot_generate("tenant traffic", e));
         let streams: Vec<Vec<janus_core::ir::Program>> =
             traffic.into_iter().map(|t| t.stream.txs).collect();
         let capacity = JanusConfig::paper(SystemMode::Janus, tenants).total_irb_entries();

@@ -22,7 +22,7 @@ use janus_bench::cli::{self, flag, parse_with};
 use janus_bench::{arg_usize, banner, row, run_all, OpenLoopSpec, RunSpec, Variant};
 use janus_core::irb::IrbPolicy;
 use janus_sim::time::Cycles;
-use janus_workloads::traffic::{digest, generate_tenants, Arrival};
+use janus_workloads::traffic::{digest, try_generate_tenants, Arrival};
 use janus_workloads::Workload;
 
 /// The tenant transaction mixes, assigned round-robin.
@@ -101,7 +101,8 @@ fn main() {
         for &tenants in &tenant_counts {
             for &arrival in &arrivals {
                 let spec = spec_for(cores, tx, seed, IrbPolicy::Shared, tenants, arrival);
-                let streams: Vec<_> = generate_tenants(&spec.tenant_specs(), seed)
+                let streams: Vec<_> = try_generate_tenants(&spec.tenant_specs(), seed)
+                    .unwrap_or_else(|e| cli::cannot_generate("tenant traffic", e))
                     .into_iter()
                     .map(|t| t.stream)
                     .collect();

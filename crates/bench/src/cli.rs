@@ -19,6 +19,7 @@ use std::str::FromStr;
 
 use janus_bmo::metadata::DATA_LINES;
 use janus_workloads::pmem::CORE_REGION_LINES;
+use janus_workloads::GenError;
 
 /// The most workload instances one run holds: each closed-loop core and
 /// each open-loop tenant writes its own `CORE_REGION_LINES` region of the
@@ -59,6 +60,13 @@ pub fn list_with<T, E: Display>(
 fn fail(name: &str, reason: impl Display) -> ! {
     eprintln!("error: {name} {reason}");
     std::process::exit(2);
+}
+
+/// Reports that the workload generator cannot build `what` at the size the
+/// flags asked for: exit status 2 and the one stderr line `error: cannot
+/// generate <what>: <reason>`.
+pub fn cannot_generate(what: impl Display, e: GenError) -> ! {
+    fail("cannot generate", format_args!("{what}: {e}"))
 }
 
 /// Reader for a count of at least one.

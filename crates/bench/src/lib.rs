@@ -20,7 +20,7 @@ use janus_core::system::{ExecutionReport, System};
 use janus_instrument::instrument;
 use janus_trace::metrics::MetricsRegistry;
 use janus_trace::{TraceConfig, Tracer};
-use janus_workloads::traffic::{generate_tenants, Arrival, TenantSpec};
+use janus_workloads::traffic::{try_generate_tenants, Arrival, TenantSpec};
 use janus_workloads::{try_generate, GenError, Instrumentation, Workload, WorkloadConfig};
 
 pub use cli::{arg_usize, require_known_args};
@@ -417,12 +417,9 @@ pub fn run_quiet(spec: RunSpec) -> RunResult {
         eprintln!("error: invalid run configuration: {e}");
         std::process::exit(2);
     };
-    let surface_gen = |e: GenError| -> ! {
-        eprintln!("error: cannot generate {}: {e}", spec.workload);
-        std::process::exit(2);
-    };
     let (report, oracles) = if spec.open_loop.is_some() {
-        let traffic = generate_tenants(&spec.tenant_specs(), spec.seed);
+        let traffic = try_generate_tenants(&spec.tenant_specs(), spec.seed)
+            .unwrap_or_else(|e| cli::cannot_generate("tenant traffic", e));
         let mut streams = Vec::with_capacity(traffic.len());
         let mut oracles = Vec::with_capacity(traffic.len());
         for t in traffic {
@@ -441,7 +438,7 @@ pub fn run_quiet(spec: RunSpec) -> RunResult {
         for core in 0..spec.cores {
             let (p, expected, resident) = spec
                 .program_for_core(core)
-                .unwrap_or_else(|e| surface_gen(e));
+                .unwrap_or_else(|e| cli::cannot_generate(spec.workload, e));
             programs.push(p);
             // Steady-state measurement: the workload's written set and its
             // declared resident structures start warm in the shared L2.

@@ -195,28 +195,55 @@ fn malformed_values_exit_2_before_any_work() {
     }
     // Well-formed flags whose workload cannot be generated: the array does
     // not fit its core region, and more distinct keys arrive than the hash
-    // table has slots.
-    for (args, reason) in [
+    // table has slots, closed-loop or split into open-loop tenants.
+    // multicore's sweep and janus-lint print their banner before they
+    // generate (`banner`); the rest print nothing.
+    let hash_full = "slots of the hash table";
+    for (bin, args, reason, banner) in [
         (
+            cli,
             &["--workload", "array", "--size", "65536", "--tx", "1"][..],
             "core region",
+            false,
         ),
         (
+            cli,
             &["--workload", "hash", "--tx", "20000", "--size", "4096"][..],
-            "slots of the hash table",
+            hash_full,
+            false,
+        ),
+        (
+            multicore,
+            &["--tx", "20000", "--tenants", "2", "--cores", "1"][..],
+            hash_full,
+            true,
+        ),
+        (
+            multicore,
+            &["--traffic-digest", "--tx", "20000", "--tenants", "2"][..],
+            hash_full,
+            false,
+        ),
+        (
+            lint,
+            &["--workload", "hash", "--tx", "20000"][..],
+            hash_full,
+            true,
         ),
     ] {
-        let stderr = exits_2(cli, args);
+        let (stderr, stdout) = usage_error(bin, args);
+        let what = format!("{bin} {args:?}: {stderr}");
         assert!(
             stderr.starts_with("error: cannot generate ") && stderr.contains(reason),
-            "{cli} {args:?}: {stderr}"
+            "{what}"
         );
+        assert!(banner || stdout.is_empty(), "{what}: ran anyway");
     }
 }
 
 /// Runs `bin` with `args` and checks the usage-error contract: exit 2, one
-/// `error:` line on stderr, no panic, nothing on stdout. Returns stderr.
-fn exits_2(bin: &str, args: &[&str]) -> String {
+/// `error:` line on stderr, no panic. Returns stderr and stdout.
+fn usage_error(bin: &str, args: &[&str]) -> (String, String) {
     let out = Command::new(bin)
         .args(args)
         .env_remove("JANUS_JOBS")
@@ -229,7 +256,14 @@ fn exits_2(bin: &str, args: &[&str]) -> String {
     assert_eq!(stderr.lines().count(), 1, "{what}");
     assert!(stderr.starts_with("error: "), "{what}");
     assert!(!stderr.contains("panicked"), "{what}");
-    assert!(out.stdout.is_empty(), "{what}: ran anyway");
+    (stderr, String::from_utf8_lossy(&out.stdout).into_owned())
+}
+
+/// [`usage_error`] for a value read before any work starts: nothing
+/// reaches stdout. Returns stderr.
+fn exits_2(bin: &str, args: &[&str]) -> String {
+    let (stderr, stdout) = usage_error(bin, args);
+    assert!(stdout.is_empty(), "{bin} {args:?}: {stderr}: ran anyway");
     stderr
 }
 

@@ -30,7 +30,6 @@ use janus_nvm::device::{AccessKind, NvmDevice};
 use janus_nvm::line::Line;
 use janus_nvm::store::LineStore;
 use janus_nvm::wq::{AdrWriteQueue, DurabilityLog};
-use janus_sim::stats::{CounterId, HistogramId, StatSet};
 use janus_sim::time::Cycles;
 use janus_trace::{Category, TraceConfig, Tracer};
 
@@ -77,9 +76,7 @@ pub struct MemoryController {
     decode_scratch: Vec<LineOp>,
     /// Reused job-id collection buffer for address-bind fan-out.
     job_scratch: Vec<JobId>,
-    stats: StatSet,
-    /// Interned handles for the per-event statistics (see [`HotStats`]).
-    hot: HotStats,
+    stats: ControllerStats,
     tracer: Tracer,
     /// Monotonic write uid for causal profiling (`prof_*` events). Only
     /// advanced when the tracer is in causal mode, so plain and disabled
@@ -87,44 +84,87 @@ pub struct MemoryController {
     prof_wuid: u64,
 }
 
-/// Interned [`StatSet`] handles for the statistics the write/read hot paths
-/// touch on every event. Looking these names up per event cost a map walk
-/// per counter bump; a handle access is a vector index. Handles are filled
-/// in on *first* bump (not at construction) so that statistics a run never
-/// touches stay unregistered — exported reports list only the counters a
-/// run actually exercised, exactly as with by-name lazy creation.
-#[derive(Default)]
-struct HotStats {
-    writes: Option<CounterId>,
-    writes_dup: Option<CounterId>,
-    nvm_reads: Option<CounterId>,
-    pre_miss: Option<CounterId>,
-    pre_full: Option<CounterId>,
-    pre_partial: Option<CounterId>,
-    write_critical_latency: Option<HistogramId>,
-    read_latency: Option<HistogramId>,
+/// What the controller counts: one field per event kind, plus the cycle
+/// sums behind the mean write and read latencies.
+#[derive(Clone, Debug, Default)]
+pub struct ControllerStats {
+    /// BMO unit cycles spent on pre-executed sub-operations that an
+    /// invalidation discarded.
+    pub bmo_wasted_cycles: u64,
+    /// Janus writes whose pre-executed data was stale (§4.3.1 case 1).
+    pub inval_data: u64,
+    /// Janus writes whose pre-execution saw metadata change under it
+    /// (§4.3.1 case 2) or mispredicted the dedup outcome.
+    pub inval_meta: u64,
+    /// IRB entries marked stale because a write freed the dedup slot they
+    /// predicted.
+    pub irb_meta_invalidations: u64,
+    /// Dirty metadata-cache victims written back.
+    pub meta_evictions: u64,
+    /// Demand reads (L2 misses).
+    pub nvm_reads: u64,
+    /// Janus writes whose BMOs were completely pre-executed (§5.2.2).
+    pub pre_full: u64,
+    /// Janus writes that found no IRB entry.
+    pub pre_miss: u64,
+    /// Line operations dropped at admission: the operation queue was full
+    /// or the BMO units were congested.
+    pub pre_op_dropped: u64,
+    /// Line operations admitted to the IRB.
+    pub pre_ops_admitted: u64,
+    /// Janus writes whose BMOs were partly pre-executed.
+    pub pre_partial: u64,
+    /// Pre-execution requests dropped by the request queue.
+    pub pre_req_dropped: u64,
+    /// Writes processed.
+    pub writes: u64,
+    /// Writes cancelled by deduplication.
+    pub writes_dup: u64,
+    /// Arrival → persistence cycles summed over all writes.
+    pub write_latency_sum: u64,
+    /// Arrival → data-ready cycles summed over all demand reads.
+    pub read_latency_sum: u64,
 }
 
-/// Counter access through a lazily interned handle.
-#[inline]
-fn hot_counter<'a>(
-    stats: &'a mut StatSet,
-    slot: &mut Option<CounterId>,
-    name: &'static str,
-) -> &'a mut janus_sim::stats::Counter {
-    let id = *slot.get_or_insert_with(|| stats.counter_id(name));
-    stats.counter_by_id(id)
-}
+impl ControllerStats {
+    /// The nonzero counters as `(name, value)` pairs in name order: the
+    /// `mc.*` fields of an exported report and the columns of a metrics
+    /// sample. The latency sums are not counters.
+    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        [
+            ("bmo_wasted_cycles", self.bmo_wasted_cycles),
+            ("inval_data", self.inval_data),
+            ("inval_meta", self.inval_meta),
+            ("irb_meta_invalidations", self.irb_meta_invalidations),
+            ("meta_evictions", self.meta_evictions),
+            ("nvm_reads", self.nvm_reads),
+            ("pre_full", self.pre_full),
+            ("pre_miss", self.pre_miss),
+            ("pre_op_dropped", self.pre_op_dropped),
+            ("pre_ops_admitted", self.pre_ops_admitted),
+            ("pre_partial", self.pre_partial),
+            ("pre_req_dropped", self.pre_req_dropped),
+            ("writes", self.writes),
+            ("writes_dup", self.writes_dup),
+        ]
+        .into_iter()
+        .filter(|&(_, v)| v > 0)
+    }
 
-/// Histogram access through a lazily interned handle.
-#[inline]
-fn hot_histogram<'a>(
-    stats: &'a mut StatSet,
-    slot: &mut Option<HistogramId>,
-    name: &'static str,
-) -> &'a mut janus_sim::stats::Histogram {
-    let id = *slot.get_or_insert_with(|| stats.histogram_id(name));
-    stats.histogram_by_id(id)
+    /// Mean critical write latency (arrival → persistence); zero before
+    /// the first write.
+    pub fn mean_write_latency(&self) -> Cycles {
+        Cycles(self.write_latency_sum.checked_div(self.writes).unwrap_or(0))
+    }
+
+    /// Mean demand-read latency; zero before the first read.
+    pub fn mean_read_latency(&self) -> Cycles {
+        Cycles(
+            self.read_latency_sum
+                .checked_div(self.nvm_reads)
+                .unwrap_or(0),
+        )
+    }
 }
 
 impl MemoryController {
@@ -153,8 +193,7 @@ impl MemoryController {
             pending_fresh: Default::default(),
             decode_scratch: Vec::new(),
             job_scratch: Vec::new(),
-            stats: StatSet::new(),
-            hot: HotStats::default(),
+            stats: ControllerStats::default(),
             tracer: Tracer::disabled(),
             prof_wuid: 0,
             pipeline,
@@ -208,7 +247,7 @@ impl MemoryController {
     }
 
     /// Controller statistics.
-    pub fn stats(&self) -> &StatSet {
+    pub fn stats(&self) -> &ControllerStats {
         &self.stats
     }
 
@@ -257,7 +296,7 @@ impl MemoryController {
         }
         self.irb.expire(now, self.config.irb_max_age);
         if !self.req_queue.admit_immediate(&req) {
-            self.stats.counter("pre_req_dropped").incr();
+            self.stats.pre_req_dropped += 1;
             self.tracer
                 .instant(Category::Queue, "pre_req_drop", now, req.key.core as u64, 0);
             return;
@@ -285,7 +324,7 @@ impl MemoryController {
             return;
         }
         if self.req_queue.push_buffered(req).is_some() {
-            self.stats.counter("pre_req_dropped").incr();
+            self.stats.pre_req_dropped += 1;
         }
     }
 
@@ -315,7 +354,7 @@ impl MemoryController {
     fn admit_line_op(&mut self, now: Cycles, op: LineOp, func: PreFunc) {
         self.reap_inflight(now);
         if self.inflight_ops.len() >= self.config.total_op_queue() {
-            self.stats.counter("pre_op_dropped").incr();
+            self.stats.pre_op_dropped += 1;
             self.tracer
                 .instant(Category::Queue, "pre_op_drop", now, op.key.core as u64, 0);
             return;
@@ -324,7 +363,7 @@ impl MemoryController {
         // into the future, speculative pre-execution is dropped so demand
         // writes are not starved (dropping is always safe).
         if self.engine.backlog(now) > self.config.pre_admission_backlog {
-            self.stats.counter("pre_op_dropped").incr();
+            self.stats.pre_op_dropped += 1;
             self.tracer
                 .instant(Category::Queue, "pre_op_drop", now, op.key.core as u64, 1);
             return;
@@ -415,7 +454,7 @@ impl MemoryController {
             }
         }
         self.inflight_ops.push(self.engine.partial_completion(job));
-        self.stats.counter("pre_ops_admitted").incr();
+        self.stats.pre_ops_admitted += 1;
     }
 
     // ------------------------------------------------------------------
@@ -434,7 +473,7 @@ impl MemoryController {
         data: Line,
         commit_critical: bool,
     ) -> WriteOutcome {
-        hot_counter(&mut self.stats, &mut self.hot.writes, "writes").incr();
+        self.stats.writes += 1;
 
         // Causal profiling: give the write a uid so janus-prof can chain
         // arrival → job → bmo_done → wq accepts → persistence.
@@ -457,34 +496,24 @@ impl MemoryController {
         // Functional application (timing-mode independent).
         let fx = self.pipeline.write(line, data);
         if fx.dup {
-            hot_counter(&mut self.stats, &mut self.hot.writes_dup, "writes_dup").incr();
+            self.stats.writes_dup += 1;
         }
         // Metadata changed: invalidate dependent pre-execution results.
         if let Some(freed) = fx.freed_slot {
-            let n = self.irb.invalidate_slot_refs(freed);
-            if n > 0 {
-                self.stats.counter("irb_meta_invalidations").add(n as u64);
-            }
+            self.stats.irb_meta_invalidations += self.irb.invalidate_slot_refs(freed) as u64;
         }
 
-        // Timing.
-        let bmo_done = match self.config.mode {
+        // Timing: the engine job (none in ideal mode, whose BMOs run off
+        // the critical path), its raw completion, and when the write's BMOs
+        // are done. A Janus write waits at least for the IRB lookup.
+        const IRB_LOOKUP: Cycles = Cycles(8); // 2 ns CAM lookup
+        let (job, done, bmo_done) = match self.config.mode {
             SystemMode::Ideal => {
                 // BMO work still happens (bandwidth) but off the critical
                 // path.
                 let job = self.engine.submit(now, Some(now), Some(now), fx.dup);
                 self.engine.retire(job);
-                if causal {
-                    self.tracer.instant_link(
-                        Category::Controller,
-                        "prof_bmo_done",
-                        now,
-                        wuid,
-                        now.0,
-                        0,
-                    );
-                }
-                now
+                (None, now, now)
             }
             SystemMode::Serialized | SystemMode::Parallelized => {
                 let job = self.engine.submit(now, Some(now), Some(now), fx.dup);
@@ -493,30 +522,28 @@ impl MemoryController {
                     .completion(job)
                     .expect("all inputs were supplied");
                 self.engine.retire(job);
-                if causal {
-                    self.tracer.instant_link(
-                        Category::Controller,
-                        "prof_job",
-                        now,
-                        wuid,
-                        job.raw(),
-                        0,
-                    );
-                    // `arg` carries the raw engine completion (here equal to
-                    // the event's own cycle; Janus floors it at IRB lookup).
-                    self.tracer.instant_link(
-                        Category::Controller,
-                        "prof_bmo_done",
-                        done,
-                        wuid,
-                        done.0,
-                        0,
-                    );
-                }
-                done
+                (Some(job), done, done)
             }
-            SystemMode::Janus => self.janus_write_timing(now, core, line, data, &fx, wuid),
+            SystemMode::Janus => {
+                let (job, done) = self.janus_write_timing(now, core, line, data, &fx);
+                (Some(job), done, done.max(now + IRB_LOOKUP))
+            }
         };
+        if causal {
+            if let Some(job) = job {
+                self.tracer
+                    .instant_link(Category::Controller, "prof_job", now, wuid, job.raw(), 0);
+            }
+            // `arg` carries the raw engine completion.
+            self.tracer.instant_link(
+                Category::Controller,
+                "prof_bmo_done",
+                bmo_done,
+                wuid,
+                done.0,
+                0,
+            );
+        }
 
         // Persistence. Data (slot) lines always drain through the ADR write
         // queue to the device. Metadata lines (counters/remaps, Merkle
@@ -543,7 +570,7 @@ impl MemoryController {
                 if let janus_nvm::cache::Access::Miss { victim: Some(v) } = acc {
                     if v.dirty {
                         self.wq.accept(bmo_done, v.addr, &mut self.device);
-                        self.stats.counter("meta_evictions").incr();
+                        self.stats.meta_evictions += 1;
                     }
                 }
                 if !flush_meta {
@@ -584,12 +611,7 @@ impl MemoryController {
                 now.0,
             );
         }
-        hot_histogram(
-            &mut self.stats,
-            &mut self.hot.write_critical_latency,
-            "write_critical_latency",
-        )
-        .record(persist_at.elapsed_since(now));
+        self.stats.write_latency_sum += persist_at.elapsed_since(now).0;
         // The write's arrival → persistence interval, the latency the paper
         // optimizes. `arg` carries the issuing core.
         self.tracer.span(
@@ -610,7 +632,8 @@ impl MemoryController {
     }
 
     /// Janus-mode timing for a write: consult the IRB and reuse, finish, or
-    /// invalidate pre-executed results.
+    /// invalidate pre-executed results. Returns the engine job that timed
+    /// the write and its completion.
     fn janus_write_timing(
         &mut self,
         now: Cycles,
@@ -618,32 +641,15 @@ impl MemoryController {
         line: LineAddr,
         data: Line,
         fx: &janus_bmo::pipeline::WriteEffects,
-        wuid: u64,
-    ) -> Cycles {
-        const IRB_LOOKUP: Cycles = Cycles(8); // 2 ns CAM lookup
-        let causal = self.tracer.causal();
-
+    ) -> (JobId, Cycles) {
         let Some(entry) = self.irb.consume(core, line) else {
-            hot_counter(&mut self.stats, &mut self.hot.pre_miss, "pre_miss").incr();
+            self.stats.pre_miss += 1;
             self.tracer
                 .instant(Category::Irb, "irb_miss", now, line.0, core as u64);
             let job = self.engine.submit(now, Some(now), Some(now), fx.dup);
             let done = self.engine.completion(job).expect("inputs supplied");
             self.engine.retire(job);
-            let floored = done.max(now + IRB_LOOKUP);
-            if causal {
-                self.tracer
-                    .instant_link(Category::Controller, "prof_job", now, wuid, job.raw(), 0);
-                self.tracer.instant_link(
-                    Category::Controller,
-                    "prof_bmo_done",
-                    floored,
-                    wuid,
-                    done.0,
-                    0,
-                );
-            }
-            return floored;
+            return (job, done);
         };
         self.tracer
             .instant(Category::Irb, "irb_hit", now, entry.job.raw(), line.0);
@@ -662,7 +668,7 @@ impl MemoryController {
         let job = entry.job;
         if entry.stale {
             // Metadata under the pre-execution changed (§4.3.1 case 2).
-            self.stats.counter("inval_meta").incr();
+            self.stats.inval_meta += 1;
             self.tracer
                 .instant(Category::Irb, "irb_inval_meta", now, job.raw(), line.0);
             self.engine.invalidate_all(job, now, fx.dup);
@@ -679,7 +685,7 @@ impl MemoryController {
                     {
                         // Clean hit — nothing to re-run.
                     } else {
-                        self.stats.counter("inval_meta").incr();
+                        self.stats.inval_meta += 1;
                         self.tracer.instant(
                             Category::Irb,
                             "irb_inval_meta",
@@ -694,7 +700,7 @@ impl MemoryController {
                     // Stale data (§4.3.1 case 1): re-run data-dependent
                     // sub-operations, reusing address-dependent ones —
                     // unless the partial-reuse optimization is ablated.
-                    self.stats.counter("inval_data").incr();
+                    self.stats.inval_data += 1;
                     self.tracer
                         .instant(Category::Irb, "irb_inval_data", now, job.raw(), line.0);
                     if self.config.partial_reuse {
@@ -718,11 +724,11 @@ impl MemoryController {
             .completion(job)
             .expect("all inputs supplied by write arrival");
         if done <= now {
-            hot_counter(&mut self.stats, &mut self.hot.pre_full, "pre_full").incr();
+            self.stats.pre_full += 1;
             self.tracer
                 .instant(Category::Engine, "job_pre_executed", now, job.raw(), line.0);
         } else {
-            hot_counter(&mut self.stats, &mut self.hot.pre_partial, "pre_partial").incr();
+            self.stats.pre_partial += 1;
             self.tracer.instant(
                 Category::Engine,
                 "job_pre_partial",
@@ -731,10 +737,7 @@ impl MemoryController {
                 (done - now).0,
             );
         }
-        let wasted = self.engine.wasted(job);
-        if wasted > Cycles::ZERO {
-            self.stats.counter("bmo_wasted_cycles").add(wasted.0);
-        }
+        self.stats.bmo_wasted_cycles += self.engine.wasted(job).0;
         self.engine.retire(job);
         self.tracer.instant(
             Category::Engine,
@@ -743,20 +746,7 @@ impl MemoryController {
             job.raw(),
             line.0,
         );
-        let floored = done.max(now + IRB_LOOKUP);
-        if causal {
-            self.tracer
-                .instant_link(Category::Controller, "prof_job", now, wuid, job.raw(), 0);
-            self.tracer.instant_link(
-                Category::Controller,
-                "prof_bmo_done",
-                floored,
-                wuid,
-                done.0,
-                0,
-            );
-        }
-        floored
+        (job, done)
     }
 
     // ------------------------------------------------------------------
@@ -766,7 +756,7 @@ impl MemoryController {
     /// Times a demand read (L2 miss) of logical `line` arriving at `now`;
     /// returns when the data is available to the core.
     pub fn handle_read(&mut self, now: Cycles, line: LineAddr) -> Cycles {
-        hot_counter(&mut self.stats, &mut self.hot.nvm_reads, "nvm_reads").incr();
+        self.stats.nvm_reads += 1;
         let lat = &self.config.latencies;
 
         // Counter/metadata fetch: counter cache hit lets OTP generation
@@ -805,8 +795,7 @@ impl MemoryController {
         } else {
             decrypted + lat.sha1 * lat.merkle_levels as u64
         };
-        hot_histogram(&mut self.stats, &mut self.hot.read_latency, "read_latency")
-            .record(verified.elapsed_since(now));
+        self.stats.read_latency_sum += verified.elapsed_since(now).0;
         self.tracer
             .span(Category::Controller, "read", now, verified, line.0, 0);
         verified
@@ -883,13 +872,12 @@ impl MemoryController {
     /// Fraction of Janus writes whose BMOs were completely pre-executed
     /// (§5.2.2 reports 45.13% on average).
     pub fn fully_preexecuted_fraction(&self) -> f64 {
-        let full = self.stats.counter_value("pre_full");
-        let total =
-            full + self.stats.counter_value("pre_partial") + self.stats.counter_value("pre_miss");
+        let s = &self.stats;
+        let total = s.pre_full + s.pre_partial + s.pre_miss;
         if total == 0 {
             0.0
         } else {
-            full as f64 / total as f64
+            s.pre_full as f64 / total as f64
         }
     }
 }
@@ -907,6 +895,7 @@ impl std::fmt::Debug for MemoryController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use janus_sim::stats::Histogram;
 
     fn mc(mode: SystemMode) -> MemoryController {
         MemoryController::new(JanusConfig::paper(mode, 1))
@@ -939,6 +928,74 @@ mod tests {
                 values: vec![data],
             },
         );
+    }
+
+    #[test]
+    fn counters_list_the_nonzero_fields_in_name_order() {
+        assert_eq!(ControllerStats::default().counters().count(), 0);
+        // Every field set, each counter to its rank in name order: adding a
+        // field breaks this literal, and listing it out of order breaks the
+        // order check.
+        let all = ControllerStats {
+            bmo_wasted_cycles: 1,
+            inval_data: 2,
+            inval_meta: 3,
+            irb_meta_invalidations: 4,
+            meta_evictions: 5,
+            nvm_reads: 6,
+            pre_full: 7,
+            pre_miss: 8,
+            pre_op_dropped: 9,
+            pre_ops_admitted: 10,
+            pre_partial: 11,
+            pre_req_dropped: 12,
+            writes: 13,
+            writes_dup: 14,
+            write_latency_sum: 15,
+            read_latency_sum: 16,
+        };
+        let names: Vec<&str> = all.counters().map(|(n, _)| n).collect();
+        assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
+        let values: Vec<u64> = all.counters().map(|(_, v)| v).collect();
+        assert_eq!(values, (1..=14).collect::<Vec<u64>>(), "{names:?}");
+        let some = ControllerStats {
+            writes: 3,
+            pre_miss: 1,
+            ..ControllerStats::default()
+        };
+        assert_eq!(
+            some.counters().collect::<Vec<_>>(),
+            vec![("pre_miss", 1), ("writes", 3)]
+        );
+    }
+
+    #[test]
+    fn mean_latencies_divide_sums_by_counts() {
+        let m = mc(SystemMode::Serialized);
+        assert_eq!(m.stats().mean_write_latency(), Cycles::ZERO);
+        assert_eq!(m.stats().mean_read_latency(), Cycles::ZERO);
+        let s = ControllerStats {
+            writes: 4,
+            write_latency_sum: 1003,
+            nvm_reads: 3,
+            read_latency_sum: 300,
+            ..ControllerStats::default()
+        };
+        assert_eq!(s.mean_write_latency(), Cycles(250), "truncates");
+        assert_eq!(s.mean_read_latency(), Cycles(100));
+        // The controller sums what each write and read took.
+        let mut m = mc(SystemMode::Serialized);
+        let (mut writes, mut reads) = (Histogram::new(), Histogram::new());
+        for i in 0..5u64 {
+            let now = Cycles(i * 7_000);
+            let out = m.handle_write(now, 0, LineAddr(i), Line::splat(i as u8 + 1), i % 2 == 0);
+            writes.record(out.persist_at.elapsed_since(now));
+            let at = now + Cycles(3_000);
+            reads.record(m.handle_read(at, LineAddr(i)).elapsed_since(at));
+        }
+        assert_eq!(Some(m.stats().mean_write_latency()), writes.mean());
+        assert_eq!(Some(m.stats().mean_read_latency()), reads.mean());
+        assert_eq!((m.stats().writes, m.stats().nvm_reads), (5, 5));
     }
 
     #[test]
@@ -977,7 +1034,7 @@ mod tests {
             "persist_at = {:?}",
             out.persist_at
         );
-        assert_eq!(m.stats().counter_value("pre_full"), 1);
+        assert_eq!(m.stats().pre_full, 1);
         assert!((m.fully_preexecuted_fraction() - 1.0).abs() < f64::EPSILON);
     }
 
@@ -987,7 +1044,7 @@ mod tests {
         let out = m.handle_write(Cycles(0), 0, LineAddr(5), Line::splat(9), false);
         let cp = BmoStack::paper().graph(&m.config.latencies).critical_path();
         assert!(out.persist_at >= cp);
-        assert_eq!(m.stats().counter_value("pre_miss"), 1);
+        assert_eq!(m.stats().pre_miss, 1);
     }
 
     #[test]
@@ -996,7 +1053,7 @@ mod tests {
         pre_both(&mut m, Cycles(0), 1, 5, Line::splat(1));
         // Actual write has different data.
         let out = m.handle_write(Cycles(20_000), 0, LineAddr(5), Line::splat(2), false);
-        assert_eq!(m.stats().counter_value("inval_data"), 1);
+        assert_eq!(m.stats().inval_data, 1);
         // Re-ran data-dependent chain (D1→…) from arrival.
         assert!(out.persist_at > Cycles(20_000) + Cycles::from_ns(300));
         // Functional result is the *write's* data, not the stale one.
@@ -1013,11 +1070,11 @@ mod tests {
         pre_both(&mut m, Cycles(10_000), 1, 2, Line::splat(0xA));
         // Overwrite line 1 — frees slot s, invalidating the prediction.
         m.handle_write(Cycles(20_000), 0, LineAddr(1), Line::splat(0xB), false);
-        assert_eq!(m.stats().counter_value("irb_meta_invalidations"), 1);
+        assert_eq!(m.stats().irb_meta_invalidations, 1);
         // The write to line 2 arrives; stale entry forces a full re-run but
         // functional content stays correct.
         let out = m.handle_write(Cycles(30_000), 0, LineAddr(2), Line::splat(0xA), false);
-        assert_eq!(m.stats().counter_value("inval_meta"), 1);
+        assert_eq!(m.stats().inval_meta, 1);
         assert!(out.persist_at > Cycles(30_000));
         assert_eq!(m.read_value(LineAddr(2)), Line::splat(0xA));
     }
@@ -1125,7 +1182,7 @@ mod tests {
         m.handle_write(Cycles(0), 0, LineAddr(1), Line::splat(7), false);
         let out = m.handle_write(Cycles(50_000), 0, LineAddr(2), Line::splat(7), false);
         assert!(out.dup);
-        assert_eq!(m.stats().counter_value("writes_dup"), 1);
+        assert_eq!(m.stats().writes_dup, 1);
     }
 
     #[test]
@@ -1201,6 +1258,6 @@ mod tests {
         m.thread_exited(0);
         // Write misses the IRB now.
         m.handle_write(Cycles(10_000), 0, LineAddr(5), Line::splat(9), false);
-        assert_eq!(m.stats().counter_value("pre_miss"), 1);
+        assert_eq!(m.stats().pre_miss, 1);
     }
 }

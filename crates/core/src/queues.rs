@@ -12,6 +12,7 @@
 use janus_nvm::addr::LineAddr;
 use janus_nvm::line::Line;
 
+use crate::ir::Op;
 use crate::irb::IrbKey;
 
 /// Which external inputs a request carries (the `Func` field).
@@ -42,7 +43,58 @@ pub struct PreRequest {
     pub values: Vec<Line>,
 }
 
+/// How the controller takes a request when it arrives.
+#[derive(Clone, Copy, Debug)]
+pub enum PreArrivalKind {
+    /// Decoded at once (`PRE_ADDR`, `PRE_DATA`, `PRE_BOTH`).
+    Immediate,
+    /// Held in the queue until released (`*_BUF`).
+    Buffered,
+    /// Releases the buffered requests of its key (`PRE_START_BUF`).
+    Start,
+}
+
 impl PreRequest {
+    /// The request a `PRE_*` op sends from logical thread `thread` inside
+    /// transaction `tx_id`, and how the controller takes it. The op's
+    /// values move into the request. `None` for every other op, `PRE_INIT`
+    /// included: it only names the object.
+    pub fn from_op(op: Op, thread: usize, tx_id: u64) -> Option<(PreRequest, PreArrivalKind)> {
+        use PreArrivalKind::{Buffered, Immediate, Start};
+        use PreFunc::{Addr, Both, Data};
+        let (obj, func, line, nlines, values, kind) = match op {
+            Op::PreAddr { obj, line, nlines } => (obj, Addr, Some(line), nlines, vec![], Immediate),
+            Op::PreData { obj, values } => {
+                (obj, Data, None, values.len() as u32, values, Immediate)
+            }
+            Op::PreBoth { obj, line, values } => {
+                let n = values.len() as u32;
+                (obj, Both, Some(line), n, values, Immediate)
+            }
+            Op::PreAddrBuf { obj, line, nlines } => {
+                (obj, Addr, Some(line), nlines, vec![], Buffered)
+            }
+            Op::PreDataBuf { obj, values } => {
+                (obj, Data, None, values.len() as u32, values, Buffered)
+            }
+            Op::PreBothBuf { obj, line, values } => {
+                let n = values.len() as u32;
+                (obj, Both, Some(line), n, values, Buffered)
+            }
+            Op::PreStartBuf(obj) => (obj, Both, None, 0, vec![], Start),
+            _ => return None,
+        };
+        let req = PreRequest {
+            key: IrbKey { core: thread, obj },
+            tx_id,
+            func,
+            line,
+            nlines,
+            values,
+        };
+        Some((req, kind))
+    }
+
     /// Whether `other` extends this request contiguously (same identity and
     /// function, adjacent line range) so the two can coalesce in the queue.
     fn can_coalesce(&self, other: &PreRequest) -> bool {
@@ -96,50 +148,10 @@ pub fn decode_into(req: &PreRequest, out: &mut Vec<LineOp>) {
     }));
 }
 
-/// Packed coalesce-scan key for one buffered request (structure-of-arrays
-/// companion to `RequestQueue::buffered`): every `push_buffered` scans the
-/// queue for a coalescing candidate, and this 24-byte tag carries exactly
-/// what that scan compares, instead of walking the full [`PreRequest`]
-/// records (with their heap-allocated value vectors).
-#[derive(Clone, Copy, Debug)]
-struct CoalesceTag {
-    core: u32,
-    obj: u32,
-    func: PreFunc,
-    /// The line an extension must start at (`line + nlines`), or
-    /// [`DATA_ANY`] for address-less data requests (which coalesce with any
-    /// same-identity data request). A sentinel collision is disambiguated by
-    /// re-checking `can_coalesce` on the payload.
-    next_line: u64,
-}
-
-const DATA_ANY: u64 = u64::MAX;
-
-impl CoalesceTag {
-    fn of(req: &PreRequest) -> Self {
-        CoalesceTag {
-            core: req.key.core as u32,
-            obj: req.key.obj.0,
-            func: req.func,
-            next_line: req.line.map_or(DATA_ANY, |l| l.0 + req.nlines as u64),
-        }
-    }
-
-    fn matches(&self, incoming: &PreRequest) -> bool {
-        self.core == incoming.key.core as u32
-            && self.obj == incoming.key.obj.0
-            && self.func == incoming.func
-            && self.next_line == incoming.line.map_or(DATA_ANY, |l| l.0)
-    }
-}
-
 /// The bounded request queue with deferred-request buffering.
 #[derive(Debug)]
 pub struct RequestQueue {
-    /// Payload records, index-parallel with `tags`.
     buffered: Vec<PreRequest>,
-    /// Packed coalesce-scan keys (see [`CoalesceTag`]).
-    tags: Vec<CoalesceTag>,
     capacity: usize,
     dropped: u64,
     coalesced: u64,
@@ -150,7 +162,6 @@ impl RequestQueue {
     pub fn new(capacity: usize) -> Self {
         RequestQueue {
             buffered: Vec::new(),
-            tags: Vec::new(),
             capacity,
             dropped: 0,
             coalesced: 0,
@@ -174,44 +185,23 @@ impl RequestQueue {
     ///
     /// Returns the request that was discarded, if any.
     pub fn push_buffered(&mut self, req: PreRequest) -> Option<PreRequest> {
-        // Tag scan finds the candidate; the payload re-check resolves the
-        // (theoretical) sentinel collision exactly as the original
-        // full-record scan would.
-        let hit = (0..self.tags.len())
-            .find(|&i| self.tags[i].matches(&req) && self.buffered[i].can_coalesce(&req));
-        if let Some(i) = hit {
-            self.buffered[i].coalesce(req);
-            self.tags[i] = CoalesceTag::of(&self.buffered[i]);
+        if let Some(prev) = self.buffered.iter_mut().find(|b| b.can_coalesce(&req)) {
+            prev.coalesce(req);
             self.coalesced += 1;
             return None;
         }
         let mut evicted = None;
         if self.buffered.len() >= self.capacity {
-            self.tags.remove(0);
             evicted = Some(self.buffered.remove(0));
             self.dropped += 1;
         }
-        self.tags.push(CoalesceTag::of(&req));
         self.buffered.push(req);
         evicted
     }
 
     /// Releases every buffered request of `key` (a `PRE_START_BUF`).
     pub fn start_buffered(&mut self, key: IrbKey) -> Vec<PreRequest> {
-        let mut released = Vec::new();
-        let mut kept = Vec::with_capacity(self.buffered.len());
-        let mut kept_tags = Vec::with_capacity(self.tags.len());
-        for (r, t) in self.buffered.drain(..).zip(self.tags.drain(..)) {
-            if r.key == key {
-                released.push(r);
-            } else {
-                kept.push(r);
-                kept_tags.push(t);
-            }
-        }
-        self.buffered = kept;
-        self.tags = kept_tags;
-        released
+        self.buffered.extract_if(.., |r| r.key == key).collect()
     }
 
     /// Buffered requests currently held.
@@ -328,27 +318,6 @@ mod tests {
         assert!(!q.admit_immediate(&req(2, 200, 1)));
         let (dropped, _) = q.stats();
         assert_eq!(dropped, 1);
-    }
-
-    #[test]
-    fn tags_stay_in_sync_through_mixed_operations() {
-        let mut q = RequestQueue::new(3);
-        q.push_buffered(req(1, 100, 1));
-        q.push_buffered(req(1, 101, 2)); // coalesces into [100..103)
-        q.push_buffered(req(2, 200, 1));
-        q.push_buffered(req(3, 300, 1));
-        q.push_buffered(req(4, 400, 1)); // evicts oldest
-        q.start_buffered(key(2));
-        assert_eq!(q.buffered.len(), q.tags.len());
-        for (r, t) in q.buffered.iter().zip(&q.tags) {
-            assert_eq!(t.core, r.key.core as u32);
-            assert_eq!(t.obj, r.key.obj.0);
-            assert_eq!(t.func, r.func);
-            assert_eq!(
-                t.next_line,
-                r.line.map_or(super::DATA_ANY, |l| l.0 + r.nlines as u64)
-            );
-        }
     }
 
     #[test]

@@ -30,8 +30,8 @@ use janus_trace::{TraceConfig, Tracer};
 use crate::config::JanusConfig;
 use crate::controller::MemoryController;
 use crate::ir::{Op, Program};
-use crate::irb::{IrbKey, IrbPolicy};
-use crate::queues::{PreFunc, PreRequest};
+use crate::irb::IrbPolicy;
+use crate::queues::{PreArrivalKind, PreRequest};
 use crate::tenant::{FrontEnd, TenantStream};
 
 /// A run request that contradicts the system's configuration — returned by
@@ -133,13 +133,6 @@ enum Ev {
     Persisted { core: usize },
 }
 
-#[derive(Clone, Copy, Debug)]
-enum PreArrivalKind {
-    Immediate,
-    Buffered,
-    Start,
-}
-
 #[derive(Debug)]
 struct CoreState {
     program: Program,
@@ -217,7 +210,10 @@ pub struct ExecutionReport {
     pub fully_preexecuted_fraction: f64,
     /// IRB statistics (inserted, consumed, drops, expired, stale).
     pub irb: (u64, u64, u64, u64, u64),
-    /// Named controller counters (invalidations, drops, …).
+    /// Named counters: the nonzero controller counters in name order
+    /// ([`crate::controller::ControllerStats::counters`]), then
+    /// `nvm_device_reads`, `nvm_device_writes`, `wq_stall_cycles` and
+    /// `wq_coalesced`.
     pub counters: Vec<(&'static str, u64)>,
     /// L1 (hits, misses) summed over cores.
     pub l1: (u64, u64),
@@ -546,7 +542,7 @@ impl System {
     fn drain(&mut self) {
         self.run_loop(Cycles::MAX);
         if let Some(sampler) = &mut self.sampler {
-            sampler.finish(self.events.now(), self.mc.stats());
+            sampler.finish(self.events.now(), || self.mc.stats().counters().collect());
         }
     }
 
@@ -573,7 +569,7 @@ impl System {
     fn count_event(&mut self, t: Cycles) {
         self.events_processed += 1;
         if let Some(sampler) = &mut self.sampler {
-            sampler.maybe_sample(t, self.mc.stats());
+            sampler.maybe_sample(t, || self.mc.stats().counters().collect());
         }
     }
 
@@ -752,120 +748,19 @@ impl System {
                 next_at = t + Cycles(1);
             }
             Op::PreInit(_) => next_at = t + Cycles(1),
-            Op::PreAddr { obj, line, nlines } => {
-                self.send_pre(
-                    t,
-                    i,
-                    PreRequest {
-                        key: IrbKey { core: thread, obj },
-                        tx_id: self.cores[i].tx_id,
-                        func: PreFunc::Addr,
-                        line: Some(line),
-                        nlines,
-                        values: vec![],
-                    },
-                    PreArrivalKind::Immediate,
-                );
-                next_at = t + ct.pre_issue;
-            }
-            Op::PreData { obj, values } => {
-                let n = values.len() as u32;
-                self.send_pre(
-                    t,
-                    i,
-                    PreRequest {
-                        key: IrbKey { core: thread, obj },
-                        tx_id: self.cores[i].tx_id,
-                        func: PreFunc::Data,
-                        line: None,
-                        nlines: n,
-                        values,
-                    },
-                    PreArrivalKind::Immediate,
-                );
-                next_at = t + ct.pre_issue;
-            }
-            Op::PreBoth { obj, line, values } => {
-                let n = values.len() as u32;
-                self.send_pre(
-                    t,
-                    i,
-                    PreRequest {
-                        key: IrbKey { core: thread, obj },
-                        tx_id: self.cores[i].tx_id,
-                        func: PreFunc::Both,
-                        line: Some(line),
-                        nlines: n,
-                        values,
-                    },
-                    PreArrivalKind::Immediate,
-                );
-                next_at = t + ct.pre_issue;
-            }
-            Op::PreAddrBuf { obj, line, nlines } => {
-                self.send_pre(
-                    t,
-                    i,
-                    PreRequest {
-                        key: IrbKey { core: thread, obj },
-                        tx_id: self.cores[i].tx_id,
-                        func: PreFunc::Addr,
-                        line: Some(line),
-                        nlines,
-                        values: vec![],
-                    },
-                    PreArrivalKind::Buffered,
-                );
-                next_at = t + ct.pre_issue;
-            }
-            Op::PreDataBuf { obj, values } => {
-                let n = values.len() as u32;
-                self.send_pre(
-                    t,
-                    i,
-                    PreRequest {
-                        key: IrbKey { core: thread, obj },
-                        tx_id: self.cores[i].tx_id,
-                        func: PreFunc::Data,
-                        line: None,
-                        nlines: n,
-                        values,
-                    },
-                    PreArrivalKind::Buffered,
-                );
-                next_at = t + ct.pre_issue;
-            }
-            Op::PreBothBuf { obj, line, values } => {
-                let n = values.len() as u32;
-                self.send_pre(
-                    t,
-                    i,
-                    PreRequest {
-                        key: IrbKey { core: thread, obj },
-                        tx_id: self.cores[i].tx_id,
-                        func: PreFunc::Both,
-                        line: Some(line),
-                        nlines: n,
-                        values,
-                    },
-                    PreArrivalKind::Buffered,
-                );
-                next_at = t + ct.pre_issue;
-            }
-            Op::PreStartBuf(obj) => {
-                self.send_pre(
-                    t,
-                    i,
-                    PreRequest {
-                        key: IrbKey { core: thread, obj },
-                        tx_id: self.cores[i].tx_id,
-                        func: PreFunc::Both,
-                        line: None,
-                        nlines: 0,
-                        values: vec![],
-                    },
-                    PreArrivalKind::Start,
-                );
+            op @ (Op::PreAddr { .. }
+            | Op::PreData { .. }
+            | Op::PreBoth { .. }
+            | Op::PreAddrBuf { .. }
+            | Op::PreDataBuf { .. }
+            | Op::PreBothBuf { .. }
+            | Op::PreStartBuf(_)) => {
+                let (req, kind) = PreRequest::from_op(op, thread, self.cores[i].tx_id)
+                    .expect("a PRE_* request op");
+                // Pre-execution requests traverse the same path as
+                // writebacks.
+                self.events
+                    .schedule(t + ct.pre_issue + wb, Ev::PreArrive { req, kind });
                 next_at = t + ct.pre_issue;
             }
             // Markers cost nothing.
@@ -879,14 +774,6 @@ impl System {
             | Op::CondEnd => {}
         }
         Some(next_at.max(t))
-    }
-
-    fn send_pre(&mut self, t: Cycles, _core: usize, req: PreRequest, kind: PreArrivalKind) {
-        // Pre-execution requests traverse the same path as writebacks.
-        self.events.schedule(
-            t + self.config.core.pre_issue + self.config.writeback,
-            Ev::PreArrive { req, kind },
-        );
     }
 
     /// Charges a demand-read access through L1/L2/NVM; returns its latency.
@@ -1028,21 +915,15 @@ impl System {
             cycles: core_cycles.iter().copied().max().unwrap_or(Cycles::ZERO),
             core_cycles,
             transactions: self.cores.iter().map(|c| c.committed).sum(),
-            writes: stats.counter_value("writes"),
-            dup_writes: stats.counter_value("writes_dup"),
+            writes: stats.writes,
+            dup_writes: stats.writes_dup,
             fully_preexecuted_fraction: self.mc.fully_preexecuted_fraction(),
             irb: self.mc.irb_stats(),
             counters,
             l1,
             l2: self.l2.stats(),
-            mean_write_latency: stats
-                .histogram_ref("write_critical_latency")
-                .and_then(|h| h.mean())
-                .unwrap_or(Cycles::ZERO),
-            mean_read_latency: stats
-                .histogram_ref("read_latency")
-                .and_then(|h| h.mean())
-                .unwrap_or(Cycles::ZERO),
+            mean_write_latency: stats.mean_write_latency(),
+            mean_read_latency: stats.mean_read_latency(),
             events: self.events_processed,
             tenants,
         }
@@ -1392,7 +1273,7 @@ mod tests {
         crashed
             .run_until_crash(vec![persist_program(10, false)], Cycles::MAX)
             .unwrap();
-        let writes = crashed.controller().stats().counter_value("writes");
+        let writes = crashed.controller().stats().writes;
         assert_eq!(writes, 10);
         let log = crashed
             .controller()

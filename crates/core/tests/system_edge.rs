@@ -39,7 +39,7 @@ fn aged_out_pre_execution_results_are_discarded() {
     pre_both(&mut mc, Cycles(1_000_000), 2, 6, Line::splat(8));
     // The aged write misses the IRB.
     mc.handle_write(Cycles(1_000_100), 0, LineAddr(5), Line::splat(9), false);
-    assert_eq!(mc.stats().counter_value("pre_miss"), 1);
+    assert_eq!(mc.stats().pre_miss, 1);
     let (_, _, _, expired, _) = mc.irb_stats();
     assert_eq!(expired, 1);
     // Functional contents are still correct.
@@ -55,16 +55,8 @@ fn swapped_out_range_clears_pre_execution_state() {
     mc.range_swapped(LineAddr(0), 512);
     mc.handle_write(Cycles(50_000), 0, LineAddr(100), Line::splat(1), false);
     mc.handle_write(Cycles(100_000), 0, LineAddr(900), Line::splat(2), false);
-    assert_eq!(
-        mc.stats().counter_value("pre_miss"),
-        1,
-        "swapped entry gone"
-    );
-    assert_eq!(
-        mc.stats().counter_value("pre_full"),
-        1,
-        "other entry intact"
-    );
+    assert_eq!(mc.stats().pre_miss, 1, "swapped entry gone");
+    assert_eq!(mc.stats().pre_full, 1, "other entry intact");
 }
 
 #[test]
@@ -81,9 +73,9 @@ fn operation_queue_overflow_drops_excess_requests() {
             Line::splat(i as u8),
         );
     }
-    let dropped = mc.stats().counter_value("pre_op_dropped");
+    let dropped = mc.stats().pre_op_dropped;
     assert!(dropped > 0, "expected drops, got none");
-    let admitted = mc.stats().counter_value("pre_ops_admitted");
+    let admitted = mc.stats().pre_ops_admitted;
     assert!(admitted >= 64, "queue capacity should still be used");
     // Dropped requests are harmless: the writes still complete correctly.
     mc.handle_write(Cycles(900_000), 0, LineAddr(2199), Line::splat(199), false);
@@ -187,7 +179,7 @@ fn pre_request_for_multiple_lines_decodes_per_line() {
             "line {k}"
         );
     }
-    assert_eq!(mc.stats().counter_value("pre_full"), 4);
+    assert_eq!(mc.stats().pre_full, 4);
 }
 
 #[test]
@@ -196,10 +188,10 @@ fn wrong_core_write_does_not_consume_anothers_entry() {
     pre_both(&mut mc, Cycles(0), 1, 7, Line::splat(3));
     // Core 1 writes the same line: must miss core 0's entry.
     mc.handle_write(Cycles(50_000), 1, LineAddr(7), Line::splat(3), false);
-    assert_eq!(mc.stats().counter_value("pre_miss"), 1);
+    assert_eq!(mc.stats().pre_miss, 1);
     // Core 0's entry still valid afterwards.
     mc.handle_write(Cycles(100_000), 0, LineAddr(7), Line::splat(3), false);
-    assert_eq!(mc.stats().counter_value("pre_full"), 1);
+    assert_eq!(mc.stats().pre_full, 1);
 }
 
 #[test]
@@ -283,7 +275,7 @@ fn admission_backlog_knob_controls_drops() {
         pre_both(&mut mc, Cycles(0), i, 100 + i as u64, Line::splat(i as u8));
     }
     assert!(
-        mc.stats().counter_value("pre_op_dropped") > 20,
+        mc.stats().pre_op_dropped > 20,
         "strict arbiter should drop almost everything"
     );
 }

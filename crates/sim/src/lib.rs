@@ -13,8 +13,8 @@
 //!   stable FIFO ordering among simultaneous events.
 //! * [`resource`] — the execution-unit pool ([`UnitPool`]) that models the
 //!   shared BMO units.
-//! * [`stats`] — counters and latency histograms used by the experiment
-//!   harness to report every figure of the paper.
+//! * [`stats`] — the latency histogram behind the open-loop front end's
+//!   per-tenant percentiles.
 //! * [`rng`] — a small deterministic PRNG (SplitMix64 / xoshiro256**) so that
 //!   every experiment is reproducible from a seed.
 //!
@@ -41,5 +41,5 @@ pub mod time;
 pub use event::EventQueue;
 pub use resource::UnitPool;
 pub use rng::SimRng;
-pub use stats::{Counter, Histogram, StatSet};
+pub use stats::Histogram;
 pub use time::{Cycles, CLOCK_GHZ};

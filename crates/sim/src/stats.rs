@@ -1,61 +1,17 @@
-//! Simulation statistics: counters, latency histograms, and named sets.
-//!
-//! Every figure in the paper's evaluation reduces to ratios of execution
-//! times plus a handful of auxiliary statistics (e.g. §5.2.2's "only 45.13%
-//! of BMOs have been completely pre-executed"). These types collect them.
+//! Latency histograms: the open-loop front end keeps one per tenant for
+//! its latency percentiles. (The memory controller's counters are the
+//! fields of janus-core's `ControllerStats`.)
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-// (BTreeMap remains in use for the histogram's sparse log2 buckets, which
-// must iterate in ascending bucket order.)
-
 use crate::time::Cycles;
-
-/// A monotonically increasing event counter.
-///
-/// ```
-/// use janus_sim::stats::Counter;
-/// let mut writes = Counter::default();
-/// writes.add(3);
-/// writes.incr();
-/// assert_eq!(writes.get(), 4);
-/// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds `n` occurrences.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Adds one occurrence.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Current count.
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
 
 /// A latency histogram with power-of-two buckets plus exact mean/min/max.
 ///
 /// Bucketing is coarse on purpose: it is used for reporting latency
-/// distributions (e.g. critical write latency) without storing every sample.
+/// distributions (e.g. a tenant's arrival → persistence latency) without
+/// storing every sample.
 ///
 /// ```
 /// use janus_sim::{stats::Histogram, time::Cycles};
@@ -209,150 +165,9 @@ impl fmt::Display for Histogram {
     }
 }
 
-/// A stable handle to a counter in one [`StatSet`], from
-/// [`StatSet::counter_id`]. Bumping through a handle is a plain vector
-/// index — no name lookup.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CounterId(usize);
-
-/// A stable handle to a histogram in one [`StatSet`], from
-/// [`StatSet::histogram_id`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HistogramId(usize);
-
-/// A named collection of counters and histograms, keyed by static strings.
-///
-/// Components register statistics lazily by name; the experiment harness
-/// reads them back for reporting. Hot-path components intern their names
-/// once ([`StatSet::counter_id`] / [`StatSet::histogram_id`]) and then
-/// update by handle: storage is insertion-ordered vectors with a hash index
-/// by name, so a handle access is one bounds-checked vector index instead
-/// of a string-keyed map walk per event. Reporting iterators sort by name
-/// on demand (they run once per report, not per event), so exported output
-/// is independent of registration order.
-#[derive(Clone, Debug, Default)]
-pub struct StatSet {
-    counters: Vec<(&'static str, Counter)>,
-    counter_index: crate::hash::FxHashMap<&'static str, usize>,
-    histograms: Vec<(&'static str, Histogram)>,
-    histogram_index: crate::hash::FxHashMap<&'static str, usize>,
-}
-
-impl StatSet {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Interns `name`, creating the counter if needed, and returns its
-    /// stable handle.
-    pub fn counter_id(&mut self, name: &'static str) -> CounterId {
-        if let Some(&i) = self.counter_index.get(name) {
-            return CounterId(i);
-        }
-        let i = self.counters.len();
-        self.counters.push((name, Counter::default()));
-        self.counter_index.insert(name, i);
-        CounterId(i)
-    }
-
-    /// Mutable access to a counter by interned handle (O(1)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` came from a different `StatSet`.
-    pub fn counter_by_id(&mut self, id: CounterId) -> &mut Counter {
-        &mut self.counters[id.0].1
-    }
-
-    /// Mutable access to (and lazy creation of) a named counter.
-    pub fn counter(&mut self, name: &'static str) -> &mut Counter {
-        let id = self.counter_id(name);
-        self.counter_by_id(id)
-    }
-
-    /// Reads a counter's value (zero if never touched).
-    pub fn counter_value(&self, name: &str) -> u64 {
-        self.counter_index
-            .get(name)
-            .map_or(0, |&i| self.counters[i].1.get())
-    }
-
-    /// Interns `name`, creating the histogram if needed, and returns its
-    /// stable handle.
-    pub fn histogram_id(&mut self, name: &'static str) -> HistogramId {
-        if let Some(&i) = self.histogram_index.get(name) {
-            return HistogramId(i);
-        }
-        let i = self.histograms.len();
-        self.histograms.push((name, Histogram::default()));
-        self.histogram_index.insert(name, i);
-        HistogramId(i)
-    }
-
-    /// Mutable access to a histogram by interned handle (O(1)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` came from a different `StatSet`.
-    pub fn histogram_by_id(&mut self, id: HistogramId) -> &mut Histogram {
-        &mut self.histograms[id.0].1
-    }
-
-    /// Mutable access to (and lazy creation of) a named histogram.
-    pub fn histogram(&mut self, name: &'static str) -> &mut Histogram {
-        let id = self.histogram_id(name);
-        self.histogram_by_id(id)
-    }
-
-    /// Reads a histogram (if it exists).
-    pub fn histogram_ref(&self, name: &str) -> Option<&Histogram> {
-        self.histogram_index
-            .get(name)
-            .map(|&i| &self.histograms[i].1)
-    }
-
-    /// Iterates over all counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        let mut v: Vec<(&'static str, u64)> =
-            self.counters.iter().map(|(n, c)| (*n, c.get())).collect();
-        v.sort_unstable_by_key(|(n, _)| *n);
-        v.into_iter()
-    }
-
-    /// Iterates over all histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
-        let mut v: Vec<(&'static str, &Histogram)> =
-            self.histograms.iter().map(|(n, h)| (*n, h)).collect();
-        v.sort_unstable_by_key(|(n, _)| *n);
-        v.into_iter()
-    }
-}
-
-impl fmt::Display for StatSet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (name, value) in self.counters() {
-            writeln!(f, "{name}: {value}")?;
-        }
-        for (name, h) in self.histograms() {
-            writeln!(f, "{name}: {h}")?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        assert_eq!(c.to_string(), "10");
-    }
 
     #[test]
     fn histogram_mean_min_max() {
@@ -456,46 +271,5 @@ mod tests {
         // p999 must actually sit in the tail above p99's bucket midpoint.
         assert!(p999 >= Cycles(9_000), "p999 = {p999}");
         assert_eq!(Histogram::new().p999(), None);
-    }
-
-    #[test]
-    fn statset_lazily_creates() {
-        let mut s = StatSet::new();
-        s.counter("writes").add(2);
-        s.histogram("latency").record(Cycles(8));
-        assert_eq!(s.counter_value("writes"), 2);
-        assert_eq!(s.counter_value("missing"), 0);
-        assert_eq!(s.histogram_ref("latency").unwrap().count(), 1);
-        assert!(s.histogram_ref("missing").is_none());
-        let names: Vec<_> = s.counters().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["writes"]);
-    }
-
-    #[test]
-    fn statset_handles_alias_names() {
-        let mut s = StatSet::new();
-        let id = s.counter_id("writes");
-        s.counter_by_id(id).add(3);
-        s.counter("writes").incr();
-        assert_eq!(s.counter_id("writes"), id, "interning is stable");
-        assert_eq!(s.counter_value("writes"), 4);
-        let h = s.histogram_id("lat");
-        s.histogram_by_id(h).record(Cycles(7));
-        assert_eq!(s.histogram_ref("lat").unwrap().count(), 1);
-        assert_eq!(s.histogram_id("lat"), h);
-    }
-
-    #[test]
-    fn statset_iterates_in_name_order_regardless_of_registration() {
-        let mut s = StatSet::new();
-        s.counter("zeta").incr();
-        s.counter("alpha").incr();
-        s.counter("mid").incr();
-        s.histogram("z_lat").record(Cycles(1));
-        s.histogram("a_lat").record(Cycles(1));
-        let counter_names: Vec<_> = s.counters().map(|(n, _)| n).collect();
-        assert_eq!(counter_names, vec!["alpha", "mid", "zeta"]);
-        let histo_names: Vec<_> = s.histograms().map(|(n, _)| n).collect();
-        assert_eq!(histo_names, vec!["a_lat", "z_lat"]);
     }
 }

@@ -20,10 +20,10 @@
 //! * **Metrics pipeline** ([`metrics`], [`sampler`]) — a
 //!   [`metrics::MetricsRegistry`] turns named scalars (counters, derived
 //!   ratios, labels) into an ordered JSON object, and a
-//!   [`sampler::MetricsSampler`] snapshots a [`janus_sim::stats::StatSet`]'s
-//!   counters every N cycles into a time-series that renders as Chrome
-//!   counter tracks, so per-epoch occupancy curves can be read instead of
-//!   inferred from free-text dumps.
+//!   [`sampler::MetricsSampler`] snapshots a caller's named counters every
+//!   N cycles into a time-series that renders as Chrome counter tracks, so
+//!   per-epoch occupancy curves can be read instead of inferred from
+//!   free-text dumps.
 //!
 //! The tracer is a cheap clonable handle ([`Tracer`]): the simulator's
 //! components (memory controller, BMO engine, NVM device, write queue) each

@@ -2,12 +2,10 @@
 //!
 //! End-of-run totals hide phase behaviour — a write burst that saturates
 //! the ADR queue in the first 10 µs looks identical to steady load. The
-//! [`MetricsSampler`] snapshots every counter in a [`StatSet`] whenever
-//! simulated time crosses the next sampling epoch, producing a time-series
-//! that [`MetricsSampler::counter_events_of`] turns into Chrome counter
-//! tracks.
+//! [`MetricsSampler`] snapshots its caller's counters whenever simulated
+//! time crosses the next sampling epoch, producing a time-series that
+//! [`MetricsSampler::counter_events_of`] turns into Chrome counter tracks.
 
-use janus_sim::stats::StatSet;
 use janus_sim::time::Cycles;
 
 use crate::event::{Category, EventKind, TraceEvent};
@@ -17,12 +15,11 @@ use crate::event::{Category, EventKind, TraceEvent};
 pub struct Sample {
     /// Simulated time of the snapshot (a multiple of the sampling period).
     pub cycle: Cycles,
-    /// `(name, value)` pairs in name order (as iterated by
-    /// [`StatSet::counters`]).
+    /// `(name, value)` pairs as the caller listed them.
     pub counters: Vec<(&'static str, u64)>,
 }
 
-/// Samples a [`StatSet`] every `every` cycles. See module docs.
+/// Samples a list of counters every `every` cycles. See module docs.
 #[derive(Clone, Debug)]
 pub struct MetricsSampler {
     every: u64,
@@ -47,15 +44,20 @@ impl MetricsSampler {
     }
 
     /// Takes snapshots for every sampling epoch that `now` has crossed
-    /// since the last call. Event-driven simulation jumps time, so one call
-    /// may emit several samples (all with the same counter values — the
-    /// epochs passed without activity). Returns how many were taken.
-    pub fn maybe_sample(&mut self, now: Cycles, stats: &StatSet) -> usize {
+    /// since the last call, listing the counters with `counters`, which
+    /// runs only then. Event-driven simulation jumps time, so one call may
+    /// emit several samples (all with the same counter values — the epochs
+    /// passed without activity). Returns how many were taken.
+    pub fn maybe_sample(
+        &mut self,
+        now: Cycles,
+        counters: impl Fn() -> Vec<(&'static str, u64)>,
+    ) -> usize {
         let mut taken = 0;
         while now.0 >= self.next {
             self.samples.push(Sample {
                 cycle: Cycles(self.next),
-                counters: stats.counters().collect(),
+                counters: counters(),
             });
             self.next += self.every;
             taken += 1;
@@ -65,12 +67,12 @@ impl MetricsSampler {
 
     /// Takes one final snapshot at `now` (end of run), regardless of epoch
     /// alignment, unless one was already taken at exactly `now`.
-    pub fn finish(&mut self, now: Cycles, stats: &StatSet) {
-        self.maybe_sample(now, stats);
+    pub fn finish(&mut self, now: Cycles, counters: impl Fn() -> Vec<(&'static str, u64)>) {
+        self.maybe_sample(now, &counters);
         if self.samples.last().map(|s| s.cycle) != Some(now) {
             self.samples.push(Sample {
                 cycle: now,
-                counters: stats.counters().collect(),
+                counters: counters(),
             });
         }
     }
@@ -84,9 +86,9 @@ impl MetricsSampler {
     /// `System::samples`) into Chrome trace `Counter` events so
     /// occupancy/utilization curves render in Perfetto as counter tracks
     /// alongside spans. One event per (sample, counter), in sample order
-    /// then counter-name order — fully deterministic. Counter names are
-    /// interned `&'static str`s straight from the [`StatSet`], so this
-    /// allocates only the returned vector.
+    /// then each sample's counter order — fully deterministic. Counter
+    /// names are `&'static str`s, so this allocates only the returned
+    /// vector.
     pub fn counter_events_of(samples: &[Sample]) -> Vec<TraceEvent> {
         let mut out = Vec::with_capacity(samples.iter().map(|s| s.counters.len()).sum::<usize>());
         for s in samples {
@@ -114,14 +116,13 @@ mod tests {
 
     #[test]
     fn samples_on_epoch_crossings_only() {
-        let mut s = StatSet::new();
         let mut sampler = MetricsSampler::new(Cycles(100));
-        s.counter("w").add(1);
-        assert_eq!(sampler.maybe_sample(Cycles(50), &s), 0);
-        assert_eq!(sampler.maybe_sample(Cycles(100), &s), 1);
-        s.counter("w").add(4);
+        let unread = || -> Vec<(&'static str, u64)> { panic!("no epoch was crossed") };
+        assert_eq!(sampler.maybe_sample(Cycles(50), unread), 0);
+        assert_eq!(sampler.maybe_sample(Cycles(100), || vec![("w", 1)]), 1);
         // Time jumped over epochs 200 and 300.
-        assert_eq!(sampler.maybe_sample(Cycles(350), &s), 2);
+        assert_eq!(sampler.maybe_sample(Cycles(350), || vec![("w", 5)]), 2);
+        assert_eq!(sampler.maybe_sample(Cycles(399), unread), 0);
         let cycles: Vec<u64> = sampler.samples().iter().map(|x| x.cycle.0).collect();
         assert_eq!(cycles, vec![100, 200, 300]);
         assert_eq!(sampler.samples()[0].counters, vec![("w", 1)]);
@@ -130,27 +131,24 @@ mod tests {
 
     #[test]
     fn finish_appends_final_unaligned_sample_once() {
-        let mut s = StatSet::new();
-        s.counter("w").add(2);
+        let counters = || vec![("w", 2)];
         let mut sampler = MetricsSampler::new(Cycles(100));
-        sampler.finish(Cycles(150), &s);
+        sampler.finish(Cycles(150), counters);
         let cycles: Vec<u64> = sampler.samples().iter().map(|x| x.cycle.0).collect();
         assert_eq!(cycles, vec![100, 150]);
+        assert!(sampler.samples().iter().all(|x| x.counters == counters()));
         // Aligned end: no duplicate.
         let mut sampler = MetricsSampler::new(Cycles(100));
-        sampler.finish(Cycles(200), &s);
+        sampler.finish(Cycles(200), counters);
         let cycles: Vec<u64> = sampler.samples().iter().map(|x| x.cycle.0).collect();
         assert_eq!(cycles, vec![100, 200]);
     }
 
     #[test]
     fn counter_events_cover_every_sample_in_order() {
-        let mut s = StatSet::new();
         let mut sampler = MetricsSampler::new(Cycles(10));
-        s.counter("reads").add(1);
-        sampler.maybe_sample(Cycles(10), &s);
-        s.counter("writes").add(3);
-        sampler.maybe_sample(Cycles(20), &s);
+        sampler.maybe_sample(Cycles(10), || vec![("reads", 1)]);
+        sampler.maybe_sample(Cycles(20), || vec![("reads", 1), ("writes", 3)]);
         let evs = MetricsSampler::counter_events_of(sampler.samples());
         assert_eq!(evs.len(), 3, "1 counter at t=10 + 2 at t=20");
         assert!(evs.iter().all(|e| e.kind == EventKind::Counter));

@@ -2,7 +2,7 @@
 //!
 //! A [`TenantSpec`] describes one tenant of a shared Janus memory system:
 //! its transaction mix (any Table 4 workload), key skew, transaction count,
-//! and an open-loop [`Arrival`] process. [`generate_tenant`] turns a spec
+//! and an open-loop [`Arrival`] process. [`try_generate_tenant`] turns a spec
 //! into a [`TenantStream`] — the closed-loop per-core program is split at
 //! transaction-commit boundaries into self-contained fragments, and each
 //! fragment gets an arrival time drawn from the tenant's own deterministic
@@ -21,7 +21,7 @@ use janus_sim::rng::SimRng;
 use janus_sim::time::Cycles;
 
 use crate::undo::Instrumentation;
-use crate::{generate, Workload, WorkloadConfig};
+use crate::{try_generate, GenError, Workload, WorkloadConfig};
 
 /// An open-loop arrival process (inter-arrival gaps in cycles).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -217,7 +217,16 @@ fn tenant_seed(seed: u64, tenant: usize) -> u64 {
 /// id doubles as the workload generator's core index, which gives each
 /// tenant a disjoint address region (the same mechanism that separates
 /// closed-loop cores), and as the IRB/trace thread identity during the run.
-pub fn generate_tenant(spec: &TenantSpec, tenant: usize, seed: u64) -> TenantTraffic {
+///
+/// # Errors
+///
+/// [`GenError`] when the tenant's workload does not fit its data structure
+/// in the tenant's region.
+pub fn try_generate_tenant(
+    spec: &TenantSpec,
+    tenant: usize,
+    seed: u64,
+) -> Result<TenantTraffic, GenError> {
     let tseed = tenant_seed(seed, tenant);
     let cfg = WorkloadConfig {
         transactions: spec.transactions,
@@ -227,27 +236,43 @@ pub fn generate_tenant(spec: &TenantSpec, tenant: usize, seed: u64) -> TenantTra
         key_skew: spec.key_skew,
         ..WorkloadConfig::default()
     };
-    let out = generate(spec.workload, tenant, &cfg);
+    let out = try_generate(spec.workload, tenant, &cfg)?;
     let txs = split_transactions(&out.program);
     // The arrival stream is forked from the same tenant seed but never
     // shares state with generation, so changing the arrival process cannot
     // perturb the transactions themselves (and vice versa).
     let mut rng = SimRng::new(tseed ^ 0xA55A_5AA5_55AA_AA55);
     let arrivals = spec.arrival.sample(txs.len(), &mut rng);
-    TenantTraffic {
+    Ok(TenantTraffic {
         stream: TenantStream { arrivals, txs },
         expected: out.expected,
         resident: out.resident,
-    }
+    })
 }
 
 /// Generates a whole tenant set: `specs[i]` becomes tenant `i`.
-pub fn generate_tenants(specs: &[TenantSpec], seed: u64) -> Vec<TenantTraffic> {
+///
+/// # Errors
+///
+/// The first failing tenant's [`GenError`] (see [`try_generate_tenant`]).
+pub fn try_generate_tenants(
+    specs: &[TenantSpec],
+    seed: u64,
+) -> Result<Vec<TenantTraffic>, GenError> {
     specs
         .iter()
         .enumerate()
-        .map(|(tenant, spec)| generate_tenant(spec, tenant, seed))
+        .map(|(tenant, spec)| try_generate_tenant(spec, tenant, seed))
         .collect()
+}
+
+/// Generates a whole tenant set.
+///
+/// # Panics
+///
+/// Panics where [`try_generate_tenants`] returns an error.
+pub fn generate_tenants(specs: &[TenantSpec], seed: u64) -> Vec<TenantTraffic> {
+    try_generate_tenants(specs, seed).unwrap_or_else(|e| panic!("tenant traffic: {e}"))
 }
 
 /// FNV-1a fingerprint of a stream set (arrival times and operation
@@ -284,6 +309,7 @@ pub fn digest(streams: &[TenantStream]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generate;
 
     #[test]
     fn arrival_parse_round_trips() {
@@ -354,12 +380,12 @@ mod tests {
             10,
             Arrival::Poisson { mean: Cycles(2000) },
         );
-        let a = generate_tenant(&spec, 3, 42);
-        let b = generate_tenant(&spec, 3, 42);
+        let a = try_generate_tenant(&spec, 3, 42).unwrap();
+        let b = try_generate_tenant(&spec, 3, 42).unwrap();
         assert_eq!(a.stream.arrivals, b.stream.arrivals);
         assert_eq!(a.stream.txs, b.stream.txs);
         // Different tenants get different streams and disjoint addresses.
-        let c = generate_tenant(&spec, 4, 42);
+        let c = try_generate_tenant(&spec, 4, 42).unwrap();
         assert_ne!(a.stream.arrivals, c.stream.arrivals);
         for (line, _) in a.expected.iter() {
             assert_eq!(
@@ -368,6 +394,18 @@ mod tests {
                 "tenants 3 and 4 share line {line:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_tenant_that_does_not_fit_is_an_error() {
+        let fits = TenantSpec::new(Workload::Queue, 2, Arrival::Poisson { mean: Cycles(1000) });
+        let mut too_big = TenantSpec::new(Workload::ArraySwap, 1, fits.arrival);
+        too_big.tx_size_bytes = 65536;
+        assert!(try_generate_tenants(std::slice::from_ref(&fits), 7).is_ok());
+        assert!(matches!(
+            try_generate_tenants(&[fits, too_big], 7),
+            Err(GenError::RegionExhausted { .. })
+        ));
     }
 
     #[test]

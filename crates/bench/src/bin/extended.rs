@@ -7,45 +7,19 @@
 //! interface only exposes addresses and data, so adding BMOs requires no
 //! program changes and Janus's benefit persists.
 
-use janus_bench::{arg_usize, banner, geomean, row};
-use janus_core::config::{JanusConfig, SystemMode};
-use janus_core::system::System;
-use janus_instrument::instrument;
-use janus_workloads::{generate, Instrumentation, Workload, WorkloadConfig};
+use janus_bench::{arg_usize, banner, geomean, row, run_quiet, RunSpec, Variant};
+use janus_bmo::BmoStack;
+use janus_workloads::{generate, Workload, WorkloadConfig};
 
-fn run(w: Workload, mode: SystemMode, manual: bool, auto: bool, extended: bool, tx: usize) -> f64 {
-    let out = generate(
-        w,
-        0,
-        &WorkloadConfig {
-            transactions: tx,
-            instrumentation: if manual {
-                Instrumentation::Manual
-            } else {
-                Instrumentation::None
-            },
-            ..WorkloadConfig::default()
-        },
-    );
-    let program = if auto {
-        instrument(&out.program).0
-    } else {
-        out.program
-    };
-    let mut config = JanusConfig::paper(mode, 1);
+/// Simulated cycles of `tx` transactions of `w` under `variant`, on the
+/// paper's three BMOs or (`extended`) the five-BMO stack.
+fn cycles(w: Workload, variant: Variant, extended: bool, tx: usize) -> f64 {
+    let mut spec = RunSpec::new(w, variant);
+    spec.transactions = tx;
     if extended {
-        config.bmo_stack = janus_bmo::BmoStack::extended().members().to_vec();
+        spec.bmo_stack = Some(BmoStack::extended().members().to_vec());
     }
-    let mut sys = System::new(config);
-    sys.warm_caches(out.expected.iter().map(|(a, _)| a));
-    for (first, n) in &out.resident {
-        sys.warm_caches(first.span(*n));
-    }
-    let report = sys.run(vec![program]);
-    for (line, value) in out.expected.iter() {
-        assert_eq!(&sys.read_value(line), value, "{w} diverged");
-    }
-    report.cycles.0 as f64
+    run_quiet(spec).cycles()
 }
 
 fn main() {
@@ -66,10 +40,10 @@ fn main() {
     let mut std3 = Vec::new();
     let mut ext5 = Vec::new();
     for w in Workload::all() {
-        let s3 = run(w, SystemMode::Serialized, false, false, false, tx)
-            / run(w, SystemMode::Janus, true, false, false, tx);
-        let s5 = run(w, SystemMode::Serialized, false, false, true, tx)
-            / run(w, SystemMode::Janus, true, false, true, tx);
+        let s3 =
+            cycles(w, Variant::Serialized, false, tx) / cycles(w, Variant::JanusManual, false, tx);
+        let s5 =
+            cycles(w, Variant::Serialized, true, tx) / cycles(w, Variant::JanusManual, true, tx);
         std3.push(s3);
         ext5.push(s5);
         println!(

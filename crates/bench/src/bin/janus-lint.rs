@@ -16,10 +16,10 @@
 //! window), `--stacks` (also lint the dependency graph of the configured
 //! stack and of every stack permutation), `--seeded` (inject a deliberate
 //! stale-hint misuse before linting — the CI red-path check), `--fix`
-//! (apply the autofix engine; every fix is re-lint-proven, differentially
-//! checked against the trace oracle, and a regressing fix exits 2),
-//! `--dry-run` (with `--fix`: print the unified diff of the rewrite
-//! instead of only the summary), `--tenants N` + `--irb-policy
+//! (apply the autofix engine; every fix must pass `verify_fix` — a re-lint
+//! that reproduces the engine's report plus a trace-oracle replay — or the
+//! run exits 2), `--dry-run` (with `--fix`: print the unified diff of the
+//! rewrite instead of only the summary), `--tenants N` + `--irb-policy
 //! <shared|banked[:N]|partitioned[:N]>` (compute the static cross-tenant
 //! IRB no-drop bound for an N-tenant mix of the selected workloads),
 //! `--json` (one deterministic JSON object per program instead of text),
@@ -31,15 +31,14 @@
 
 use janus_bench::banner;
 use janus_bench::cli::{self, flag, parse_with};
-use janus_bmo::latency::BmoLatencies;
 use janus_bmo::BmoStack;
 use janus_core::config::{JanusConfig, SystemMode};
 use janus_core::irb::IrbPolicy;
 use janus_instrument::instrument;
-use janus_instrument::misuse::verify_fix_with;
+use janus_instrument::misuse::verify_fix;
 use janus_lint::{
     auto_place, fix_program, irb_bound_for_tenants, lint_permutations, lint_program, lint_stack,
-    render_program, seed_stale_hint, unified_diff, LintOptions,
+    render_program, required_window, seed_stale_hint, unified_diff,
 };
 use janus_sim::time::Cycles;
 use janus_trace::json;
@@ -84,21 +83,16 @@ fn main() {
     let dry_run = flag("--dry-run");
     let fix = flag("--fix") || dry_run;
     // CI red-path hook: tamper with the fixed program after the engine ran,
-    // emulating a fix that regresses diagnostics. The verification gates
-    // below must catch it and exit 2.
+    // emulating a fix that regresses diagnostics. The verification below
+    // must catch it and exit 2.
     let sabotage = std::env::var("JANUS_FIX_SABOTAGE").is_ok_and(|v| v == "1");
 
-    let lat = BmoLatencies::paper();
-    let opts = LintOptions {
-        stack: stack.clone(),
-        ..LintOptions::with_latencies(lat)
-    };
     if !json_out {
         banner(
             "janus-lint — static analysis of the PRE_* interface",
             &format!(
                 "instr={instr} tx={tx} stack={stack} required-window={}",
-                opts.required_window()
+                required_window(&stack)
             ),
         );
     }
@@ -124,57 +118,29 @@ fn main() {
         if flag("--seeded") {
             seed_stale_hint(&mut program);
         }
-        let report = lint_program(&program, &opts);
+        let report = lint_program(&program, &stack);
         let fixed = fix.then(|| {
-            let outcome = fix_program(&program, &opts);
-            let mut rewritten = outcome.program.clone();
+            let mut outcome = fix_program(&program, &stack);
             if sabotage {
-                seed_stale_hint(&mut rewritten);
+                seed_stale_hint(&mut outcome.program);
             }
-            // Gate 1: re-linting the emitted program must reproduce the
-            // engine's own report — a fix that regresses diagnostics (or
-            // any tampering between engine and output) fails here.
-            let recheck = lint_program(&rewritten, &opts);
-            if recheck.diagnostics != outcome.after.diagnostics {
-                eprintln!(
-                    "janus-lint --fix: {}: re-lint of the fixed program disagrees with the \
-                     fix engine ({} vs {} diagnostics) — fix regressed, refusing to emit",
-                    w.slug(),
-                    recheck.diagnostics.len(),
-                    outcome.after.diagnostics.len()
-                );
-                std::process::exit(2);
-            }
-            // Gate 2: differential semantic check against the trace oracle
-            // (Store/Load stream preserved, oracle findings never grow).
-            let v = verify_fix_with(&program, &rewritten, &lat);
+            let v = verify_fix(&program, &outcome, &stack);
             if !v.ok() {
                 eprintln!(
-                    "janus-lint --fix: {}: oracle verification failed \
-                     (stream_preserved={} oracle {} -> {}) — refusing to emit",
-                    w.slug(),
-                    v.stream_preserved,
-                    v.oracle_before,
-                    v.oracle_after
+                    "janus-lint --fix: {}: fix verification failed ({v}) — refusing to emit",
+                    w.slug()
                 );
                 std::process::exit(2);
             }
-            (outcome, rewritten, recheck)
+            outcome
         });
 
-        match &fixed {
-            Some((_, _, recheck)) => {
-                total_errors += recheck.errors();
-                total_warnings += recheck.warnings();
-            }
-            None => {
-                total_errors += report.errors();
-                total_warnings += report.warnings();
-            }
-        }
+        let shown = fixed.as_ref().map_or(&report, |outcome| &outcome.after);
+        total_errors += shown.errors();
+        total_warnings += shown.warnings();
 
         if json_out {
-            if let Some((outcome, _, recheck)) = &fixed {
+            if let Some(outcome) = &fixed {
                 let mut applied = String::new();
                 for (i, f) in outcome.applied.iter().enumerate() {
                     if i > 0 {
@@ -197,7 +163,7 @@ fn main() {
                     report.to_json(),
                     outcome.iterations,
                     outcome.refused,
-                    recheck.to_json()
+                    outcome.after.to_json()
                 );
             } else {
                 println!(
@@ -218,21 +184,21 @@ fn main() {
             for d in &report.diagnostics {
                 println!("  {d}");
             }
-            if let Some((outcome, rewritten, recheck)) = &fixed {
+            if let Some(outcome) = &fixed {
                 for f in &outcome.applied {
                     println!("  {f}");
                 }
                 println!(
                     "  fixed: errors={} warnings={} applied={} iterations={} refused={}",
-                    recheck.errors(),
-                    recheck.warnings(),
+                    outcome.after.errors(),
+                    outcome.after.warnings(),
                     outcome.applied.len(),
                     outcome.iterations,
                     outcome.refused
                 );
                 if dry_run && !outcome.applied.is_empty() {
                     let before = render_program(&program);
-                    let after = render_program(rewritten);
+                    let after = render_program(&outcome.program);
                     print!(
                         "{}",
                         unified_diff(
@@ -311,8 +277,8 @@ fn main() {
     }
 
     if flag("--stacks") {
-        let configured = lint_stack(&stack, &lat);
-        let sweep = lint_permutations(&lat);
+        let configured = lint_stack(&stack);
+        let sweep = lint_permutations();
         total_errors += configured
             .iter()
             .chain(&sweep)

@@ -2,8 +2,9 @@
 //! workload's manual instrumentation and over the compiler pass's output.
 
 use janus_bench::banner;
+use janus_bmo::BmoStack;
 use janus_instrument::instrument;
-use janus_instrument::misuse::detect_misuse;
+use janus_lint::{lint_program, LintCode};
 use janus_workloads::{generate, Instrumentation, Workload, WorkloadConfig};
 
 fn main() {
@@ -34,16 +35,16 @@ fn main() {
             } else {
                 instrument(&out.program).0
             };
-            let r = detect_misuse(&program);
+            let r = lint_program(&program, &BmoStack::paper());
             println!(
                 "{:<12} {:<8} {:>9} {:>12} {:>8} {:>8} {:>8}",
                 w.name(),
                 label,
                 r.requests,
                 r.well_placed,
-                r.stale_hints(),
-                r.useless(),
-                r.short_windows()
+                r.count(LintCode::ModifiedAfterPre),
+                r.count(LintCode::UselessPre),
+                r.count(LintCode::InsufficientWindow)
             );
         }
     }

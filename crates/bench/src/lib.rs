@@ -40,9 +40,9 @@ pub enum Variant {
     /// ([`janus_lint::auto_place`]).
     JanusAutoPlace,
     /// Janus with hand-placed calls, a seeded §6 misuse, and the autofix
-    /// engine ([`janus_lint::fix_default`]) repairing it — the end-to-end
-    /// "misused, then `--fix`ed" variant; its cycles should recover the
-    /// manual variant's speedup.
+    /// engine ([`janus_lint::fix_program`] on the paper stack) repairing
+    /// it — the end-to-end "misused, then `--fix`ed" variant; its cycles
+    /// should recover the manual variant's speedup.
     JanusFixed,
     /// Non-blocking-writeback ideal (§5.2.2).
     Ideal,
@@ -282,7 +282,7 @@ impl RunSpec {
                 // §6 misuse, and let the autofix engine repair it.
                 let mut seeded = out.program;
                 janus_lint::seed_stale_hint(&mut seeded);
-                janus_lint::fix_default(&seeded).program
+                janus_lint::fix_program(&seeded, &janus_bmo::BmoStack::paper()).program
             }
             _ => out.program,
         };
@@ -345,9 +345,10 @@ impl RunResult {
 }
 
 /// When `JANUS_RESULTS_JSON_DIR` names a directory, appends the run's
-/// metrics as one JSON line to `<dir>/<binary-name>.jsonl`. Every figure
-/// binary funnels through [`run`], so exporting machine-readable results
-/// for all of them is `JANUS_RESULTS_JSON_DIR=out cargo run --release ...`.
+/// metrics as one JSON line to `<dir>/<binary-name>.jsonl`. This covers the
+/// binaries whose runs go through [`run`] or [`run_all`]; those that drive
+/// the simulator otherwise, or run none (fig1, fig3, fig6, table1, table4,
+/// overhead, ablation, extended, misuse, janus-lint), emit no JSONL.
 fn sink_results_jsonl(result: &RunResult) {
     let Ok(dir) = std::env::var("JANUS_RESULTS_JSON_DIR") else {
         return;
@@ -478,7 +479,7 @@ pub fn run_quiet(spec: RunSpec) -> RunResult {
 
 /// Runs a batch of independent specs fanned across [`cli::jobs`] worker
 /// threads (serial when none is requested), returning results in spec
-/// order. Every figure/table binary funnels its sweep through here, so
+/// order. The figure binaries that sweep specs funnel through here, so
 /// `cargo run --release --bin fig9 -- --jobs 8` (or `JANUS_JOBS=8` for a
 /// whole `scripts/regen_results.sh` invocation) parallelizes it; output is
 /// byte-identical at any worker count.

@@ -22,6 +22,12 @@
 //! markers that live inside loops the writeback is not in, and it keeps
 //! insertions inside the writeback's conditional region.
 //!
+//! The [`misuse`] module keeps the §6 trace-walking misuse checker as an
+//! independent oracle for `janus-lint` (it reports the same
+//! [`janus_lint::Diagnostic`]s from its own walk) and holds
+//! [`misuse::verify_fix`], the one verification a `janus-lint --fix`
+//! rewrite must pass before it is emitted.
+//!
 //! # Example
 //!
 //! ```

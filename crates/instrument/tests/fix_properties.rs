@@ -7,105 +7,25 @@
 //! * the fixpoint terminates within its well-founded bound and leaves the
 //!   three §6 misuse patterns extinct;
 //! * `--fix` is idempotent — fixing a fixed program changes nothing;
-//! * the rewrite preserves the `Store`/`Load` stream and the fixed program
-//!   passes the dynamic trace oracle with zero misuses.
+//! * `verify_fix` passes both halves of the `--fix` gate: the fixed program
+//!   re-lints to the engine's own report, and it preserves the
+//!   `Store`/`Load` stream and passes the dynamic trace oracle with zero
+//!   misuses.
 
-use janus_check::{forall_cfg, gen, Config, Gen};
+#[path = "support/misroutines.rs"]
+mod misroutines;
+
+use janus_bmo::BmoStack;
+use janus_check::{forall_cfg, Config};
 use janus_core::ir::{Program, ProgramBuilder};
 use janus_instrument::misuse::verify_fix;
-use janus_lint::{fix_default, seed_stale_hint, LintCode};
+use janus_lint::{fix_program, seed_stale_hint, FixOutcome, LintCode};
 use janus_nvm::addr::LineAddr;
 use janus_nvm::line::Line;
+use misroutines::{arb_misroutines, build};
 
-/// How a routine places (or misplaces) its pre-execution request.
-#[derive(Clone, Copy, Debug)]
-enum PreKind {
-    None,
-    Both,
-    Split,
-    Stale,
-    DataOnly,
-    Shadowed,
-}
-
-#[derive(Clone, Debug)]
-struct MisRoutine {
-    line: u64,
-    value: u8,
-    kind: PreKind,
-    compute: u32,
-    consume: bool,
-}
-
-fn arb_misroutine() -> Gen<MisRoutine> {
-    gen::tuple5(
-        &gen::range_u64(0..8),
-        &gen::any_u8(),
-        &gen::range_u32(0..6),
-        &gen::range_u32(0..6_000),
-        &gen::any_bool(),
-    )
-    .map(|(line, value, kind, compute, consume)| MisRoutine {
-        line: *line,
-        value: *value,
-        kind: match kind {
-            0 => PreKind::None,
-            1 => PreKind::Both,
-            2 => PreKind::Split,
-            3 => PreKind::Stale,
-            4 => PreKind::DataOnly,
-            _ => PreKind::Shadowed,
-        },
-        compute: *compute,
-        consume: *consume,
-    })
-}
-
-fn arb_misroutines() -> Gen<Vec<MisRoutine>> {
-    gen::vec_of(&arb_misroutine(), 1..10)
-}
-
-/// Builds a hand-instrumented (possibly mis-instrumented) program.
-fn build(routines: &[MisRoutine]) -> Program {
-    let mut b = ProgramBuilder::new();
-    for r in routines {
-        b.func("routine", |b| {
-            let hinted = Line::splat(r.value);
-            let stored = match r.kind {
-                PreKind::Stale => Line::splat(r.value.wrapping_add(1)),
-                _ => hinted,
-            };
-            match r.kind {
-                PreKind::None => {}
-                PreKind::Both | PreKind::Stale => {
-                    let obj = b.pre_init();
-                    b.pre_both(obj, LineAddr(r.line), vec![hinted]);
-                }
-                PreKind::Split => {
-                    let obj = b.pre_init();
-                    b.pre_addr(obj, LineAddr(r.line), 1);
-                    b.pre_data(obj, vec![hinted]);
-                }
-                PreKind::DataOnly => {
-                    let obj = b.pre_init();
-                    b.pre_data(obj, vec![hinted]);
-                }
-                PreKind::Shadowed => {
-                    let obj = b.pre_init();
-                    b.pre_both(obj, LineAddr(r.line), vec![hinted]);
-                    let obj2 = b.pre_init();
-                    b.pre_both(obj2, LineAddr(r.line), vec![hinted]);
-                }
-            }
-            b.compute(r.compute);
-            if r.consume {
-                b.store(LineAddr(r.line), stored);
-                b.clwb(LineAddr(r.line));
-                b.fence();
-            }
-        });
-    }
-    b.build()
+fn fix_paper(p: &Program) -> FixOutcome {
+    fix_program(p, &BmoStack::paper())
 }
 
 /// Every lint code a program report can carry.
@@ -124,7 +44,7 @@ const PROGRAM_CODES: [LintCode; 6] = [
 fn fix_reduces_and_clears_the_misuse_patterns() {
     forall_cfg(&Config::with_cases(72), &arb_misroutines(), |routines| {
         let p = build(routines);
-        let outcome = fix_default(&p);
+        let outcome = fix_paper(&p);
         assert!(
             outcome.after.diagnostics.len() <= outcome.before.diagnostics.len(),
             "total diagnostics grew: {routines:?}"
@@ -162,8 +82,8 @@ fn fix_reduces_and_clears_the_misuse_patterns() {
 #[test]
 fn fix_is_idempotent_on_adversarial_programs() {
     forall_cfg(&Config::with_cases(48), &arb_misroutines(), |routines| {
-        let outcome = fix_default(&build(routines));
-        let again = fix_default(&outcome.program);
+        let outcome = fix_paper(&build(routines));
+        let again = fix_paper(&outcome.program);
         assert!(
             !again.changed(),
             "second fix pass changed the program: {:?} on {routines:?}",
@@ -173,18 +93,20 @@ fn fix_is_idempotent_on_adversarial_programs() {
     });
 }
 
-/// Differential oracle: the fixed program preserves the `Store`/`Load`
-/// stream and replays through the dynamic trace oracle with zero misuses.
+/// The `--fix` verification gate, both halves: the fixed program re-lints
+/// to the engine's own report, preserves the `Store`/`Load` stream and
+/// replays through the dynamic trace oracle with zero misuses.
 #[test]
 fn fixed_programs_pass_the_trace_oracle() {
     forall_cfg(&Config::with_cases(48), &arb_misroutines(), |routines| {
         let p = build(routines);
-        let outcome = fix_default(&p);
-        let v = verify_fix(&p, &outcome.program);
-        assert!(v.ok(), "stream/oracle regression on {routines:?}: {v:?}");
+        let outcome = fix_paper(&p);
+        let v = verify_fix(&p, &outcome, &BmoStack::paper());
+        assert!(v.relint_agrees, "re-lint disagrees on {routines:?}: {v}");
+        assert!(v.ok(), "stream/oracle regression on {routines:?}: {v}");
         assert!(
             v.clean(),
-            "dynamic misuses survive the fix on {routines:?}: {v:?}"
+            "dynamic misuses survive the fix on {routines:?}: {v}"
         );
     });
 }
@@ -205,13 +127,13 @@ fn seeded_misuse_is_always_repaired() {
         }
         let mut seeded = b.build();
         seed_stale_hint(&mut seeded);
-        let outcome = fix_default(&seeded);
+        let outcome = fix_paper(&seeded);
         assert_eq!(
             outcome.after.errors(),
             0,
             "seeded program not repaired: {routines:?}"
         );
-        let v = verify_fix(&seeded, &outcome.program);
-        assert!(v.ok() && v.clean(), "{routines:?}: {v:?}");
+        let v = verify_fix(&seeded, &outcome, &BmoStack::paper());
+        assert!(v.relint_agrees && v.ok() && v.clean(), "{routines:?}: {v}");
     });
 }

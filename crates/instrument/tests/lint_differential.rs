@@ -1,127 +1,56 @@
-//! Differential tests between the static misuse lints (`janus-lint`, which
-//! [`janus_instrument::misuse`] now delegates to) and the original
-//! trace-walking checker, kept as [`trace_oracle_with`]. On any program —
-//! including adversarially mis-instrumented ones — the static findings for
-//! the three §6 misuse patterns must *equal* the oracle's, and a
-//! lint-clean program must produce zero dynamic misuses.
+//! Differential tests between the static misuse lints (`janus-lint`) and
+//! the original trace-walking checker, kept as [`trace_oracle`]. On any
+//! program — including adversarially mis-instrumented ones — the static
+//! findings for the three §6 misuse patterns must *equal* the oracle's,
+//! and a lint-clean program must produce zero dynamic misuses.
 
-use janus_bmo::latency::BmoLatencies;
-use janus_check::{forall_cfg, gen, Config, Gen};
-use janus_core::ir::{Program, ProgramBuilder};
+#[path = "support/misroutines.rs"]
+mod misroutines;
+
+use janus_bmo::BmoStack;
+use janus_check::{forall_cfg, Config};
+use janus_core::ir::ProgramBuilder;
 use janus_instrument::instrument;
-use janus_instrument::misuse::{detect_misuse_with, trace_oracle_with};
-use janus_lint::{auto_place, lint_default};
+use janus_instrument::misuse::trace_oracle;
+use janus_lint::{auto_place, lint_program, LintCode, LintReport};
 use janus_nvm::addr::LineAddr;
 use janus_nvm::line::Line;
+use misroutines::{arb_misroutines, build};
 
-/// How a routine places (or misplaces) its pre-execution request.
-#[derive(Clone, Copy, Debug)]
-enum PreKind {
-    /// No request at all.
-    None,
-    /// A well-formed `PRE_BOTH`.
-    Both,
-    /// Split `PRE_ADDR` + `PRE_DATA`.
-    Split,
-    /// `PRE_BOTH` hinting a value the store then changes (stale).
-    Stale,
-    /// `PRE_DATA` with no address ever bound (unbound — useless).
-    DataOnly,
-    /// Two `PRE_BOTH`s on the same line (the first is shadowed).
-    Shadowed,
-}
+type Finding = (
+    LintCode,
+    usize,
+    Option<usize>,
+    Option<u64>,
+    Option<u32>,
+    Option<(u64, u64)>,
+);
 
-#[derive(Clone, Debug)]
-struct MisRoutine {
-    line: u64,
-    value: u8,
-    kind: PreKind,
-    compute: u32,
-    consume: bool,
-}
-
-fn arb_misroutine() -> Gen<MisRoutine> {
-    gen::tuple5(
-        &gen::range_u64(0..8),
-        &gen::any_u8(),
-        &gen::range_u32(0..6),
-        &gen::range_u32(0..6_000),
-        &gen::any_bool(),
-    )
-    .map(|(line, value, kind, compute, consume)| MisRoutine {
-        line: *line,
-        value: *value,
-        kind: match kind {
-            0 => PreKind::None,
-            1 => PreKind::Both,
-            2 => PreKind::Split,
-            3 => PreKind::Stale,
-            4 => PreKind::DataOnly,
-            _ => PreKind::Shadowed,
-        },
-        compute: *compute,
-        consume: *consume,
-    })
-}
-
-fn arb_misroutines() -> Gen<Vec<MisRoutine>> {
-    gen::vec_of(&arb_misroutine(), 1..10)
-}
-
-/// Builds a hand-instrumented (possibly mis-instrumented) program.
-fn build(routines: &[MisRoutine]) -> Program {
-    let mut b = ProgramBuilder::new();
-    for r in routines {
-        b.func("routine", |b| {
-            let hinted = Line::splat(r.value);
-            let stored = match r.kind {
-                PreKind::Stale => Line::splat(r.value.wrapping_add(1)),
-                _ => hinted,
-            };
-            match r.kind {
-                PreKind::None => {}
-                PreKind::Both | PreKind::Stale => {
-                    let obj = b.pre_init();
-                    b.pre_both(obj, LineAddr(r.line), vec![hinted]);
-                }
-                PreKind::Split => {
-                    let obj = b.pre_init();
-                    b.pre_addr(obj, LineAddr(r.line), 1);
-                    b.pre_data(obj, vec![hinted]);
-                }
-                PreKind::DataOnly => {
-                    let obj = b.pre_init();
-                    b.pre_data(obj, vec![hinted]);
-                }
-                PreKind::Shadowed => {
-                    let obj = b.pre_init();
-                    b.pre_both(obj, LineAddr(r.line), vec![hinted]);
-                    let obj2 = b.pre_init();
-                    b.pre_both(obj2, LineAddr(r.line), vec![hinted]);
-                }
-            }
-            b.compute(r.compute);
-            if r.consume {
-                b.store(LineAddr(r.line), stored);
-                b.clwb(LineAddr(r.line));
-                b.fence();
-            }
-        });
-    }
-    b.build()
+/// A report's §6 findings in report order, every structured field but the
+/// free-text message.
+fn findings(r: &LintReport) -> Vec<Finding> {
+    r.diagnostics
+        .iter()
+        .filter(|d| {
+            matches!(
+                d.code,
+                LintCode::ModifiedAfterPre | LintCode::UselessPre | LintCode::InsufficientWindow
+            )
+        })
+        .map(|d| (d.code, d.at, d.other, d.line, d.obj, d.window))
+        .collect()
 }
 
 /// The static pass and the trace oracle agree *exactly* on the three
-/// paper misuse patterns: same findings (kinds, indices, windows), same
-/// request and well-placed counts.
+/// paper misuse patterns: same findings (codes, spans, lines, objects,
+/// windows), same request and well-placed counts.
 #[test]
 fn static_lints_equal_trace_oracle() {
-    let lat = BmoLatencies::paper();
     forall_cfg(&Config::with_cases(96), &arb_misroutines(), |routines| {
         let p = build(routines);
-        let stat = detect_misuse_with(&p, &lat);
-        let dyn_ = trace_oracle_with(&p, &lat);
-        assert_eq!(stat.findings, dyn_.findings, "program: {routines:?}");
+        let stat = lint_program(&p, &BmoStack::paper());
+        let dyn_ = trace_oracle(&p);
+        assert_eq!(findings(&stat), findings(&dyn_), "program: {routines:?}");
         assert_eq!(stat.requests, dyn_.requests);
         assert_eq!(stat.well_placed, dyn_.well_placed);
     });
@@ -150,13 +79,13 @@ fn static_clean_implies_dynamic_clean() {
         let bare = b.build();
 
         for p in [instrument(&bare).0, auto_place(&bare).0] {
-            let lint = lint_default(&p);
+            let lint = lint_program(&p, &BmoStack::paper());
             if lint.errors() == 0 {
-                let oracle = trace_oracle_with(&p, &BmoLatencies::paper());
+                let oracle = trace_oracle(&p);
                 assert!(
-                    oracle.findings.is_empty(),
+                    oracle.diagnostics.is_empty(),
                     "lint-clean program has dynamic misuses: {:?}",
-                    oracle.findings
+                    oracle.diagnostics
                 );
             }
         }

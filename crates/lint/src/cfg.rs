@@ -13,10 +13,7 @@
 //!   programs and is what lets the placement pass use in-loop provenance
 //!   markers the paper's conservative source-level pass must refuse);
 //! * a skip edge `CondBegin → CondEnd+1` (the conditional may not execute
-//!   in other instances, so its body dominates nothing after it);
-//! * with [`CfgOptions::zero_trip_loops`], additionally a skip edge
-//!   `LoopBegin → LoopEnd+1`, which recovers the paper's §4.5.2
-//!   source-level conservatism (loop bodies may run zero times).
+//!   in other instances, so its body dominates nothing after it).
 //!
 //! Dominators are computed with the standard iterative algorithm (Cooper,
 //! Harvey, Kennedy) over the reverse-postorder that program order already
@@ -25,15 +22,6 @@
 //! only if it executes on every path that reaches the writeback.
 
 use janus_core::ir::{Op, Program};
-
-/// Options controlling CFG construction.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CfgOptions {
-    /// Model loops as possibly executing zero times (the paper's
-    /// source-level conservatism) instead of the trace-exact do-while
-    /// semantics. Default `false`.
-    pub zero_trip_loops: bool,
-}
 
 /// Per-op region context (function instance, loop nesting, conditional).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -62,13 +50,8 @@ pub struct Cfg {
 }
 
 impl Cfg {
-    /// Builds the CFG with default (trace-exact do-while) loop semantics.
+    /// Builds the CFG with trace-exact do-while loop semantics.
     pub fn build(program: &Program) -> Cfg {
-        Cfg::build_with(program, CfgOptions::default())
-    }
-
-    /// Builds the CFG with explicit options.
-    pub fn build_with(program: &Program, opts: CfgOptions) -> Cfg {
         let ops = &program.ops;
         let n = ops.len();
         let mut preds: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -91,9 +74,6 @@ impl Cfg {
                     if let Some(begin) = loop_stack.pop() {
                         // Back edge: the body repeats.
                         add(&mut preds, i, begin);
-                        if opts.zero_trip_loops {
-                            add(&mut preds, begin, i + 1);
-                        }
                     }
                 }
                 Op::CondBegin => cond_stack.push(i),
@@ -299,21 +279,12 @@ mod tests {
         });
         // 3 = LoopEnd
         b.compute(3); // 4
-        let p = b.build();
-        let cfg = Cfg::build(&p);
+        let cfg = Cfg::build(&b.build());
         assert!(
             cfg.dominates(2, 4),
             "a loop instance in the trace executed at least once"
         );
-        // Paper-conservative mode: zero-trip loops kill that edge.
-        let cons = Cfg::build_with(
-            &p,
-            CfgOptions {
-                zero_trip_loops: true,
-            },
-        );
-        assert!(!cons.dominates(2, 4));
-        assert!(cons.dominates(1, 4), "the LoopBegin still dominates");
+        assert!(cfg.dominates(1, 4), "the LoopBegin dominates too");
     }
 
     #[test]

@@ -42,18 +42,20 @@
 //! unchanged). The fixed program therefore always re-lints free of the
 //! §6 patterns.
 //!
-//! Fixes never touch the `Store`/`Load` stream — callers can (and the
-//! `janus-lint` bin does) differentially check the rewritten program
-//! against `janus-instrument`'s `trace_oracle` for semantic preservation.
+//! Fixes never touch the `Store`/`Load` stream — `janus-instrument`'s
+//! `verify_fix` checks exactly that, re-lints the rewritten program against
+//! the engine's own report, and replays both programs through the trace
+//! oracle (the `janus-lint` bin refuses to emit a fix that fails it).
 
 use std::collections::BTreeSet;
 
+use janus_bmo::BmoStack;
 use janus_core::ir::{Op, PreObjId, Program};
 use janus_nvm::addr::LineAddr;
 
 use crate::cfg::Cfg;
 use crate::dataflow::{analyze_writes, Defs, WriteKnowledge};
-use crate::lints::{lint_program, LintOptions};
+use crate::lints::lint_program;
 use crate::place::clamp_to_cond;
 use crate::report::{Diagnostic, LintCode, LintReport};
 
@@ -388,17 +390,12 @@ fn candidates_for(
     }
 }
 
-/// Runs the autofix engine with paper-default lint options.
-pub fn fix_default(program: &Program) -> FixOutcome {
-    fix_program(program, &LintOptions::default())
-}
-
-/// Runs the autofix engine: joins diagnostics with rewrites, applies each
-/// through the strict-reduction acceptance gate, and iterates to a
-/// fixpoint (see the module docs for the rewrite catalogue and the
-/// termination/escalation argument).
-pub fn fix_program(program: &Program, opts: &LintOptions) -> FixOutcome {
-    let before = lint_program(program, opts);
+/// Runs the autofix engine against the BMO `stack`: joins diagnostics
+/// with rewrites, applies each through the strict-reduction acceptance
+/// gate, and iterates to a fixpoint (see the module docs for the rewrite
+/// catalogue and the termination/escalation argument).
+pub fn fix_program(program: &Program, stack: &BmoStack) -> FixOutcome {
+    let before = lint_program(program, stack);
     let mut current = program.clone();
     let mut report = before.clone();
     let mut applied: Vec<AppliedFix> = Vec::new();
@@ -425,7 +422,7 @@ pub fn fix_program(program: &Program, opts: &LintOptions) -> FixOutcome {
         'diags: for d in &report.diagnostics {
             for edit in candidates_for(d, &current.ops, flow.as_ref()) {
                 let trial = current.splice(edit.insert, &edit.remove);
-                let trial_report = lint_program(&trial, opts);
+                let trial_report = lint_program(&trial, stack);
                 if strictly_reduces(&report, &trial_report) {
                     applied.push(AppliedFix {
                         kind: edit.kind,
@@ -469,7 +466,7 @@ pub fn fix_program(program: &Program, opts: &LintOptions) -> FixOutcome {
             ),
         };
         let trial = current.splice(strip.insert, &strip.remove);
-        let trial_report = lint_program(&trial, opts);
+        let trial_report = lint_program(&trial, stack);
         if strictly_reduces(&report, &trial_report) {
             applied.push(AppliedFix {
                 kind: FixKind::StripAll,
@@ -744,6 +741,10 @@ mod tests {
     use janus_core::ir::ProgramBuilder;
     use janus_nvm::line::Line;
 
+    fn fix_paper(p: &Program) -> FixOutcome {
+        fix_program(p, &BmoStack::paper())
+    }
+
     fn assert_gate_held(outcome: &FixOutcome) {
         assert!(outcome.after.diagnostics.len() <= outcome.before.diagnostics.len());
         for c in PROGRAM_CODES {
@@ -764,7 +765,7 @@ mod tests {
         b.compute(5000);
         b.persist_store(LineAddr(1), Line::splat(1));
         let p = b.build();
-        let outcome = fix_default(&p);
+        let outcome = fix_paper(&p);
         assert!(!outcome.changed());
         assert_eq!(outcome.program, p);
         assert_eq!(outcome.iterations, 0);
@@ -777,7 +778,7 @@ mod tests {
         b.pre_both(obj, LineAddr(1), vec![Line::splat(1)]);
         b.compute(5000);
         b.persist_store(LineAddr(1), Line::splat(9)); // differs from hint
-        let outcome = fix_default(&b.build());
+        let outcome = fix_paper(&b.build());
         assert_eq!(outcome.after.diagnostics.len(), 0);
         assert_eq!(outcome.applied.len(), 1);
         assert_eq!(outcome.applied[0].kind, FixKind::Retarget);
@@ -794,7 +795,7 @@ mod tests {
         b.pre_both(obj, LineAddr(1), vec![Line::splat(1)]);
         b.compute(100);
         b.persist_store(LineAddr(1), Line::splat(9));
-        let outcome = fix_default(&b.build());
+        let outcome = fix_paper(&b.build());
         assert_eq!(outcome.after.diagnostics.len(), 0);
         assert!(outcome.refused > 0, "retarget must have been refused");
         assert_eq!(outcome.applied[0].kind, FixKind::Delete);
@@ -815,7 +816,7 @@ mod tests {
             b.clwb(LineAddr(4));
             b.fence();
         });
-        let outcome = fix_default(&b.build());
+        let outcome = fix_paper(&b.build());
         assert_eq!(outcome.after.diagnostics.len(), 0);
         assert_eq!(outcome.applied.len(), 1);
         assert_eq!(outcome.applied[0].kind, FixKind::Hoist);
@@ -839,7 +840,7 @@ mod tests {
         b.pre_both(obj, LineAddr(1), vec![Line::splat(1)]);
         b.compute(100);
         b.persist_store(LineAddr(1), Line::splat(1));
-        let outcome = fix_default(&b.build());
+        let outcome = fix_paper(&b.build());
         assert_eq!(outcome.after.diagnostics.len(), 0);
         assert_eq!(outcome.applied[0].kind, FixKind::Delete);
         assert_eq!(outcome.program.pre_op_count(), 0);
@@ -855,7 +856,7 @@ mod tests {
         b.pre_both(obj2, LineAddr(1), vec![Line::splat(1)]);
         b.compute(5000);
         b.persist_store(LineAddr(1), Line::splat(1));
-        let outcome = fix_default(&b.build());
+        let outcome = fix_paper(&b.build());
         assert_eq!(outcome.after.diagnostics.len(), 0);
         assert_eq!(outcome.after.well_placed, 1);
         // Exactly one request (with its init) survives the merge; which of
@@ -877,7 +878,7 @@ mod tests {
         let mut b = ProgramBuilder::new();
         let _obj = b.pre_init();
         b.compute(10);
-        let outcome = fix_default(&b.build());
+        let outcome = fix_paper(&b.build());
         assert_eq!(outcome.after.diagnostics.len(), 0);
         assert_eq!(outcome.program.pre_op_count(), 0);
         assert_gate_held(&outcome);
@@ -892,7 +893,7 @@ mod tests {
         b.fence();
         b.store(LineAddr(1), Line::splat(2)); // dirty again, never re-flushed
         b.tx_commit();
-        let outcome = fix_default(&b.build());
+        let outcome = fix_paper(&b.build());
         assert_eq!(outcome.after.count(LintCode::PersistOrdering), 0);
         assert_eq!(outcome.applied[0].kind, FixKind::InsertPersist);
         let commit = outcome
@@ -913,7 +914,7 @@ mod tests {
         b.store(LineAddr(1), Line::splat(1));
         b.clwb(LineAddr(1));
         b.tx_commit();
-        let outcome = fix_default(&b.build());
+        let outcome = fix_paper(&b.build());
         assert_eq!(outcome.after.count(LintCode::PersistOrdering), 0);
         let commit = outcome
             .program
@@ -938,8 +939,8 @@ mod tests {
         b.store(LineAddr(7), Line::splat(7));
         b.clwb(LineAddr(7));
         b.tx_commit();
-        let outcome = fix_default(&b.build());
-        let again = fix_default(&outcome.program);
+        let outcome = fix_paper(&b.build());
+        let again = fix_paper(&outcome.program);
         assert!(!again.changed(), "{:?}", again.applied);
         assert_eq!(again.program, outcome.program);
     }
@@ -952,8 +953,8 @@ mod tests {
         let clean = b.build();
         let mut seeded = clean.clone();
         seed_stale_hint(&mut seeded);
-        assert!(lint_program(&seeded, &LintOptions::default()).errors() > 0);
-        let outcome = fix_default(&seeded);
+        assert!(lint_program(&seeded, &BmoStack::paper()).errors() > 0);
+        let outcome = fix_paper(&seeded);
         assert_eq!(outcome.after.diagnostics.len(), 0);
         assert_eq!(outcome.program, clean, "fix restores the clean program");
     }
@@ -967,7 +968,7 @@ mod tests {
         b.load(LineAddr(2));
         b.persist_store(LineAddr(1), Line::splat(9));
         let p = b.build();
-        let outcome = fix_default(&p);
+        let outcome = fix_paper(&p);
         let stream = |p: &Program| -> Vec<Op> {
             p.ops
                 .iter()
@@ -986,7 +987,7 @@ mod tests {
         b.compute(100);
         b.persist_store(LineAddr(1), Line::splat(9));
         let p = b.build();
-        let outcome = fix_default(&p);
+        let outcome = fix_paper(&p);
         let before = render_program(&p);
         let after = render_program(&outcome.program);
         let d1 = unified_diff(&before, &after, "a", "b");

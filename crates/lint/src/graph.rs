@@ -16,11 +16,12 @@ use janus_bmo::{BmoId, BmoStack, EdgeError, ExternalClass};
 
 use crate::report::{Diagnostic, LintCode};
 
-/// Lints one stack's composed dependency graph.
-pub fn lint_stack(stack: &BmoStack, lat: &BmoLatencies) -> Vec<Diagnostic> {
+/// Lints one stack's composed dependency graph (paper latencies).
+pub fn lint_stack(stack: &BmoStack) -> Vec<Diagnostic> {
+    let lat = BmoLatencies::paper();
     let mut out = Vec::new();
     let label = stack.id_list();
-    let (g, issues) = stack.try_graph(lat);
+    let (g, issues) = stack.try_graph(&lat);
     for issue in issues {
         let (code, detail) = match issue.error {
             EdgeError::SelfEdge(_) | EdgeError::Cycle(..) => (
@@ -59,7 +60,7 @@ pub fn lint_stack(stack: &BmoStack, lat: &BmoLatencies) -> Vec<Diagnostic> {
         );
     }
     for &id in stack.members() {
-        if let Some(d) = lint_bmo_class(id, id.pre_exec(), &id.sub_ops(lat)) {
+        if let Some(d) = lint_bmo_class(id, id.pre_exec(), &id.sub_ops(&lat)) {
             out.push(d.with_stack(label.clone()));
         }
     }
@@ -91,11 +92,11 @@ pub fn lint_bmo_class(
 /// registry (7! = 5040 stacks), deduplicating findings by `(code,
 /// message)`. Each surviving diagnostic keeps the lexicographically first
 /// stack that exhibited it, so the output is deterministic.
-pub fn lint_permutations(lat: &BmoLatencies) -> Vec<Diagnostic> {
+pub fn lint_permutations() -> Vec<Diagnostic> {
     let mut out: Vec<Diagnostic> = Vec::new();
     for perm in permutations(&BmoId::ALL) {
         let stack = BmoStack::new(perm).expect("permutations have no duplicates");
-        for d in lint_stack(&stack, lat) {
+        for d in lint_stack(&stack) {
             if !out
                 .iter()
                 .any(|e| e.code == d.code && e.message == d.message)
@@ -132,15 +133,13 @@ mod tests {
 
     #[test]
     fn paper_stack_is_structurally_clean() {
-        let lat = BmoLatencies::paper();
-        let ds = lint_stack(&BmoStack::paper(), &lat);
+        let ds = lint_stack(&BmoStack::paper());
         assert!(ds.is_empty(), "{ds:?}");
     }
 
     #[test]
     fn full_stack_reports_the_two_redundant_ecc_edges() {
-        let lat = BmoLatencies::paper();
-        let ds = lint_stack(&BmoStack::all(), &lat);
+        let ds = lint_stack(&BmoStack::all());
         let redundant: Vec<&str> = ds
             .iter()
             .filter(|d| d.code == LintCode::GraphRedundantEdge)
@@ -177,9 +176,8 @@ mod tests {
 
     #[test]
     fn permutation_sweep_is_deterministic_and_error_free() {
-        let lat = BmoLatencies::paper();
-        let a = lint_permutations(&lat);
-        let b = lint_permutations(&lat);
+        let a = lint_permutations();
+        let b = lint_permutations();
         assert_eq!(a, b);
         // Composition is order-independent in edge *set*, so no ordering of
         // the registry may produce a cycle or duplicate: warnings only.

@@ -15,7 +15,9 @@
 //!   and the latest point its data was defined.
 //! * [`lints`] — the §6 misuse patterns as program lints (windows measured
 //!   against the active BMO stack's critical path), plus redundant-request,
-//!   IRB-pressure, and persist-ordering checks.
+//!   IRB-pressure, and persist-ordering checks. The BMO stack is the only
+//!   input besides the program: latencies, fence charge and IRB capacity
+//!   are the paper's.
 //! * [`graph`] — a structural linter over BMO dependency graphs: cycles,
 //!   duplicate and transitively redundant inter edges, and declared
 //!   pre-executability classes that disagree with a BMO's own sub-ops,
@@ -30,15 +32,17 @@
 //!   static no-drop bound the simulator is the oracle for.
 //! * [`report`] — typed diagnostics and a byte-deterministic JSON report.
 //!
-//! The trace-based checker in `janus-instrument` delegates to these lints
-//! and is kept as a differential oracle: a program this crate reports
-//! clean produces zero dynamic misuses.
+//! The trace-walking checker in `janus-instrument` is an independent
+//! differential oracle: it reports the same [`Diagnostic`]s for the three
+//! §6 patterns, and a program this crate reports clean produces zero
+//! dynamic misuses.
 //!
 //! # Example
 //!
 //! ```
+//! use janus_bmo::BmoStack;
 //! use janus_core::ir::ProgramBuilder;
-//! use janus_lint::{lint_default, LintCode};
+//! use janus_lint::{lint_program, LintCode};
 //! use janus_nvm::{addr::LineAddr, line::Line};
 //!
 //! let mut b = ProgramBuilder::new();
@@ -48,7 +52,7 @@
 //! b.store(LineAddr(1), Line::splat(1));
 //! b.clwb(LineAddr(1));
 //! b.fence();
-//! let report = lint_default(&b.build());
+//! let report = lint_program(&b.build(), &BmoStack::paper());
 //! assert_eq!(report.count(LintCode::InsufficientWindow), 1);
 //! ```
 
@@ -61,17 +65,16 @@ pub mod lints;
 pub mod place;
 pub mod report;
 
-pub use cfg::{Cfg, CfgOptions};
+pub use cfg::Cfg;
 pub use contention::{
     irb_bound, irb_bound_for_tenants, peak_irb_demand, tenant_irb_demand, IrbBound, IrbDemand,
     IrbVerdict,
 };
 pub use dataflow::{analyze_writes, Defs, WriteKnowledge};
 pub use fix::{
-    fix_default, fix_program, render_program, seed_stale_hint, unified_diff, AppliedFix, FixKind,
-    FixOutcome,
+    fix_program, render_program, seed_stale_hint, unified_diff, AppliedFix, FixKind, FixOutcome,
 };
 pub use graph::{lint_bmo_class, lint_permutations, lint_stack};
-pub use lints::{lint_default, lint_program, LintOptions};
+pub use lints::{lint_program, required_window};
 pub use place::{auto_place, PlaceReport};
 pub use report::{Diagnostic, LintCode, LintReport, Severity};

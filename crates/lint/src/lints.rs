@@ -16,8 +16,8 @@
 //!
 //! * **redundant-pre** — a request that re-announces a still-live hint with
 //!   identical target and data, or a `PRE_INIT` whose object is never used;
-//! * **irb-pressure** — more simultaneously live hints than the configured
-//!   IRB has entries (the overflow ages out results before use);
+//! * **irb-pressure** — more simultaneously live hints than one core's IRB
+//!   has entries (the overflow ages out results before use);
 //! * **persist-ordering** — inside a transaction, a store left dirty after
 //!   the line's last flush, or a flushed line left unordered (no fence)
 //!   before commit: the undo-log protocol's recovery guarantee depends on
@@ -27,6 +27,7 @@ use std::collections::BTreeMap;
 
 use janus_bmo::latency::BmoLatencies;
 use janus_bmo::BmoStack;
+use janus_core::config::{JanusConfig, SystemMode};
 use janus_core::ir::{Op, PreObjId, Program};
 use janus_nvm::addr::LineAddr;
 use janus_nvm::line::Line;
@@ -34,53 +35,10 @@ use janus_sim::time::Cycles;
 
 use crate::report::{Diagnostic, LintCode, LintReport};
 
-/// Configuration of the program lints.
-#[derive(Clone, Debug)]
-pub struct LintOptions {
-    /// BMO latencies used for window estimation.
-    pub latencies: BmoLatencies,
-    /// The active BMO stack; its dependency graph's critical path is the
-    /// window every request must cover for full pre-execution.
-    pub stack: BmoStack,
-    /// IRB entries available to the program (per-core allocation).
-    pub irb_entries: usize,
-    /// Static cost charged for a fence. `None` (default) estimates it at
-    /// the stack's critical path: a fence in crash-consistent code waits
-    /// for at least one write's BMO completion, so this is a conservative
-    /// lower bound that only narrows estimated windows.
-    pub fence_cost: Option<Cycles>,
-}
-
-impl Default for LintOptions {
-    fn default() -> Self {
-        LintOptions {
-            latencies: BmoLatencies::paper(),
-            stack: BmoStack::paper(),
-            irb_entries: 64,
-            fence_cost: None,
-        }
-    }
-}
-
-impl LintOptions {
-    /// Paper defaults with specific latencies.
-    pub fn with_latencies(latencies: BmoLatencies) -> LintOptions {
-        LintOptions {
-            latencies,
-            ..LintOptions::default()
-        }
-    }
-
-    /// The window (cycles) a request must cover: the configured stack's
-    /// critical path.
-    pub fn required_window(&self) -> Cycles {
-        self.stack.graph(&self.latencies).critical_path()
-    }
-
-    /// The static cost charged for a fence.
-    pub fn fence_cycles(&self) -> Cycles {
-        self.fence_cost.unwrap_or_else(|| self.required_window())
-    }
+/// The window (cycles) a request must cover for full pre-execution: the
+/// `stack`'s dependency-graph critical path under the paper's latencies.
+pub fn required_window(stack: &BmoStack) -> Cycles {
+    stack.graph(&BmoLatencies::paper()).critical_path()
 }
 
 /// Static per-op cost estimate used for window calculations.
@@ -112,15 +70,14 @@ struct PersistState {
     last_clwb: Option<usize>,
 }
 
-/// Lints a program with paper-default options.
-pub fn lint_default(program: &Program) -> LintReport {
-    lint_program(program, &LintOptions::default())
-}
-
-/// Runs all program-level lints, returning a sorted report.
-pub fn lint_program(program: &Program, opts: &LintOptions) -> LintReport {
-    let required = opts.required_window();
-    let fence = opts.fence_cycles();
+/// Runs all program-level lints against the BMO `stack`, returning a
+/// sorted report. A fence is charged the stack's critical path: a fence in
+/// crash-consistent code waits for at least one write's BMO completion, so
+/// this conservative lower bound only narrows estimated windows. The IRB
+/// holds the paper's per-core entry count.
+pub fn lint_program(program: &Program, stack: &BmoStack) -> LintReport {
+    let required = required_window(stack);
+    let irb_entries = JanusConfig::paper(SystemMode::Janus, 1).irb_entries_per_core;
     let mut report = LintReport::default();
 
     // Active hints by target line; data-only hints by obj until bound.
@@ -361,21 +318,20 @@ pub fn lint_program(program: &Program, opts: &LintOptions) -> LintReport {
             peak_live = live;
             peak_at = i;
         }
-        elapsed += op_cost(op, fence);
+        elapsed += op_cost(op, required);
     }
 
-    if peak_live > opts.irb_entries {
+    if peak_live > irb_entries {
         report.diagnostics.push(
             Diagnostic::new(
                 LintCode::IrbPressure,
                 peak_at,
                 format!(
-                    "{peak_live} live pre-execution results exceed the {} IRB entries; \
-                     overflowing results age out before use",
-                    opts.irb_entries
+                    "{peak_live} live pre-execution results exceed the {irb_entries} IRB \
+                     entries; overflowing results age out before use"
                 ),
             )
-            .with_window(peak_live as u64, opts.irb_entries as u64),
+            .with_window(peak_live as u64, irb_entries as u64),
         );
     }
 
@@ -427,6 +383,10 @@ mod tests {
     use crate::report::Severity;
     use janus_core::ir::ProgramBuilder;
 
+    fn lint(p: &Program) -> LintReport {
+        lint_program(p, &BmoStack::paper())
+    }
+
     #[test]
     fn clean_program_is_clean() {
         let mut b = ProgramBuilder::new();
@@ -436,7 +396,7 @@ mod tests {
         b.store(LineAddr(1), Line::splat(1));
         b.clwb(LineAddr(1));
         b.fence();
-        let r = lint_default(&b.build());
+        let r = lint(&b.build());
         assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
         assert_eq!(r.well_placed, 1);
         assert_eq!(r.requests, 1);
@@ -451,7 +411,7 @@ mod tests {
         b.store(LineAddr(1), Line::splat(2));
         b.clwb(LineAddr(1));
         b.fence();
-        let r = lint_default(&b.build());
+        let r = lint(&b.build());
         assert_eq!(r.count(LintCode::ModifiedAfterPre), 1);
         let d = &r.diagnostics[0];
         assert_eq!(d.line, Some(1));
@@ -467,7 +427,7 @@ mod tests {
         b.store(LineAddr(1), Line::splat(1));
         b.clwb(LineAddr(1));
         b.fence();
-        let r = lint_default(&b.build());
+        let r = lint(&b.build());
         assert_eq!(r.count(LintCode::InsufficientWindow), 1);
         let (window, required) = r.diagnostics[0].window.unwrap();
         assert!(window < required);
@@ -485,7 +445,7 @@ mod tests {
         b.store(LineAddr(1), Line::splat(1));
         b.clwb(LineAddr(1));
         b.fence();
-        let r = lint_default(&b.build());
+        let r = lint(&b.build());
         assert_eq!(r.count(LintCode::RedundantPre), 1);
         assert_eq!(r.count(LintCode::UselessPre), 1);
         assert_eq!(r.well_placed, 1);
@@ -502,7 +462,7 @@ mod tests {
         b.store(LineAddr(1), Line::splat(9));
         b.clwb(LineAddr(1));
         b.fence();
-        let r = lint_default(&b.build());
+        let r = lint(&b.build());
         assert_eq!(
             r.count(LintCode::RedundantPre),
             0,
@@ -516,25 +476,28 @@ mod tests {
         let mut b = ProgramBuilder::new();
         let _obj = b.pre_init();
         b.compute(10);
-        let r = lint_default(&b.build());
+        let r = lint(&b.build());
         assert_eq!(r.count(LintCode::RedundantPre), 1);
         assert_eq!(r.diagnostics[0].severity, Severity::Warning);
     }
 
     #[test]
     fn irb_pressure_fires_above_capacity() {
-        let mut b = ProgramBuilder::new();
-        let obj = b.pre_init();
-        for k in 0..80u64 {
-            b.pre_both(obj, LineAddr(100 + k), vec![Line::splat(k as u8)]);
-        }
-        b.compute(5000);
-        for k in 0..80u64 {
-            b.store(LineAddr(100 + k), Line::splat(k as u8));
-            b.clwb(LineAddr(100 + k));
-        }
-        b.fence();
-        let r = lint_default(&b.build());
+        let live = |n: u64| {
+            let mut b = ProgramBuilder::new();
+            let obj = b.pre_init();
+            for k in 0..n {
+                b.pre_both(obj, LineAddr(100 + k), vec![Line::splat(k as u8)]);
+            }
+            b.compute(5000);
+            for k in 0..n {
+                b.store(LineAddr(100 + k), Line::splat(k as u8));
+                b.clwb(LineAddr(100 + k));
+            }
+            b.fence();
+            lint(&b.build())
+        };
+        let r = live(80);
         assert_eq!(r.count(LintCode::IrbPressure), 1);
         let (peak, cap) = r
             .diagnostics
@@ -544,26 +507,8 @@ mod tests {
             .window
             .unwrap();
         assert_eq!((peak, cap), (80, 64));
-        // Within capacity: no pressure.
-        let opts = LintOptions {
-            irb_entries: 128,
-            ..LintOptions::default()
-        };
-        let mut b = ProgramBuilder::new();
-        let obj = b.pre_init();
-        for k in 0..80u64 {
-            b.pre_both(obj, LineAddr(100 + k), vec![Line::splat(k as u8)]);
-        }
-        b.compute(5000);
-        for k in 0..80u64 {
-            b.store(LineAddr(100 + k), Line::splat(k as u8));
-            b.clwb(LineAddr(100 + k));
-        }
-        b.fence();
-        assert_eq!(
-            lint_program(&b.build(), &opts).count(LintCode::IrbPressure),
-            0
-        );
+        // Exactly at capacity: no pressure.
+        assert_eq!(live(64).count(LintCode::IrbPressure), 0);
     }
 
     #[test]
@@ -575,7 +520,7 @@ mod tests {
         b.fence();
         b.store(LineAddr(1), Line::splat(2)); // dirty again, never re-flushed
         b.tx_commit();
-        let r = lint_default(&b.build());
+        let r = lint(&b.build());
         assert_eq!(r.count(LintCode::PersistOrdering), 1);
         assert!(r.diagnostics[0].message.contains("dirty at commit"));
     }
@@ -587,7 +532,7 @@ mod tests {
         b.store(LineAddr(1), Line::splat(1));
         b.clwb(LineAddr(1)); // no fence before commit
         b.tx_commit();
-        let r = lint_default(&b.build());
+        let r = lint(&b.build());
         assert_eq!(r.count(LintCode::PersistOrdering), 1);
         assert!(r.diagnostics[0].message.contains("not ordered by a fence"));
     }
@@ -599,7 +544,7 @@ mod tests {
         b.persist_store(LineAddr(1), Line::splat(1));
         b.persist_store(LineAddr(2), Line::splat(2));
         b.tx_commit();
-        let r = lint_default(&b.build());
+        let r = lint(&b.build());
         assert_eq!(r.count(LintCode::PersistOrdering), 0);
     }
 
@@ -610,7 +555,7 @@ mod tests {
         b.store(LineAddr(9), Line::splat(1)); // scratch, never flushed
         b.persist_store(LineAddr(1), Line::splat(1));
         b.tx_commit();
-        let r = lint_default(&b.build());
+        let r = lint(&b.build());
         assert_eq!(r.count(LintCode::PersistOrdering), 0);
     }
 
@@ -625,19 +570,16 @@ mod tests {
         b.store(LineAddr(4), Line::splat(7));
         b.clwb(LineAddr(4));
         b.fence();
-        let r = lint_default(&b.build());
+        let r = lint(&b.build());
         assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
         assert_eq!(r.well_placed, 1);
     }
 
     #[test]
     fn required_window_follows_the_stack() {
-        let opts = LintOptions {
-            stack: BmoStack::parse("enc").unwrap(),
-            ..LintOptions::default()
-        };
-        let enc_only = opts.required_window();
-        assert!(enc_only < LintOptions::default().required_window());
+        let enc = BmoStack::parse("enc").unwrap();
+        let enc_only = required_window(&enc);
+        assert!(enc_only < required_window(&BmoStack::paper()));
         // A window too short for the trio may suffice for encryption alone.
         let mut b = ProgramBuilder::new();
         let obj = b.pre_init();
@@ -648,10 +590,10 @@ mod tests {
         b.fence();
         let p = b.build();
         assert_eq!(
-            lint_program(&p, &opts).count(LintCode::InsufficientWindow),
+            lint_program(&p, &enc).count(LintCode::InsufficientWindow),
             0
         );
-        assert_eq!(lint_default(&p).count(LintCode::InsufficientWindow), 1);
+        assert_eq!(lint(&p).count(LintCode::InsufficientWindow), 1);
     }
 
     #[test]
@@ -668,8 +610,8 @@ mod tests {
         }
         b.fence();
         let p = b.build();
-        let a = lint_default(&p).to_json();
-        let b2 = lint_default(&p).to_json();
+        let a = lint(&p).to_json();
+        let b2 = lint(&p).to_json();
         assert_eq!(a, b2);
     }
 }

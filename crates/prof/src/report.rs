@@ -305,7 +305,11 @@ pub fn validate_profile_json(text: &str) -> Result<(), String> {
             .get("resource")
             .and_then(Value::as_str)
             .ok_or("accounting entry missing \"resource\"")?;
-        sum += get_u64(entry, "service")? + get_u64(entry, "queue")? + get_u64(entry, "dep_wait")?;
+        for key in ["service", "queue", "dep_wait"] {
+            sum = sum
+                .checked_add(get_u64(entry, key)?)
+                .ok_or("accounting rows overflow a 64-bit cycle count")?;
+        }
     }
     if sum != attributed {
         return Err(format!(
@@ -319,10 +323,12 @@ pub fn validate_profile_json(text: &str) -> Result<(), String> {
     let arrive = get_u64(cw, "arrive")?;
     let persist = get_u64(cw, "persist")?;
     let latency = get_u64(cw, "latency")?;
-    if persist - arrive != latency {
+    let span = persist.checked_sub(arrive).ok_or_else(|| {
+        format!("critical write persists at {persist}, before it arrives at {arrive}")
+    })?;
+    if span != latency {
         return Err(format!(
-            "critical write latency {latency} != persist-arrive {}",
-            persist - arrive
+            "critical write latency {latency} != persist-arrive {span}"
         ));
     }
     let chain = cw

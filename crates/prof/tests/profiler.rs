@@ -258,3 +258,40 @@ fn validator_rejects_a_corrupted_causal_link() {
         "rejected with a chain-integrity error, got: {err}"
     );
 }
+
+/// A minimal `janus-profile-v1` document: one accounting row per
+/// `(service, queue, dep_wait)` triple, attributed total `attributed`, and
+/// a critical write spanning `arrive..persist` with an empty chain.
+fn profile_doc(rows: &[(u64, u64, u64)], attributed: u64, arrive: u64, persist: u64) -> String {
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|(s, q, d)| {
+            format!("{{\"resource\":\"r\",\"service\":{s},\"queue\":{q},\"dep_wait\":{d}}}")
+        })
+        .collect();
+    format!(
+        "{{\"schema\":\"{}\",\"writes\":1,\"total_cycles\":{attributed},\
+         \"attributed_cycles\":{attributed},\"accounting\":[{}],\
+         \"critical_write\":{{\"arrive\":{arrive},\"persist\":{persist},\"latency\":0,\
+         \"chain\":[]}}}}",
+        janus_prof::PROFILE_SCHEMA,
+        rows.join(",")
+    )
+}
+
+#[test]
+fn validator_rejects_accounting_rows_that_overflow() {
+    let ok = profile_doc(&[(5, 0, 0)], 5, 9, 9);
+    janus_prof::validate_profile_json(&ok).expect("well-formed document validates");
+    let near = 10_000_000_000_000_000_000u64; // 10^19, past 2^63
+    let doc = profile_doc(&[(near, 0, 0), (near, 0, 0)], 5, 9, 9);
+    let err = janus_prof::validate_profile_json(&doc).unwrap_err();
+    assert!(err.contains("overflow"), "{err}");
+}
+
+#[test]
+fn validator_rejects_a_write_that_persists_before_it_arrives() {
+    let doc = profile_doc(&[(5, 0, 0)], 5, 100, 50);
+    let err = janus_prof::validate_profile_json(&doc).unwrap_err();
+    assert!(err.contains("before it arrives"), "{err}");
+}

@@ -10,9 +10,10 @@
 //! tag routes to the profile validator (schema fields, the
 //! attributed-equals-total identity, and causal-chain contiguity — a
 //! hand-corrupted causal link is rejected); anything else must be a Chrome
-//! trace with a `traceEvents` array. Exits non-zero on any violation — CI
-//! runs this against the quickstart's trace and profile outputs to keep
-//! both exporters honest.
+//! trace with a `traceEvents` array. Exits 2 on any malformed input (an
+//! unreadable file, invalid JSON, a failed profile check, or no
+//! `traceEvents`) — CI runs this against the quickstart's trace and profile
+//! outputs to keep both exporters honest.
 
 use std::process::ExitCode;
 
@@ -25,14 +26,14 @@ fn main() -> ExitCode {
         Ok(t) => t,
         Err(e) => {
             eprintln!("error: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
     let doc = match janus_trace::json::parse(&text) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
     if doc.get("schema").and_then(|s| s.as_str()) == Some(janus_prof::PROFILE_SCHEMA) {
@@ -50,13 +51,13 @@ fn main() -> ExitCode {
             }
             Err(e) => {
                 eprintln!("error: {path}: {e}");
-                ExitCode::FAILURE
+                ExitCode::from(2)
             }
         };
     }
     let Some(events) = doc.get("traceEvents").and_then(|v| v.as_array()) else {
         eprintln!("error: {path}: missing \"traceEvents\" array");
-        return ExitCode::FAILURE;
+        return ExitCode::from(2);
     };
     let mut complete = 0usize;
     let mut instants = 0usize;

@@ -1,18 +1,24 @@
 //! Integration tests for the `janus-lint --fix` engine: golden
 //! before/after IR snapshots for every §6 misuse pattern (regenerate with
 //! `JANUS_REGEN_GOLDEN=1 cargo test --test lint_fix`), byte-determinism of
-//! the rendered programs and diffs, and the differential check against the
-//! trace oracle on every fixed program.
+//! the rendered programs and diffs, and both halves of the `--fix`
+//! verification gate (re-lint equality and the trace-oracle replay) on
+//! every fixed program.
 
 use std::path::PathBuf;
 
+use janus::bmo::BmoStack;
 use janus::core::ir::{Op, Program, ProgramBuilder};
 use janus::instrument::misuse::verify_fix;
 use janus::lint::{
-    fix_default, lint_default, render_program, seed_stale_hint, unified_diff, FixKind,
+    fix_program, lint_program, render_program, seed_stale_hint, unified_diff, FixKind, FixOutcome,
 };
 use janus::nvm::addr::LineAddr;
 use janus::nvm::line::Line;
+
+fn fix_paper(p: &Program) -> FixOutcome {
+    fix_program(p, &BmoStack::paper())
+}
 
 /// One canonical program per §6 misuse pattern (plus the two
 /// persist-ordering hazards), paired with the fix kind the engine must
@@ -120,10 +126,12 @@ fn check_golden(name: &str, rendered: &str) {
 fn golden_fix_snapshots() {
     for (name, program, kind) in patterns() {
         assert!(
-            !lint_default(&program).diagnostics.is_empty(),
+            !lint_program(&program, &BmoStack::paper())
+                .diagnostics
+                .is_empty(),
             "{name}: the pattern must trip at least one lint"
         );
-        let outcome = fix_default(&program);
+        let outcome = fix_paper(&program);
         assert!(outcome.changed(), "{name}: a fix must be applied");
         assert_eq!(
             outcome.applied[0].kind, kind,
@@ -150,8 +158,8 @@ fn golden_fix_snapshots() {
 #[test]
 fn fix_snapshots_are_byte_deterministic() {
     for (name, program, _) in patterns() {
-        let a = fix_default(&program);
-        let b = fix_default(&program);
+        let a = fix_paper(&program);
+        let b = fix_paper(&program);
         assert_eq!(
             render_program(&a.program),
             render_program(&b.program),
@@ -174,21 +182,20 @@ fn fix_snapshots_are_byte_deterministic() {
     }
 }
 
-/// Differential check: every fixed pattern preserves the `Store`/`Load`
-/// stream and passes the trace oracle with zero dynamic misuses.
+/// The `--fix` verification gate on every fixed pattern: the re-lint
+/// reproduces the engine's report, the `Store`/`Load` stream is preserved,
+/// and the trace oracle finds zero dynamic misuses.
 #[test]
 fn fixed_patterns_pass_the_trace_oracle() {
     for (name, program, _) in patterns() {
-        let outcome = fix_default(&program);
-        let v = verify_fix(&program, &outcome.program);
+        let outcome = fix_paper(&program);
+        let v = verify_fix(&program, &outcome, &BmoStack::paper());
+        assert!(v.relint_agrees, "{name}: re-lint disagrees: {v}");
         assert!(
             v.ok(),
-            "{name}: store/load stream or oracle count regressed: {v:?}"
+            "{name}: store/load stream or oracle count regressed: {v}"
         );
-        assert!(
-            v.clean(),
-            "{name}: fixed program has dynamic misuses: {v:?}"
-        );
+        assert!(v.clean(), "{name}: fixed program has dynamic misuses: {v}");
     }
 }
 
@@ -203,7 +210,7 @@ fn seeded_misuse_round_trips_through_fix() {
     let mut seeded = clean.clone();
     seed_stale_hint(&mut seeded);
     assert!(seeded.ops.len() > clean.ops.len());
-    let outcome = fix_default(&seeded);
+    let outcome = fix_paper(&seeded);
     assert_eq!(outcome.program, clean);
     assert_eq!(render_program(&outcome.program), render_program(&clean));
 }
@@ -213,7 +220,7 @@ fn seeded_misuse_round_trips_through_fix() {
 #[test]
 fn hoisted_request_sits_at_the_marker() {
     let (_, program, _) = patterns().remove(2);
-    let outcome = fix_default(&program);
+    let outcome = fix_paper(&program);
     let marker = outcome
         .program
         .ops

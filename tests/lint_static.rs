@@ -5,18 +5,24 @@
 //! `auto_place` must recover ≥95% of the hand instrumentation's Figure 9
 //! speedup.
 
+use janus::bmo::BmoStack;
 use janus::core::config::{JanusConfig, SystemMode};
-use janus::core::ir::ProgramBuilder;
+use janus::core::ir::{Program, ProgramBuilder};
 use janus::core::system::System;
 use janus::instrument::instrument;
 use janus::lint::{
-    auto_place, fix_default, lint_default, lint_permutations, seed_stale_hint, LintCode, Severity,
+    auto_place, fix_program, lint_permutations, lint_program, seed_stale_hint, LintCode,
+    LintReport, Severity,
 };
 use janus::nvm::addr::LineAddr;
 use janus::nvm::line::Line;
 use janus::workloads::{generate, Instrumentation, Workload, WorkloadConfig};
 
-fn manual_program(w: Workload) -> janus::core::ir::Program {
+fn lint(p: &Program) -> LintReport {
+    lint_program(p, &BmoStack::paper())
+}
+
+fn manual_program(w: Workload) -> Program {
     generate(
         w,
         0,
@@ -91,7 +97,7 @@ fn golden_lint_reports() {
             .iter()
             .find(|(slug, _, _)| *slug == w.slug())
             .expect("golden file per workload");
-        let manual = lint_default(&manual_program(w));
+        let manual = lint(&manual_program(w));
         assert_eq!(
             manual.to_json(),
             manual_golden.trim_end(),
@@ -103,7 +109,7 @@ fn golden_lint_reports() {
             "{w}: manual instrumentation must lint clean"
         );
 
-        let auto = lint_default(&instrument(&bare_program(w, 50).program).0);
+        let auto = lint(&instrument(&bare_program(w, 50).program).0);
         assert_eq!(
             auto.to_json(),
             auto_golden.trim_end(),
@@ -117,12 +123,11 @@ fn golden_lint_reports() {
 #[test]
 fn lint_reports_are_byte_deterministic() {
     for w in [Workload::Tatp, Workload::Tpcc] {
-        let a = lint_default(&manual_program(w)).to_json();
-        let b = lint_default(&manual_program(w)).to_json();
+        let a = lint(&manual_program(w)).to_json();
+        let b = lint(&manual_program(w)).to_json();
         assert_eq!(a, b);
     }
-    let lat = janus::bmo::latency::BmoLatencies::paper();
-    assert_eq!(lint_permutations(&lat), lint_permutations(&lat));
+    assert_eq!(lint_permutations(), lint_permutations());
 }
 
 /// A store that changes the hinted value is flagged at the store's span,
@@ -136,7 +141,7 @@ fn misplaced_stale_hint_fires_at_the_store() {
     b.store(LineAddr(1), Line::splat(2)); // @3 — differs from hint
     b.clwb(LineAddr(1)); // @4
     b.fence(); // @5
-    let r = lint_default(&b.build());
+    let r = lint(&b.build());
     let d = r
         .diagnostics
         .iter()
@@ -153,7 +158,7 @@ fn misplaced_unconsumed_request_fires_at_the_request() {
     let obj = b.pre_init(); // @0
     b.pre_both(obj, LineAddr(1), vec![Line::splat(1)]); // @1
     b.compute(100); // @2 — and no write follows
-    let r = lint_default(&b.build());
+    let r = lint(&b.build());
     let d = r
         .diagnostics
         .iter()
@@ -174,7 +179,7 @@ fn misplaced_late_request_fires_at_the_flush() {
     b.store(LineAddr(1), Line::splat(1)); // @3
     b.clwb(LineAddr(1)); // @4
     b.fence(); // @5
-    let r = lint_default(&b.build());
+    let r = lint(&b.build());
     let d = r
         .diagnostics
         .iter()
@@ -199,7 +204,7 @@ fn duplicate_request_fires_redundant_pre() {
     b.store(LineAddr(1), Line::splat(1));
     b.clwb(LineAddr(1));
     b.fence();
-    let r = lint_default(&b.build());
+    let r = lint(&b.build());
     let dup = r
         .diagnostics
         .iter()
@@ -227,7 +232,7 @@ fn unfenced_flush_fires_persist_ordering() {
         2
     };
     b.tx_commit(); // no fence between the clwb and the commit
-    let r = lint_default(&b.build());
+    let r = lint(&b.build());
     let d = r
         .diagnostics
         .iter()
@@ -251,7 +256,7 @@ fn over_capacity_requests_fire_irb_pressure() {
         b.clwb(LineAddr(k));
     }
     b.fence();
-    let r = lint_default(&b.build());
+    let r = lint(&b.build());
     let d = r
         .diagnostics
         .iter()
@@ -261,7 +266,7 @@ fn over_capacity_requests_fire_irb_pressure() {
     assert_eq!(d.severity, Severity::Warning);
 }
 
-fn run_cycles(program: janus::core::ir::Program, out: &janus::workloads::WorkloadOutput) -> f64 {
+fn run_cycles(program: Program, out: &janus::workloads::WorkloadOutput) -> f64 {
     let mode = if program.ops.iter().any(|o| o.is_pre()) {
         SystemMode::Janus
     } else {
@@ -297,10 +302,10 @@ fn fixed_seeded_misuse_recovers_manual_speedup() {
         let mut seeded = manual.program.clone();
         seed_stale_hint(&mut seeded);
         assert!(
-            lint_default(&seeded).errors() > 0,
+            lint(&seeded).errors() > 0,
             "{w}: the seeded misuse must trip the lint"
         );
-        let outcome = fix_default(&seeded);
+        let outcome = fix_program(&seeded, &BmoStack::paper());
         assert_eq!(
             outcome.after.errors(),
             0,

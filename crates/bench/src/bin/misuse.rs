@@ -1,7 +1,7 @@
 //! §6 "Tools for misuse detection": run the static analyzer over every
 //! workload's manual instrumentation and over the compiler pass's output.
 
-use janus_bench::banner;
+use janus_bench::{arg_usize, banner};
 use janus_bmo::BmoStack;
 use janus_instrument::instrument;
 use janus_lint::{lint_program, LintCode};
@@ -9,6 +9,7 @@ use janus_workloads::{generate, Instrumentation, Workload, WorkloadConfig};
 
 fn main() {
     janus_bench::require_known_args(&["--tx"], &[]);
+    let tx = arg_usize("--tx", 50);
     banner(
         "Misuse detection (§6) — static analysis of pre-execution placement",
         "stale hints / useless requests / short windows, per workload",
@@ -21,7 +22,7 @@ fn main() {
     for w in Workload::all() {
         for (label, manual) in [("manual", true), ("auto", false)] {
             let cfg = WorkloadConfig {
-                transactions: 50,
+                transactions: tx,
                 instrumentation: if manual {
                     Instrumentation::Manual
                 } else {

@@ -58,7 +58,6 @@ pub struct MerkleTree {
     /// `default[l]` = hash of a level-`l` node whose descendants are all
     /// zero lines.
     default: Vec<NodeHash>,
-    updates: u64,
     /// Hash structure plus not-yet-hashed leaf writes; interior-mutable so
     /// read-only observers (`root`, `verify_leaf`) can trigger the flush.
     state: RefCell<TreeState>,
@@ -111,7 +110,6 @@ impl MerkleTree {
         MerkleTree {
             height,
             default,
-            updates: 0,
             state: RefCell::new(TreeState {
                 nodes: FxHashMap::default(),
                 pending: FxHashMap::default(),
@@ -138,7 +136,6 @@ impl MerkleTree {
     /// Panics if `index` exceeds the tree capacity.
     pub fn update_leaf(&mut self, index: u64, content: &Line) {
         assert!(index < self.capacity(), "leaf index out of range");
-        self.updates += 1;
         self.state.get_mut().pending.insert(index, *content);
     }
 
@@ -219,11 +216,6 @@ impl MerkleTree {
         }
         t.flush();
         t
-    }
-
-    /// Total leaf updates performed (each costs the I1–I3 latency chain).
-    pub fn updates(&self) -> u64 {
-        self.updates
     }
 
     /// Number of materialized (non-default) nodes.
@@ -344,9 +336,15 @@ mod tests {
 
     #[test]
     fn update_counter() {
+        // Updating a counter leaf re-roots the tree over its new content,
+        // and the next update of the same leaf replaces it.
         let mut t = MerkleTree::new(3);
         t.update_leaf(0, &Line::splat(1));
         t.update_leaf(1, &Line::splat(2));
-        assert_eq!(t.updates(), 2);
+        assert!(t.verify_leaf(0, &Line::splat(1)));
+        assert!(t.verify_leaf(1, &Line::splat(2)));
+        t.update_leaf(0, &Line::splat(3));
+        assert!(t.verify_leaf(0, &Line::splat(3)));
+        assert!(!t.verify_leaf(0, &Line::splat(1)));
     }
 }

@@ -55,7 +55,6 @@ pub mod engine;
 pub mod integrity;
 pub mod latency;
 pub mod metadata;
-pub mod oram;
 pub mod pipeline;
 mod slots;
 pub mod stack;

@@ -34,7 +34,7 @@ use janus_sim::time::Cycles;
 use janus_trace::{Category, TraceConfig, Tracer};
 
 use crate::config::{JanusConfig, SystemMode};
-use crate::irb::{IrbEntry, IrbKey, IrbSet};
+use crate::irb::{Irb, IrbEntry, IrbKey};
 use crate::queues::{decode_into, LineOp, PreFunc, PreRequest, RequestQueue};
 
 /// Result of processing a write at the controller.
@@ -53,7 +53,7 @@ pub struct MemoryController {
     stack: BmoStack,
     engine: BmoEngine,
     pipeline: BmoPipeline,
-    irb: IrbSet,
+    irb: Irb,
     req_queue: RequestQueue,
     wq: AdrWriteQueue,
     device: NvmDevice,
@@ -120,6 +120,12 @@ pub struct ControllerStats {
     pub writes: u64,
     /// Writes cancelled by deduplication.
     pub writes_dup: u64,
+    /// IRB inserts refused: the bank was full, or the thread's partitioned
+    /// quota was used up. Reported as `irb.dropped`, not as a counter.
+    pub irb_dropped: u64,
+    /// IRB entries discarded by the age register (§4.6). Reported as
+    /// `irb.expired`, not as a counter.
+    pub irb_expired: u64,
     /// Arrival → persistence cycles summed over all writes.
     pub write_latency_sum: u64,
     /// Arrival → data-ready cycles summed over all demand reads.
@@ -129,7 +135,8 @@ pub struct ControllerStats {
 impl ControllerStats {
     /// The nonzero counters as `(name, value)` pairs in name order: the
     /// `mc.*` fields of an exported report and the columns of a metrics
-    /// sample. The latency sums are not counters.
+    /// sample. The IRB drop and expiry counts (exported as `irb.*`) and the
+    /// latency sums are not counters.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
         [
             ("bmo_wasted_cycles", self.bmo_wasted_cycles),
@@ -182,7 +189,7 @@ impl MemoryController {
         wq.set_coalescing(config.wq_coalescing);
         MemoryController {
             engine,
-            irb: IrbSet::new(config.irb_policy, config.total_irb_entries()),
+            irb: Irb::new(config.irb_policy, config.total_irb_entries()),
             req_queue: RequestQueue::new(config.total_req_queue()),
             wq,
             device: NvmDevice::new(config.nvm),
@@ -251,11 +258,6 @@ impl MemoryController {
         &self.stats
     }
 
-    /// IRB statistics (inserted, consumed, drops, expired, stale).
-    pub fn irb_stats(&self) -> (u64, u64, u64, u64, u64) {
-        self.irb.stats()
-    }
-
     /// The secure non-volatile root register.
     ///
     /// Reads the pipeline's (lazily flushed) Merkle root: the register is a
@@ -294,8 +296,8 @@ impl MemoryController {
         if !self.config.mode.uses_pre_execution() {
             return; // other designs ignore the hints
         }
-        self.irb.expire(now, self.config.irb_max_age);
-        if !self.req_queue.admit_immediate(&req) {
+        self.stats.irb_expired += self.irb.expire(now, self.config.irb_max_age) as u64;
+        if !self.req_queue.admit_immediate() {
             self.stats.pre_req_dropped += 1;
             self.tracer
                 .instant(Category::Queue, "pre_req_drop", now, req.key.core as u64, 0);
@@ -436,6 +438,7 @@ impl MemoryController {
             stale: false,
         };
         if !self.irb.insert(entry) {
+            self.stats.irb_dropped += 1;
             self.engine.retire(job);
             self.tracer
                 .instant(Category::Irb, "irb_insert_drop", now, job.raw(), 0);
@@ -951,8 +954,10 @@ mod tests {
             pre_req_dropped: 12,
             writes: 13,
             writes_dup: 14,
-            write_latency_sum: 15,
-            read_latency_sum: 16,
+            irb_dropped: 15,
+            irb_expired: 16,
+            write_latency_sum: 17,
+            read_latency_sum: 18,
         };
         let names: Vec<&str> = all.counters().map(|(n, _)| n).collect();
         assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
@@ -1172,8 +1177,8 @@ mod tests {
     fn pre_requests_ignored_off_janus() {
         let mut m = mc(SystemMode::Serialized);
         pre_both(&mut m, Cycles(0), 1, 5, Line::splat(9));
-        let (inserted, _, _, _, _) = m.irb_stats();
-        assert_eq!(inserted, 0);
+        assert_eq!(m.stats().pre_ops_admitted, 0);
+        assert_eq!(m.irb.len(), 0);
     }
 
     #[test]
@@ -1215,10 +1220,12 @@ mod tests {
             },
         );
         // One IRB entry, and the write consumes it.
-        let (inserted, _, _, _, _) = m.irb_stats();
-        assert_eq!(inserted, 1);
+        assert_eq!(m.stats().pre_ops_admitted, 1);
+        assert_eq!(m.irb.len(), 1);
         let out = m.handle_write(Cycles(30_000), 0, LineAddr(5), Line::splat(3), false);
         assert!(out.persist_at <= Cycles(30_016));
+        assert!(m.irb.is_empty());
+        assert_eq!(m.stats().pre_full, 1);
     }
 
     #[test]

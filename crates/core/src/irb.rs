@@ -21,8 +21,12 @@
 //! ([`Irb::expire`]), a terminating thread's entries are cleared
 //! ([`Irb::clear_thread`]), and swapped-out address ranges are cleared
 //! ([`Irb::clear_range`]).
-
-use std::collections::BTreeMap;
+//!
+//! The controller has one [`Irb`], whose [`IrbPolicy`] splits it into
+//! banks: one shared bank (the paper's configuration, optionally with a
+//! per-thread quota) or one private bank per thread. The buffer counts
+//! nothing itself; every call returns what it did, and the controller's
+//! `ControllerStats` counts it.
 
 use janus_bmo::engine::JobId;
 use janus_nvm::addr::LineAddr;
@@ -133,8 +137,8 @@ pub struct IrbEntry {
 ///
 /// [`Irb::consume`] runs once per Janus-mode write and scans linearly (the
 /// hardware analogue is a CAM match). Scanning full [`IrbEntry`] records
-/// walks ~150 bytes per entry — mostly the copied `data` line — so the
-/// buffer is stored structure-of-arrays style: this 16-byte tag carries
+/// walks ~150 bytes per entry — mostly the copied `data` line — so each
+/// bank is stored structure-of-arrays style: this 16-byte tag carries
 /// exactly the fields the scan compares, and the payload vector is only
 /// touched at the matching index.
 #[derive(Clone, Copy, Debug)]
@@ -156,53 +160,21 @@ impl ScanTag {
     }
 }
 
-/// The buffer.
-#[derive(Debug)]
-pub struct Irb {
-    /// Payload records, index-parallel with `tags`.
+/// One bank: entries in insertion order, with their scan tags
+/// index-parallel.
+#[derive(Debug, Default)]
+struct Bank {
     entries: Vec<IrbEntry>,
-    /// Packed consume-scan keys (see [`ScanTag`]).
     tags: Vec<ScanTag>,
-    capacity: usize,
-    drops: u64,
-    inserted: u64,
-    consumed: u64,
-    expired: u64,
-    stale_invalidations: u64,
 }
 
-impl Irb {
-    /// Creates a buffer with `capacity` entries.
-    pub fn new(capacity: usize) -> Self {
-        Irb {
-            entries: Vec::new(),
-            tags: Vec::new(),
-            capacity,
-            drops: 0,
-            inserted: 0,
-            consumed: 0,
-            expired: 0,
-            stale_invalidations: 0,
-        }
-    }
-
-    /// Inserts an entry, dropping it (returning `false`) when the buffer is
-    /// full ("If the buffer/queue is full, it drops newer requests").
-    pub fn insert(&mut self, entry: IrbEntry) -> bool {
-        if self.entries.len() >= self.capacity {
-            self.drops += 1;
-            return false;
-        }
-        self.inserted += 1;
+impl Bank {
+    fn push(&mut self, entry: IrbEntry) {
         self.tags.push(ScanTag::of(&entry));
         self.entries.push(entry);
-        true
     }
 
-    /// Looks up and removes the entry matching a write to `line` from
-    /// `core`. Prefers an exact (core, line) match; the paper matches on
-    /// ProcAddr within the issuing thread's entries.
-    pub fn consume(&mut self, core: usize, line: LineAddr) -> Option<IrbEntry> {
+    fn consume(&mut self, core: usize, line: LineAddr) -> Option<IrbEntry> {
         let core32 = core as u32;
         let pos = (0..self.tags.len()).find(|&i| {
             let t = self.tags[i];
@@ -212,16 +184,11 @@ impl Irb {
                 // confirm against the payload record.
                 && self.entries[i].line == Some(line)
         })?;
-        self.consumed += 1;
         self.tags.swap_remove(pos);
         Some(self.entries.swap_remove(pos))
     }
 
-    /// Attaches a later-arriving address to data-only entries of `(core,
-    /// obj)` (a `PRE_DATA` followed by `PRE_ADDR` on the same `pre_obj`,
-    /// as in Figure 8a). Entries are assigned consecutive lines in issue
-    /// order; returns how many were bound.
-    pub fn bind_addr(&mut self, key: IrbKey, first: LineAddr, nlines: u32) -> usize {
+    fn bind_addr(&mut self, key: IrbKey, first: LineAddr, nlines: u32) -> usize {
         let mut next = first;
         let mut bound = 0;
         let limit = LineAddr(first.0 + nlines as u64);
@@ -242,16 +209,7 @@ impl Irb {
         bound
     }
 
-    /// Entries bound to `(core, obj)` with addresses, in insertion order
-    /// (used by the controller to feed late-bound addresses to the engine).
-    pub fn entries_for(&self, key: IrbKey) -> impl Iterator<Item = &IrbEntry> {
-        self.entries.iter().filter(move |e| e.key == key)
-    }
-
-    /// Marks entries whose predicted duplicate slot is `slot` as stale
-    /// (the slot was freed/reused by an intervening write — §4.3.1's
-    /// "write to location A changes the value of location A" case).
-    pub fn invalidate_slot_refs(&mut self, slot: u64) -> usize {
+    fn invalidate_slot_refs(&mut self, slot: u64) -> usize {
         let mut n = 0;
         for e in &mut self.entries {
             if e.predicted_dup_slot == Some(slot) && !e.stale {
@@ -259,13 +217,12 @@ impl Irb {
                 n += 1;
             }
         }
-        self.stale_invalidations += n as u64;
-        n as usize
+        n
     }
 
     /// Order-preserving retain over both parallel vectors; returns how many
     /// entries were removed.
-    fn retain_entries(&mut self, mut keep: impl FnMut(&IrbEntry) -> bool) -> usize {
+    fn retain(&mut self, mut keep: impl FnMut(&IrbEntry) -> bool) -> usize {
         let before = self.entries.len();
         let mut kept = 0;
         for i in 0..before {
@@ -280,213 +237,156 @@ impl Irb {
         before - kept
     }
 
-    /// Discards entries older than `max_age` (§4.6 age register).
-    pub fn expire(&mut self, now: Cycles, max_age: Cycles) -> usize {
-        let n = self.retain_entries(|e| now.saturating_sub(e.created) <= max_age);
-        self.expired += n as u64;
-        n
-    }
-
-    /// Clears all entries belonging to a terminating thread (§4.6).
-    pub fn clear_thread(&mut self, core: usize) -> usize {
-        self.retain_entries(|e| e.key.core != core)
-    }
-
-    /// Clears entries whose ProcAddr falls in `[first, first+nlines)` — the
-    /// §4.6 memory-swap case.
-    pub fn clear_range(&mut self, first: LineAddr, nlines: u64) -> usize {
-        self.retain_entries(|e| match e.line {
-            Some(l) => !(first.0..first.0 + nlines).contains(&l.0),
-            None => true,
-        })
-    }
-
-    /// Current occupancy.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Entries currently held by `core` (scans the packed tags only).
-    pub fn occupancy(&self, core: usize) -> usize {
+    /// Entries held by `core` (scans the packed tags only).
+    fn occupancy(&self, core: usize) -> usize {
         let core32 = core as u32;
         self.tags.iter().filter(|t| t.core == core32).count()
     }
-
-    /// Counts one rejected insert that never reached [`Irb::insert`] (the
-    /// partitioned policy's quota check happens outside the bank).
-    fn note_drop(&mut self) {
-        self.drops += 1;
-    }
-
-    /// (inserted, consumed, drops, expired, stale invalidations).
-    pub fn stats(&self) -> (u64, u64, u64, u64, u64) {
-        (
-            self.inserted,
-            self.consumed,
-            self.drops,
-            self.expired,
-            self.stale_invalidations,
-        )
-    }
 }
 
-/// The controller's IRB under a configured [`IrbPolicy`]: one or more
-/// [`Irb`] banks plus the routing/quota logic. Under
-/// [`IrbPolicy::Shared`] this is a zero-cost wrapper around a single bank —
-/// byte-identical behaviour to the pre-policy controller — so the published
-/// single-tenant results are unchanged.
+/// The controller's IRB under a configured [`IrbPolicy`].
+///
+/// Entries live in banks: one per thread under [`IrbPolicy::Banked`]
+/// (indexed by thread id, created on the thread's first insert), one
+/// shared bank otherwise. A bank holds `per_tenant` entries under the
+/// banked policy and the controller-wide count under the other two; the
+/// partitioned policy also caps each thread's share of its one bank. A
+/// thread's inserts, consumes and binds touch only its own bank, in
+/// insertion order.
+///
+/// The buffer keeps no counters: the controller counts what each call
+/// returns in its `ControllerStats`.
 #[derive(Debug)]
-pub struct IrbSet {
+pub struct Irb {
     policy: IrbPolicy,
-    /// Capacity of the shared/partitioned bank (per-bank capacity under
-    /// `Banked` comes from the policy itself).
-    shared_capacity: usize,
-    /// Banks keyed by thread id (`Shared`/`Partitioned`: the single key 0).
-    /// A `BTreeMap` so cross-bank iteration (stats, expiry) is in
-    /// deterministic thread order.
-    banks: BTreeMap<usize, Irb>,
+    /// Entries one bank holds at most.
+    bank_capacity: usize,
+    banks: Vec<Bank>,
 }
 
-impl IrbSet {
-    /// Creates the bank set for a policy. `shared_capacity` is the
+impl Irb {
+    /// Creates the buffer for a policy. `shared_capacity` is the
     /// controller-wide entry count used by the shared and partitioned
     /// policies.
     pub fn new(policy: IrbPolicy, shared_capacity: usize) -> Self {
-        let mut banks = BTreeMap::new();
-        if !matches!(policy, IrbPolicy::Banked { .. }) {
-            banks.insert(0, Irb::new(shared_capacity));
-        }
-        IrbSet {
+        let (bank_capacity, banks) = match policy {
+            IrbPolicy::Banked { per_tenant } => (per_tenant, Vec::new()),
+            _ => (shared_capacity, vec![Bank::default()]),
+        };
+        Irb {
             policy,
-            shared_capacity,
+            bank_capacity,
             banks,
         }
     }
 
-    /// The configured policy.
-    pub fn policy(&self) -> IrbPolicy {
-        self.policy
-    }
-
-    fn bank_key(&self, thread: usize) -> usize {
+    /// The bank `thread`'s entries live in.
+    fn bank_of(&self, thread: usize) -> usize {
         match self.policy {
             IrbPolicy::Banked { .. } => thread,
             _ => 0,
         }
     }
 
-    fn bank_mut(&mut self, thread: usize) -> &mut Irb {
-        let key = self.bank_key(thread);
-        let cap = match self.policy {
-            IrbPolicy::Banked { per_tenant } => per_tenant,
-            _ => self.shared_capacity,
-        };
-        self.banks.entry(key).or_insert_with(|| Irb::new(cap))
-    }
-
-    /// Inserts an entry, enforcing the policy's placement/quota; `false`
-    /// means the entry was dropped (bank full or quota exhausted).
+    /// Inserts an entry, dropping it (returning `false`) when its bank is
+    /// full or its thread's partitioned quota is used up ("If the
+    /// buffer/queue is full, it drops newer requests").
     pub fn insert(&mut self, entry: IrbEntry) -> bool {
         let thread = entry.key.core;
-        if let IrbPolicy::Partitioned { quota } = self.policy {
-            let bank = self.bank_mut(thread);
-            if bank.occupancy(thread) >= quota {
-                bank.note_drop();
-                return false;
-            }
+        let b = self.bank_of(thread);
+        if b >= self.banks.len() {
+            self.banks.resize_with(b + 1, Bank::default);
         }
-        self.bank_mut(thread).insert(entry)
+        let bank = &mut self.banks[b];
+        let quota_full = match self.policy {
+            IrbPolicy::Partitioned { quota } => bank.occupancy(thread) >= quota,
+            _ => false,
+        };
+        if quota_full || bank.entries.len() >= self.bank_capacity {
+            return false;
+        }
+        bank.push(entry);
+        true
     }
 
     /// Looks up and removes the entry matching a write to `line` from
-    /// `thread` (routes to the thread's bank, then scans it).
+    /// `thread`: the first exact (thread, ProcAddr) match in the thread's
+    /// bank — the paper matches on ProcAddr within the issuing thread's
+    /// entries.
     pub fn consume(&mut self, thread: usize, line: LineAddr) -> Option<IrbEntry> {
-        self.banks
-            .get_mut(&self.bank_key(thread))?
-            .consume(thread, line)
+        let b = self.bank_of(thread);
+        self.banks.get_mut(b)?.consume(thread, line)
     }
 
-    /// Attaches a later-arriving address to data-only entries of `key` (see
-    /// [`Irb::bind_addr`]).
+    /// Attaches a later-arriving address to data-only entries of `key` (a
+    /// `PRE_DATA` followed by `PRE_ADDR` on the same `pre_obj`, as in
+    /// Figure 8a). Entries are assigned consecutive lines in issue order;
+    /// returns how many were bound.
     pub fn bind_addr(&mut self, key: IrbKey, first: LineAddr, nlines: u32) -> usize {
-        let bank_key = self.bank_key(key.core);
-        match self.banks.get_mut(&bank_key) {
-            Some(bank) => bank.bind_addr(key, first, nlines),
-            None => 0,
-        }
+        let b = self.bank_of(key.core);
+        self.banks
+            .get_mut(b)
+            .map_or(0, |bank| bank.bind_addr(key, first, nlines))
     }
 
-    /// Entries bound to `key`, in insertion order within its bank.
+    /// Entries of `key`, in insertion order (used by the controller to
+    /// feed late-bound addresses to the engine).
     pub fn entries_for(&self, key: IrbKey) -> impl Iterator<Item = &IrbEntry> {
         self.banks
-            .get(&self.bank_key(key.core))
+            .get(self.bank_of(key.core))
             .into_iter()
-            .flat_map(move |b| b.entries_for(key))
+            .flat_map(|bank| &bank.entries)
+            .filter(move |e| e.key == key)
     }
 
-    /// Marks entries predicting duplicate `slot` stale, across all banks
-    /// (dedup metadata is controller-global regardless of IRB placement).
+    /// Marks entries whose predicted duplicate slot is `slot` as stale, in
+    /// every bank (the slot was freed/reused by an intervening write —
+    /// §4.3.1's "write to location A changes the value of location A"
+    /// case; dedup metadata is controller-global whatever the policy).
+    /// Returns how many entries it marked.
     pub fn invalidate_slot_refs(&mut self, slot: u64) -> usize {
         self.banks
-            .values_mut()
-            .map(|b| b.invalidate_slot_refs(slot))
+            .iter_mut()
+            .map(|bank| bank.invalidate_slot_refs(slot))
             .sum()
     }
 
-    /// Ages out entries older than `max_age` in every bank.
+    /// Discards entries older than `max_age` (§4.6 age register); returns
+    /// how many.
     pub fn expire(&mut self, now: Cycles, max_age: Cycles) -> usize {
         self.banks
-            .values_mut()
-            .map(|b| b.expire(now, max_age))
+            .iter_mut()
+            .map(|bank| bank.retain(|e| now.saturating_sub(e.created) <= max_age))
             .sum()
     }
 
-    /// Clears a terminating thread's entries (its whole bank under the
-    /// banked policy).
+    /// Clears all entries belonging to a terminating thread (§4.6); returns
+    /// how many.
     pub fn clear_thread(&mut self, thread: usize) -> usize {
+        let b = self.bank_of(thread);
         self.banks
-            .values_mut()
-            .map(|b| b.clear_thread(thread))
-            .sum()
+            .get_mut(b)
+            .map_or(0, |bank| bank.retain(|e| e.key.core != thread))
     }
 
-    /// Clears entries in `[first, first+nlines)` across all banks.
+    /// Clears entries whose ProcAddr falls in `[first, first+nlines)` — the
+    /// §4.6 memory-swap case; returns how many.
     pub fn clear_range(&mut self, first: LineAddr, nlines: u64) -> usize {
+        let range = first.0..first.0 + nlines;
         self.banks
-            .values_mut()
-            .map(|b| b.clear_range(first, nlines))
+            .iter_mut()
+            .map(|bank| bank.retain(|e| e.line.is_none_or(|l| !range.contains(&l.0))))
             .sum()
     }
 
-    /// Total live entries across banks.
+    /// Live entries across banks.
     pub fn len(&self) -> usize {
-        self.banks.values().map(Irb::len).sum()
+        self.banks.iter().map(|bank| bank.entries.len()).sum()
     }
 
     /// Whether every bank is empty.
     pub fn is_empty(&self) -> bool {
-        self.banks.values().all(Irb::is_empty)
-    }
-
-    /// Aggregated (inserted, consumed, drops, expired, stale invalidations)
-    /// over all banks, summed in thread order.
-    pub fn stats(&self) -> (u64, u64, u64, u64, u64) {
-        self.banks
-            .values()
-            .map(Irb::stats)
-            .fold((0, 0, 0, 0, 0), |(a, b, c, d, e), (i, co, dr, ex, st)| {
-                (a + i, b + co, c + dr, d + ex, e + st)
-            })
+        self.banks.iter().all(|bank| bank.entries.is_empty())
     }
 }
 
@@ -522,9 +422,13 @@ mod tests {
         e.submit(Cycles(0), Some(Cycles(0)), Some(Cycles(0)), false)
     }
 
+    fn shared(capacity: usize) -> Irb {
+        Irb::new(IrbPolicy::Shared, capacity)
+    }
+
     #[test]
     fn insert_and_consume_by_addr() {
-        let mut irb = Irb::new(4);
+        let mut irb = shared(4);
         assert!(irb.insert(entry(0, 1, Some(10))));
         assert!(irb.consume(0, LineAddr(10)).is_some());
         assert!(irb.consume(0, LineAddr(10)).is_none(), "consumed once");
@@ -532,7 +436,7 @@ mod tests {
 
     #[test]
     fn consume_respects_core() {
-        let mut irb = Irb::new(4);
+        let mut irb = shared(4);
         irb.insert(entry(0, 1, Some(10)));
         assert!(irb.consume(1, LineAddr(10)).is_none());
         assert!(irb.consume(0, LineAddr(10)).is_some());
@@ -540,18 +444,18 @@ mod tests {
 
     #[test]
     fn full_buffer_drops_newest() {
-        let mut irb = Irb::new(2);
+        let mut irb = shared(2);
         assert!(irb.insert(entry(0, 1, Some(1))));
         assert!(irb.insert(entry(0, 2, Some(2))));
-        assert!(!irb.insert(entry(0, 3, Some(3))));
-        let (_, _, drops, _, _) = irb.stats();
-        assert_eq!(drops, 1);
+        assert!(!irb.insert(entry(0, 3, Some(3))), "full: the newest drops");
+        assert_eq!(irb.len(), 2);
         assert!(irb.consume(0, LineAddr(3)).is_none());
+        assert!(irb.consume(0, LineAddr(1)).is_some(), "older entries stay");
     }
 
     #[test]
     fn bind_addr_assigns_in_order() {
-        let mut irb = Irb::new(8);
+        let mut irb = shared(8);
         irb.insert(entry(0, 5, None));
         irb.insert(entry(0, 5, None));
         irb.insert(entry(0, 6, None)); // different obj
@@ -567,7 +471,7 @@ mod tests {
 
     #[test]
     fn bind_addr_limited_by_nlines() {
-        let mut irb = Irb::new(8);
+        let mut irb = shared(8);
         irb.insert(entry(0, 5, None));
         irb.insert(entry(0, 5, None));
         let key = IrbKey {
@@ -579,12 +483,13 @@ mod tests {
 
     #[test]
     fn stale_marking_by_slot() {
-        let mut irb = Irb::new(8);
+        let mut irb = shared(8);
         let mut e = entry(0, 1, Some(10));
         e.predicted_dup_slot = Some(42);
         irb.insert(e);
         irb.insert(entry(0, 2, Some(11)));
         assert_eq!(irb.invalidate_slot_refs(42), 1);
+        assert_eq!(irb.invalidate_slot_refs(42), 0, "already stale");
         let consumed = irb.consume(0, LineAddr(10)).unwrap();
         assert!(consumed.stale);
         let other = irb.consume(0, LineAddr(11)).unwrap();
@@ -593,7 +498,7 @@ mod tests {
 
     #[test]
     fn aging_expires_old_entries() {
-        let mut irb = Irb::new(8);
+        let mut irb = shared(8);
         irb.insert(entry(0, 1, Some(1)));
         let mut young = entry(0, 2, Some(2));
         young.created = Cycles(1_000);
@@ -605,7 +510,7 @@ mod tests {
 
     #[test]
     fn thread_clear() {
-        let mut irb = Irb::new(8);
+        let mut irb = shared(8);
         irb.insert(entry(0, 1, Some(1)));
         irb.insert(entry(1, 1, Some(2)));
         assert_eq!(irb.clear_thread(0), 1);
@@ -615,36 +520,44 @@ mod tests {
 
     #[test]
     fn tags_stay_in_sync_through_mixed_operations() {
-        let mut irb = Irb::new(16);
-        for i in 0..10u64 {
-            let mut e = entry((i % 3) as usize, i as u32, (i % 2 == 0).then_some(i));
-            e.created = Cycles(i * 100);
-            e.predicted_dup_slot = Some(i % 4);
-            irb.insert(e);
-        }
-        irb.bind_addr(
-            IrbKey {
-                core: 1,
-                obj: PreObjId(1),
-            },
-            LineAddr(500),
-            4,
-        );
-        irb.consume(0, LineAddr(0));
-        irb.invalidate_slot_refs(2);
-        irb.expire(Cycles(650), Cycles(400));
-        irb.clear_thread(2);
-        irb.clear_range(LineAddr(4), 4);
-        assert_eq!(irb.entries.len(), irb.tags.len());
-        for (e, t) in irb.entries.iter().zip(&irb.tags) {
-            assert_eq!(t.core, e.key.core as u32);
-            assert_eq!(t.line, e.line.map_or(super::UNBOUND, |l| l.0));
+        for policy in [
+            IrbPolicy::Shared,
+            IrbPolicy::Banked { per_tenant: 16 },
+            IrbPolicy::Partitioned { quota: 16 },
+        ] {
+            let mut irb = Irb::new(policy, 16);
+            for i in 0..10u64 {
+                let mut e = entry((i % 3) as usize, i as u32, (i % 2 == 0).then_some(i));
+                e.created = Cycles(i * 100);
+                e.predicted_dup_slot = Some(i % 4);
+                irb.insert(e);
+            }
+            irb.bind_addr(
+                IrbKey {
+                    core: 1,
+                    obj: PreObjId(1),
+                },
+                LineAddr(500),
+                4,
+            );
+            irb.consume(0, LineAddr(0));
+            irb.invalidate_slot_refs(2);
+            irb.expire(Cycles(650), Cycles(400));
+            irb.clear_thread(2);
+            irb.clear_range(LineAddr(4), 4);
+            for bank in &irb.banks {
+                assert_eq!(bank.entries.len(), bank.tags.len(), "{policy}");
+                for (e, t) in bank.entries.iter().zip(&bank.tags) {
+                    assert_eq!(t.core, e.key.core as u32, "{policy}");
+                    assert_eq!(t.line, e.line.map_or(super::UNBOUND, |l| l.0), "{policy}");
+                }
+            }
         }
     }
 
     #[test]
     fn range_clear_for_swap() {
-        let mut irb = Irb::new(8);
+        let mut irb = shared(8);
         irb.insert(entry(0, 1, Some(100)));
         irb.insert(entry(0, 2, Some(200)));
         irb.insert(entry(0, 3, None)); // unbound survives
@@ -681,74 +594,75 @@ mod tests {
 
     #[test]
     fn shared_set_matches_plain_irb() {
-        // The Shared policy must be behaviourally identical to a bare Irb —
-        // this is what keeps the published single-tenant goldens intact.
-        let mut plain = Irb::new(2);
-        let mut set = IrbSet::new(IrbPolicy::Shared, 2);
-        for (core, obj, line) in [(0, 1, 10), (1, 2, 11), (0, 3, 12)] {
-            assert_eq!(
-                plain.insert(entry(core, obj, Some(line))),
-                set.insert(entry(core, obj, Some(line)))
-            );
-        }
+        // The Shared policy is one plain first-come-first-served buffer:
+        // every thread draws on the same capacity, so the published
+        // single-tenant goldens see the paper's IRB.
+        let mut irb = shared(2);
+        assert!(irb.insert(entry(0, 1, Some(10))));
+        assert!(irb.insert(entry(1, 2, Some(11))));
+        assert!(!irb.insert(entry(0, 3, Some(12))), "one buffer, now full");
+        assert_eq!(irb.banks.len(), 1);
         assert_eq!(
-            plain.consume(0, LineAddr(10)).map(|e| e.key),
-            set.consume(0, LineAddr(10)).map(|e| e.key)
+            irb.consume(0, LineAddr(10)).map(|e| e.key.obj),
+            Some(PreObjId(1))
         );
-        assert_eq!(plain.stats(), set.stats());
-        assert_eq!(plain.len(), set.len());
+        assert!(
+            irb.insert(entry(1, 4, Some(13))),
+            "a consume frees a slot for any thread"
+        );
+        assert_eq!(irb.len(), 2);
     }
 
     #[test]
     fn banked_isolates_tenants() {
-        let mut set = IrbSet::new(IrbPolicy::Banked { per_tenant: 1 }, 1024);
-        assert!(set.insert(entry(0, 1, Some(1))));
+        let mut irb = Irb::new(IrbPolicy::Banked { per_tenant: 1 }, 1024);
+        assert!(irb.insert(entry(0, 1, Some(1))));
         // Tenant 0's bank is full; tenant 1 still has its own bank.
-        assert!(!set.insert(entry(0, 2, Some(2))));
-        assert!(set.insert(entry(1, 3, Some(3))));
-        assert_eq!(set.len(), 2);
-        assert!(set.consume(1, LineAddr(3)).is_some());
-        assert!(set.consume(0, LineAddr(1)).is_some());
-        let (inserted, consumed, drops, _, _) = set.stats();
-        assert_eq!((inserted, consumed, drops), (2, 2, 1));
+        assert!(!irb.insert(entry(0, 2, Some(2))));
+        assert!(irb.insert(entry(1, 3, Some(3))));
+        assert_eq!(irb.len(), 2);
+        assert!(irb.consume(1, LineAddr(3)).is_some());
+        assert!(irb.consume(0, LineAddr(1)).is_some());
+        assert!(irb.is_empty());
+        // A thread that never inserted has no bank, and finds nothing.
+        assert!(irb.consume(5, LineAddr(1)).is_none());
     }
 
     #[test]
     fn partitioned_quota_caps_one_tenant_without_starving_another() {
-        let mut set = IrbSet::new(IrbPolicy::Partitioned { quota: 2 }, 8);
-        assert!(set.insert(entry(0, 1, Some(1))));
-        assert!(set.insert(entry(0, 2, Some(2))));
-        assert!(!set.insert(entry(0, 3, Some(3))), "quota exhausted");
-        assert!(set.insert(entry(1, 4, Some(4))), "other tenant unaffected");
-        let (_, _, drops, _, _) = set.stats();
-        assert_eq!(drops, 1);
+        let mut irb = Irb::new(IrbPolicy::Partitioned { quota: 2 }, 8);
+        assert!(irb.insert(entry(0, 1, Some(1))));
+        assert!(irb.insert(entry(0, 2, Some(2))));
+        assert!(!irb.insert(entry(0, 3, Some(3))), "quota exhausted");
+        assert!(irb.insert(entry(1, 4, Some(4))), "other tenant unaffected");
+        assert_eq!(irb.len(), 3);
         // Consuming frees quota.
-        assert!(set.consume(0, LineAddr(1)).is_some());
-        assert!(set.insert(entry(0, 5, Some(5))));
+        assert!(irb.consume(0, LineAddr(1)).is_some());
+        assert!(irb.insert(entry(0, 5, Some(5))));
     }
 
     #[test]
     fn set_maintenance_spans_banks() {
-        let mut set = IrbSet::new(IrbPolicy::Banked { per_tenant: 4 }, 16);
+        let mut irb = Irb::new(IrbPolicy::Banked { per_tenant: 4 }, 16);
         let mut a = entry(0, 1, Some(1));
         a.predicted_dup_slot = Some(7);
-        set.insert(a);
+        irb.insert(a);
         let mut b = entry(1, 2, Some(2));
         b.predicted_dup_slot = Some(7);
         b.created = Cycles(1_000);
-        set.insert(b);
-        assert_eq!(set.invalidate_slot_refs(7), 2, "both banks marked");
-        assert_eq!(set.expire(Cycles(1_500), Cycles(800)), 1);
-        assert_eq!(set.clear_thread(1), 1);
-        assert!(set.is_empty());
+        irb.insert(b);
+        assert_eq!(irb.invalidate_slot_refs(7), 2, "both banks marked");
+        assert_eq!(irb.expire(Cycles(1_500), Cycles(800)), 1);
+        assert_eq!(irb.clear_thread(1), 1);
+        assert!(irb.is_empty());
         // bind_addr routes to the right bank.
-        set.insert(entry(2, 9, None));
+        irb.insert(entry(2, 9, None));
         let key = IrbKey {
             core: 2,
             obj: PreObjId(9),
         };
-        assert_eq!(set.bind_addr(key, LineAddr(100), 1), 1);
-        assert_eq!(set.entries_for(key).count(), 1);
-        assert_eq!(set.clear_range(LineAddr(100), 1), 1);
+        assert_eq!(irb.bind_addr(key, LineAddr(100), 1), 1);
+        assert_eq!(irb.entries_for(key).count(), 1);
+        assert_eq!(irb.clear_range(LineAddr(100), 1), 1);
     }
 }

@@ -153,8 +153,6 @@ pub fn decode_into(req: &PreRequest, out: &mut Vec<LineOp>) {
 pub struct RequestQueue {
     buffered: Vec<PreRequest>,
     capacity: usize,
-    dropped: u64,
-    coalesced: u64,
 }
 
 impl RequestQueue {
@@ -163,20 +161,13 @@ impl RequestQueue {
         RequestQueue {
             buffered: Vec::new(),
             capacity,
-            dropped: 0,
-            coalesced: 0,
         }
     }
 
-    /// Admits an immediate request: returns `false` (dropped) when the queue
-    /// is saturated by buffered requests.
-    pub fn admit_immediate(&mut self, _req: &PreRequest) -> bool {
-        if self.buffered.len() >= self.capacity {
-            self.dropped += 1;
-            false
-        } else {
-            true
-        }
+    /// Whether an immediate request is admitted: `false` (dropped) when the
+    /// queue is saturated by buffered requests.
+    pub fn admit_immediate(&self) -> bool {
+        self.buffered.len() < self.capacity
     }
 
     /// Buffers a deferred (`*_BUF`) request, coalescing with an adjacent
@@ -187,13 +178,11 @@ impl RequestQueue {
     pub fn push_buffered(&mut self, req: PreRequest) -> Option<PreRequest> {
         if let Some(prev) = self.buffered.iter_mut().find(|b| b.can_coalesce(&req)) {
             prev.coalesce(req);
-            self.coalesced += 1;
             return None;
         }
         let mut evicted = None;
         if self.buffered.len() >= self.capacity {
             evicted = Some(self.buffered.remove(0));
-            self.dropped += 1;
         }
         self.buffered.push(req);
         evicted
@@ -202,16 +191,6 @@ impl RequestQueue {
     /// Releases every buffered request of `key` (a `PRE_START_BUF`).
     pub fn start_buffered(&mut self, key: IrbKey) -> Vec<PreRequest> {
         self.buffered.extract_if(.., |r| r.key == key).collect()
-    }
-
-    /// Buffered requests currently held.
-    pub fn buffered_len(&self) -> usize {
-        self.buffered.len()
-    }
-
-    /// (dropped, coalesced) counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.dropped, self.coalesced)
     }
 }
 
@@ -283,14 +262,13 @@ mod tests {
         let mut q = RequestQueue::new(16);
         q.push_buffered(req(1, 100, 1));
         q.push_buffered(req(1, 101, 1)); // adjacent, same obj → coalesce
-        q.push_buffered(req(2, 200, 1)); // different obj
-        assert_eq!(q.buffered_len(), 2);
-        let (_, coalesced) = q.stats();
-        assert_eq!(coalesced, 1);
+        assert!(q.push_buffered(req(2, 200, 1)).is_none()); // different obj
         let released = q.start_buffered(key(1));
         assert_eq!(released.len(), 1);
         assert_eq!(released[0].nlines, 2);
         assert_eq!(released[0].values.len(), 2);
+        assert_eq!(q.start_buffered(key(2)).len(), 1);
+        assert!(q.start_buffered(key(1)).is_empty());
     }
 
     #[test]
@@ -298,7 +276,9 @@ mod tests {
         let mut q = RequestQueue::new(16);
         q.push_buffered(req(1, 100, 1));
         q.push_buffered(req(1, 105, 1));
-        assert_eq!(q.buffered_len(), 2);
+        let released = q.start_buffered(key(1));
+        assert_eq!(released.len(), 2);
+        assert_eq!(released[1].line, Some(LineAddr(105)));
     }
 
     #[test]
@@ -308,16 +288,18 @@ mod tests {
         q.push_buffered(req(2, 200, 1));
         let evicted = q.push_buffered(req(3, 300, 1)).expect("evicts oldest");
         assert_eq!(evicted.key, key(1));
-        assert_eq!(q.buffered_len(), 2);
+        assert!(q.start_buffered(key(1)).is_empty());
+        assert_eq!(q.start_buffered(key(2)).len(), 1);
+        assert_eq!(q.start_buffered(key(3)).len(), 1);
     }
 
     #[test]
     fn saturated_queue_rejects_immediate() {
         let mut q = RequestQueue::new(1);
         q.push_buffered(req(1, 100, 1));
-        assert!(!q.admit_immediate(&req(2, 200, 1)));
-        let (dropped, _) = q.stats();
-        assert_eq!(dropped, 1);
+        assert!(!q.admit_immediate());
+        q.start_buffered(key(1));
+        assert!(q.admit_immediate(), "releasing the buffer readmits");
     }
 
     #[test]
@@ -327,6 +309,7 @@ mod tests {
         q.push_buffered(req(2, 200, 1));
         let released = q.start_buffered(key(2));
         assert_eq!(released.len(), 1);
-        assert_eq!(q.buffered_len(), 1);
+        assert_eq!(released[0].key, key(2));
+        assert_eq!(q.start_buffered(key(1)).len(), 1, "the other obj stays");
     }
 }

@@ -208,7 +208,10 @@ pub struct ExecutionReport {
     pub dup_writes: u64,
     /// Janus writes whose BMOs completely pre-executed (§5.2.2).
     pub fully_preexecuted_fraction: f64,
-    /// IRB statistics (inserted, consumed, drops, expired, stale).
+    /// IRB statistics (inserted, consumed, drops, expired, stale), read
+    /// from the controller's counts: `pre_ops_admitted`, `pre_full +
+    /// pre_partial`, `irb_dropped`, `irb_expired` and
+    /// `irb_meta_invalidations`.
     pub irb: (u64, u64, u64, u64, u64),
     /// Named counters: the nonzero controller counters in name order
     /// ([`crate::controller::ControllerStats::counters`]), then
@@ -918,7 +921,13 @@ impl System {
             writes: stats.writes,
             dup_writes: stats.writes_dup,
             fully_preexecuted_fraction: self.mc.fully_preexecuted_fraction(),
-            irb: self.mc.irb_stats(),
+            irb: (
+                stats.pre_ops_admitted,
+                stats.pre_full + stats.pre_partial,
+                stats.irb_dropped,
+                stats.irb_expired,
+                stats.irb_meta_invalidations,
+            ),
             counters,
             l1,
             l2: self.l2.stats(),

@@ -40,8 +40,7 @@ fn aged_out_pre_execution_results_are_discarded() {
     // The aged write misses the IRB.
     mc.handle_write(Cycles(1_000_100), 0, LineAddr(5), Line::splat(9), false);
     assert_eq!(mc.stats().pre_miss, 1);
-    let (_, _, _, expired, _) = mc.irb_stats();
-    assert_eq!(expired, 1);
+    assert_eq!(mc.stats().irb_expired, 1);
     // Functional contents are still correct.
     assert_eq!(mc.read_value(LineAddr(5)), Line::splat(9));
 }

@@ -24,7 +24,7 @@
 //! one verification a `janus-lint --fix` rewrite must pass before it is
 //! emitted.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use janus_bmo::latency::BmoLatencies;
 use janus_bmo::BmoStack;
@@ -128,10 +128,10 @@ fn op_cost(op: &Op, fence: Cycles) -> Cycles {
 /// The original trace-walking misuse detector, kept as an independent
 /// differential oracle for the static lints: it abstractly interprets the
 /// concrete trace against the IRB's pairing rules (requests register hints
-/// per line, `PRE_DATA` binds to address-only hints of the same `pre_obj`,
-/// stores compare values, `clwb`s consume and check windows), charging
-/// windows against the paper trio's critical path under the paper's
-/// latencies. It reports only the three §6 codes, with the same spans and
+/// per line, `PRE_DATA` binds to the lowest-line address-only hint of the
+/// same `pre_obj`, stores compare values, `clwb`s consume and check
+/// windows), charging windows against the paper trio's critical path under
+/// the paper's latencies. It reports only the three §6 codes, with the same spans and
 /// structured context as [`janus_lint::lint_program`].
 pub fn trace_oracle(program: &Program) -> LintReport {
     let required = BmoStack::paper()
@@ -139,11 +139,13 @@ pub fn trace_oracle(program: &Program) -> LintReport {
         .critical_path();
     let mut report = LintReport::default();
     // Active hints by target line; data-only hints by obj until bound.
-    let mut by_line: HashMap<LineAddr, Hint> = HashMap::new();
-    let mut unbound: HashMap<PreObjId, Vec<Hint>> = HashMap::new();
+    // Ordered maps, so a `PRE_DATA` binds to the lowest-line address-only
+    // hint of its obj (as the lint does) in every process.
+    let mut by_line: BTreeMap<LineAddr, Hint> = BTreeMap::new();
+    let mut unbound: BTreeMap<PreObjId, Vec<Hint>> = BTreeMap::new();
     let mut elapsed = Cycles::ZERO;
 
-    let register = |by_line: &mut HashMap<LineAddr, Hint>,
+    let register = |by_line: &mut BTreeMap<LineAddr, Hint>,
                     report: &mut LintReport,
                     line: LineAddr,
                     hint: Hint| {

@@ -22,6 +22,10 @@ pub enum PreKind {
     DataOnly,
     /// Two `PRE_BOTH`s on the same line (the first is shadowed).
     Shadowed,
+    /// A four-line `PRE_ADDR`, then a one-value `PRE_DATA` that pairs with
+    /// the lowest of those lines, whose store then writes a different value
+    /// (a stale hint).
+    WideSplit,
 }
 
 /// One routine: an optional (mis)placed request, some compute, and an
@@ -39,7 +43,7 @@ fn arb_misroutine() -> Gen<MisRoutine> {
     gen::tuple5(
         &gen::range_u64(0..8),
         &gen::any_u8(),
-        &gen::range_u32(0..6),
+        &gen::range_u32(0..7),
         &gen::range_u32(0..6_000),
         &gen::any_bool(),
     )
@@ -52,7 +56,8 @@ fn arb_misroutine() -> Gen<MisRoutine> {
             2 => PreKind::Split,
             3 => PreKind::Stale,
             4 => PreKind::DataOnly,
-            _ => PreKind::Shadowed,
+            5 => PreKind::Shadowed,
+            _ => PreKind::WideSplit,
         },
         compute: *compute,
         consume: *consume,
@@ -70,7 +75,7 @@ pub fn build(routines: &[MisRoutine]) -> Program {
         b.func("routine", |b| {
             let hinted = Line::splat(r.value);
             let stored = match r.kind {
-                PreKind::Stale => Line::splat(r.value.wrapping_add(1)),
+                PreKind::Stale | PreKind::WideSplit => Line::splat(r.value.wrapping_add(1)),
                 _ => hinted,
             };
             match r.kind {
@@ -93,6 +98,11 @@ pub fn build(routines: &[MisRoutine]) -> Program {
                     b.pre_both(obj, LineAddr(r.line), vec![hinted]);
                     let obj2 = b.pre_init();
                     b.pre_both(obj2, LineAddr(r.line), vec![hinted]);
+                }
+                PreKind::WideSplit => {
+                    let obj = b.pre_init();
+                    b.pre_addr(obj, LineAddr(r.line), 4);
+                    b.pre_data(obj, vec![hinted]);
                 }
             }
             b.compute(r.compute);

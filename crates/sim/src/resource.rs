@@ -43,8 +43,6 @@ pub struct UnitPool {
     base: u64,
     /// Unit-cycles consumed per window, from window `base` on.
     ledger: VecDeque<u64>,
-    total_busy: Cycles,
-    acquisitions: u64,
 }
 
 impl UnitPool {
@@ -76,8 +74,6 @@ impl UnitPool {
             capacity,
             base: 0,
             ledger: VecDeque::new(),
-            total_busy: Cycles::ZERO,
-            acquisitions: 0,
         }
     }
 
@@ -138,8 +134,6 @@ impl UnitPool {
             occupancy <= Self::WINDOW,
             "an occupancy of {occupancy} cycles spans more than one window"
         );
-        self.acquisitions += 1;
-        self.total_busy += latency;
         if self.unlimited {
             return (now, now + latency);
         }
@@ -155,16 +149,6 @@ impl UnitPool {
             }
             w += 1;
         }
-    }
-
-    /// Total busy time handed out (for utilization reporting).
-    pub fn total_busy(&self) -> Cycles {
-        self.total_busy
-    }
-
-    /// Number of acquisitions performed.
-    pub fn acquisitions(&self) -> u64 {
-        self.acquisitions
     }
 
     /// Forgets the windows strictly before `now`'s window.
@@ -275,11 +259,21 @@ mod tests {
 
     #[test]
     fn utilization_accounting() {
+        // Four units offer 256 unit-cycles per window. Each booking charges
+        // its occupancy, and the window reads full exactly when they sum to
+        // its capacity.
         let mut pool = UnitPool::new(4);
         acquire(&mut pool, Cycles(0), Cycles(10));
         acquire(&mut pool, Cycles(0), Cycles(30));
-        assert_eq!(pool.total_busy(), Cycles(40));
-        assert_eq!(pool.acquisitions(), 2);
+        for _ in 0..3 {
+            acquire(&mut pool, Cycles(0), Cycles(64));
+        }
+        assert_eq!(pool.free_at(Cycles(0)), Cycles(0), "24 unit-cycles left");
+        assert_eq!(
+            acquire(&mut pool, Cycles(0), Cycles(24)),
+            (Cycles(0), Cycles(24))
+        );
+        assert_eq!(pool.free_at(Cycles(0)), Cycles(64));
     }
 
     #[test]

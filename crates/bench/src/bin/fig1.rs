@@ -5,7 +5,7 @@
 //! times".
 
 use janus_bench::banner;
-use janus_core::config::{JanusConfig, SystemMode};
+use janus_core::config::{JanusConfig, SystemMode, WRITEBACK};
 use janus_core::controller::MemoryController;
 use janus_nvm::{addr::LineAddr, line::Line};
 use janus_sim::time::Cycles;
@@ -16,7 +16,7 @@ fn main() {
         "Figure 1 — Critical write latency with and without BMOs",
         "single write, paper configuration",
     );
-    let writeback = JanusConfig::paper(SystemMode::Serialized, 1).writeback;
+    let writeback = WRITEBACK;
 
     // Without BMOs: the write is persistent on write-queue acceptance.
     let mut ideal = MemoryController::new(JanusConfig::paper(SystemMode::Ideal, 1));

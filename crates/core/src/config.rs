@@ -61,35 +61,18 @@ impl std::fmt::Display for SystemMode {
     }
 }
 
-/// Fixed per-operation core-side costs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CoreTiming {
-    /// L1 hit latency.
-    pub l1_hit: Cycles,
-    /// Additional latency of an L2 hit.
-    pub l2_hit: Cycles,
-    /// Store into L1.
-    pub store: Cycles,
-    /// Issue cost of `clwb` (the writeback itself travels asynchronously).
-    pub clwb_issue: Cycles,
-    /// Issue cost of `sfence` (plus any blocking).
-    pub fence_issue: Cycles,
-    /// Issue cost of one Janus pre-execution function call.
-    pub pre_issue: Cycles,
-}
+/// Cache writeback latency to the memory controller (15 ns, §2.3): what a
+/// `clwb`'d line, a dirty L1 victim and a pre-execution request each take
+/// to reach it.
+pub const WRITEBACK: Cycles = Cycles::from_ns(15);
 
-impl Default for CoreTiming {
-    fn default() -> Self {
-        CoreTiming {
-            l1_hit: Cycles(4),
-            l2_hit: Cycles(30),
-            store: Cycles(4),
-            clwb_issue: Cycles(4),
-            fence_issue: Cycles(2),
-            pre_issue: Cycles(6),
-        }
-    }
-}
+/// IRB entry maximum lifetime (§4.6 age register): 1 ms.
+pub const IRB_MAX_AGE: Cycles = Cycles::from_ns(1_000_000);
+
+/// Pre-execution admission is refused when the BMO units are booked
+/// further than this into the future (demand writes must not starve
+/// behind speculative work).
+pub const PRE_ADMISSION_BACKLOG: Cycles = Cycles::from_ns(500);
 
 /// Full system configuration.
 #[derive(Clone, Debug)]
@@ -115,12 +98,6 @@ pub struct JanusConfig {
     pub nvm: NvmTiming,
     /// ADR write-queue capacity.
     pub wq_capacity: usize,
-    /// Cache writeback latency to the memory controller (15 ns, §2.3).
-    pub writeback: Cycles,
-    /// Core-side operation costs.
-    pub core: CoreTiming,
-    /// IRB entry maximum lifetime (§4.6 age register).
-    pub irb_max_age: Cycles,
     /// Selective metadata atomicity (§4.3.2): only crash-status-mutating
     /// writes block on their metadata persists; otherwise every write does.
     pub selective_atomicity: bool,
@@ -130,10 +107,6 @@ pub struct JanusConfig {
     pub partial_reuse: bool,
     /// Coalesce same-line writes in the ADR write queue (ablation knob).
     pub wq_coalescing: bool,
-    /// Pre-execution admission is refused when the BMO units are booked
-    /// further than this into the future (demand writes must not starve
-    /// behind speculative work).
-    pub pre_admission_backlog: Cycles,
     /// Stricter serialized-baseline interpretation: the controller
     /// processes one write's BMOs at a time (ablation; DESIGN.md §5a).
     pub serialized_global: bool,
@@ -163,13 +136,9 @@ impl JanusConfig {
             latencies: BmoLatencies::paper(),
             nvm: NvmTiming::pcm(),
             wq_capacity: 64,
-            writeback: Cycles::from_ns(15),
-            core: CoreTiming::default(),
-            irb_max_age: Cycles::from_ns(1_000_000), // 1 ms
             selective_atomicity: true,
             partial_reuse: true,
             wq_coalescing: true,
-            pre_admission_backlog: Cycles::from_ns(500),
             serialized_global: false,
             bmo_stack: BmoStack::paper().members().to_vec(),
             irb_policy: IrbPolicy::Shared,
@@ -266,8 +235,10 @@ mod tests {
         assert_eq!(c.req_queue_per_core, 16);
         assert_eq!(c.op_queue_per_core, 64);
         assert_eq!(c.wq_capacity, 64);
-        assert_eq!(c.writeback, Cycles::from_ns(15));
         assert_eq!(c.irb_policy, IrbPolicy::Shared);
+        assert_eq!(WRITEBACK, Cycles::from_ns(15));
+        assert_eq!(IRB_MAX_AGE, Cycles::from_ns(1_000_000));
+        assert_eq!(PRE_ADMISSION_BACKLOG, Cycles::from_ns(500));
     }
 
     #[test]

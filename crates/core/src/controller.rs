@@ -7,7 +7,7 @@
 //!   what each write actually does to NVM contents;
 //! * the **timing** BMO engine ([`janus_bmo::engine::BmoEngine`]) — when the
 //!   corresponding sub-operations complete on the shared BMO units;
-//! * the Janus front end: request queue + decoder ([`crate::queues`]),
+//! * the Janus front end: request queue ([`crate::queues`]) and
 //!   Intermediate Result Buffer ([`crate::irb`]);
 //! * the persistence back end: ADR write queue, banked NVM device, and the
 //!   secure Merkle-root register — plus, in crash runs only, the
@@ -33,9 +33,9 @@ use janus_nvm::wq::{AdrWriteQueue, DurabilityLog};
 use janus_sim::time::Cycles;
 use janus_trace::{Category, TraceConfig, Tracer};
 
-use crate::config::{JanusConfig, SystemMode};
+use crate::config::{JanusConfig, SystemMode, IRB_MAX_AGE, PRE_ADMISSION_BACKLOG};
 use crate::irb::{Irb, IrbEntry, IrbKey};
-use crate::queues::{decode_into, LineOp, PreFunc, PreRequest, RequestQueue};
+use crate::queues::{PreRequest, RequestQueue};
 
 /// Result of processing a write at the controller.
 #[derive(Clone, Copy, Debug)]
@@ -70,10 +70,7 @@ pub struct MemoryController {
     /// pre-execution of the same value predicts a duplicate (the hardware
     /// chains in-flight dedup outcomes rather than re-reading stale
     /// metadata).
-    pending_fresh: janus_sim::hash::FxHashMap<Line, u32>,
-    /// Reused decoder output buffer (steady-state pre-request decoding is
-    /// allocation-free).
-    decode_scratch: Vec<LineOp>,
+    pending_fresh: janus_sim::hash::FxHashSet<Line>,
     /// Reused job-id collection buffer for address-bind fan-out.
     job_scratch: Vec<JobId>,
     stats: ControllerStats,
@@ -198,7 +195,6 @@ impl MemoryController {
             merkle_cache: SetAssocCache::new(CacheConfig::merkle_cache()),
             inflight_ops: Vec::new(),
             pending_fresh: Default::default(),
-            decode_scratch: Vec::new(),
             job_scratch: Vec::new(),
             stats: ControllerStats::default(),
             tracer: Tracer::disabled(),
@@ -291,12 +287,20 @@ impl MemoryController {
     // Pre-execution request path
     // ------------------------------------------------------------------
 
-    /// Handles an immediate pre-execution request arriving at `now`.
+    /// Handles a pre-execution request arriving at `now`: an immediate one
+    /// is admitted line by line, a `*_BUF` one waits in the request queue
+    /// for its `PRE_START_BUF`.
     pub fn handle_pre_request(&mut self, now: Cycles, req: PreRequest) {
         if !self.config.mode.uses_pre_execution() {
             return; // other designs ignore the hints
         }
-        self.stats.irb_expired += self.irb.expire(now, self.config.irb_max_age) as u64;
+        if req.buffered {
+            if self.req_queue.push_buffered(req).is_some() {
+                self.stats.pre_req_dropped += 1;
+            }
+            return;
+        }
+        self.stats.irb_expired += self.irb.expire(now, IRB_MAX_AGE) as u64;
         if !self.req_queue.admit_immediate() {
             self.stats.pre_req_dropped += 1;
             self.tracer
@@ -308,26 +312,9 @@ impl MemoryController {
             "pre_req_enqueue",
             now,
             req.key.core as u64,
-            req.nlines as u64,
+            req.func.nlines() as u64,
         );
-        // Decode into cache-line-sized operations (one cycle each — small
-        // against BMO latencies, charged as part of the issue path).
-        let mut ops = std::mem::take(&mut self.decode_scratch);
-        decode_into(&req, &mut ops);
-        for op in ops.drain(..) {
-            self.admit_line_op(now, op, req.func);
-        }
-        self.decode_scratch = ops;
-    }
-
-    /// Buffers a deferred (`*_BUF`) request.
-    pub fn handle_pre_buffered(&mut self, _now: Cycles, req: PreRequest) {
-        if !self.config.mode.uses_pre_execution() {
-            return;
-        }
-        if self.req_queue.push_buffered(req).is_some() {
-            self.stats.pre_req_dropped += 1;
-        }
+        self.admit_lines(now, &req);
     }
 
     /// Releases buffered requests for `key` (a `PRE_START_BUF`).
@@ -336,55 +323,73 @@ impl MemoryController {
             return;
         }
         for req in self.req_queue.start_buffered(key) {
-            let func = req.func;
             self.tracer.instant(
                 Category::Queue,
                 "pre_req_dequeue",
                 now,
                 req.key.core as u64,
-                req.nlines as u64,
+                req.func.nlines() as u64,
             );
-            let mut ops = std::mem::take(&mut self.decode_scratch);
-            decode_into(&req, &mut ops);
-            for op in ops.drain(..) {
-                self.admit_line_op(now, op, func);
-            }
-            self.decode_scratch = ops;
+            self.admit_lines(now, &req);
         }
     }
 
-    fn admit_line_op(&mut self, now: Cycles, op: LineOp, func: PreFunc) {
+    /// Admits each cache-line-sized operation of `req` (one cycle each to
+    /// decode — small against BMO latencies, charged as part of the issue
+    /// path).
+    fn admit_lines(&mut self, now: Cycles, req: &PreRequest) {
+        for (line, value) in req.func.lines() {
+            self.admit_line(now, req, line, value);
+        }
+    }
+
+    /// Admits one line of `req`: its address, its value, or both.
+    fn admit_line(
+        &mut self,
+        now: Cycles,
+        req: &PreRequest,
+        line: Option<LineAddr>,
+        value: Option<Line>,
+    ) {
+        let key = req.key;
         self.reap_inflight(now);
         if self.inflight_ops.len() >= self.config.total_op_queue() {
             self.stats.pre_op_dropped += 1;
             self.tracer
-                .instant(Category::Queue, "pre_op_drop", now, op.key.core as u64, 0);
+                .instant(Category::Queue, "pre_op_drop", now, key.core as u64, 0);
             return;
         }
         // Congestion-aware admission: when the BMO units are booked far
         // into the future, speculative pre-execution is dropped so demand
         // writes are not starved (dropping is always safe).
-        if self.engine.backlog(now) > self.config.pre_admission_backlog {
+        if self.engine.backlog(now) > PRE_ADMISSION_BACKLOG {
             self.stats.pre_op_dropped += 1;
             self.tracer
-                .instant(Category::Queue, "pre_op_drop", now, op.key.core as u64, 1);
+                .instant(Category::Queue, "pre_op_drop", now, key.core as u64, 1);
             return;
         }
 
+        // The duplicate prediction consults the live dedup metadata *and*
+        // values already predicted fresh by in-flight pre-executions (which
+        // the matching writes will have inserted by the time this write
+        // arrives). A value predicted fresh joins those values here; the
+        // consuming write, or an IRB drop below, takes it out.
+        let dup_slot = value.as_ref().and_then(|v| self.pipeline.predict_dup(v));
+        let predicted_dup = value.map(|v| dup_slot.is_some() || !self.pending_fresh.insert(v));
+
         // A later PRE_ADDR/PRE_DATA may complete an earlier partial request
-        // on the same pre_obj (Figure 8a's PRE_DATA-then-PRE_ADDR pattern).
-        match func {
-            PreFunc::Addr => {
+        // on the same pre_obj (Figure 8a's PRE_DATA-then-PRE_ADDR pattern,
+        // and the reverse).
+        match (line, value) {
+            (Some(line), None) => {
                 // Bind queued data-only entries first.
-                let bound = self
-                    .irb
-                    .bind_addr(op.key, op.line.expect("addr request"), 1);
+                let bound = self.irb.bind_addr(key, line, 1);
                 if bound > 0 {
                     let mut jobs = std::mem::take(&mut self.job_scratch);
                     jobs.extend(
                         self.irb
-                            .entries_for(op.key)
-                            .filter(|e| e.line == op.line)
+                            .entries_for(key)
+                            .filter(|e| e.line == Some(line))
                             .map(|e| e.job),
                     );
                     for job in jobs.drain(..) {
@@ -394,43 +399,30 @@ impl MemoryController {
                     return;
                 }
             }
-            PreFunc::Data => {
-                // Attach data to an existing addr-only entry of this obj.
-                let target: Option<(JobId, LineAddr)> = self
-                    .irb
-                    .entries_for(op.key)
-                    .find(|e| e.data.is_none() && e.line.is_some())
-                    .map(|e| (e.job, e.line.expect("checked")));
-                if let Some((job, _line)) = target {
+            (None, Some(v)) => {
+                // Complete the lowest-line address-only entry of this obj,
+                // which then holds the value and its prediction like a
+                // PRE_BOTH entry.
+                if let Some(job) = self.irb.bind_data(key, v, dup_slot, predicted_dup) {
                     self.engine.provide_data(job, now);
-                    // (Entry data/prediction updates happen on consume; the
-                    // conservative path re-checks against the actual write.)
                     return;
                 }
             }
-            PreFunc::Both => {}
+            _ => {}
         }
 
-        // Fresh entry + engine job. The duplicate prediction consults the
-        // live dedup metadata *and* values already predicted fresh by
-        // in-flight pre-executions (which the matching writes will have
-        // inserted by the time this write arrives).
-        let dup_slot = op.value.as_ref().and_then(|v| self.pipeline.predict_dup(v));
-        let predicted_dup = op
-            .value
-            .as_ref()
-            .map(|v| dup_slot.is_some() || self.pending_fresh.contains_key(v));
+        // Fresh entry + engine job.
         let job = self.engine.submit(
             now,
-            op.line.map(|_| now),
-            op.value.map(|_| now),
+            line.map(|_| now),
+            value.map(|_| now),
             predicted_dup.unwrap_or(false),
         );
         let entry = IrbEntry {
-            key: op.key,
-            tx_id: op.tx_id,
-            line: op.line,
-            data: op.value,
+            key,
+            tx_id: req.tx_id,
+            line,
+            data: value,
             job,
             created: now,
             predicted_dup_slot: dup_slot,
@@ -438,6 +430,9 @@ impl MemoryController {
             stale: false,
         };
         if !self.irb.insert(entry) {
+            if let (Some(v), Some(false)) = (value, predicted_dup) {
+                self.pending_fresh.remove(&v);
+            }
             self.stats.irb_dropped += 1;
             self.engine.retire(job);
             self.tracer
@@ -449,13 +444,8 @@ impl MemoryController {
             "irb_insert",
             now,
             job.raw(),
-            op.line.map_or(u64::MAX, |l| l.0),
+            line.map_or(u64::MAX, |l| l.0),
         );
-        if let Some(v) = op.value {
-            if predicted_dup == Some(false) {
-                *self.pending_fresh.entry(v).or_insert(0) += 1;
-            }
-        }
         self.inflight_ops.push(self.engine.partial_completion(job));
         self.stats.pre_ops_admitted += 1;
     }
@@ -658,15 +648,8 @@ impl MemoryController {
             .instant(Category::Irb, "irb_hit", now, entry.job.raw(), line.0);
 
         // Release the in-flight fresh-value prediction.
-        if let Some(v) = entry.data {
-            if entry.predicted_dup == Some(false) {
-                if let Some(n) = self.pending_fresh.get_mut(&v) {
-                    *n -= 1;
-                    if *n == 0 {
-                        self.pending_fresh.remove(&v);
-                    }
-                }
-            }
+        if let (Some(v), Some(false)) = (entry.data, entry.predicted_dup) {
+            self.pending_fresh.remove(&v);
         }
         let job = entry.job;
         if entry.stale {
@@ -898,6 +881,7 @@ impl std::fmt::Debug for MemoryController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ir::PreFunc;
     use janus_sim::stats::Histogram;
 
     fn mc(mode: SystemMode) -> MemoryController {
@@ -916,21 +900,23 @@ mod tests {
         (m.crash_image(Cycles::MAX), m.secure_root())
     }
 
-    fn pre_both(mcx: &mut MemoryController, now: Cycles, obj: u32, line: u64, data: Line) {
-        mcx.handle_pre_request(
-            now,
-            PreRequest {
-                key: IrbKey {
-                    core: 0,
-                    obj: crate::ir::PreObjId(obj),
-                },
-                tx_id: 0,
-                func: PreFunc::Both,
-                line: Some(LineAddr(line)),
-                nlines: 1,
-                values: vec![data],
+    /// An immediate request from thread 0 for `obj`.
+    fn request(obj: u32, func: PreFunc) -> PreRequest {
+        PreRequest {
+            key: IrbKey {
+                core: 0,
+                obj: crate::ir::PreObjId(obj),
             },
-        );
+            tx_id: 0,
+            func,
+            buffered: false,
+        }
+    }
+
+    fn pre_both(mcx: &mut MemoryController, now: Cycles, obj: u32, line: u64, data: Line) {
+        let line = LineAddr(line);
+        let values = vec![data];
+        mcx.handle_pre_request(now, request(obj, PreFunc::Both { line, values }));
     }
 
     #[test]
@@ -1193,32 +1179,10 @@ mod tests {
     #[test]
     fn addr_then_data_requests_merge() {
         let mut m = mc(SystemMode::Janus);
-        let key = IrbKey {
-            core: 0,
-            obj: crate::ir::PreObjId(1),
-        };
-        m.handle_pre_request(
-            Cycles(0),
-            PreRequest {
-                key,
-                tx_id: 0,
-                func: PreFunc::Addr,
-                line: Some(LineAddr(5)),
-                nlines: 1,
-                values: vec![],
-            },
-        );
-        m.handle_pre_request(
-            Cycles(1_000),
-            PreRequest {
-                key,
-                tx_id: 0,
-                func: PreFunc::Data,
-                line: None,
-                nlines: 1,
-                values: vec![Line::splat(3)],
-            },
-        );
+        let (line, nlines) = (LineAddr(5), 1);
+        m.handle_pre_request(Cycles(0), request(1, PreFunc::Addr { line, nlines }));
+        let values = vec![Line::splat(3)];
+        m.handle_pre_request(Cycles(1_000), request(1, PreFunc::Data { values }));
         // One IRB entry, and the write consumes it.
         assert_eq!(m.stats().pre_ops_admitted, 1);
         assert_eq!(m.irb.len(), 1);

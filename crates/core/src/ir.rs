@@ -2,10 +2,13 @@
 //!
 //! Workloads are expressed as explicit operation streams: computation,
 //! loads/stores, `clwb`/`sfence` persistence primitives, transaction
-//! markers, and the Janus software interface of Table 2 (`PRE_ADDR`,
-//! `PRE_DATA`, `PRE_BOTH`, the buffered `*_BUF` variants and
-//! `PRE_START_BUF`). Because the stream is concrete (a trace), pre-execution
-//! ops carry the actual address/line values the hardware request would.
+//! markers, and the Janus software interface of Table 2 as one op per call:
+//! [`Op::PreInit`], [`Op::PreStartBuf`], and [`Op::Pre`] for the six
+//! request calls (`PRE_ADDR`, `PRE_DATA`, `PRE_BOTH` and their `*_BUF`
+//! forms). An [`Op::Pre`] names once what it carries, its [`PreFunc`] (the
+//! `Func` field of Figure 7b), and whether it waits for `PRE_START_BUF`.
+//! Because the stream is concrete (a trace), requests carry the actual
+//! address/line values the hardware request would.
 //!
 //! For the automated compiler pass (`janus-instrument`), programs also carry
 //! *provenance markers*: where an address was generated ([`Op::AddrGen`]),
@@ -51,57 +54,16 @@ pub enum Op {
     // ---- Janus software interface (Table 2) ----
     /// `PRE_INIT(pre_obj*)`.
     PreInit(PreObjId),
-    /// `PRE_ADDR(pre_obj*, addr, size)` — pre-execute address-dependent
-    /// sub-operations for `nlines` lines starting at `line`.
-    PreAddr {
+    /// A `PRE_ADDR`, `PRE_DATA` or `PRE_BOTH` request (`PRE_BOTH_VAL` lowers
+    /// to `PRE_BOTH`), or its `*_BUF` form.
+    Pre {
         /// The pre-execution object.
         obj: PreObjId,
-        /// First target line.
-        line: LineAddr,
-        /// Number of lines.
-        nlines: u32,
-    },
-    /// `PRE_DATA(pre_obj*, data, size)` — pre-execute data-dependent
-    /// sub-operations with the given (captured) line values.
-    PreData {
-        /// The pre-execution object.
-        obj: PreObjId,
-        /// Captured data, one entry per line.
-        values: Vec<Line>,
-    },
-    /// `PRE_BOTH(pre_obj*, addr, data, size)` / `PRE_BOTH_VAL`.
-    PreBoth {
-        /// The pre-execution object.
-        obj: PreObjId,
-        /// First target line.
-        line: LineAddr,
-        /// Captured data, one entry per line.
-        values: Vec<Line>,
-    },
-    /// `PRE_ADDR_BUF` — buffered variant of `PRE_ADDR`.
-    PreAddrBuf {
-        /// The pre-execution object.
-        obj: PreObjId,
-        /// First target line.
-        line: LineAddr,
-        /// Number of lines.
-        nlines: u32,
-    },
-    /// `PRE_DATA_BUF` — buffered variant of `PRE_DATA`.
-    PreDataBuf {
-        /// The pre-execution object.
-        obj: PreObjId,
-        /// Captured data.
-        values: Vec<Line>,
-    },
-    /// `PRE_BOTH_BUF` — buffered variant of `PRE_BOTH`.
-    PreBothBuf {
-        /// The pre-execution object.
-        obj: PreObjId,
-        /// First target line.
-        line: LineAddr,
-        /// Captured data.
-        values: Vec<Line>,
+        /// What the request carries.
+        func: PreFunc,
+        /// A `*_BUF` request: held in the request queue until a
+        /// `PRE_START_BUF` of `obj` releases it.
+        buffered: bool,
     },
     /// `PRE_START_BUF(pre_obj*)` — release the buffered requests of `obj`.
     PreStartBuf(PreObjId),
@@ -135,32 +97,67 @@ pub enum Op {
     CondEnd,
 }
 
+/// What a pre-execution request carries: the `Func` field of Figure 7b.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum PreFunc {
+    /// `PRE_ADDR(pre_obj*, addr, size)`: pre-execute the address-dependent
+    /// sub-operations of `nlines` lines starting at `line`.
+    Addr {
+        /// First target line.
+        line: LineAddr,
+        /// Number of lines.
+        nlines: u32,
+    },
+    /// `PRE_DATA(pre_obj*, data, size)`: pre-execute the data-dependent
+    /// sub-operations with the captured line values.
+    Data {
+        /// Captured data, one entry per line.
+        values: Vec<Line>,
+    },
+    /// `PRE_BOTH(pre_obj*, addr, data, size)`: both inputs, one value per
+    /// line starting at `line`.
+    Both {
+        /// First target line.
+        line: LineAddr,
+        /// Captured data, one entry per line.
+        values: Vec<Line>,
+    },
+}
+
+impl PreFunc {
+    /// The lines the request covers: `nlines` when it is address-only, one
+    /// per value otherwise.
+    pub fn nlines(&self) -> u32 {
+        match self {
+            PreFunc::Addr { nlines, .. } => *nlines,
+            PreFunc::Data { values } | PreFunc::Both { values, .. } => values.len() as u32,
+        }
+    }
+
+    /// The request decoded into cache-line-sized operations (Figure 7b,
+    /// bottom), in order: each line's address when the request carries
+    /// one, and its value when it carries data.
+    pub fn lines(&self) -> impl Iterator<Item = (Option<LineAddr>, Option<Line>)> + '_ {
+        let (first, values) = match self {
+            PreFunc::Addr { line, .. } => (Some(*line), &[][..]),
+            PreFunc::Data { values } => (None, &values[..]),
+            PreFunc::Both { line, values } => (Some(*line), &values[..]),
+        };
+        (0..self.nlines() as usize)
+            .map(move |k| (first.map(|l| l.offset(k as u64)), values.get(k).copied()))
+    }
+}
+
 impl Op {
     /// Whether this op is part of the Janus pre-execution interface.
     pub fn is_pre(&self) -> bool {
-        matches!(
-            self,
-            Op::PreInit(_)
-                | Op::PreAddr { .. }
-                | Op::PreData { .. }
-                | Op::PreBoth { .. }
-                | Op::PreAddrBuf { .. }
-                | Op::PreDataBuf { .. }
-                | Op::PreBothBuf { .. }
-                | Op::PreStartBuf(_)
-        )
+        matches!(self, Op::PreInit(_) | Op::Pre { .. } | Op::PreStartBuf(_))
     }
 
     /// The `pre_obj` this op operates on, if it is an interface op.
     pub fn pre_obj(&self) -> Option<PreObjId> {
         match self {
-            Op::PreInit(obj) | Op::PreStartBuf(obj) => Some(*obj),
-            Op::PreAddr { obj, .. }
-            | Op::PreData { obj, .. }
-            | Op::PreBoth { obj, .. }
-            | Op::PreAddrBuf { obj, .. }
-            | Op::PreDataBuf { obj, .. }
-            | Op::PreBothBuf { obj, .. } => Some(*obj),
+            Op::PreInit(obj) | Op::PreStartBuf(obj) | Op::Pre { obj, .. } => Some(*obj),
             _ => None,
         }
     }
@@ -389,32 +386,40 @@ impl ProgramBuilder {
 
     /// `PRE_ADDR`.
     pub fn pre_addr(&mut self, obj: PreObjId, line: LineAddr, nlines: u32) -> &mut Self {
-        self.push(Op::PreAddr { obj, line, nlines })
+        self.pre(obj, PreFunc::Addr { line, nlines }, false)
     }
 
     /// `PRE_DATA`.
     pub fn pre_data(&mut self, obj: PreObjId, values: Vec<Line>) -> &mut Self {
-        self.push(Op::PreData { obj, values })
+        self.pre(obj, PreFunc::Data { values }, false)
     }
 
     /// `PRE_BOTH`.
     pub fn pre_both(&mut self, obj: PreObjId, line: LineAddr, values: Vec<Line>) -> &mut Self {
-        self.push(Op::PreBoth { obj, line, values })
+        self.pre(obj, PreFunc::Both { line, values }, false)
     }
 
     /// `PRE_ADDR_BUF`.
     pub fn pre_addr_buf(&mut self, obj: PreObjId, line: LineAddr, nlines: u32) -> &mut Self {
-        self.push(Op::PreAddrBuf { obj, line, nlines })
+        self.pre(obj, PreFunc::Addr { line, nlines }, true)
     }
 
     /// `PRE_DATA_BUF`.
     pub fn pre_data_buf(&mut self, obj: PreObjId, values: Vec<Line>) -> &mut Self {
-        self.push(Op::PreDataBuf { obj, values })
+        self.pre(obj, PreFunc::Data { values }, true)
     }
 
     /// `PRE_BOTH_BUF`.
     pub fn pre_both_buf(&mut self, obj: PreObjId, line: LineAddr, values: Vec<Line>) -> &mut Self {
-        self.push(Op::PreBothBuf { obj, line, values })
+        self.pre(obj, PreFunc::Both { line, values }, true)
+    }
+
+    fn pre(&mut self, obj: PreObjId, func: PreFunc, buffered: bool) -> &mut Self {
+        self.push(Op::Pre {
+            obj,
+            func,
+            buffered,
+        })
     }
 
     /// `PRE_START_BUF`.

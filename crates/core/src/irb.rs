@@ -160,7 +160,8 @@ impl ScanTag {
     }
 }
 
-/// One bank: entries in insertion order, with their scan tags
+/// One bank: its entries, in insertion order except that a consume moves
+/// the last entry into the consumed one's slot, and their scan tags,
 /// index-parallel.
 #[derive(Debug, Default)]
 struct Bank {
@@ -251,8 +252,7 @@ impl Bank {
 /// shared bank otherwise. A bank holds `per_tenant` entries under the
 /// banked policy and the controller-wide count under the other two; the
 /// partitioned policy also caps each thread's share of its one bank. A
-/// thread's inserts, consumes and binds touch only its own bank, in
-/// insertion order.
+/// thread's inserts, consumes and binds touch only its own bank.
 ///
 /// The buffer keeps no counters: the controller counts what each call
 /// returns in its `ControllerStats`.
@@ -320,8 +320,9 @@ impl Irb {
 
     /// Attaches a later-arriving address to data-only entries of `key` (a
     /// `PRE_DATA` followed by `PRE_ADDR` on the same `pre_obj`, as in
-    /// Figure 8a). Entries are assigned consecutive lines in issue order;
-    /// returns how many were bound.
+    /// Figure 8a). Entries are assigned consecutive lines in bank order,
+    /// which is issue order until a consume reorders the bank; returns how
+    /// many were bound.
     pub fn bind_addr(&mut self, key: IrbKey, first: LineAddr, nlines: u32) -> usize {
         let b = self.bank_of(key.core);
         self.banks
@@ -329,8 +330,36 @@ impl Irb {
             .map_or(0, |bank| bank.bind_addr(key, first, nlines))
     }
 
-    /// Entries of `key`, in insertion order (used by the controller to
-    /// feed late-bound addresses to the engine).
+    /// Attaches a later-arriving value to the lowest-line entry of `key`
+    /// that has an address but no data (a `PRE_ADDR` followed by
+    /// `PRE_DATA` on the same `pre_obj`), with the duplicate prediction made
+    /// for it, as a `PRE_BOTH` entry records them. The lowest line, not the
+    /// bank position, picks the entry, since a consume reorders the bank;
+    /// `lint_program` binds a value the same way. Returns that entry's
+    /// engine job, or `None` when no entry of `key` awaits data.
+    pub fn bind_data(
+        &mut self,
+        key: IrbKey,
+        value: Line,
+        predicted_dup_slot: Option<u64>,
+        predicted_dup: Option<bool>,
+    ) -> Option<JobId> {
+        let b = self.bank_of(key.core);
+        let entry = self
+            .banks
+            .get_mut(b)?
+            .entries
+            .iter_mut()
+            .filter(|e| e.key == key && e.line.is_some() && e.data.is_none())
+            .min_by_key(|e| e.line)?;
+        entry.data = Some(value);
+        entry.predicted_dup_slot = predicted_dup_slot;
+        entry.predicted_dup = predicted_dup;
+        Some(entry.job)
+    }
+
+    /// Entries of `key`, in bank order (used by the controller to feed
+    /// late-bound addresses to the engine).
     pub fn entries_for(&self, key: IrbKey) -> impl Iterator<Item = &IrbEntry> {
         self.banks
             .get(self.bank_of(key.core))

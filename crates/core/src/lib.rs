@@ -16,9 +16,10 @@
 //!   pre-execution results that never touch architectural state, with
 //!   stale-data invalidation, aging, thread-exit clearing, and swap-range
 //!   clearing (§4.6).
-//! * [`queues`] — the Pre-execution Request Queue (immediate + deferred
-//!   requests, coalescing, FIFO overflow), the decoder to cache-line-sized
-//!   operations, and the Pre-execution Operation Queue.
+//! * [`queues`] — the requests the cores send (a `PRE_*` call plus its
+//!   thread and transaction), their decoding into cache-line-sized
+//!   operations, and the Pre-execution Request Queue (immediate + deferred
+//!   requests, coalescing, FIFO overflow).
 //! * [`controller`] — the memory controller: integrates the BMO timing
 //!   engine and functional pipeline, the IRB, the ADR write queue and NVM
 //!   device; implements the write path (with pre-execution result

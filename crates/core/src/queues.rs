@@ -1,30 +1,20 @@
 //! The Pre-execution Request Queue and decoder (§4.3.2, Figure 7a/7b).
 //!
-//! The processor sends pre-execution requests to a bounded request queue.
-//! Immediate requests (`PRE_ADDR`/`PRE_DATA`/`PRE_BOTH`) are decoded into
-//! cache-line-sized operations right away; buffered requests (`*_BUF`) wait
-//! in the queue — coalescing with requests to adjacent lines of the same
-//! `pre_obj` — until a `PRE_START_BUF` releases them. A full queue drops the
-//! *oldest buffered* requests to make room (§4.6), or rejects immediate
-//! requests outright ("drops newer requests", §4.3.2). Dropping is always
-//! safe: pre-execution is purely a performance hint.
+//! A request is one `PRE_*` call ([`Op::Pre`](crate::ir::Op::Pre)) plus the
+//! thread and transaction that issued it. The processor sends requests to a
+//! bounded request queue. Immediate requests (`PRE_ADDR`/`PRE_DATA`/
+//! `PRE_BOTH`) are decoded into cache-line-sized operations right away
+//! ([`PreFunc::lines`]); buffered requests (`*_BUF`) wait in the queue —
+//! coalescing with requests to adjacent lines of the same `pre_obj` — until
+//! a `PRE_START_BUF` releases them. A full queue drops the *oldest
+//! buffered* requests to make room (§4.6), or rejects immediate requests
+//! outright ("drops newer requests", §4.3.2). Dropping is always safe:
+//! pre-execution is purely a performance hint.
 
 use janus_nvm::addr::LineAddr;
-use janus_nvm::line::Line;
 
-use crate::ir::Op;
+use crate::ir::PreFunc;
 use crate::irb::IrbKey;
-
-/// Which external inputs a request carries (the `Func` field).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PreFunc {
-    /// Address only (`PRE_ADDR`).
-    Addr,
-    /// Data only (`PRE_DATA`).
-    Data,
-    /// Both (`PRE_BOTH` / `PRE_BOTH_VAL`).
-    Both,
-}
 
 /// A (possibly multi-line) pre-execution request as issued by the core.
 #[derive(Clone, Debug)]
@@ -33,119 +23,38 @@ pub struct PreRequest {
     pub key: IrbKey,
     /// TransactionID at issue.
     pub tx_id: u64,
-    /// Input kinds carried.
+    /// What the call carries.
     pub func: PreFunc,
-    /// First target line (absent for data-only requests).
-    pub line: Option<LineAddr>,
-    /// Number of lines covered.
-    pub nlines: u32,
-    /// Captured data values, one per line (empty for address-only).
-    pub values: Vec<Line>,
-}
-
-/// How the controller takes a request when it arrives.
-#[derive(Clone, Copy, Debug)]
-pub enum PreArrivalKind {
-    /// Decoded at once (`PRE_ADDR`, `PRE_DATA`, `PRE_BOTH`).
-    Immediate,
-    /// Held in the queue until released (`*_BUF`).
-    Buffered,
-    /// Releases the buffered requests of its key (`PRE_START_BUF`).
-    Start,
+    /// A `*_BUF` call: waits in the queue for `PRE_START_BUF`.
+    pub buffered: bool,
 }
 
 impl PreRequest {
-    /// The request a `PRE_*` op sends from logical thread `thread` inside
-    /// transaction `tx_id`, and how the controller takes it. The op's
-    /// values move into the request. `None` for every other op, `PRE_INIT`
-    /// included: it only names the object.
-    pub fn from_op(op: Op, thread: usize, tx_id: u64) -> Option<(PreRequest, PreArrivalKind)> {
-        use PreArrivalKind::{Buffered, Immediate, Start};
-        use PreFunc::{Addr, Both, Data};
-        let (obj, func, line, nlines, values, kind) = match op {
-            Op::PreAddr { obj, line, nlines } => (obj, Addr, Some(line), nlines, vec![], Immediate),
-            Op::PreData { obj, values } => {
-                (obj, Data, None, values.len() as u32, values, Immediate)
-            }
-            Op::PreBoth { obj, line, values } => {
-                let n = values.len() as u32;
-                (obj, Both, Some(line), n, values, Immediate)
-            }
-            Op::PreAddrBuf { obj, line, nlines } => {
-                (obj, Addr, Some(line), nlines, vec![], Buffered)
-            }
-            Op::PreDataBuf { obj, values } => {
-                (obj, Data, None, values.len() as u32, values, Buffered)
-            }
-            Op::PreBothBuf { obj, line, values } => {
-                let n = values.len() as u32;
-                (obj, Both, Some(line), n, values, Buffered)
-            }
-            Op::PreStartBuf(obj) => (obj, Both, None, 0, vec![], Start),
-            _ => return None,
-        };
-        let req = PreRequest {
-            key: IrbKey { core: thread, obj },
-            tx_id,
-            func,
-            line,
-            nlines,
-            values,
-        };
-        Some((req, kind))
-    }
-
     /// Whether `other` extends this request contiguously (same identity and
     /// function, adjacent line range) so the two can coalesce in the queue.
     fn can_coalesce(&self, other: &PreRequest) -> bool {
+        let end = |line: &LineAddr| line.offset(self.func.nlines() as u64);
         self.key == other.key
-            && self.func == other.func
-            && match (self.line, other.line) {
-                (Some(a), Some(b)) => b.0 == a.0 + self.nlines as u64,
-                (None, None) => self.func == PreFunc::Data,
+            && match (&self.func, &other.func) {
+                (PreFunc::Addr { line, .. }, PreFunc::Addr { line: next, .. })
+                | (PreFunc::Both { line, .. }, PreFunc::Both { line: next, .. }) => {
+                    *next == end(line)
+                }
+                (PreFunc::Data { .. }, PreFunc::Data { .. }) => true,
                 _ => false,
             }
     }
 
     fn coalesce(&mut self, other: PreRequest) {
-        self.nlines += other.nlines;
-        self.values.extend(other.values);
+        match (&mut self.func, other.func) {
+            (PreFunc::Addr { nlines, .. }, PreFunc::Addr { nlines: more, .. }) => *nlines += more,
+            (
+                PreFunc::Data { values } | PreFunc::Both { values, .. },
+                PreFunc::Data { values: more } | PreFunc::Both { values: more, .. },
+            ) => values.extend(more),
+            _ => unreachable!("can_coalesce matched the functions"),
+        }
     }
-}
-
-/// One cache-line-sized operation produced by the decoder (Figure 7b,
-/// bottom).
-#[derive(Clone, Debug)]
-pub struct LineOp {
-    /// Request identity.
-    pub key: IrbKey,
-    /// TransactionID.
-    pub tx_id: u64,
-    /// Target line, if the address is known.
-    pub line: Option<LineAddr>,
-    /// Data value, if known.
-    pub value: Option<Line>,
-}
-
-/// Decodes a request into per-line operations.
-pub fn decode(req: &PreRequest) -> Vec<LineOp> {
-    let mut out = Vec::new();
-    decode_into(req, &mut out);
-    out
-}
-
-/// Decodes a request into `out` (cleared first), reusing its allocation.
-/// The controller keeps one scratch buffer across requests so steady-state
-/// decoding never allocates.
-pub fn decode_into(req: &PreRequest, out: &mut Vec<LineOp>) {
-    out.clear();
-    let n = req.nlines.max(req.values.len() as u32).max(1) as usize;
-    out.extend((0..n).map(|i| LineOp {
-        key: req.key,
-        tx_id: req.tx_id,
-        line: req.line.map(|l| l.offset(i as u64)),
-        value: req.values.get(i).copied(),
-    }));
 }
 
 /// The bounded request queue with deferred-request buffering.
@@ -198,6 +107,7 @@ impl RequestQueue {
 mod tests {
     use super::*;
     use crate::ir::PreObjId;
+    use janus_nvm::line::Line;
 
     fn key(obj: u32) -> IrbKey {
         IrbKey {
@@ -210,20 +120,21 @@ mod tests {
         PreRequest {
             key: key(obj),
             tx_id: 0,
-            func: PreFunc::Both,
-            line: Some(LineAddr(line)),
-            nlines,
-            values: (0..nlines).map(|i| Line::splat(i as u8)).collect(),
+            func: PreFunc::Both {
+                line: LineAddr(line),
+                values: (0..nlines).map(|i| Line::splat(i as u8)).collect(),
+            },
+            buffered: true,
         }
     }
 
     #[test]
     fn decode_splits_per_line() {
-        let ops = decode(&req(1, 100, 3));
+        let ops: Vec<_> = req(1, 100, 3).func.lines().collect();
         assert_eq!(ops.len(), 3);
-        assert_eq!(ops[0].line, Some(LineAddr(100)));
-        assert_eq!(ops[2].line, Some(LineAddr(102)));
-        assert_eq!(ops[1].value, Some(Line::splat(1)));
+        assert_eq!(ops[0].0, Some(LineAddr(100)));
+        assert_eq!(ops[2].0, Some(LineAddr(102)));
+        assert_eq!(ops[1].1, Some(Line::splat(1)));
     }
 
     #[test]
@@ -231,14 +142,14 @@ mod tests {
         let r = PreRequest {
             key: key(1),
             tx_id: 0,
-            func: PreFunc::Addr,
-            line: Some(LineAddr(5)),
-            nlines: 2,
-            values: vec![],
+            func: PreFunc::Addr {
+                line: LineAddr(5),
+                nlines: 2,
+            },
+            buffered: false,
         };
-        let ops = decode(&r);
-        assert_eq!(ops.len(), 2);
-        assert!(ops.iter().all(|o| o.value.is_none()));
+        let ops: Vec<_> = r.func.lines().collect();
+        assert_eq!(ops, [(Some(LineAddr(5)), None), (Some(LineAddr(6)), None)]);
     }
 
     #[test]
@@ -246,15 +157,15 @@ mod tests {
         let r = PreRequest {
             key: key(1),
             tx_id: 0,
-            func: PreFunc::Data,
-            line: None,
-            nlines: 2,
-            values: vec![Line::splat(1), Line::splat(2)],
+            func: PreFunc::Data {
+                values: vec![Line::splat(1), Line::splat(2)],
+            },
+            buffered: false,
         };
-        let ops = decode(&r);
+        let ops: Vec<_> = r.func.lines().collect();
         assert_eq!(ops.len(), 2);
-        assert!(ops.iter().all(|o| o.line.is_none()));
-        assert_eq!(ops[1].value, Some(Line::splat(2)));
+        assert!(ops.iter().all(|o| o.0.is_none()));
+        assert_eq!(ops[1].1, Some(Line::splat(2)));
     }
 
     #[test]
@@ -265,8 +176,7 @@ mod tests {
         assert!(q.push_buffered(req(2, 200, 1)).is_none()); // different obj
         let released = q.start_buffered(key(1));
         assert_eq!(released.len(), 1);
-        assert_eq!(released[0].nlines, 2);
-        assert_eq!(released[0].values.len(), 2);
+        assert_eq!(released[0].func.nlines(), 2);
         assert_eq!(q.start_buffered(key(2)).len(), 1);
         assert!(q.start_buffered(key(1)).is_empty());
     }
@@ -278,7 +188,10 @@ mod tests {
         q.push_buffered(req(1, 105, 1));
         let released = q.start_buffered(key(1));
         assert_eq!(released.len(), 2);
-        assert_eq!(released[1].line, Some(LineAddr(105)));
+        assert_eq!(
+            released[1].func.lines().next().unwrap().0,
+            Some(LineAddr(105))
+        );
     }
 
     #[test]

@@ -27,12 +27,26 @@ use janus_trace::metrics::{MetricValue, MetricsRegistry};
 use janus_trace::sampler::{MetricsSampler, Sample};
 use janus_trace::{TraceConfig, Tracer};
 
-use crate::config::JanusConfig;
+use crate::config::{JanusConfig, WRITEBACK};
 use crate::controller::MemoryController;
 use crate::ir::{Op, Program};
-use crate::irb::IrbPolicy;
-use crate::queues::{PreArrivalKind, PreRequest};
+use crate::irb::{IrbKey, IrbPolicy};
+use crate::queues::PreRequest;
 use crate::tenant::{FrontEnd, TenantStream};
+
+// Fixed per-operation core-side costs.
+/// L1 hit latency.
+const L1_HIT: Cycles = Cycles(4);
+/// Additional latency of an L2 hit.
+const L2_HIT: Cycles = Cycles(30);
+/// Store into L1.
+const STORE: Cycles = Cycles(4);
+/// Issue cost of `clwb` (the writeback itself travels asynchronously).
+const CLWB_ISSUE: Cycles = Cycles(4);
+/// Issue cost of `sfence` (plus any blocking).
+const FENCE_ISSUE: Cycles = Cycles(2);
+/// Issue cost of one Janus interface call.
+const PRE_ISSUE: Cycles = Cycles(6);
 
 /// A run request that contradicts the system's configuration — returned by
 /// the fallible entry points ([`System::try_run`],
@@ -125,10 +139,9 @@ enum Ev {
         critical: bool,
     },
     /// A pre-execution request reaches the controller.
-    PreArrive {
-        req: PreRequest,
-        kind: PreArrivalKind,
-    },
+    PreArrive(PreRequest),
+    /// A `PRE_START_BUF` reaches the controller.
+    PreStart(IrbKey),
     /// A previously arrived write became persistent.
     Persisted { core: usize },
 }
@@ -623,19 +636,15 @@ impl System {
                         .schedule(out.persist_at.max(t), Ev::Persisted { core });
                 }
             }
-            Ev::PreArrive { req, kind } => match kind {
-                PreArrivalKind::Immediate => self.mc.handle_pre_request(t, req),
-                PreArrivalKind::Buffered => self.mc.handle_pre_buffered(t, req),
-                PreArrivalKind::Start => self.mc.handle_pre_start(t, req.key),
-            },
+            Ev::PreArrive(req) => self.mc.handle_pre_request(t, req),
+            Ev::PreStart(key) => self.mc.handle_pre_start(t, key),
             Ev::Persisted { core } => {
                 let c = &mut self.cores[core];
                 c.outstanding -= 1;
                 let resumed = c.fence_blocked && c.outstanding == 0;
                 if resumed {
                     c.fence_blocked = false;
-                    let delay = self.config.core.fence_issue;
-                    self.events.schedule(t + delay, Ev::Core(core));
+                    self.events.schedule(t + FENCE_ISSUE, Ev::Core(core));
                 }
                 if self.cores[core].done() && self.cores[core].outstanding == 0 {
                     if self.front.is_some() {
@@ -700,8 +709,6 @@ impl System {
         // `DataGen` marker's are dropped here.
         let op = std::mem::replace(&mut self.cores[i].program.ops[pc], Op::FuncEnd);
         self.cores[i].pc += 1;
-        let ct = self.config.core;
-        let wb = self.config.writeback;
         let mut next_at = t; // markers are free
 
         match op {
@@ -713,7 +720,7 @@ impl System {
             Op::Store { line, value } => {
                 self.overlay[i].write(line, value);
                 self.touch_cache(i, thread, line, true);
-                next_at = t + ct.store;
+                next_at = t + STORE;
             }
             Op::Clwb(line) => {
                 self.l1[i].flush(line);
@@ -722,7 +729,7 @@ impl System {
                 let commit = self.clwb_is_commit(i, pc);
                 self.cores[i].outstanding += 1;
                 self.events.schedule(
-                    t + ct.clwb_issue + wb,
+                    t + CLWB_ISSUE + WRITEBACK,
                     Ev::WriteArrive {
                         core: i,
                         thread,
@@ -732,11 +739,11 @@ impl System {
                         critical: true,
                     },
                 );
-                next_at = t + ct.clwb_issue;
+                next_at = t + CLWB_ISSUE;
             }
             Op::Fence => {
                 if self.cores[i].outstanding == 0 {
-                    next_at = t + ct.fence_issue;
+                    next_at = t + FENCE_ISSUE;
                 } else {
                     self.cores[i].fence_blocked = true;
                     return None; // resumed by the last Persisted event
@@ -751,20 +758,27 @@ impl System {
                 next_at = t + Cycles(1);
             }
             Op::PreInit(_) => next_at = t + Cycles(1),
-            op @ (Op::PreAddr { .. }
-            | Op::PreData { .. }
-            | Op::PreBoth { .. }
-            | Op::PreAddrBuf { .. }
-            | Op::PreDataBuf { .. }
-            | Op::PreBothBuf { .. }
-            | Op::PreStartBuf(_)) => {
-                let (req, kind) = PreRequest::from_op(op, thread, self.cores[i].tx_id)
-                    .expect("a PRE_* request op");
-                // Pre-execution requests traverse the same path as
-                // writebacks.
+            // Pre-execution requests traverse the same path as writebacks.
+            Op::Pre {
+                obj,
+                func,
+                buffered,
+            } => {
+                let req = PreRequest {
+                    key: IrbKey { core: thread, obj },
+                    tx_id: self.cores[i].tx_id,
+                    func,
+                    buffered,
+                };
                 self.events
-                    .schedule(t + ct.pre_issue + wb, Ev::PreArrive { req, kind });
-                next_at = t + ct.pre_issue;
+                    .schedule(t + PRE_ISSUE + WRITEBACK, Ev::PreArrive(req));
+                next_at = t + PRE_ISSUE;
+            }
+            Op::PreStartBuf(obj) => {
+                let key = IrbKey { core: thread, obj };
+                self.events
+                    .schedule(t + PRE_ISSUE + WRITEBACK, Ev::PreStart(key));
+                next_at = t + PRE_ISSUE;
             }
             // Markers cost nothing.
             Op::AddrGen { .. }
@@ -781,14 +795,13 @@ impl System {
 
     /// Charges a demand-read access through L1/L2/NVM; returns its latency.
     fn access_read(&mut self, t: Cycles, core: usize, line: LineAddr) -> Cycles {
-        let ct = self.config.core;
         if self.l1[core].access(line, false).is_hit() {
-            return ct.l1_hit;
+            return L1_HIT;
         }
         if self.l2.access(line, false).is_hit() {
-            return ct.l1_hit + ct.l2_hit;
+            return L1_HIT + L2_HIT;
         }
-        let ready = self.mc.handle_read(t + ct.l1_hit + ct.l2_hit, line);
+        let ready = self.mc.handle_read(t + L1_HIT + L2_HIT, line);
         ready - t
     }
 
@@ -801,7 +814,7 @@ impl System {
                 let data = self.overlay[core].read(v.addr);
                 let now = self.events.now();
                 self.events.schedule(
-                    now + self.config.writeback,
+                    now + WRITEBACK,
                     Ev::WriteArrive {
                         core,
                         thread,

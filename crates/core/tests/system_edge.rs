@@ -2,43 +2,45 @@
 //! swap invalidation, operation-queue overflow, dirty evictions, and the
 //! real-world exception handling of §4.6.
 
-use janus_core::config::{JanusConfig, SystemMode};
+use janus_core::config::{JanusConfig, SystemMode, IRB_MAX_AGE};
 use janus_core::controller::MemoryController;
-use janus_core::ir::ProgramBuilder;
+use janus_core::ir::{PreFunc, ProgramBuilder};
 use janus_core::irb::IrbKey;
-use janus_core::queues::{PreFunc, PreRequest};
+use janus_core::queues::PreRequest;
 use janus_core::system::System;
 use janus_core::PreObjId;
 use janus_nvm::{addr::LineAddr, line::Line};
 use janus_sim::time::Cycles;
 
-fn pre_both(mc: &mut MemoryController, now: Cycles, obj: u32, line: u64, data: Line) {
-    mc.handle_pre_request(
-        now,
-        PreRequest {
-            key: IrbKey {
-                core: 0,
-                obj: PreObjId(obj),
-            },
-            tx_id: 0,
-            func: PreFunc::Both,
-            line: Some(LineAddr(line)),
-            nlines: 1,
-            values: vec![data],
+/// An immediate request from thread 0 for `obj`.
+fn request(obj: u32, func: PreFunc) -> PreRequest {
+    PreRequest {
+        key: IrbKey {
+            core: 0,
+            obj: PreObjId(obj),
         },
-    );
+        tx_id: 0,
+        func,
+        buffered: false,
+    }
+}
+
+fn pre_both(mc: &mut MemoryController, now: Cycles, obj: u32, line: u64, data: Line) {
+    let line = LineAddr(line);
+    let values = vec![data];
+    mc.handle_pre_request(now, request(obj, PreFunc::Both { line, values }));
 }
 
 #[test]
 fn aged_out_pre_execution_results_are_discarded() {
-    let mut cfg = JanusConfig::paper(SystemMode::Janus, 1);
-    cfg.irb_max_age = Cycles::from_ns(1_000); // 4000 cycles
-    let mut mc = MemoryController::new(cfg);
+    let mut mc = MemoryController::new(JanusConfig::paper(SystemMode::Janus, 1));
     pre_both(&mut mc, Cycles(0), 1, 5, Line::splat(9));
-    // Another pre-request long after the first expires triggers the sweep.
-    pre_both(&mut mc, Cycles(1_000_000), 2, 6, Line::splat(8));
+    // Another pre-request once the first outlived the 1 ms age register
+    // triggers the sweep.
+    let later = IRB_MAX_AGE + Cycles(1);
+    pre_both(&mut mc, later, 2, 6, Line::splat(8));
     // The aged write misses the IRB.
-    mc.handle_write(Cycles(1_000_100), 0, LineAddr(5), Line::splat(9), false);
+    mc.handle_write(later + Cycles(100), 0, LineAddr(5), Line::splat(9), false);
     assert_eq!(mc.stats().pre_miss, 1);
     assert_eq!(mc.stats().irb_expired, 1);
     // Functional contents are still correct.
@@ -151,20 +153,9 @@ fn ideal_mode_counts_transactions_and_skips_bmo_latency() {
 #[test]
 fn pre_request_for_multiple_lines_decodes_per_line() {
     let mut mc = MemoryController::new(JanusConfig::paper(SystemMode::Janus, 1));
-    mc.handle_pre_request(
-        Cycles(0),
-        PreRequest {
-            key: IrbKey {
-                core: 0,
-                obj: PreObjId(1),
-            },
-            tx_id: 0,
-            func: PreFunc::Both,
-            line: Some(LineAddr(10)),
-            nlines: 4,
-            values: (0..4).map(|i| Line::splat(i as u8 + 1)).collect(),
-        },
-    );
+    let line = LineAddr(10);
+    let values = (0..4).map(|i| Line::splat(i as u8 + 1)).collect();
+    mc.handle_pre_request(Cycles(0), request(1, PreFunc::Both { line, values }));
     for k in 0..4u64 {
         let out = mc.handle_write(
             Cycles(50_000 + k * 1_000),
@@ -267,14 +258,17 @@ fn identical_seeds_give_identical_reports() {
 
 #[test]
 fn admission_backlog_knob_controls_drops() {
-    let mut strict = JanusConfig::paper(SystemMode::Janus, 1);
-    strict.pre_admission_backlog = Cycles(1); // drop under any backlog
-    let mut mc = MemoryController::new(strict);
+    let mut mc = MemoryController::new(JanusConfig::paper(SystemMode::Janus, 1));
+    // 200 demand writes at one instant book the BMO units more than 500 ns
+    // ahead, so the arbiter refuses every pre-execution behind them (100
+    // writes leave it admitting all 32).
+    for i in 0..200u64 {
+        let value = Line::from_words(&[i + 1]);
+        mc.handle_write(Cycles(0), 0, LineAddr(500 + i), value, false);
+    }
     for i in 0..32u32 {
         pre_both(&mut mc, Cycles(0), i, 100 + i as u64, Line::splat(i as u8));
     }
-    assert!(
-        mc.stats().pre_op_dropped > 20,
-        "strict arbiter should drop almost everything"
-    );
+    assert_eq!(mc.stats().pre_op_dropped, 32);
+    assert_eq!(mc.stats().pre_ops_admitted, 0);
 }

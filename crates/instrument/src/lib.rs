@@ -31,7 +31,7 @@
 //! # Example
 //!
 //! ```
-//! use janus_core::ir::{Op, ProgramBuilder};
+//! use janus_core::ir::{Op, PreFunc, ProgramBuilder};
 //! use janus_instrument::instrument;
 //! use janus_nvm::{addr::LineAddr, line::Line};
 //!
@@ -47,15 +47,15 @@
 //! });
 //! let (instrumented, report) = instrument(&b.build());
 //! assert_eq!(report.instrumented_writes, 1);
-//! assert!(instrumented.ops.iter().any(|o| matches!(o, Op::PreAddr { .. })));
-//! assert!(instrumented.ops.iter().any(|o| matches!(o, Op::PreData { .. })));
+//! assert!(instrumented.ops.iter().any(|o| matches!(o, Op::Pre { func: PreFunc::Addr { .. }, buffered: false, .. })));
+//! assert!(instrumented.ops.iter().any(|o| matches!(o, Op::Pre { func: PreFunc::Data { .. }, buffered: false, .. })));
 //! ```
 
 pub mod misuse;
 
 use std::collections::BTreeSet;
 
-use janus_core::ir::{Op, PreObjId, Program};
+use janus_core::ir::{Op, PreFunc, PreObjId, Program};
 use janus_lint::cfg::{regions, Region};
 use janus_lint::dataflow::is_blocking;
 use janus_lint::place::clamp_to_cond;
@@ -162,10 +162,10 @@ fn run_pass(
             let at = clamp_to_cond(&regs, i, at);
             planned.push((
                 at,
-                Op::PreAddr {
+                Op::Pre {
                     obj,
-                    line,
-                    nlines: 1,
+                    func: PreFunc::Addr { line, nlines: 1 },
+                    buffered: false,
                 },
             ));
             report.pre_addr_inserted += 1;
@@ -173,7 +173,14 @@ fn run_pass(
         }
         if let Some((at, values)) = data_marker {
             let at = clamp_to_cond(&regs, i, at);
-            planned.push((at, Op::PreData { obj, values }));
+            planned.push((
+                at,
+                Op::Pre {
+                    obj,
+                    func: PreFunc::Data { values },
+                    buffered: false,
+                },
+            ));
             report.pre_data_inserted += 1;
             first_insert_at = first_insert_at.min(at);
         }
@@ -262,6 +269,18 @@ mod tests {
     use janus_check::{forall_cfg, gen, Config, Gen};
     use janus_core::ir::ProgramBuilder;
     use std::cell::Cell;
+
+    /// What `o` carries, when it is an unbuffered request.
+    fn unbuffered(o: &Op) -> Option<&PreFunc> {
+        match o {
+            Op::Pre {
+                func,
+                buffered: false,
+                ..
+            } => Some(func),
+            _ => None,
+        }
+    }
 
     /// The whole-program scan: every marker search starts at op 0. Kept as
     /// the executable specification for the per-function scan start.
@@ -429,12 +448,12 @@ mod tests {
         let data_pos = p
             .ops
             .iter()
-            .position(|o| matches!(o, Op::PreData { .. }))
+            .position(|o| matches!(unbuffered(o), Some(PreFunc::Data { .. })))
             .unwrap();
         let addr_pos = p
             .ops
             .iter()
-            .position(|o| matches!(o, Op::PreAddr { .. }))
+            .position(|o| matches!(unbuffered(o), Some(PreFunc::Addr { .. })))
             .unwrap();
         let gen_pos = p
             .ops
@@ -521,7 +540,7 @@ mod tests {
         let pre_pos = p
             .ops
             .iter()
-            .position(|o| matches!(o, Op::PreAddr { .. }))
+            .position(|o| matches!(unbuffered(o), Some(PreFunc::Addr { .. })))
             .unwrap();
         assert!(
             pre_pos > cond_pos,
@@ -562,7 +581,10 @@ mod tests {
             .ops
             .iter()
             .find_map(|o| match o {
-                Op::PreData { values, .. } => Some(values.clone()),
+                Op::Pre {
+                    func: PreFunc::Data { values },
+                    ..
+                } => Some(values.clone()),
                 _ => None,
             })
             .unwrap();

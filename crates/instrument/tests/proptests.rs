@@ -3,7 +3,7 @@
 //! program's observable behaviour (ported from proptest to janus-check).
 
 use janus_check::{forall_cfg, gen, Config, Gen};
-use janus_core::ir::{Op, PreObjId, Program, ProgramBuilder};
+use janus_core::ir::{Op, PreFunc, PreObjId, Program, ProgramBuilder};
 use janus_instrument::instrument;
 use janus_nvm::addr::LineAddr;
 use janus_nvm::line::Line;
@@ -124,7 +124,7 @@ fn pass_output_is_well_formed() {
                     assert!(seen.insert(*obj), "duplicate obj {obj:?}");
                     inited.insert(*obj);
                 }
-                Op::PreAddr { obj, .. } | Op::PreData { obj, .. } | Op::PreBoth { obj, .. } => {
+                Op::Pre { obj, .. } => {
                     assert!(inited.contains(obj), "uninitialized obj {obj:?}");
                 }
                 _ => {}
@@ -159,7 +159,12 @@ fn insertions_respect_loop_regions() {
                 Op::LoopEnd => depth -= 1,
                 o if o.is_pre() => {
                     assert_eq!(depth, 0, "pass inserted {o:?} inside a loop");
-                    if let Op::PreAddr { obj, .. } | Op::PreData { obj, .. } = o {
+                    if let Op::Pre {
+                        obj,
+                        func: PreFunc::Addr { .. } | PreFunc::Data { .. },
+                        buffered: false,
+                    } = o
+                    {
                         *objs_at.entry(*obj).or_insert(0) += 1;
                         assert!(objs_at[obj] <= 2, "obj reused too often");
                     }

@@ -132,15 +132,6 @@ struct Slot {
     pending: bool,
 }
 
-fn push_lines(slots: &mut Vec<Slot>, first: LineAddr, nlines: u32) {
-    for i in 0..nlines as u64 {
-        slots.push(Slot {
-            line: Some(LineAddr(first.0 + i)),
-            pending: false,
-        });
-    }
-}
-
 /// Computes the peak IRB occupancy of one op stream (see the module docs
 /// for the model and its soundness argument).
 pub fn peak_irb_demand_over<'a>(ops: impl Iterator<Item = &'a Op>) -> IrbDemand {
@@ -148,22 +139,13 @@ pub fn peak_irb_demand_over<'a>(ops: impl Iterator<Item = &'a Op>) -> IrbDemand 
     let mut demand = IrbDemand::default();
     for (i, op) in ops.enumerate() {
         match op {
-            Op::PreAddr { line, nlines, .. } | Op::PreAddrBuf { line, nlines, .. } => {
-                push_lines(&mut slots, *line, *nlines);
-                demand.requests += *nlines as usize;
-            }
-            Op::PreBoth { line, values, .. } | Op::PreBothBuf { line, values, .. } => {
-                push_lines(&mut slots, *line, values.len() as u32);
-                demand.requests += values.len();
-            }
-            Op::PreData { values, .. } | Op::PreDataBuf { values, .. } => {
-                for _ in values {
-                    slots.push(Slot {
-                        line: None,
-                        pending: false,
-                    });
-                }
-                demand.requests += values.len();
+            Op::Pre { func, .. } => {
+                // One entry per line the request covers.
+                slots.extend(func.lines().map(|(line, _)| Slot {
+                    line,
+                    pending: false,
+                }));
+                demand.requests += func.nlines() as usize;
             }
             Op::Clwb(l) => {
                 if let Some(s) = slots.iter_mut().find(|s| !s.pending && s.line == Some(*l)) {

@@ -50,7 +50,7 @@
 use std::collections::BTreeSet;
 
 use janus_bmo::BmoStack;
-use janus_core::ir::{Op, PreObjId, Program};
+use janus_core::ir::{Op, PreFunc, PreObjId, Program};
 use janus_nvm::addr::LineAddr;
 
 use crate::cfg::Cfg;
@@ -232,43 +232,27 @@ fn delete_candidates(ops: &[Op], at: usize, code: LintCode) -> Vec<Edit> {
     out
 }
 
-/// Rewrites the hinted value(s) of a `PRE_BOTH`-family request so the
-/// entry for `line` matches `value`.
+/// Rewrites the hinted value(s) of a `PRE_BOTH` or `PRE_BOTH_BUF` request
+/// so the entry for `line` matches `value`.
 fn retarget_edit(
     ops: &[Op],
     request: usize,
     line: u64,
     value: janus_nvm::line::Line,
 ) -> Option<Edit> {
-    let new_op = match &ops[request] {
-        Op::PreBoth {
-            obj,
+    let mut new_op = ops[request].clone();
+    let Op::Pre {
+        func: PreFunc::Both {
             line: first,
             values,
-        } if line >= first.0 && line < first.0 + values.len() as u64 => {
-            let mut values = values.clone();
-            values[(line - first.0) as usize] = value;
-            Op::PreBoth {
-                obj: *obj,
-                line: *first,
-                values,
-            }
-        }
-        Op::PreBothBuf {
-            obj,
-            line: first,
-            values,
-        } if line >= first.0 && line < first.0 + values.len() as u64 => {
-            let mut values = values.clone();
-            values[(line - first.0) as usize] = value;
-            Op::PreBothBuf {
-                obj: *obj,
-                line: *first,
-                values,
-            }
-        }
-        _ => return None,
+        },
+        ..
+    } = &mut new_op
+    else {
+        return None;
     };
+    let k = usize::try_from(line.checked_sub(first.0)?).ok()?;
+    *values.get_mut(k)? = value;
     Some(Edit {
         kind: FixKind::Retarget,
         remove: BTreeSet::from([request]),
@@ -512,10 +496,13 @@ pub fn seed_stale_hint(program: &mut Program) {
     let obj = PreObjId(u32::MAX);
     program.ops.insert(
         idx,
-        Op::PreBoth {
+        Op::Pre {
             obj,
-            line,
-            values: vec![wrong],
+            func: PreFunc::Both {
+                line,
+                values: vec![wrong],
+            },
+            buffered: false,
         },
     );
     program.ops.insert(idx, Op::PreInit(obj));
@@ -542,32 +529,21 @@ pub fn render_op(op: &Op) -> String {
         Op::TxBegin => "tx_begin".to_string(),
         Op::TxCommit => "tx_commit".to_string(),
         Op::PreInit(obj) => format!("pre_init obj={}", obj.0),
-        Op::PreAddr { obj, line, nlines } => {
-            format!("pre_addr obj={} L{} n={nlines}", obj.0, line.0)
+        Op::Pre {
+            obj,
+            func,
+            buffered,
+        } => {
+            let (name, args) = match func {
+                PreFunc::Addr { line, nlines } => ("pre_addr", format!("L{} n={nlines}", line.0)),
+                PreFunc::Data { values } => ("pre_data", render_values(values)),
+                PreFunc::Both { line, values } => {
+                    ("pre_both", format!("L{} {}", line.0, render_values(values)))
+                }
+            };
+            let buf = if *buffered { "_buf" } else { "" };
+            format!("{name}{buf} obj={} {args}", obj.0)
         }
-        Op::PreData { obj, values } => {
-            format!("pre_data obj={} {}", obj.0, render_values(values))
-        }
-        Op::PreBoth { obj, line, values } => {
-            format!(
-                "pre_both obj={} L{} {}",
-                obj.0,
-                line.0,
-                render_values(values)
-            )
-        }
-        Op::PreAddrBuf { obj, line, nlines } => {
-            format!("pre_addr_buf obj={} L{} n={nlines}", obj.0, line.0)
-        }
-        Op::PreDataBuf { obj, values } => {
-            format!("pre_data_buf obj={} {}", obj.0, render_values(values))
-        }
-        Op::PreBothBuf { obj, line, values } => format!(
-            "pre_both_buf obj={} L{} {}",
-            obj.0,
-            line.0,
-            render_values(values)
-        ),
         Op::PreStartBuf(obj) => format!("pre_start_buf obj={}", obj.0),
         Op::AddrGen { line, nlines } => format!("addr_gen L{} n={nlines}", line.0),
         Op::DataGen { line, values } => {
@@ -829,7 +805,14 @@ mod tests {
             .position(|o| matches!(o, Op::AddrGen { .. }))
             .unwrap();
         assert!(matches!(outcome.program.ops[gen + 1], Op::PreInit(_)));
-        assert!(matches!(outcome.program.ops[gen + 2], Op::PreBoth { .. }));
+        assert!(matches!(
+            outcome.program.ops[gen + 2],
+            Op::Pre {
+                func: PreFunc::Both { .. },
+                buffered: false,
+                ..
+            }
+        ));
         assert_gate_held(&outcome);
     }
 

@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use janus_bmo::latency::BmoLatencies;
 use janus_bmo::BmoStack;
 use janus_core::config::{JanusConfig, SystemMode};
-use janus_core::ir::{Op, PreObjId, Program};
+use janus_core::ir::{Op, PreFunc, PreObjId, Program};
 use janus_nvm::addr::LineAddr;
 use janus_nvm::line::Line;
 use janus_sim::time::Cycles;
@@ -145,68 +145,70 @@ pub fn lint_program(program: &Program, stack: &BmoStack) -> LintReport {
             }
         }
         match op {
-            Op::PreAddr { obj, line, nlines } | Op::PreAddrBuf { obj, line, nlines } => {
-                // Bind pending data-only hints of the same obj first.
-                let mut pending = unbound.remove(obj).unwrap_or_default();
-                for k in 0..*nlines as u64 {
-                    let target = line.offset(k);
-                    let hint = if pending.is_empty() {
-                        Hint {
-                            pre_index: i,
-                            obj: *obj,
-                            data: None,
-                            issue_cost: elapsed,
-                            flagged_stale: false,
-                        }
-                    } else {
-                        let mut h = pending.remove(0);
-                        h.pre_index = h.pre_index.min(i);
-                        h
-                    };
-                    register(&mut by_line, &mut report, i, target, hint);
-                }
-                if !pending.is_empty() {
-                    unbound.insert(*obj, pending);
-                }
-            }
-            Op::PreData { obj, values } | Op::PreDataBuf { obj, values } => {
-                for v in values {
-                    // Attach to an existing address-only hint of the same
-                    // pre_obj (the hardware pairs them in the IRB); queue
-                    // as unbound otherwise.
-                    if let Some(h) = by_line
-                        .values_mut()
-                        .find(|h| h.obj == *obj && h.data.is_none())
-                    {
-                        h.data = Some(*v);
-                        continue;
+            Op::Pre { obj, func, .. } => match func {
+                PreFunc::Addr { line, nlines } => {
+                    // Bind pending data-only hints of the same obj first.
+                    let mut pending = unbound.remove(obj).unwrap_or_default();
+                    for k in 0..*nlines as u64 {
+                        let target = line.offset(k);
+                        let hint = if pending.is_empty() {
+                            Hint {
+                                pre_index: i,
+                                obj: *obj,
+                                data: None,
+                                issue_cost: elapsed,
+                                flagged_stale: false,
+                            }
+                        } else {
+                            let mut h = pending.remove(0);
+                            h.pre_index = h.pre_index.min(i);
+                            h
+                        };
+                        register(&mut by_line, &mut report, i, target, hint);
                     }
-                    unbound.entry(*obj).or_default().push(Hint {
-                        pre_index: i,
-                        obj: *obj,
-                        data: Some(*v),
-                        issue_cost: elapsed,
-                        flagged_stale: false,
-                    });
+                    if !pending.is_empty() {
+                        unbound.insert(*obj, pending);
+                    }
                 }
-            }
-            Op::PreBoth { obj, line, values } | Op::PreBothBuf { obj, line, values } => {
-                for (k, v) in values.iter().enumerate() {
-                    register(
-                        &mut by_line,
-                        &mut report,
-                        i,
-                        line.offset(k as u64),
-                        Hint {
+                PreFunc::Data { values } => {
+                    for v in values {
+                        // Attach to an existing address-only hint of the same
+                        // pre_obj (the hardware pairs them in the IRB); queue
+                        // as unbound otherwise.
+                        if let Some(h) = by_line
+                            .values_mut()
+                            .find(|h| h.obj == *obj && h.data.is_none())
+                        {
+                            h.data = Some(*v);
+                            continue;
+                        }
+                        unbound.entry(*obj).or_default().push(Hint {
                             pre_index: i,
                             obj: *obj,
                             data: Some(*v),
                             issue_cost: elapsed,
                             flagged_stale: false,
-                        },
-                    );
+                        });
+                    }
                 }
-            }
+                PreFunc::Both { line, values } => {
+                    for (k, v) in values.iter().enumerate() {
+                        register(
+                            &mut by_line,
+                            &mut report,
+                            i,
+                            line.offset(k as u64),
+                            Hint {
+                                pre_index: i,
+                                obj: *obj,
+                                data: Some(*v),
+                                issue_cost: elapsed,
+                                flagged_stale: false,
+                            },
+                        );
+                    }
+                }
+            },
             Op::Store { line, value } => {
                 if let Some(h) = by_line.get_mut(line) {
                     if let Some(d) = h.data {

@@ -30,7 +30,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use janus_core::ir::{Op, PreObjId, Program};
+use janus_core::ir::{Op, PreFunc, PreObjId, Program};
 use janus_nvm::addr::LineAddr;
 use janus_nvm::line::Line;
 
@@ -209,10 +209,13 @@ pub fn auto_place(program: &Program) -> (Program, PlaceReport) {
             let PlanKind::Both { value, .. } = p.kind else {
                 unreachable!("grouped plans are Both");
             };
-            group_ops.push(Op::PreBothBuf {
+            group_ops.push(Op::Pre {
                 obj,
-                line: p.line,
-                values: vec![value],
+                func: PreFunc::Both {
+                    line: p.line,
+                    values: vec![value],
+                },
+                buffered: true,
             });
         }
         group_ops.push(Op::PreStartBuf(obj));
@@ -235,10 +238,13 @@ pub fn auto_place(program: &Program) -> (Program, PlaceReport) {
                     at,
                     vec![
                         Op::PreInit(obj),
-                        Op::PreBoth {
+                        Op::Pre {
                             obj,
-                            line: p.line,
-                            values: vec![value],
+                            func: PreFunc::Both {
+                                line: p.line,
+                                values: vec![value],
+                            },
+                            buffered: false,
                         },
                     ],
                 ));
@@ -252,17 +258,23 @@ pub fn auto_place(program: &Program) -> (Program, PlaceReport) {
                 insertions.push((addr_at.min(data_at), vec![Op::PreInit(obj)]));
                 insertions.push((
                     data_at,
-                    vec![Op::PreData {
+                    vec![Op::Pre {
                         obj,
-                        values: vec![value],
+                        func: PreFunc::Data {
+                            values: vec![value],
+                        },
+                        buffered: false,
                     }],
                 ));
                 insertions.push((
                     addr_at,
-                    vec![Op::PreAddr {
+                    vec![Op::Pre {
                         obj,
-                        line: p.line,
-                        nlines: 1,
+                        func: PreFunc::Addr {
+                            line: p.line,
+                            nlines: 1,
+                        },
+                        buffered: false,
                     }],
                 ));
                 report.pre_addr_inserted += 1;
@@ -273,10 +285,13 @@ pub fn auto_place(program: &Program) -> (Program, PlaceReport) {
                     addr_at,
                     vec![
                         Op::PreInit(obj),
-                        Op::PreAddr {
+                        Op::Pre {
                             obj,
-                            line: p.line,
-                            nlines: 1,
+                            func: PreFunc::Addr {
+                                line: p.line,
+                                nlines: 1,
+                            },
+                            buffered: false,
                         },
                     ],
                 ));
@@ -314,6 +329,18 @@ mod tests {
     use super::*;
     use janus_core::ir::ProgramBuilder;
 
+    /// What `o` carries, when it is an unbuffered request.
+    fn unbuffered(o: &Op) -> Option<&PreFunc> {
+        match o {
+            Op::Pre {
+                func,
+                buffered: false,
+                ..
+            } => Some(func),
+            _ => None,
+        }
+    }
+
     #[test]
     fn straight_line_write_gets_pre_both() {
         let mut b = ProgramBuilder::new();
@@ -331,7 +358,7 @@ mod tests {
         let both = p
             .ops
             .iter()
-            .position(|o| matches!(o, Op::PreBoth { .. }))
+            .position(|o| matches!(unbuffered(o), Some(PreFunc::Both { .. })))
             .unwrap();
         let gen = p
             .ops
@@ -362,20 +389,19 @@ mod tests {
         let data = p
             .ops
             .iter()
-            .position(|o| matches!(o, Op::PreData { .. }))
+            .position(|o| matches!(unbuffered(o), Some(PreFunc::Data { .. })))
             .unwrap();
         let addr = p
             .ops
             .iter()
-            .position(|o| matches!(o, Op::PreAddr { .. }))
+            .position(|o| matches!(unbuffered(o), Some(PreFunc::Addr { .. })))
             .unwrap();
         assert!(data < addr, "data is known first here");
-        let (Op::PreData { obj: od, .. }, Op::PreAddr { obj: oa, .. }) =
-            (&p.ops[data], &p.ops[addr])
-        else {
-            unreachable!()
-        };
-        assert_eq!(od, oa, "one pre_obj ties the pair together");
+        assert_eq!(
+            p.ops[data].pre_obj(),
+            p.ops[addr].pre_obj(),
+            "one pre_obj ties the pair together"
+        );
     }
 
     #[test]
@@ -431,7 +457,7 @@ mod tests {
         let req = p
             .ops
             .iter()
-            .position(|o| matches!(o, Op::PreBoth { .. }))
+            .position(|o| matches!(unbuffered(o), Some(PreFunc::Both { .. })))
             .unwrap();
         assert!(req > cond, "insertion must stay under the conditional");
     }
@@ -456,7 +482,14 @@ mod tests {
         assert_eq!(
             p.ops
                 .iter()
-                .filter(|o| matches!(o, Op::PreBothBuf { .. }))
+                .filter(|o| matches!(
+                    o,
+                    Op::Pre {
+                        func: PreFunc::Both { .. },
+                        buffered: true,
+                        ..
+                    }
+                ))
                 .count(),
             2
         );
@@ -496,7 +529,7 @@ mod tests {
             .ops
             .iter()
             .enumerate()
-            .filter(|(_, o)| matches!(o, Op::PreBoth { .. }))
+            .filter(|(_, o)| matches!(unbuffered(o), Some(PreFunc::Both { .. })))
             .map(|(i, _)| i)
             .collect();
         let first_clwb = p.ops.iter().position(|o| matches!(o, Op::Clwb(_))).unwrap();
@@ -524,7 +557,7 @@ mod tests {
         assert_eq!(
             p.ops
                 .iter()
-                .filter(|o| matches!(o, Op::PreBoth { .. }))
+                .filter(|o| matches!(unbuffered(o), Some(PreFunc::Both { .. })))
                 .count(),
             1
         );

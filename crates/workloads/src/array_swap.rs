@@ -112,7 +112,16 @@ mod tests {
             .program
             .ops
             .iter()
-            .filter(|o| matches!(o, janus_core::ir::Op::PreBoth { .. }))
+            .filter(|o| {
+                matches!(
+                    o,
+                    janus_core::ir::Op::Pre {
+                        func: janus_core::ir::PreFunc::Both { .. },
+                        buffered: false,
+                        ..
+                    }
+                )
+            })
             .count();
         // 2 item updates + 1 commit record per tx.
         assert_eq!(pre_both, 4 * 3);

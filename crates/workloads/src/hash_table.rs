@@ -132,6 +132,7 @@ pub fn generate(core: usize, cfg: &WorkloadConfig) -> Result<WorkloadOutput, Gen
 mod tests {
     use super::*;
     use crate::Instrumentation;
+    use janus_core::ir::PreFunc;
 
     #[test]
     fn inserts_set_headers_and_payload() {
@@ -182,16 +183,26 @@ mod tests {
             },
         )
         .expect("fits");
-        let has_data = out
-            .program
-            .ops
-            .iter()
-            .any(|o| matches!(o, Op::PreData { .. }));
-        let has_addr = out
-            .program
-            .ops
-            .iter()
-            .any(|o| matches!(o, Op::PreAddr { .. }));
+        let has_data = out.program.ops.iter().any(|o| {
+            matches!(
+                o,
+                Op::Pre {
+                    func: PreFunc::Data { .. },
+                    buffered: false,
+                    ..
+                }
+            )
+        });
+        let has_addr = out.program.ops.iter().any(|o| {
+            matches!(
+                o,
+                Op::Pre {
+                    func: PreFunc::Addr { .. },
+                    buffered: false,
+                    ..
+                }
+            )
+        });
         assert!(has_data && has_addr);
     }
 }

@@ -103,6 +103,7 @@ pub fn generate(core: usize, cfg: &WorkloadConfig) -> Result<WorkloadOutput, Gen
 mod tests {
     use super::*;
     use crate::Instrumentation;
+    use janus_core::ir::PreFunc;
 
     #[test]
     fn updates_location_lines() {
@@ -172,12 +173,21 @@ mod tests {
             },
         )
         .expect("fits");
-        // The first PreBoth appears before the first Load.
+        // The first PRE_BOTH appears before the first Load.
         let pre = out
             .program
             .ops
             .iter()
-            .position(|o| matches!(o, Op::PreBoth { .. }))
+            .position(|o| {
+                matches!(
+                    o,
+                    Op::Pre {
+                        func: PreFunc::Both { .. },
+                        buffered: false,
+                        ..
+                    }
+                )
+            })
             .unwrap();
         let load = out
             .program

@@ -12,11 +12,13 @@
 //! `--bmos id,...` selects the BMO stack (see `janus-cli --list-bmos`),
 //! e.g. `--bmos enc,ecc` or `--bmos none`.
 
+use janus::bmo::BmoStack;
 use janus::core::config::{JanusConfig, SystemMode};
 use janus::core::ir::ProgramBuilder;
 use janus::core::system::System;
 use janus::nvm::{addr::LineAddr, line::Line};
 use janus::trace::TraceConfig;
+use janus_bench::cli::{self, parse_with};
 
 fn build_program(pre_execute: bool) -> janus::core::ir::Program {
     let mut b = ProgramBuilder::new();
@@ -47,30 +49,19 @@ fn build_program(pre_execute: bool) -> janus::core::ir::Program {
     b.build()
 }
 
-/// Reads `--name path` from the process arguments.
-fn arg_path(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn config(mode: SystemMode) -> JanusConfig {
-    let mut c = JanusConfig::paper(mode, 1);
-    if let Some(list) = arg_path("--bmos") {
-        match janus::bmo::BmoStack::parse(&list) {
-            Ok(stack) => c.bmo_stack = stack.members().to_vec(),
-            Err(e) => {
-                eprintln!("--bmos {list}: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    c
-}
-
 fn main() {
+    // Every flag is read before the run: a malformed one, or an output file
+    // that cannot be created, exits 2 without simulating anything.
+    cli::require_known_args(&["--trace", "--metrics", "--profile", "--bmos"], &[]);
+    let stack = parse_with("--bmos", BmoStack::parse).unwrap_or_else(BmoStack::paper);
+    let trace_path = parse_with("--trace", cli::output_path);
+    let profile_path = parse_with("--profile", cli::output_path);
+    let metrics_path = parse_with("--metrics", cli::output_path);
+    let config = |mode| JanusConfig {
+        bmo_stack: stack.members().to_vec(),
+        ..JanusConfig::paper(mode, 1)
+    };
+
     // Baseline: every write pays the serialized BMO latency on its fence.
     let mut baseline = System::new(config(SystemMode::Serialized));
     let base = baseline.run(vec![build_program(false)]);
@@ -78,8 +69,6 @@ fn main() {
     // Janus: parallelized sub-operations + pre-execution.
     let janus_config = config(SystemMode::Janus);
     let mut janus = System::new(janus_config.clone());
-    let trace_path = arg_path("--trace");
-    let profile_path = arg_path("--profile");
     if profile_path.is_some() {
         // Causal mode records the ordinary trace vocabulary plus the
         // prof_* link events the profiler reconstructs chains from.
@@ -106,7 +95,7 @@ fn main() {
             .tracer()
             .export_chrome(&mut out)
             .expect("serializing trace");
-        std::fs::write(path, out).expect("writing trace file");
+        cli::write_output("--trace", path, out);
         println!(
             "trace      : {} events -> {path} (open in ui.perfetto.dev)",
             janus.tracer().len()
@@ -119,7 +108,7 @@ fn main() {
             .expect("causal profile");
         let json = profile.to_json();
         janus::prof::validate_profile_json(&json).expect("emitted profile validates");
-        std::fs::write(path, json).expect("writing profile file");
+        cli::write_output("--profile", path, json);
         println!(
             "profile    : {} writes, critical path {} cycles -> {path}",
             profile.writes().len(),
@@ -129,10 +118,10 @@ fn main() {
                 .unwrap_or_default()
         );
     }
-    if let Some(path) = arg_path("--metrics") {
+    if let Some(path) = &metrics_path {
         let mut out = Vec::new();
         report.dump_json(&mut out).expect("serializing metrics");
-        std::fs::write(&path, out).expect("writing metrics file");
+        cli::write_output("--metrics", path, out);
         println!("metrics    : -> {path}");
     }
 

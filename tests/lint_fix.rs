@@ -8,8 +8,9 @@
 use std::path::PathBuf;
 
 use janus::bmo::BmoStack;
-use janus::core::ir::{Op, Program, ProgramBuilder};
+use janus::core::ir::{Op, PreFunc, Program, ProgramBuilder};
 use janus::instrument::misuse::verify_fix;
+use janus::lint::fix::render_op;
 use janus::lint::{
     fix_program, lint_program, render_program, seed_stale_hint, unified_diff, FixKind, FixOutcome,
 };
@@ -230,6 +231,39 @@ fn hoisted_request_sits_at_the_marker() {
     assert!(matches!(outcome.program.ops[marker + 1], Op::PreInit(_)));
     assert!(matches!(
         outcome.program.ops[marker + 2],
-        Op::PreBoth { .. }
+        Op::Pre {
+            func: PreFunc::Both { .. },
+            buffered: false,
+            ..
+        }
     ));
+}
+
+/// Each of Table 2's eight calls renders as its own line of IR text (the
+/// goldens above cover only `pre_init` and `pre_both`).
+#[test]
+fn render_op_prints_every_interface_form() {
+    let mut b = ProgramBuilder::new();
+    let obj = b.pre_init();
+    b.pre_addr(obj, LineAddr(3), 1);
+    b.pre_data(obj, vec![Line::splat(2)]);
+    b.pre_both(obj, LineAddr(5), vec![Line::splat(7), Line::splat(8)]);
+    b.pre_addr_buf(obj, LineAddr(4), 2);
+    b.pre_data_buf(obj, vec![Line::splat(0xAB)]);
+    b.pre_both_buf(obj, LineAddr(6), vec![Line::splat(1)]);
+    b.pre_start_buf(obj);
+    let rendered: Vec<String> = b.build().ops.iter().map(render_op).collect();
+    assert_eq!(
+        rendered,
+        [
+            "pre_init obj=0",
+            "pre_addr obj=0 L3 n=1",
+            "pre_data obj=0 [0x02]",
+            "pre_both obj=0 L5 [0x07 0x08]",
+            "pre_addr_buf obj=0 L4 n=2",
+            "pre_data_buf obj=0 [0xab]",
+            "pre_both_buf obj=0 L6 [0x01]",
+            "pre_start_buf obj=0",
+        ]
+    );
 }

@@ -167,3 +167,83 @@ fn distinct_objs_do_not_interfere() {
     assert_eq!(sys.read_value(LineAddr(1)), Line::splat(1));
     assert_eq!(sys.read_value(LineAddr(2)), Line::splat(2));
 }
+
+/// `PRE_DATA_BUF` + `PRE_ADDR_BUF` on one object wait in the request queue
+/// and, released by `PRE_START_BUF`, pair up in one IRB entry that the
+/// write consumes fully pre-executed.
+#[test]
+fn buffered_data_and_addr_pair_up_when_started() {
+    let mut b = ProgramBuilder::new();
+    let obj = b.pre_init();
+    b.pre_data_buf(obj, vec![Line::splat(4)]);
+    b.pre_addr_buf(obj, LineAddr(8), 1);
+    b.pre_start_buf(obj);
+    b.compute(WINDOW);
+    b.persist_store(LineAddr(8), Line::splat(4));
+    let (r, sys) = run(b.build());
+    assert_eq!(r.irb.0, 1, "inserted");
+    assert_eq!(r.irb.1, 1, "consumed");
+    assert_eq!(r.counter("pre_full"), 1);
+    assert_eq!(sys.read_value(LineAddr(8)), Line::splat(4));
+}
+
+/// A `PRE_DATA` that completes an earlier `PRE_ADDR` (the split hint) is
+/// checked against the write like a `PRE_BOTH`: a store of another value
+/// re-runs the data-dependent sub-operations.
+#[test]
+fn pre_addr_then_stale_pre_data_invalidates_the_data() {
+    let mut b = ProgramBuilder::new();
+    let obj = b.pre_init();
+    b.pre_addr(obj, LineAddr(3), 1);
+    b.pre_data(obj, vec![Line::splat(2)]);
+    b.compute(WINDOW);
+    b.persist_store(LineAddr(3), Line::splat(9));
+    let (r, sys) = run(b.build());
+    assert_eq!(r.counter("inval_data"), 1);
+    assert_eq!(r.counter("pre_partial"), 1);
+    assert_eq!(r.counter("pre_full"), 0);
+    assert_eq!(sys.read_value(LineAddr(3)), Line::splat(9));
+}
+
+/// Each value of a multi-line `PRE_DATA` completes the next address-only
+/// entry of its object, lowest line first, as `lint_program` binds them.
+#[test]
+fn multi_line_pre_data_binds_one_value_per_address_only_entry() {
+    let mut b = ProgramBuilder::new();
+    let obj = b.pre_init();
+    b.pre_addr(obj, LineAddr(3), 2);
+    b.pre_data(obj, vec![Line::splat(2), Line::splat(7)]);
+    b.compute(WINDOW);
+    b.store(LineAddr(3), Line::splat(2));
+    b.store(LineAddr(4), Line::splat(7));
+    b.clwb(LineAddr(3));
+    b.clwb(LineAddr(4));
+    b.fence();
+    let (r, _) = run(b.build());
+    assert_eq!(r.counter("inval_data"), 0);
+    assert_eq!(r.counter("pre_full"), 2);
+}
+
+/// A consume reorders the IRB's bank, yet a later `PRE_DATA` still binds
+/// the lowest-line address-only entry of its object: here line 3, not
+/// line 5, which took line 100's slot when that line's write consumed it.
+#[test]
+fn pre_data_after_a_consume_binds_the_lowest_line() {
+    let mut b = ProgramBuilder::new();
+    let other = b.pre_init();
+    let obj = b.pre_init();
+    b.pre_both(other, LineAddr(100), vec![Line::splat(1)]);
+    b.pre_addr(obj, LineAddr(3), 3);
+    b.compute(WINDOW);
+    b.persist_store(LineAddr(100), Line::splat(1));
+    b.pre_data(obj, vec![Line::splat(2)]);
+    b.compute(WINDOW);
+    b.store(LineAddr(3), Line::splat(2));
+    b.store(LineAddr(5), Line::splat(8));
+    b.clwb(LineAddr(3));
+    b.clwb(LineAddr(5));
+    b.fence();
+    let (r, _) = run(b.build());
+    assert_eq!(r.counter("inval_data"), 0);
+    assert_eq!(r.counter("pre_full"), 2, "lines 100 and 3");
+}

@@ -27,7 +27,10 @@
 //! post-fix diagnostics are counted). Every value is checked before any
 //! analysis runs: a malformed one (`--irb-policy` without `--tenants`
 //! included) exits with status 2. Output is byte-deterministic: same
-//! flags, same bytes, at any `--jobs` value.
+//! flags, same bytes. The analysis runs serially (a whole
+//! `--all --seeded --fix` pass takes about 10 ms in a release build on a
+//! 2-vCPU x86-64 host); the global `--jobs` flag is accepted so that
+//! `scripts/regen_results.sh` can forward its arguments to every binary.
 
 use janus_bench::banner;
 use janus_bench::cli::{self, flag, parse_with};
@@ -282,12 +285,12 @@ fn main() {
         total_errors += configured
             .iter()
             .chain(&sweep)
-            .filter(|d| d.severity == janus_lint::Severity::Error)
+            .filter(|d| d.severity() == janus_lint::Severity::Error)
             .count();
         total_warnings += configured
             .iter()
             .chain(&sweep)
-            .filter(|d| d.severity == janus_lint::Severity::Warning)
+            .filter(|d| d.severity() == janus_lint::Severity::Warning)
             .count();
         if json_out {
             print!("{{\"stack\":\"{stack}\",\"graph\":[");

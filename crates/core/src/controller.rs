@@ -420,7 +420,6 @@ impl MemoryController {
         );
         let entry = IrbEntry {
             key,
-            tx_id: req.tx_id,
             line,
             data: value,
             job,
@@ -907,7 +906,6 @@ mod tests {
                 core: 0,
                 obj: crate::ir::PreObjId(obj),
             },
-            tx_id: 0,
             func,
             buffered: false,
         }

@@ -2,10 +2,13 @@
 //!
 //! Pre-executed sub-operation results must not change processor or memory
 //! state, so Janus holds them in the IRB until the actual write consumes
-//! them. Each entry is identified by (PRE_ID, ThreadID, TransactionID) plus
-//! the processor-visible line address, holds a copy of the pre-executed
-//! data (for stale-data detection), tracks the BMO engine job that owns the
-//! intermediate results, and carries a completion flag.
+//! them. Each entry is identified by (ThreadID, PRE_ID) plus the
+//! processor-visible line address, holds a copy of the pre-executed data
+//! (for stale-data detection), tracks the BMO engine job that owns the
+//! intermediate results, and carries a completion flag. The paper's entry
+//! also holds a TransactionID, which the hardware budget in
+//! [`crate::overhead`] counts; the model needs none, since every
+//! transaction's `pre_obj`s are fresh.
 //!
 //! Invalidation (§4.3.1):
 //! 1. *Stale data* — the entry keeps the data value used for pre-execution;
@@ -114,8 +117,6 @@ pub struct IrbKey {
 pub struct IrbEntry {
     /// Request identity.
     pub key: IrbKey,
-    /// TransactionID at issue time.
-    pub tx_id: u64,
     /// ProcAddr — known once a `PRE_ADDR`/`PRE_BOTH` supplied it.
     pub line: Option<LineAddr>,
     /// Data used during pre-execution (None for address-only requests).
@@ -190,24 +191,22 @@ impl Bank {
     }
 
     fn bind_addr(&mut self, key: IrbKey, first: LineAddr, nlines: u32) -> usize {
-        let mut next = first;
         let mut bound = 0;
-        let limit = LineAddr(first.0 + nlines as u64);
-        for (i, e) in self
-            .entries
-            .iter_mut()
-            .enumerate()
-            .filter(|(_, e)| e.key == key && e.line.is_none())
-        {
-            if next >= limit {
+        while bound < nlines {
+            // The engine numbers jobs in submit order, and each entry's job
+            // is submitted just before the entry is inserted.
+            let Some(i) = (0..self.entries.len())
+                .filter(|&i| self.entries[i].key == key && self.entries[i].line.is_none())
+                .min_by_key(|&i| self.entries[i].job.raw())
+            else {
                 break;
-            }
-            e.line = Some(next);
-            self.tags[i].line = next.0;
-            next = next.offset(1);
+            };
+            let line = first.offset(bound as u64);
+            self.entries[i].line = Some(line);
+            self.tags[i].line = line.0;
             bound += 1;
         }
-        bound
+        bound as usize
     }
 
     fn invalidate_slot_refs(&mut self, slot: u64) -> usize {
@@ -320,8 +319,9 @@ impl Irb {
 
     /// Attaches a later-arriving address to data-only entries of `key` (a
     /// `PRE_DATA` followed by `PRE_ADDR` on the same `pre_obj`, as in
-    /// Figure 8a). Entries are assigned consecutive lines in bank order,
-    /// which is issue order until a consume reorders the bank; returns how
+    /// Figure 8a). Entries are assigned consecutive lines in issue order,
+    /// read from their engine jobs, not in bank order, which a consume
+    /// reorders; `lint_program` binds the values the same way. Returns how
     /// many were bound.
     pub fn bind_addr(&mut self, key: IrbKey, first: LineAddr, nlines: u32) -> usize {
         let b = self.bank_of(key.core);
@@ -429,7 +429,6 @@ mod tests {
                 core,
                 obj: PreObjId(obj),
             },
-            tx_id: 0,
             line: line.map(LineAddr),
             data: Some(Line::splat(1)),
             job: fake_job(),

@@ -17,7 +17,7 @@
 //!   stale-data invalidation, aging, thread-exit clearing, and swap-range
 //!   clearing (§4.6).
 //! * [`queues`] — the requests the cores send (a `PRE_*` call plus its
-//!   thread and transaction), their decoding into cache-line-sized
+//!   thread), their decoding into cache-line-sized
 //!   operations, and the Pre-execution Request Queue (immediate + deferred
 //!   requests, coalescing, FIFO overflow).
 //! * [`controller`] — the memory controller: integrates the BMO timing

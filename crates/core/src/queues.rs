@@ -1,7 +1,7 @@
 //! The Pre-execution Request Queue and decoder (§4.3.2, Figure 7a/7b).
 //!
 //! A request is one `PRE_*` call ([`Op::Pre`](crate::ir::Op::Pre)) plus the
-//! thread and transaction that issued it. The processor sends requests to a
+//! thread that issued it. The processor sends requests to a
 //! bounded request queue. Immediate requests (`PRE_ADDR`/`PRE_DATA`/
 //! `PRE_BOTH`) are decoded into cache-line-sized operations right away
 //! ([`PreFunc::lines`]); buffered requests (`*_BUF`) wait in the queue —
@@ -21,8 +21,6 @@ use crate::irb::IrbKey;
 pub struct PreRequest {
     /// Request identity (PRE_ID + ThreadID).
     pub key: IrbKey,
-    /// TransactionID at issue.
-    pub tx_id: u64,
     /// What the call carries.
     pub func: PreFunc,
     /// A `*_BUF` call: waits in the queue for `PRE_START_BUF`.
@@ -81,13 +79,17 @@ impl RequestQueue {
 
     /// Buffers a deferred (`*_BUF`) request, coalescing with an adjacent
     /// buffered request of the same `pre_obj` when possible. When full, the
-    /// oldest buffered request is discarded to make space (§4.6).
+    /// oldest buffered request is discarded to make space (§4.6); a queue
+    /// of no entries discards the request itself.
     ///
     /// Returns the request that was discarded, if any.
     pub fn push_buffered(&mut self, req: PreRequest) -> Option<PreRequest> {
         if let Some(prev) = self.buffered.iter_mut().find(|b| b.can_coalesce(&req)) {
             prev.coalesce(req);
             return None;
+        }
+        if self.capacity == 0 {
+            return Some(req);
         }
         let mut evicted = None;
         if self.buffered.len() >= self.capacity {
@@ -119,7 +121,6 @@ mod tests {
     fn req(obj: u32, line: u64, nlines: u32) -> PreRequest {
         PreRequest {
             key: key(obj),
-            tx_id: 0,
             func: PreFunc::Both {
                 line: LineAddr(line),
                 values: (0..nlines).map(|i| Line::splat(i as u8)).collect(),
@@ -141,7 +142,6 @@ mod tests {
     fn decode_addr_only() {
         let r = PreRequest {
             key: key(1),
-            tx_id: 0,
             func: PreFunc::Addr {
                 line: LineAddr(5),
                 nlines: 2,
@@ -156,7 +156,6 @@ mod tests {
     fn decode_data_only() {
         let r = PreRequest {
             key: key(1),
-            tx_id: 0,
             func: PreFunc::Data {
                 values: vec![Line::splat(1), Line::splat(2)],
             },
@@ -204,6 +203,15 @@ mod tests {
         assert!(q.start_buffered(key(1)).is_empty());
         assert_eq!(q.start_buffered(key(2)).len(), 1);
         assert_eq!(q.start_buffered(key(3)).len(), 1);
+    }
+
+    #[test]
+    fn zero_entry_queue_drops_every_request() {
+        let mut q = RequestQueue::new(0);
+        let dropped = q.push_buffered(req(1, 100, 1)).expect("no room");
+        assert_eq!(dropped.key, key(1));
+        assert!(q.start_buffered(key(1)).is_empty());
+        assert!(!q.admit_immediate());
     }
 
     #[test]

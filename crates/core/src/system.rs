@@ -84,6 +84,12 @@ pub enum ConfigError {
         /// Total IRB entries ([`JanusConfig::total_irb_entries`]).
         capacity: usize,
     },
+    /// A resource no write can do without is sized zero: the BMO units
+    /// (unless resources are unlimited) or the write queue.
+    ZeroSize {
+        /// The [`JanusConfig`] field.
+        field: &'static str,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -110,6 +116,7 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "IRB policy partitioned:{quota} exceeds the IRB's {capacity} entries"
             ),
+            ConfigError::ZeroSize { field } => write!(f, "{field} must be at least 1"),
         }
     }
 }
@@ -153,7 +160,6 @@ struct CoreState {
     /// `clwb`'d writes not yet persistent.
     outstanding: usize,
     fence_blocked: bool,
-    tx_id: u64,
     committed: u64,
     finished_at: Option<Cycles>,
     /// Open-loop only: the in-flight tenant transaction (tenant id and its
@@ -171,7 +177,6 @@ impl CoreState {
             pc: 0,
             outstanding: 0,
             fence_blocked: false,
-            tx_id: 0,
             committed: 0,
             finished_at: None,
             tenant: None,
@@ -322,9 +327,16 @@ pub struct System {
 }
 
 impl System {
-    /// Builds a system for the configuration.
+    /// Builds a system for the configuration. A configuration with zero
+    /// BMO units or write-queue entries builds with one of each, and every
+    /// run entry point refuses it with [`ConfigError::ZeroSize`] before the
+    /// first event.
     pub fn new(config: JanusConfig) -> Self {
-        let mc = MemoryController::new(config.clone());
+        let mc = MemoryController::new(JanusConfig {
+            bmo_units_per_core: config.bmo_units_per_core.max(1),
+            wq_capacity: config.wq_capacity.max(1),
+            ..config.clone()
+        });
         // Pre-size the event queue for the peak concurrent events a run can
         // sustain: per core, one core-step event plus a full write queue and
         // a full pre-execution operation queue. The per-core knobs are used
@@ -409,15 +421,17 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if the number of programs does not match the configured core
-    /// count ([`System::try_run`] is the non-panicking form).
+    /// Panics on a [`ConfigError`], such as a number of programs that does
+    /// not match the configured core count ([`System::try_run`] is the
+    /// non-panicking form).
     pub fn run(&mut self, programs: Vec<Program>) -> ExecutionReport {
         self.try_run(programs).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible form of [`System::run`]: a program-count mismatch or an
-    /// IRB quota above capacity is a [`ConfigError`] instead of a panic, so
-    /// harnesses can report a usage error and exit cleanly.
+    /// Fallible form of [`System::run`]: a program-count mismatch, an IRB
+    /// quota above capacity or a zero resource size is a [`ConfigError`]
+    /// instead of a panic, so harnesses can report a usage error and exit
+    /// cleanly.
     pub fn try_run(&mut self, programs: Vec<Program>) -> Result<ExecutionReport, ConfigError> {
         self.check_config()?;
         if programs.len() != self.config.cores {
@@ -440,8 +454,8 @@ impl System {
     /// # Errors
     ///
     /// [`ConfigError`] when there are no streams, a stream's arrival and
-    /// transaction vectors disagree in length, arrivals are unsorted, or the
-    /// IRB quota exceeds capacity.
+    /// transaction vectors disagree in length, arrivals are unsorted, the
+    /// IRB quota exceeds capacity, or a resource is sized zero.
     pub fn try_run_tenants(
         &mut self,
         streams: Vec<TenantStream>,
@@ -484,7 +498,8 @@ impl System {
     ///
     /// [`ConfigError::ProgramCount`] when the number of programs does not
     /// match the configured core count, [`ConfigError::IrbQuota`] when the
-    /// IRB quota exceeds capacity.
+    /// IRB quota exceeds capacity, [`ConfigError::ZeroSize`] when a
+    /// resource is sized zero.
     pub fn run_until_crash(
         &mut self,
         programs: Vec<Program>,
@@ -506,7 +521,8 @@ impl System {
     ///
     /// [`ConfigError::ProgramCount`] when the number of programs does not
     /// match the configured core count, [`ConfigError::IrbQuota`] when the
-    /// IRB quota exceeds capacity.
+    /// IRB quota exceeds capacity, [`ConfigError::ZeroSize`] when a
+    /// resource is sized zero.
     pub fn run_until_crashes(
         &mut self,
         programs: Vec<Program>,
@@ -537,8 +553,19 @@ impl System {
 
     /// The configuration checks every run entry point makes first.
     fn check_config(&self) -> Result<(), ConfigError> {
-        let capacity = self.config.total_irb_entries();
-        match self.config.irb_policy {
+        let config = &self.config;
+        if config.bmo_units_per_core == 0 && !config.unlimited_resources {
+            return Err(ConfigError::ZeroSize {
+                field: "bmo_units_per_core",
+            });
+        }
+        if config.wq_capacity == 0 {
+            return Err(ConfigError::ZeroSize {
+                field: "wq_capacity",
+            });
+        }
+        let capacity = config.total_irb_entries();
+        match config.irb_policy {
             IrbPolicy::Partitioned { quota } if quota > capacity => {
                 Err(ConfigError::IrbQuota { quota, capacity })
             }
@@ -749,10 +776,7 @@ impl System {
                     return None; // resumed by the last Persisted event
                 }
             }
-            Op::TxBegin => {
-                self.cores[i].tx_id += 1;
-                next_at = t + Cycles(1);
-            }
+            Op::TxBegin => next_at = t + Cycles(1),
             Op::TxCommit => {
                 self.cores[i].committed += 1;
                 next_at = t + Cycles(1);
@@ -766,7 +790,6 @@ impl System {
             } => {
                 let req = PreRequest {
                     key: IrbKey { core: thread, obj },
-                    tx_id: self.cores[i].tx_id,
                     func,
                     buffered,
                 };

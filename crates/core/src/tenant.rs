@@ -52,12 +52,12 @@ impl TenantStream {
 #[derive(Debug)]
 pub(crate) struct FrontEnd {
     streams: Vec<TenantStream>,
-    /// Per tenant: index of the next undispatched transaction.
+    /// Per tenant: index of the next undispatched transaction, which is
+    /// also the count of dispatched ones.
     next: Vec<usize>,
     /// Per tenant: whether a transaction is currently in flight (serial
     /// FIFO per tenant).
     busy: Vec<bool>,
-    dispatched: Vec<u64>,
     completed: Vec<u64>,
     /// Per-tenant arrival→completion latency.
     latency: Vec<Histogram>,
@@ -69,7 +69,6 @@ impl FrontEnd {
         FrontEnd {
             next: vec![0; n],
             busy: vec![false; n],
-            dispatched: vec![0; n],
             completed: vec![0; n],
             latency: (0..n).map(|_| Histogram::new()).collect(),
             streams,
@@ -99,7 +98,6 @@ impl FrontEnd {
         let i = self.next[t];
         self.next[t] += 1;
         self.busy[t] = true;
-        self.dispatched[t] += 1;
         Some((t, arrival, std::mem::take(&mut self.streams[t].txs[i])))
     }
 
@@ -143,11 +141,11 @@ impl FrontEnd {
 
     /// Per-tenant (dispatched, completed, latency histogram) for reporting.
     pub(crate) fn tenant_stats(&self) -> impl Iterator<Item = (u64, u64, &Histogram)> {
-        self.dispatched
+        self.next
             .iter()
             .zip(&self.completed)
             .zip(&self.latency)
-            .map(|((&d, &c), h)| (d, c, h))
+            .map(|((&d, &c), h)| (d as u64, c, h))
     }
 }
 

@@ -64,20 +64,18 @@ impl OracleBank {
         Some(self.entries.swap_remove(pos))
     }
 
+    /// Binds consecutive lines to the data-only entries of `key`, earliest
+    /// job first.
     fn bind_addr(&mut self, key: IrbKey, first: LineAddr, nlines: u32) -> usize {
-        let mut next = first;
-        let mut bound = 0;
-        let limit = LineAddr(first.0 + nlines as u64);
-        for e in self
+        let mut unbound: Vec<&mut IrbEntry> = self
             .entries
             .iter_mut()
             .filter(|e| e.key == key && e.line.is_none())
-        {
-            if next >= limit {
-                break;
-            }
-            e.line = Some(next);
-            next = next.offset(1);
+            .collect();
+        unbound.sort_by_key(|e| e.job.raw());
+        let mut bound = 0;
+        for (e, k) in unbound.into_iter().zip(0..nlines as u64) {
+            e.line = Some(first.offset(k));
             bound += 1;
         }
         bound
@@ -234,7 +232,6 @@ impl OracleSet {
 /// Every field of an entry, for equality.
 type Fields = (
     IrbKey,
-    u64,
     Option<LineAddr>,
     Option<Line>,
     JobId,
@@ -247,7 +244,6 @@ type Fields = (
 fn fields(e: &IrbEntry) -> Fields {
     (
         e.key,
-        e.tx_id,
         e.line,
         e.data,
         e.job,
@@ -320,7 +316,6 @@ fn irb_matches_the_two_layer_oracle() {
                     0..=4 => {
                         let entry = IrbEntry {
                             key: key(thread, obj),
-                            tx_id: b >> 32,
                             line: ((b >> 8) % 3 != 0).then_some(line),
                             data: ((b >> 16) % 4 != 0).then(|| Line::splat(b as u8)),
                             job: engine.submit(clock, Some(clock), Some(clock), false),

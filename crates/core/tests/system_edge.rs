@@ -19,7 +19,6 @@ fn request(obj: u32, func: PreFunc) -> PreRequest {
             core: 0,
             obj: PreObjId(obj),
         },
-        tx_id: 0,
         func,
         buffered: false,
     }

@@ -1,12 +1,11 @@
-//! Control-flow graph and dominators over the program IR.
+//! Dominance over the program IR, read off its region markers.
 //!
 //! The IR is a concrete trace, but its region markers preserve the control
 //! structure of the source: `LoopBegin`/`LoopEnd` bracket one executed loop
 //! instance, `CondBegin`/`CondEnd` bracket a conditionally executed region,
-//! and `FuncBegin`/`FuncEnd` bracket an (inlined) call. The CFG models each
-//! op as one node with:
+//! and `FuncBegin`/`FuncEnd` bracket an (inlined) call. Control flows from
+//! each op to the next, plus:
 //!
-//! * a fall-through edge `i → i+1`;
 //! * a back edge `LoopEnd → LoopBegin` (loops are *do-while*: a loop region
 //!   present in the trace executed its body at least once, so the body
 //!   dominates everything after the loop — this is exact for trace
@@ -15,11 +14,27 @@
 //! * a skip edge `CondBegin → CondEnd+1` (the conditional may not execute
 //!   in other instances, so its body dominates nothing after it).
 //!
-//! Dominators are computed with the standard iterative algorithm (Cooper,
-//! Harvey, Kennedy) over the reverse-postorder that program order already
-//! is for this reducible graph. [`Cfg::dominates`] is the soundness core of
-//! every placement decision: an insertion point is legal for a writeback
-//! only if it executes on every path that reaches the writeback.
+//! Markers pair up by nesting, each kind on its own stack; an unpaired
+//! marker adds no edge.
+//!
+//! On this graph dominance has a closed form, so building a [`Cfg`] needs
+//! no graph and no iteration. Op *j* dominates op *i* iff `j ≤ i` and *i*
+//! lies inside the innermost conditional that strictly encloses *j* (a
+//! `CondBegin` is outside its own region, its `CondEnd` inside), with one
+//! exception: a loop that begins inside that conditional after *j* and
+//! ends past its `CondEnd` re-enters the region behind *j*, so *j*'s reach
+//! stops just before that `LoopBegin`. The argument: fall-through and skip
+//! edges only go forward and back edges only go to a `LoopBegin`, so every
+//! op before *j* is reached without *j*, and a path can pass *j* only by
+//! one of the skip edges over it, of which the innermost conditional's
+//! lands first. From there it reaches everything after that `CondEnd`,
+//! and every loop begun after *j* and closed past the `CondEnd` leads
+//! back into the region; the earliest such `LoopBegin` bounds the reach
+//! (pairs of one kind nest, so no further back edge gets behind it). The
+//! tests hold the rule to the general iterative algorithm (Cooper, Harvey,
+//! Kennedy) over the explicit graph. [`Cfg::dominates`] is the soundness
+//! core of every placement decision: an insertion point is legal for a
+//! writeback only if it executes on every path that reaches the writeback.
 
 use janus_core::ir::{Op, Program};
 
@@ -36,159 +51,95 @@ pub struct Region {
     pub cond_begin: Option<usize>,
 }
 
-/// The control-flow graph of one program, with dominator information.
+/// The dominance limits and region context of one program.
 #[derive(Clone, Debug)]
 pub struct Cfg {
-    n: usize,
-    preds: Vec<Vec<u32>>,
-    /// Immediate dominator per op (entry points at itself).
-    idom: Vec<u32>,
-    /// Dominator-tree depth per op.
-    depth: Vec<u32>,
+    /// The last op index each op dominates.
+    reach: Vec<u32>,
     /// Region context per op.
     pub regions: Vec<Region>,
 }
 
-impl Cfg {
-    /// Builds the CFG with trace-exact do-while loop semantics.
-    pub fn build(program: &Program) -> Cfg {
-        let ops = &program.ops;
-        let n = ops.len();
-        let mut preds: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let add = |preds: &mut Vec<Vec<u32>>, from: usize, to: usize| {
-            if to < n && !preds[to].contains(&(from as u32)) {
-                preds[to].push(from as u32);
-            }
-        };
+/// A paired conditional open in the backward pass of [`Cfg`]'s build.
+struct Open {
+    /// Its `CondEnd`.
+    end: u32,
+    /// The earliest `LoopBegin` seen so far whose loop ends past `end`.
+    reentry: Option<u32>,
+}
 
-        // Fall-through edges plus region-derived control edges.
-        let mut loop_stack: Vec<usize> = Vec::new();
-        let mut cond_stack: Vec<usize> = Vec::new();
+impl Cfg {
+    /// Computes each op's dominance limit in two passes over the ops: one
+    /// forward to pair the markers, one backward to bound each op's reach.
+    pub(crate) fn build(program: &Program) -> Cfg {
+        let ops = &program.ops;
+        // A paired `LoopBegin` holds its `LoopEnd`, a paired `CondBegin` or
+        // `CondEnd` its partner; every other op holds `NONE`.
+        const NONE: u32 = u32::MAX;
+        let mut pair = vec![NONE; ops.len()];
+        let (mut loops, mut conds) = (Vec::new(), Vec::new());
         for (i, op) in ops.iter().enumerate() {
-            if i + 1 < n {
-                add(&mut preds, i, i + 1);
-            }
             match op {
-                Op::LoopBegin => loop_stack.push(i),
+                Op::LoopBegin => loops.push(i),
                 Op::LoopEnd => {
-                    if let Some(begin) = loop_stack.pop() {
-                        // Back edge: the body repeats.
-                        add(&mut preds, i, begin);
+                    if let Some(begin) = loops.pop() {
+                        pair[begin] = i as u32;
                     }
                 }
-                Op::CondBegin => cond_stack.push(i),
+                Op::CondBegin => conds.push(i),
                 Op::CondEnd => {
-                    if let Some(begin) = cond_stack.pop() {
-                        // Skip edge: the conditional may not execute.
-                        add(&mut preds, begin, i + 1);
+                    if let Some(begin) = conds.pop() {
+                        pair[begin] = i as u32;
+                        pair[i] = begin as u32;
                     }
                 }
                 _ => {}
             }
         }
 
-        // Iterative dominators over program order (a valid RPO here: every
-        // forward edge goes to a larger index, only loop back edges go
-        // backwards).
-        const UNDEF: u32 = u32::MAX;
-        let mut idom = vec![UNDEF; n.max(1)];
-        if n > 0 {
-            idom[0] = 0;
-            let mut changed = true;
-            while changed {
-                changed = false;
-                for i in 1..n {
-                    let mut new: Option<u32> = None;
-                    for &p in &preds[i] {
-                        if idom[p as usize] == UNDEF {
-                            continue; // not yet reached
-                        }
-                        new = Some(match new {
-                            None => p,
-                            Some(cur) => intersect(&idom, cur, p),
-                        });
-                    }
-                    if let Some(new) = new {
-                        if idom[i] != new {
-                            idom[i] = new;
-                            changed = true;
+        // Walking backward, `open` holds the paired conditionals enclosing
+        // the current op, innermost last.
+        let last = ops.len().saturating_sub(1) as u32;
+        let mut reach = vec![last; ops.len()];
+        let mut open: Vec<Open> = Vec::new();
+        for (i, op) in ops.iter().enumerate().rev() {
+            let paired = pair[i] != NONE;
+            match op {
+                Op::CondEnd if paired => open.push(Open {
+                    end: i as u32,
+                    reentry: None,
+                }),
+                Op::CondBegin if paired => {
+                    // The earliest loop re-entering the closed region ends
+                    // the latest, so only it can re-enter the parent too.
+                    let closed = open.pop().expect("paired conditionals nest");
+                    if let (Some(parent), Some(lb)) = (open.last_mut(), closed.reentry) {
+                        if pair[lb as usize] > parent.end {
+                            parent.reentry = Some(lb);
                         }
                     }
                 }
+                _ => {}
             }
-        }
-        let mut depth = vec![0u32; n];
-        for i in 1..n {
-            if idom[i] != UNDEF {
-                depth[i] = depth[idom[i] as usize] + 1;
+            if let Some(c) = open.last_mut() {
+                reach[i] = c.reentry.map_or(c.end, |lb| lb - 1);
+                if matches!(op, Op::LoopBegin) && paired && pair[i] > c.end {
+                    c.reentry = Some(i as u32);
+                }
             }
         }
 
         Cfg {
-            n,
-            preds,
-            idom,
-            depth,
+            reach,
             regions: regions(ops),
         }
-    }
-
-    /// Number of ops (CFG nodes).
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the program was empty.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Direct CFG predecessors of op `i`.
-    pub fn preds(&self, i: usize) -> &[u32] {
-        &self.preds[i]
     }
 
     /// Whether op `a` dominates op `b`: every path from entry to `b`
     /// executes `a`. Reflexive (`dominates(a, a)` is true).
     pub fn dominates(&self, a: usize, b: usize) -> bool {
-        if a >= self.n || b >= self.n {
-            return false;
-        }
-        if self.idom[b] == u32::MAX {
-            return false; // b unreachable
-        }
-        let (da, mut b) = (self.depth[a], b as u32);
-        if da > self.depth[b as usize] {
-            return false;
-        }
-        while self.depth[b as usize] > da {
-            b = self.idom[b as usize];
-        }
-        b as usize == a
+        a <= b && b < self.reach.len() && b <= self.reach[a] as usize
     }
-
-    /// The immediate dominator of `i` (`None` for the entry op).
-    pub fn idom(&self, i: usize) -> Option<usize> {
-        if i == 0 || i >= self.n || self.idom[i] == u32::MAX {
-            None
-        } else {
-            Some(self.idom[i] as usize)
-        }
-    }
-}
-
-/// Finger intersection for the iterative dominator algorithm; relies on
-/// `idom[x] ≤ x` in program order.
-fn intersect(idom: &[u32], mut a: u32, mut b: u32) -> u32 {
-    while a != b {
-        while a > b {
-            a = idom[a as usize];
-        }
-        while b > a {
-            b = idom[b as usize];
-        }
-    }
-    a
 }
 
 /// One linear scan computing each op's region context (the instrumentation
@@ -251,8 +202,6 @@ mod tests {
         assert!(cfg.dominates(1, 2));
         assert!(!cfg.dominates(2, 1));
         assert!(cfg.dominates(1, 1), "dominance is reflexive");
-        assert_eq!(cfg.idom(2), Some(1));
-        assert_eq!(cfg.idom(0), None);
     }
 
     #[test]
@@ -289,13 +238,26 @@ mod tests {
 
     #[test]
     fn back_edge_is_present() {
+        // A loop begun inside a conditional and closed past its end: the
+        // skip edge lands inside the loop, whose back edge re-enters the
+        // conditional behind its first op.
         let mut b = ProgramBuilder::new();
-        b.loop_region(|b| {
-            b.compute(2);
-        });
+        b.push(Op::CondBegin); // 0
+        b.compute(1); // 1
+        b.push(Op::LoopBegin); // 2
+        b.compute(2); // 3
+        b.push(Op::CondEnd); // 4
+        b.compute(3); // 5
+        b.push(Op::LoopEnd); // 6
         let cfg = Cfg::build(&b.build());
-        // LoopBegin (0) has the LoopEnd (2) as a predecessor.
-        assert!(cfg.preds(0).contains(&2));
+        assert!(!cfg.dominates(1, 2), "the back edge reaches the LoopBegin");
+        assert!(!cfg.dominates(1, 3));
+        assert!(
+            cfg.dominates(2, 4),
+            "the LoopBegin still dominates its body"
+        );
+        assert!(!cfg.dominates(2, 5), "the skip edge bypasses the LoopBegin");
+        assert!(cfg.dominates(0, 6));
     }
 
     #[test]
@@ -347,7 +309,6 @@ mod tests {
     #[test]
     fn empty_program_is_fine() {
         let cfg = Cfg::build(&Program::default());
-        assert!(cfg.is_empty());
         assert!(!cfg.dominates(0, 0));
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! The IR carries explicit provenance: [`Op::AddrGen`] marks where a future
 //! write's address became architecturally known, [`Op::DataGen`] where its
-//! data was last defined. This module collects those definitions per NVM
-//! line and, for every blocking writeback, computes the two program points
-//! the placement pass and the window lints need:
+//! data was last defined. [`analyze_writes`], the module's one entry,
+//! collects those definitions per NVM line and, for every blocking
+//! writeback, computes the two program points the placement pass and
+//! `--fix`'s hoist need:
 //!
 //! * **address-known point** — the *earliest* `AddrGen` covering the line
 //!   that dominates the writeback (addresses never change once generated,
@@ -16,7 +17,9 @@
 //! Dominance (not mere program order) is what makes the result sound: a
 //! marker inside a conditional the writeback is outside of does not count,
 //! while a marker inside a loop instance the writeback postdominates does
-//! (do-while semantics, see [`crate::cfg`]).
+//! (do-while semantics, see [`crate::cfg`]). The [`Cfg`] it builds for
+//! that is returned too, so callers clamp insertions with the same region
+//! table.
 
 use std::collections::BTreeMap;
 
@@ -26,62 +29,34 @@ use janus_nvm::line::Line;
 
 use crate::cfg::Cfg;
 
-/// All definition sites touching one NVM line, in program order.
-#[derive(Clone, Debug, Default)]
-pub struct LineDefs {
-    /// `AddrGen` op indices covering the line.
-    pub addr_gens: Vec<usize>,
-    /// `DataGen` op indices covering the line.
-    pub data_gens: Vec<usize>,
-    /// `Store` op indices targeting the line.
-    pub stores: Vec<usize>,
+/// The provenance markers covering one NVM line, in program order.
+#[derive(Default)]
+struct LineDefs {
+    /// `AddrGen` op indices.
+    addr_gens: Vec<usize>,
+    /// `DataGen` op indices.
+    data_gens: Vec<usize>,
 }
 
-/// Per-line definition sites for a whole program.
-#[derive(Clone, Debug, Default)]
-pub struct Defs {
-    map: BTreeMap<u64, LineDefs>,
-}
-
-impl Defs {
-    /// Collects definition sites in one scan.
-    pub fn collect(program: &Program) -> Defs {
-        let mut map: BTreeMap<u64, LineDefs> = BTreeMap::new();
-        for (i, op) in program.ops.iter().enumerate() {
-            match op {
-                Op::AddrGen { line, nlines } => {
-                    for k in 0..*nlines as u64 {
-                        map.entry(line.0 + k).or_default().addr_gens.push(i);
-                    }
+/// Collects every line's provenance markers in one scan.
+fn line_defs(ops: &[Op]) -> BTreeMap<u64, LineDefs> {
+    let mut map: BTreeMap<u64, LineDefs> = BTreeMap::new();
+    for (i, op) in ops.iter().enumerate() {
+        match op {
+            Op::AddrGen { line, nlines } => {
+                for k in 0..*nlines as u64 {
+                    map.entry(line.0 + k).or_default().addr_gens.push(i);
                 }
-                Op::DataGen { line, values } => {
-                    for k in 0..values.len() as u64 {
-                        map.entry(line.0 + k).or_default().data_gens.push(i);
-                    }
-                }
-                Op::Store { line, .. } => {
-                    map.entry(line.0).or_default().stores.push(i);
-                }
-                _ => {}
             }
+            Op::DataGen { line, values } => {
+                for k in 0..values.len() as u64 {
+                    map.entry(line.0 + k).or_default().data_gens.push(i);
+                }
+            }
+            _ => {}
         }
-        Defs { map }
     }
-
-    /// Definition sites for `line`, if any op touches it.
-    pub fn for_line(&self, line: LineAddr) -> Option<&LineDefs> {
-        self.map.get(&line.0)
-    }
-
-    /// Number of lines with at least one definition site.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether no line has definition sites.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
+    map
 }
 
 /// What the dataflow knows about one blocking writeback.
@@ -113,9 +88,12 @@ pub fn is_blocking(ops: &[Op], clwb_idx: usize) -> bool {
     false
 }
 
-/// Computes [`WriteKnowledge`] for every blocking writeback of the program.
-pub fn analyze_writes(program: &Program, cfg: &Cfg, defs: &Defs) -> Vec<WriteKnowledge> {
+/// Computes the program's dominance limits and [`WriteKnowledge`] for
+/// every blocking writeback, in program order.
+pub fn analyze_writes(program: &Program) -> (Cfg, Vec<WriteKnowledge>) {
     let ops = &program.ops;
+    let cfg = Cfg::build(program);
+    let defs = line_defs(ops);
     let mut out = Vec::new();
     for (i, op) in ops.iter().enumerate() {
         let Op::Clwb(line) = op else { continue };
@@ -130,20 +108,20 @@ pub fn analyze_writes(program: &Program, cfg: &Cfg, defs: &Defs) -> Vec<WriteKno
             data_known: None,
             data_value: None,
         };
-        if let Some(ld) = defs.for_line(line) {
+        if let Some(ld) = defs.get(&line.0) {
             // Earliest dominating AddrGen in the writeback's function.
             wk.addr_known = ld
                 .addr_gens
                 .iter()
                 .copied()
-                .find(|&j| j < i && usable(cfg, j, i));
+                .find(|&j| j < i && usable(&cfg, j, i));
             // Latest dominating DataGen in the writeback's function.
             wk.data_known = ld
                 .data_gens
                 .iter()
                 .rev()
                 .copied()
-                .find(|&j| j < i && usable(cfg, j, i));
+                .find(|&j| j < i && usable(&cfg, j, i));
             if let Some(j) = wk.data_known {
                 if let Op::DataGen {
                     line: first,
@@ -156,7 +134,7 @@ pub fn analyze_writes(program: &Program, cfg: &Cfg, defs: &Defs) -> Vec<WriteKno
         }
         out.push(wk);
     }
-    out
+    (cfg, out)
 }
 
 /// A marker at `j` is usable for the writeback at `i` when it lives in the
@@ -171,9 +149,7 @@ mod tests {
     use janus_core::ir::ProgramBuilder;
 
     fn knowledge(p: &Program) -> Vec<WriteKnowledge> {
-        let cfg = Cfg::build(p);
-        let defs = Defs::collect(p);
-        analyze_writes(p, &cfg, &defs)
+        analyze_writes(p).1
     }
 
     #[test]

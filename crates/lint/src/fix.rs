@@ -54,7 +54,7 @@ use janus_core::ir::{Op, PreFunc, PreObjId, Program};
 use janus_nvm::addr::LineAddr;
 
 use crate::cfg::Cfg;
-use crate::dataflow::{analyze_writes, Defs, WriteKnowledge};
+use crate::dataflow::{analyze_writes, WriteKnowledge};
 use crate::lints::lint_program;
 use crate::place::clamp_to_cond;
 use crate::report::{Diagnostic, LintCode, LintReport};
@@ -396,12 +396,7 @@ pub fn fix_program(program: &Program, stack: &BmoStack) -> FixOutcome {
             .diagnostics
             .iter()
             .any(|d| d.code == LintCode::InsufficientWindow)
-            .then(|| {
-                let cfg = Cfg::build(&current);
-                let defs = Defs::collect(&current);
-                let writes = analyze_writes(&current, &cfg, &defs);
-                (cfg, writes)
-            });
+            .then(|| analyze_writes(&current));
         let mut accepted = false;
         'diags: for d in &report.diagnostics {
             for edit in candidates_for(d, &current.ops, flow.as_ref()) {

@@ -149,7 +149,10 @@ mod tests {
         assert!(redundant.iter().any(|m| m.contains("D2 -> EC1")));
         assert!(redundant.iter().any(|m| m.contains("C1 -> EC1")));
         // Redundant edges are advisory, not errors.
-        assert!(ds.iter().all(|d| d.severity == Severity::Warning), "{ds:?}");
+        assert!(
+            ds.iter().all(|d| d.severity() == Severity::Warning),
+            "{ds:?}"
+        );
     }
 
     #[test]
@@ -181,7 +184,7 @@ mod tests {
         assert_eq!(a, b);
         // Composition is order-independent in edge *set*, so no ordering of
         // the registry may produce a cycle or duplicate: warnings only.
-        assert!(a.iter().all(|d| d.severity == Severity::Warning), "{a:?}");
+        assert!(a.iter().all(|d| d.severity() == Severity::Warning), "{a:?}");
         assert_eq!(
             a.iter()
                 .filter(|d| d.code == LintCode::GraphRedundantEdge)

@@ -7,12 +7,14 @@
 //! that never happen, and issuing requests too close to the writeback —
 //! are all *statically detectable*. This crate makes that claim concrete:
 //!
-//! * [`cfg`](mod@cfg) — a control-flow graph over the program IR with basic-block
-//!   regions and dominators (do-while loop semantics: a trace's loop body
-//!   executed at least once, so it dominates post-loop code).
-//! * [`dataflow`] — reaching-definitions over the provenance markers: the
-//!   earliest point each blocking write's address is known on every path,
-//!   and the latest point its data was defined.
+//! * [`cfg`](mod@cfg) — dominance read off the program IR's region markers
+//!   in two passes, plus each op's region context (do-while loop semantics:
+//!   a trace's loop body executed at least once, so it dominates post-loop
+//!   code).
+//! * [`dataflow`] — reaching-definitions over the provenance markers:
+//!   [`analyze_writes`], the one dataflow entry, finds the earliest point
+//!   each blocking write's address is known on every path, and the latest
+//!   point its data was defined.
 //! * [`lints`] — the §6 misuse patterns as program lints (windows measured
 //!   against the active BMO stack's critical path), plus redundant-request,
 //!   IRB-pressure, and persist-ordering checks. The BMO stack is the only
@@ -65,12 +67,11 @@ pub mod lints;
 pub mod place;
 pub mod report;
 
-pub use cfg::Cfg;
 pub use contention::{
     irb_bound, irb_bound_for_tenants, peak_irb_demand, tenant_irb_demand, IrbBound, IrbDemand,
     IrbVerdict,
 };
-pub use dataflow::{analyze_writes, Defs, WriteKnowledge};
+pub use dataflow::{analyze_writes, WriteKnowledge};
 pub use fix::{
     fix_program, render_program, seed_stale_hint, unified_diff, AppliedFix, FixKind, FixOutcome,
 };

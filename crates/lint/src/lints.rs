@@ -480,7 +480,7 @@ mod tests {
         b.compute(10);
         let r = lint(&b.build());
         assert_eq!(r.count(LintCode::RedundantPre), 1);
-        assert_eq!(r.diagnostics[0].severity, Severity::Warning);
+        assert_eq!(r.diagnostics[0].severity(), Severity::Warning);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Automated `PRE_*` placement from the CFG/dataflow analysis.
+//! Automated `PRE_*` placement from the dominance/dataflow analysis.
 //!
 //! [`auto_place`] is the dominance-based successor of the instrumentation
 //! pass in `janus-instrument` (§4.5): instead of refusing loops and
@@ -34,8 +34,8 @@ use janus_core::ir::{Op, PreFunc, PreObjId, Program};
 use janus_nvm::addr::LineAddr;
 use janus_nvm::line::Line;
 
-use crate::cfg::{Cfg, Region};
-use crate::dataflow::{analyze_writes, Defs};
+use crate::cfg::Region;
+use crate::dataflow::analyze_writes;
 
 /// Statistics of one placement run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -118,9 +118,7 @@ impl Plan {
 /// Runs the placement pass: returns the instrumented program and a report.
 pub fn auto_place(program: &Program) -> (Program, PlaceReport) {
     let ops = &program.ops;
-    let cfg = Cfg::build(program);
-    let defs = Defs::collect(program);
-    let writes = analyze_writes(program, &cfg, &defs);
+    let (cfg, writes) = analyze_writes(program);
 
     let mut report = PlaceReport {
         writes_found: writes.len() as u64,

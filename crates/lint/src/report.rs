@@ -1,9 +1,9 @@
 //! Diagnostic types and the deterministic, machine-readable lint report.
 //!
-//! Every lint in this crate produces [`Diagnostic`]s: a typed code, a
-//! severity, a primary *span* (the op index the finding anchors to), and
-//! optional structured context (related op, target line, `pre_obj`, window
-//! arithmetic, BMO stack). [`LintReport::to_json`] renders the report with
+//! Every lint in this crate produces [`Diagnostic`]s: a typed code (which
+//! fixes the severity), a primary *span* (the op index the finding anchors
+//! to), and optional structured context (related op, target line,
+//! `pre_obj`, window arithmetic, BMO stack). [`LintReport::to_json`] renders the report with
 //! a fixed field order and sorted diagnostics so that output is
 //! byte-deterministic across runs and worker counts.
 
@@ -55,9 +55,10 @@ impl LintCode {
         }
     }
 
-    /// Default severity: wasted-work and pressure findings warn, everything
-    /// that indicates a guaranteed slowdown or a structural defect errors.
-    pub fn default_severity(self) -> Severity {
+    /// The severity of this code's findings: wasted-work and pressure
+    /// findings warn, everything that indicates a guaranteed slowdown or a
+    /// structural defect errors.
+    pub fn severity(self) -> Severity {
         match self {
             LintCode::RedundantPre | LintCode::IrbPressure | LintCode::GraphRedundantEdge => {
                 Severity::Warning
@@ -99,8 +100,6 @@ impl Severity {
 pub struct Diagnostic {
     /// Which lint fired.
     pub code: LintCode,
-    /// Severity (defaults to [`LintCode::default_severity`]).
-    pub severity: Severity,
     /// Primary span: the op index the finding anchors to (the store for
     /// stale hints, the request for useless ones, the `clwb` for short
     /// windows; `0` for graph lints, which carry `stack` instead).
@@ -120,12 +119,11 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    /// A diagnostic with the code's default severity and no optional
-    /// context; builder-style setters fill the rest.
+    /// A diagnostic with no optional context; builder-style setters fill
+    /// the rest.
     pub fn new(code: LintCode, at: usize, message: impl Into<String>) -> Diagnostic {
         Diagnostic {
             code,
-            severity: code.default_severity(),
             at,
             other: None,
             line: None,
@@ -134,6 +132,11 @@ impl Diagnostic {
             stack: None,
             message: message.into(),
         }
+    }
+
+    /// How serious the finding is: its code's [`LintCode::severity`].
+    pub fn severity(&self) -> Severity {
+        self.code.severity()
     }
 
     /// Sets the related op index.
@@ -179,7 +182,7 @@ impl Diagnostic {
         out.push_str("{\"code\":");
         json::write_str(out, self.code.as_str());
         out.push_str(",\"severity\":");
-        json::write_str(out, self.severity.as_str());
+        json::write_str(out, self.severity().as_str());
         out.push_str(&format!(",\"at\":{}", self.at));
         if let Some(other) = self.other {
             out.push_str(&format!(",\"other\":{other}"));
@@ -209,7 +212,7 @@ impl std::fmt::Display for Diagnostic {
         write!(
             f,
             "{}[{}] @{}: {}",
-            self.severity.as_str(),
+            self.severity().as_str(),
             self.code.as_str(),
             self.at,
             self.message
@@ -234,7 +237,7 @@ impl LintReport {
     pub fn errors(&self) -> usize {
         self.diagnostics
             .iter()
-            .filter(|d| d.severity == Severity::Error)
+            .filter(|d| d.severity() == Severity::Error)
             .count()
     }
 
@@ -242,7 +245,7 @@ impl LintReport {
     pub fn warnings(&self) -> usize {
         self.diagnostics
             .iter()
-            .filter(|d| d.severity == Severity::Warning)
+            .filter(|d| d.severity() == Severity::Warning)
             .count()
     }
 
@@ -289,15 +292,9 @@ mod tests {
 
     #[test]
     fn severity_defaults() {
-        assert_eq!(
-            LintCode::ModifiedAfterPre.default_severity(),
-            Severity::Error
-        );
-        assert_eq!(LintCode::RedundantPre.default_severity(), Severity::Warning);
-        assert_eq!(
-            LintCode::GraphRedundantEdge.default_severity(),
-            Severity::Warning
-        );
+        assert_eq!(LintCode::ModifiedAfterPre.severity(), Severity::Error);
+        assert_eq!(LintCode::RedundantPre.severity(), Severity::Warning);
+        assert_eq!(LintCode::GraphRedundantEdge.severity(), Severity::Warning);
     }
 
     #[test]

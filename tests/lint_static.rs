@@ -11,8 +11,8 @@ use janus::core::ir::{Program, ProgramBuilder};
 use janus::core::system::System;
 use janus::instrument::instrument;
 use janus::lint::{
-    auto_place, fix_program, lint_permutations, lint_program, seed_stale_hint, LintCode,
-    LintReport, Severity,
+    analyze_writes, auto_place, fix_program, lint_permutations, lint_program, render_program,
+    seed_stale_hint, LintCode, LintReport, Severity,
 };
 use janus::nvm::addr::LineAddr;
 use janus::nvm::line::Line;
@@ -148,7 +148,7 @@ fn misplaced_stale_hint_fires_at_the_store() {
         .find(|d| d.code == LintCode::ModifiedAfterPre)
         .expect("stale hint must be flagged");
     assert_eq!((d.at, d.other, d.line), (3, Some(1), Some(1)));
-    assert_eq!(d.severity, Severity::Error);
+    assert_eq!(d.severity(), Severity::Error);
 }
 
 /// A request no write ever consumes is flagged at the request's span.
@@ -211,7 +211,7 @@ fn duplicate_request_fires_redundant_pre() {
         .find(|d| d.code == LintCode::RedundantPre)
         .expect("duplicate must be flagged redundant");
     assert_eq!(dup.at, 3);
-    assert_eq!(dup.severity, Severity::Warning);
+    assert_eq!(dup.severity(), Severity::Warning);
     let shadowed = r
         .diagnostics
         .iter()
@@ -263,7 +263,7 @@ fn over_capacity_requests_fire_irb_pressure() {
         .find(|d| d.code == LintCode::IrbPressure)
         .expect("IRB pressure must be flagged");
     assert_eq!(d.window, Some((80, 64)));
-    assert_eq!(d.severity, Severity::Warning);
+    assert_eq!(d.severity(), Severity::Warning);
 }
 
 fn run_cycles(program: Program, out: &janus::workloads::WorkloadOutput) -> f64 {
@@ -357,4 +357,44 @@ fn auto_place_recovers_manual_speedup() {
             "{w}: auto_place {placed_cycles} cycles > the paper pass's {paper_cycles}"
         );
     }
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `(workload, placement digest, write-knowledge digest)` at 20
+/// transactions with markers only.
+const DOMINANCE_PINS: [(Workload, u64, u64); 7] = [
+    (Workload::ArraySwap, 0x926819a6b74aa507, 0x495c4986a37e7323),
+    (Workload::Queue, 0x8ea6334829ecf005, 0xfa512fbe8d6a7d12),
+    (Workload::HashTable, 0x1273180faad71ecd, 0x27f5710847376d9d),
+    (Workload::BTree, 0x8662bf5527043379, 0xf915b6376da86c61),
+    (Workload::RbTree, 0x81f93b99de3a6269, 0x895758edf63ab140),
+    (Workload::Tatp, 0x9acaa20e7f1e28bd, 0xb73ee06a946d1787),
+    (Workload::Tpcc, 0x713e8f1d7f0e4e2b, 0x9c3328bc523943fd),
+];
+
+/// Pins what dominance decides on every workload: the program `auto_place`
+/// emits with its report, and every writeback's address- and data-known
+/// points with the hinted value. The digests were recorded from the
+/// iterative dominator algorithm; a match means the region-marker rule
+/// grants and refuses exactly the same markers.
+#[test]
+fn dominance_decisions_are_pinned() {
+    let digests = DOMINANCE_PINS.map(|(w, _, _)| {
+        let p = bare_program(w, 20).program;
+        let (placed, report) = auto_place(&p);
+        let placed = format!("{}{report:?}", render_program(&placed));
+        let writes: String = analyze_writes(&p)
+            .1
+            .iter()
+            .map(|wk| format!("{wk:?}\n"))
+            .collect();
+        (w, fnv1a(placed.as_bytes()), fnv1a(writes.as_bytes()))
+    });
+    assert_eq!(digests, DOMINANCE_PINS);
 }

@@ -248,4 +248,33 @@ fn config_errors_are_typed_not_panics() {
     assert!(too_big.to_string().contains("partitioned:65"), "{too_big}");
     config.irb_policy = IrbPolicy::Partitioned { quota: capacity };
     assert!(System::new(config).try_run(vec![program()]).is_ok());
+
+    // Zero BMO units or write-queue entries build, and every run entry
+    // point refuses them before the first event.
+    let mut config = JanusConfig::paper(SystemMode::Janus, 1);
+    config.bmo_units_per_core = 0;
+    let zero_units = ConfigError::ZeroSize {
+        field: "bmo_units_per_core",
+    };
+    let mut sys = System::new(config.clone());
+    assert_eq!(sys.try_run(vec![program()]).unwrap_err(), zero_units);
+    assert_eq!(
+        sys.run_until_crashes(vec![program()], &[Cycles(1000)])
+            .unwrap_err(),
+        zero_units
+    );
+    let stream = TenantStream {
+        arrivals: vec![Cycles(0)],
+        txs: vec![program()],
+    };
+    assert_eq!(sys.try_run_tenants(vec![stream]).unwrap_err(), zero_units);
+    assert!(zero_units.to_string().contains("bmo_units_per_core"));
+    config.bmo_units_per_core = 1;
+    config.wq_capacity = 0;
+    assert_eq!(
+        System::new(config).try_run(vec![program()]).unwrap_err(),
+        ConfigError::ZeroSize {
+            field: "wq_capacity"
+        }
+    );
 }

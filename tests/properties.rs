@@ -4,7 +4,7 @@ use janus::bmo::pipeline::BmoPipeline;
 use janus::core::config::{JanusConfig, SystemMode};
 use janus::core::controller::MemoryController;
 use janus::core::ir::ProgramBuilder;
-use janus::core::system::System;
+use janus::core::system::{ConfigError, System};
 use janus::crypto::FingerprintAlgo;
 use janus::nvm::{addr::LineAddr, line::Line, store::LineStore};
 use janus::sim::time::Cycles;
@@ -117,6 +117,60 @@ fn stale_hints_never_corrupt() {
         }
         for (addr, value) in last {
             assert_eq!(sys.read_value(LineAddr(addr)), value);
+        }
+    });
+}
+
+/// Any small resource tuple runs or is refused with a typed error, never a
+/// panic: refused exactly when the BMO units or the write queue, which no
+/// write can do without, are sized zero. Each core's transaction issues
+/// every request form, so zero IRB and queue sizes drop them instead.
+#[test]
+fn zero_resource_sizes_are_config_errors() {
+    let size = || gen::range_usize(0..4);
+    let sizes = gen::tuple5(&size(), &size(), &size(), &size(), &size());
+    let g = gen::pair(&sizes, &gen::range_usize(1..3));
+    forall_cfg(&cfg(), &g, |&((units, wq, irb, req, op), cores)| {
+        let mut config = JanusConfig::paper(SystemMode::Janus, cores);
+        config.bmo_units_per_core = units;
+        config.wq_capacity = wq;
+        config.irb_entries_per_core = irb;
+        config.req_queue_per_core = req;
+        config.op_queue_per_core = op;
+        let programs = (0..cores as u64)
+            .map(|core| {
+                let (a, b) = (LineAddr(10 * core), LineAddr(10 * core + 1));
+                let mut p = ProgramBuilder::new();
+                p.tx_begin();
+                let both = p.pre_init();
+                p.pre_both(both, a, vec![Line::splat(1)]);
+                let split = p.pre_init();
+                p.pre_data(split, vec![Line::splat(2)]);
+                p.pre_addr(split, b, 1);
+                let buffered = p.pre_init();
+                p.pre_both_buf(buffered, LineAddr(10 * core + 2), vec![Line::splat(3)]);
+                p.pre_start_buf(buffered);
+                p.compute(500);
+                p.persist_store(a, Line::splat(1));
+                p.persist_store(b, Line::splat(2));
+                p.persist_store(LineAddr(10 * core + 2), Line::splat(3));
+                p.tx_commit();
+                p.build()
+            })
+            .collect();
+        match System::new(config).try_run(programs) {
+            Ok(report) => {
+                assert!(units > 0 && wq > 0, "ran with a zero size");
+                assert_eq!(report.writes, 3 * cores as u64);
+            }
+            Err(err) => {
+                let field = if units == 0 {
+                    "bmo_units_per_core"
+                } else {
+                    "wq_capacity"
+                };
+                assert_eq!(err, ConfigError::ZeroSize { field });
+            }
         }
     });
 }

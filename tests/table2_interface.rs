@@ -247,3 +247,26 @@ fn pre_data_after_a_consume_binds_the_lowest_line() {
     assert_eq!(r.counter("inval_data"), 0);
     assert_eq!(r.counter("pre_full"), 2, "lines 100 and 3");
 }
+
+/// A consume reorders the IRB's bank, yet a later `PRE_ADDR` still binds
+/// its object's data-only entries in issue order: line 3 to the value 2 and
+/// line 4 to the value 7, though line 100's write moved 7's entry ahead.
+#[test]
+fn pre_addr_after_a_consume_binds_in_issue_order() {
+    let mut b = ProgramBuilder::new();
+    let other = b.pre_init();
+    let obj = b.pre_init();
+    b.pre_both(other, LineAddr(100), vec![Line::splat(1)]);
+    b.pre_data(obj, vec![Line::splat(2), Line::splat(7)]);
+    b.persist_store(LineAddr(100), Line::splat(1));
+    b.pre_addr(obj, LineAddr(3), 2);
+    b.compute(WINDOW);
+    b.store(LineAddr(3), Line::splat(2));
+    b.store(LineAddr(4), Line::splat(7));
+    b.clwb(LineAddr(3));
+    b.clwb(LineAddr(4));
+    b.fence();
+    let (r, _) = run(b.build());
+    assert_eq!(r.counter("inval_data"), 0);
+    assert_eq!(r.counter("pre_full"), 2, "lines 3 and 4");
+}

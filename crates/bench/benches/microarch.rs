@@ -8,7 +8,6 @@ use janus_bmo::engine::{BmoEngine, BmoMode};
 use janus_bmo::integrity::MerkleTree;
 use janus_bmo::latency::BmoLatencies;
 use janus_bmo::BmoStack;
-use janus_crypto::FingerprintAlgo;
 use janus_nvm::addr::LineAddr;
 use janus_nvm::cache::{CacheConfig, SetAssocCache};
 use janus_nvm::line::Line;
@@ -68,7 +67,7 @@ fn main() {
     }
 
     {
-        let mut d = DedupStore::new(FingerprintAlgo::Md5);
+        let mut d = DedupStore::new();
         d.lookup(&Line::splat(1));
         h.bench("dedup_lookup_hit", || {
             let out = d.lookup(black_box(&Line::splat(1)));
@@ -80,9 +79,9 @@ fn main() {
     {
         // The allocate/unlink path: each sample's value is new to the
         // table, takes the freed slot, and is unlinked again on release.
-        // Values cycle through a fixed set so the fingerprint memo stays
-        // bounded; 1024 other values stay live around them.
-        let mut d = DedupStore::new(FingerprintAlgo::Md5);
+        // Values cycle through a fixed set of 1024, so every sample walks
+        // the same chains; 1024 other values stay live around them.
+        let mut d = DedupStore::new();
         for v in 0..1024u64 {
             d.lookup(&Line::from_words(&[v, 1]));
         }

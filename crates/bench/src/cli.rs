@@ -152,7 +152,11 @@ pub fn cores(default: usize) -> usize {
 /// an unknown flag, a stray positional, a value-taking flag at the end of
 /// the line — exits with status 2 and a usage message, so a typo can never
 /// silently produce default-configured "results".
+///
+/// Every bench binary calls this first, so it is also where a closed
+/// stdout is made to end the run quietly with status 0, not a panic.
 pub fn require_known_args(value_flags: &[&str], bool_flags: &[&str]) {
+    exit_quietly_on_closed_stdout();
     let args: Vec<String> = std::env::args().collect();
     let mut i = 1;
     let usage = |msg: &str| -> ! {
@@ -181,4 +185,19 @@ pub fn require_known_args(value_flags: &[&str], bool_flags: &[&str]) {
         }
     }
     jobs();
+}
+
+/// Ends the process with status 0 when its reader closes stdout, as `head`
+/// does in `janus-lint --all | head -5`: `print!` reports the closed pipe
+/// by panicking ("failed printing to stdout: Broken pipe"), and this panic
+/// hook exits quietly instead. Every other panic reports as before.
+fn exit_quietly_on_closed_stdout() {
+    let report = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let message = info.payload_as_str().unwrap_or_default();
+        if message.starts_with("failed printing to stdout") && message.contains("Broken pipe") {
+            std::process::exit(0);
+        }
+        report(info);
+    }));
 }

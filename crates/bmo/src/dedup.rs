@@ -1,4 +1,4 @@
-//! The deduplication store: fingerprint table, slot allocation, and
+//! The deduplication store: content-keyed slot table, slot allocation, and
 //! reference counting.
 //!
 //! "The hardware mechanism maintains a deduplication table that stores the
@@ -11,19 +11,28 @@
 //! returned slot in the metadata store; D4 (encrypt + write back the mapping
 //! entry) by the encryption engine.
 //!
-//! Fingerprints may collide — realistically so for CRC-32 (§5.2.4). The
-//! store verifies candidate duplicates against the actual stored value (the
-//! hardware's read-and-compare) and falls back to a fresh slot on a
-//! collision, so deduplication never corrupts data.
+//! The hardware confirms every fingerprint match by reading the stored copy
+//! back and comparing it, so a lookup's outcome depends only on the values
+//! stored, never on the fingerprint: MD5 or CRC-32 sets D1's latency
+//! ([`crate::latency::BmoLatencies::dedup_algo`]) and nothing else. The
+//! store therefore indexes slots by a content key, a fixed-seed 64-bit hash
+//! of the line's bytes ([`janus_sim::hash::FxHasher`]), and keeps the
+//! read-and-compare: a lookup compares the value against every live slot
+//! sharing its key and falls back to a fresh slot when none matches, so a
+//! key collision never corrupts data. The crate's property tests keep the
+//! MD5/CRC-32 fingerprint-keyed store as the oracle this one must agree
+//! with.
 //!
 //! Slot state is slot-indexed: the store allocates its own slots densely
 //! (the most recently freed slot first, else the next unused index), so
 //! per-slot records live in a `SlotTable` indexed by slot. Slots sharing
-//! a fingerprint form a chain threaded through the records' `next` field,
-//! and the fingerprint table maps a fingerprint to its chain head only.
+//! a content key form a chain threaded through the records' `next` field,
+//! and the key table maps a key to its chain head only.
 
-use janus_crypto::FingerprintAlgo;
+use std::hash::Hasher;
+
 use janus_nvm::line::Line;
+use janus_sim::hash::{FxHashMap, FxHasher};
 
 use crate::slots::SlotTable;
 
@@ -59,14 +68,20 @@ impl DedupOutcome {
 /// End-of-chain marker for [`SlotInfo::next`].
 const NIL: u64 = u64::MAX;
 
+/// The content key of a line: a fixed-seed 64-bit hash of its bytes.
+fn content_key(data: &Line) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(data.as_bytes());
+    h.finish()
+}
+
 /// One slot's record. A slot is live while `refcount > 0`; a dead record
 /// keeps stale contents until the slot is reallocated.
 #[derive(Clone, Copy, Debug)]
 struct SlotInfo {
     value: Line,
     refcount: u64,
-    fingerprint: u128,
-    /// Next slot with the same fingerprint, or [`NIL`].
+    /// Next slot with the same content key, or [`NIL`].
     next: u64,
 }
 
@@ -75,7 +90,6 @@ impl Default for SlotInfo {
         SlotInfo {
             value: Line::zero(),
             refcount: 0,
-            fingerprint: 0,
             next: NIL,
         }
     }
@@ -87,10 +101,9 @@ impl Default for SlotInfo {
 ///
 /// ```
 /// use janus_bmo::dedup::DedupStore;
-/// use janus_crypto::FingerprintAlgo;
 /// use janus_nvm::line::Line;
 ///
-/// let mut d = DedupStore::new(FingerprintAlgo::Md5);
+/// let mut d = DedupStore::new();
 /// let a = d.lookup(&Line::splat(1));
 /// assert!(!a.is_duplicate());
 /// let b = d.lookup(&Line::splat(1));
@@ -99,58 +112,31 @@ impl Default for SlotInfo {
 /// ```
 #[derive(Clone, Debug)]
 pub struct DedupStore {
-    algo: FingerprintAlgo,
-    /// fingerprint → head of its collision chain.
-    table: janus_sim::hash::FxHashMap<u128, u64>,
+    /// Content key → head of its chain.
+    table: FxHashMap<u64, u64>,
     slots: SlotTable<SlotInfo>,
     /// The lowest slot never allocated.
     next_slot: u64,
-    /// Pure-function memo of `algo.fingerprint(line)`: every write is
-    /// fingerprinted at least twice (once by the pre-execution predictor's
-    /// [`DedupStore::peek`], once by the committed write's
-    /// [`DedupStore::lookup`]) and duplicate-heavy workloads re-hash the
-    /// same values endlessly, so a content-keyed cache removes most MD5
-    /// work from the hot path without changing a single outcome. `RefCell`
-    /// because `peek` is `&self` by design (prediction must not mutate BMO
-    /// state); the store is single-threaded like the rest of the engine.
-    memo: std::cell::RefCell<janus_sim::hash::FxHashMap<Line, u128>>,
     free: Vec<u64>,
     live: usize,
 }
 
+impl Default for DedupStore {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl DedupStore {
-    /// Creates an empty store using `algo` for fingerprints.
-    pub fn new(algo: FingerprintAlgo) -> Self {
+    /// Creates an empty store.
+    pub fn new() -> Self {
         DedupStore {
-            algo,
-            table: janus_sim::hash::FxHashMap::with_capacity_and_hasher(1024, Default::default()),
+            table: FxHashMap::with_capacity_and_hasher(1024, Default::default()),
             slots: SlotTable::default(),
             next_slot: 0,
-            memo: std::cell::RefCell::new(janus_sim::hash::FxHashMap::with_capacity_and_hasher(
-                1024,
-                Default::default(),
-            )),
             free: Vec::new(),
             live: 0,
         }
-    }
-
-    /// The fingerprint algorithm in use.
-    pub fn algo(&self) -> FingerprintAlgo {
-        self.algo
-    }
-
-    /// Memoized `algo.fingerprint(data)`. The memo only ever grows — entries
-    /// for released slots stay valid (a fingerprint is a pure function of
-    /// the bytes) and the key set is bounded by the distinct values the run
-    /// ever wrote, the same bound as the slot table itself.
-    fn fingerprint(&self, data: &Line) -> u128 {
-        if let Some(&fp) = self.memo.borrow().get(data) {
-            return fp;
-        }
-        let fp = self.algo.fingerprint(data.as_bytes());
-        self.memo.borrow_mut().insert(*data, fp);
-        fp
     }
 
     /// The live record of `slot`, if any.
@@ -158,16 +144,16 @@ impl DedupStore {
         self.slots.get(slot).filter(|info| info.refcount > 0)
     }
 
-    /// The record of a slot on a fingerprint chain (always live).
+    /// The record of a slot on a key chain (always live).
     fn chained(&self, slot: u64) -> &SlotInfo {
         self.slots.get(slot).expect("chained slot is allocated")
     }
 
-    /// The slot holding `data` in the chain of `fp`, or `Err(tail)` with
-    /// the chain's last slot ([`NIL`] when `fp` has no chain).
-    fn find(&self, fp: u128, data: &Line) -> Result<u64, u64> {
+    /// The slot holding `data` in the chain of `key`, or `Err(tail)` with
+    /// the chain's last slot ([`NIL`] when `key` has no chain).
+    fn find(&self, key: u64, data: &Line) -> Result<u64, u64> {
         let mut tail = NIL;
-        let mut cur = self.table.get(&fp).copied().unwrap_or(NIL);
+        let mut cur = self.table.get(&key).copied().unwrap_or(NIL);
         while cur != NIL {
             let info = self.chained(cur);
             if info.value == *data {
@@ -180,29 +166,28 @@ impl DedupStore {
     }
 
     /// Fills dead `slot` with a live record and appends it to the chain of
-    /// `fingerprint`, whose current last slot is `tail` ([`NIL`] for none).
-    fn install(&mut self, slot: u64, value: Line, refcount: u64, fingerprint: u128, tail: u64) {
+    /// `key`, whose current last slot is `tail` ([`NIL`] for none).
+    fn install(&mut self, slot: u64, value: Line, refcount: u64, key: u64, tail: u64) {
         *self.slots.get_mut(slot) = SlotInfo {
             value,
             refcount,
-            fingerprint,
             next: NIL,
         };
         if tail == NIL {
-            self.table.insert(fingerprint, slot);
+            self.table.insert(key, slot);
         } else {
             self.slots.get_mut(tail).next = slot;
         }
         self.live += 1;
     }
 
-    /// D1+D2: fingerprints `data` and either finds the existing copy
+    /// D1+D2: looks `data` up and either finds the existing copy
     /// (incrementing its refcount) or allocates a fresh slot with
     /// refcount 1. The caller is responsible for writing the data to a fresh
     /// slot and recording the mapping (D3/D4).
     pub fn lookup(&mut self, data: &Line) -> DedupOutcome {
-        let fp = self.fingerprint(data);
-        let tail = match self.find(fp, data) {
+        let key = content_key(data);
+        let tail = match self.find(key, data) {
             Ok(slot) => {
                 self.slots.get_mut(slot).refcount += 1;
                 return DedupOutcome::Duplicate { slot };
@@ -214,7 +199,7 @@ impl DedupStore {
             self.next_slot += 1;
             s
         });
-        self.install(slot, *data, 1, fp, tail);
+        self.install(slot, *data, 1, key, tail);
         DedupOutcome::Fresh { slot }
     }
 
@@ -222,7 +207,7 @@ impl DedupStore {
     /// if any. Used by Janus to *predict* the dedup outcome during
     /// pre-execution without touching BMO metadata (requirement 1 of §3.2).
     pub fn peek(&self, data: &Line) -> Option<u64> {
-        self.find(self.fingerprint(data), data).ok()
+        self.find(content_key(data), data).ok()
     }
 
     /// Releases one reference to `slot` (a logical line was overwritten or
@@ -239,13 +224,13 @@ impl DedupStore {
         if info.refcount > 0 {
             return false;
         }
-        let (fp, next) = (info.fingerprint, info.next);
-        let head = *self.table.get(&fp).expect("slot was indexed");
+        let (key, next) = (content_key(&info.value), info.next);
+        let head = *self.table.get(&key).expect("slot was indexed");
         if head == slot {
             if next == NIL {
-                self.table.remove(&fp);
+                self.table.remove(&key);
             } else {
-                self.table.insert(fp, next);
+                self.table.insert(key, next);
             }
         } else {
             let mut prev = head;
@@ -280,12 +265,12 @@ impl DedupStore {
     pub fn recover_slot(&mut self, slot: u64, value: Line, refcount: u64) {
         assert!(refcount > 0, "recovered slot must be referenced");
         assert!(!self.is_live(slot), "slot recovered twice");
-        let fp = self.fingerprint(&value);
-        let mut tail = self.table.get(&fp).copied().unwrap_or(NIL);
+        let key = content_key(&value);
+        let mut tail = self.table.get(&key).copied().unwrap_or(NIL);
         while tail != NIL && self.chained(tail).next != NIL {
             tail = self.chained(tail).next;
         }
-        self.install(slot, value, refcount, fp, tail);
+        self.install(slot, value, refcount, key, tail);
         self.next_slot = self.next_slot.max(slot + 1);
     }
 }
@@ -295,14 +280,14 @@ mod tests {
     use super::*;
 
     fn store() -> DedupStore {
-        DedupStore::new(FingerprintAlgo::Md5)
+        DedupStore::new()
     }
 
-    mod crc {
-        // Forged CRC-32 collisions, shared with the property tests.
-        include!(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/support/crc.rs"));
+    mod key {
+        // Forged content-key collisions, shared with the property tests.
+        include!(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/support/key.rs"));
     }
-    use crc::colliding_triple;
+    use key::colliding_lines;
 
     #[test]
     fn fresh_then_duplicate() {
@@ -355,17 +340,17 @@ mod tests {
     }
 
     #[test]
-    fn crc_collisions_fall_back_to_fresh() {
-        let lines = colliding_triple();
-        let mut d = DedupStore::new(FingerprintAlgo::Crc32);
+    fn key_collisions_fall_back_to_fresh() {
+        let lines = colliding_lines(3);
+        let mut d = store();
         let mut slots = Vec::new();
         for (i, l) in lines.iter().enumerate() {
             let out = d.lookup(l);
             assert!(!out.is_duplicate(), "colliding value {i} gets a fresh slot");
             assert_eq!(
-                FingerprintAlgo::Crc32.fingerprint(l.as_bytes()),
-                FingerprintAlgo::Crc32.fingerprint(lines[0].as_bytes()),
-                "value {i} shares one fingerprint chain"
+                content_key(l),
+                content_key(&lines[0]),
+                "value {i} shares one key chain"
             );
             slots.push(out.slot());
         }
@@ -378,7 +363,7 @@ mod tests {
         // Releasing the chain's head, middle or tail leaves the others
         // findable.
         for victim in 0..3 {
-            let mut d = DedupStore::new(FingerprintAlgo::Crc32);
+            let mut d = store();
             let slots: Vec<u64> = lines.iter().map(|l| d.lookup(l).slot()).collect();
             assert!(d.release(slots[victim]));
             assert_eq!(d.peek(&lines[victim]), None, "victim {victim}");
@@ -401,6 +386,23 @@ mod tests {
                 assert_eq!(d.peek(l), Some(s), "victim {victim}");
             }
         }
+    }
+
+    #[test]
+    fn recovered_equal_values_dedup_to_the_first_recovered() {
+        // Recovery registers whatever slots an image holds, equal values
+        // included; a lookup finds the earliest registered of them.
+        let mut d = store();
+        d.recover_slot(7, Line::splat(4), 1);
+        d.recover_slot(3, Line::splat(4), 2);
+        assert_eq!(d.peek(&Line::splat(4)), Some(7));
+        assert!(d.release(7));
+        assert_eq!(
+            d.lookup(&Line::splat(4)),
+            DedupOutcome::Duplicate { slot: 3 }
+        );
+        assert_eq!(d.refcount(3), 3);
+        assert_eq!(d.live_slots(), 1);
     }
 
     #[test]

@@ -174,10 +174,9 @@ fn push_write(writes: &mut Vec<(LineAddr, Line)>, addr: LineAddr, value: Line) {
 ///
 /// ```
 /// use janus_bmo::pipeline::BmoPipeline;
-/// use janus_crypto::FingerprintAlgo;
 /// use janus_nvm::{addr::LineAddr, line::Line};
 ///
-/// let mut p = BmoPipeline::new(FingerprintAlgo::Md5);
+/// let mut p = BmoPipeline::new();
 /// let fx = p.write(LineAddr(1), Line::splat(7));
 /// assert!(!fx.dup);
 /// let fx2 = p.write(LineAddr(2), Line::splat(7));
@@ -205,28 +204,37 @@ pub struct BmoPipeline {
     spare: Vec<(LineAddr, Line)>,
 }
 
+impl Default for BmoPipeline {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl BmoPipeline {
     /// Creates an empty default-stack (paper trio) pipeline with the
     /// default memory encryption key.
-    pub fn new(algo: FingerprintAlgo) -> Self {
-        Self::for_stack(&BmoStack::paper(), algo)
+    pub fn new() -> Self {
+        Self::for_stack_with_key(&BmoStack::paper(), DEFAULT_KEY)
     }
 
     /// Creates an empty pipeline running exactly the given stack's
-    /// transforms, with the default key.
-    pub fn for_stack(stack: &BmoStack, algo: FingerprintAlgo) -> Self {
-        Self::for_stack_with_key(stack, algo, DEFAULT_KEY)
+    /// transforms, with the default key. `_algo` is not read: a dedup
+    /// lookup's outcome does not depend on the fingerprint algorithm,
+    /// which sets only D1's latency
+    /// ([`crate::latency::BmoLatencies::dedup_algo`]).
+    pub fn for_stack(stack: &BmoStack, _algo: FingerprintAlgo) -> Self {
+        Self::for_stack_with_key(stack, DEFAULT_KEY)
     }
 
     /// Creates an empty pipeline for the given stack with an explicit key.
-    pub fn for_stack_with_key(stack: &BmoStack, algo: FingerprintAlgo, key: [u8; 16]) -> Self {
+    pub fn for_stack_with_key(stack: &BmoStack, key: [u8; 16]) -> Self {
         let caps = Caps::of(stack);
         BmoPipeline {
             stack: stack.clone(),
             caps,
             meta: MetadataStore::new(),
             tree: caps.merkle.then(|| MerkleTree::new(TREE_HEIGHT)),
-            dedup: caps.dedup.then(|| DedupStore::new(algo)),
+            dedup: caps.dedup.then(DedupStore::new),
             enc: caps.encrypt.then(|| EncryptionEngine::new(key)),
             next_counter: 1,
             stored: LineStore::new(),
@@ -379,7 +387,7 @@ impl BmoPipeline {
             }
         }
 
-        // D1 + D2: fingerprint and look up (identity slot without dedup).
+        // D1 + D2: look up (identity slot without dedup).
         let (dup, slot) = match &mut self.dedup {
             Some(d) => {
                 let outcome = d.lookup(&data);
@@ -602,11 +610,10 @@ impl BmoPipeline {
     /// the first MAC / structural error found.
     pub fn recover(
         persist: &LineStore,
-        algo: FingerprintAlgo,
         key: [u8; 16],
         secure_root: NodeHash,
     ) -> Result<Self, IntegrityError> {
-        Self::recover_stack(&BmoStack::paper(), persist, algo, key, secure_root)
+        Self::recover_stack(&BmoStack::paper(), persist, key, secure_root)
     }
 
     /// Rebuilds a pipeline for the given stack from the persistent domain.
@@ -616,8 +623,8 @@ impl BmoPipeline {
     /// Start-Gap registers and ORAM position map when stacked; then per
     /// slot: SECDED-corrects the stored payload (ECC), verifies its MAC
     /// (encryption/integrity), decrypts (encryption), decompresses
-    /// (compression), and rebuilds the dedup fingerprint table and
-    /// refcounts (dedup).
+    /// (compression), and rebuilds the dedup key table and refcounts
+    /// (dedup).
     ///
     /// # Errors
     ///
@@ -626,7 +633,6 @@ impl BmoPipeline {
     pub fn recover_stack(
         stack: &BmoStack,
         persist: &LineStore,
-        algo: FingerprintAlgo,
         key: [u8; 16],
         secure_root: NodeHash,
     ) -> Result<Self, IntegrityError> {
@@ -705,7 +711,7 @@ impl BmoPipeline {
             caps,
             meta,
             tree,
-            dedup: caps.dedup.then(|| DedupStore::new(algo)),
+            dedup: caps.dedup.then(DedupStore::new),
             enc: caps.encrypt.then(|| EncryptionEngine::new(key)),
             next_counter: 1,
             stored: LineStore::new(),
@@ -716,7 +722,7 @@ impl BmoPipeline {
         };
 
         // Rebuild slots: ECC-correct, MAC-check, decrypt, decompress,
-        // re-fingerprint.
+        // re-register with dedup.
         let mut max_counter = 0u64;
         let slots: Vec<(u64, MetaEntry)> = p.meta.iter_slots().collect();
         for (slot, entry) in slots {
@@ -808,7 +814,11 @@ mod tests {
     use crate::stack::BmoId;
 
     fn pipeline() -> BmoPipeline {
-        BmoPipeline::new(FingerprintAlgo::Md5)
+        BmoPipeline::new()
+    }
+
+    fn pipeline_for(stack: &BmoStack) -> BmoPipeline {
+        BmoPipeline::for_stack_with_key(stack, DEFAULT_KEY)
     }
 
     fn stack_of(ids: &[BmoId]) -> BmoStack {
@@ -827,7 +837,7 @@ mod tests {
     /// Writes a workload through a stack's pipeline, crashes (keeps only
     /// the persisted lines + root), recovers, and verifies every line.
     fn crash_recover_verify(stack: &BmoStack, lines: u64) {
-        let mut p = BmoPipeline::for_stack(stack, FingerprintAlgo::Md5);
+        let mut p = pipeline_for(stack);
         let mut store = LineStore::new();
         let mut root = p.root();
         let value = |i: u64| Line::from_words(&[i % 5, i * 3, 0xABCD]);
@@ -835,7 +845,7 @@ mod tests {
             let fx = p.write(LineAddr(i % lines), value(i));
             persist(&p, &fx, &mut store, &mut root);
         }
-        let r = BmoPipeline::recover_stack(stack, &store, FingerprintAlgo::Md5, DEFAULT_KEY, root)
+        let r = BmoPipeline::recover_stack(stack, &store, DEFAULT_KEY, root)
             .unwrap_or_else(|e| panic!("recovery under stack [{stack}]: {e}"));
         for i in 0..lines {
             let expect = p.read(LineAddr(i));
@@ -909,8 +919,7 @@ mod tests {
             let fx = p.write(LineAddr(i % 7), Line::from_words(&[i % 3, i]));
             persist(&p, &fx, &mut store, &mut root);
         }
-        let r = BmoPipeline::recover(&store, FingerprintAlgo::Md5, DEFAULT_KEY, root)
-            .expect("recovery succeeds");
+        let r = BmoPipeline::recover(&store, DEFAULT_KEY, root).expect("recovery succeeds");
         for i in 0..7u64 {
             assert_eq!(
                 r.read_verified(LineAddr(i)).unwrap(),
@@ -935,8 +944,7 @@ mod tests {
             .expect("write touched metadata")
             .0;
         store.write(meta_line, Line::zero());
-        let err = BmoPipeline::recover(&store, FingerprintAlgo::Md5, DEFAULT_KEY, root)
-            .expect_err("must detect");
+        let err = BmoPipeline::recover(&store, DEFAULT_KEY, root).expect_err("must detect");
         assert_eq!(err, IntegrityError::RootMismatch);
     }
 
@@ -951,7 +959,7 @@ mod tests {
             BmoId::Dedup,
             BmoId::Ecc,
         ]);
-        let mut p = BmoPipeline::for_stack(&stack, FingerprintAlgo::Md5);
+        let mut p = pipeline_for(&stack);
         let mut store = LineStore::new();
         let mut root = p.root();
         let fx = p.write(LineAddr(1), Line::splat(3));
@@ -960,7 +968,7 @@ mod tests {
         let mut ct = store.read(slot_addr);
         ct.0[5] ^= 1;
         store.write(slot_addr, ct);
-        let r = BmoPipeline::recover_stack(&stack, &store, FingerprintAlgo::Md5, DEFAULT_KEY, root)
+        let r = BmoPipeline::recover_stack(&stack, &store, DEFAULT_KEY, root)
             .expect("ECC corrects a single-bit fault");
         assert_eq!(r.read_verified(LineAddr(1)).unwrap(), Line::splat(3));
     }
@@ -974,7 +982,7 @@ mod tests {
             BmoId::Dedup,
             BmoId::Ecc,
         ]);
-        let mut p = BmoPipeline::for_stack(&stack, FingerprintAlgo::Md5);
+        let mut p = pipeline_for(&stack);
         let mut store = LineStore::new();
         let mut root = p.root();
         let fx = p.write(LineAddr(1), Line::splat(3));
@@ -986,8 +994,7 @@ mod tests {
         ct.0[47] ^= 0xFF;
         store.write(slot_addr, ct);
         let err =
-            BmoPipeline::recover_stack(&stack, &store, FingerprintAlgo::Md5, DEFAULT_KEY, root)
-                .expect_err("must detect");
+            BmoPipeline::recover_stack(&stack, &store, DEFAULT_KEY, root).expect_err("must detect");
         assert_eq!(err, IntegrityError::MacMismatch { slot: fx.slot });
     }
 
@@ -1004,8 +1011,7 @@ mod tests {
         let mut ct = store.read(slot_addr);
         ct.0[5] ^= 1;
         store.write(slot_addr, ct);
-        let err = BmoPipeline::recover(&store, FingerprintAlgo::Md5, DEFAULT_KEY, root)
-            .expect_err("no ECC stacked");
+        let err = BmoPipeline::recover(&store, DEFAULT_KEY, root).expect_err("no ECC stacked");
         assert_eq!(err, IntegrityError::MacMismatch { slot: fx.slot });
     }
 
@@ -1037,15 +1043,21 @@ mod tests {
 
     #[test]
     fn crc32_pipeline_round_trips() {
-        let mut p = BmoPipeline::new(FingerprintAlgo::Crc32);
+        // The fingerprint algorithm sets D1's latency only: a CRC-32
+        // pipeline writes exactly what the default one does.
+        let mut p = BmoPipeline::for_stack(&BmoStack::paper(), FingerprintAlgo::Crc32);
+        let mut q = pipeline();
         for i in 0..50u64 {
-            p.write(LineAddr(i), Line::from_words(&[i * 31, i]));
-        }
-        for i in 0..50u64 {
-            assert_eq!(
-                p.read_verified(LineAddr(i)).unwrap(),
-                Line::from_words(&[i * 31, i])
+            let value = Line::from_words(&[i % 7, i % 3]);
+            let (a, b) = (
+                p.write(LineAddr(i % 20), value),
+                q.write(LineAddr(i % 20), value),
             );
+            assert_eq!((a.dup, a.slot, a.freed_slot), (b.dup, b.slot, b.freed_slot));
+            assert_eq!(a.line_writes, b.line_writes, "write {i}");
+        }
+        for i in 0..20u64 {
+            assert_eq!(p.read_verified(LineAddr(i)).unwrap(), q.read(LineAddr(i)));
         }
     }
 
@@ -1064,8 +1076,7 @@ mod tests {
     fn recovery_of_empty_system() {
         let store = LineStore::new();
         let p = pipeline();
-        let r = BmoPipeline::recover(&store, FingerprintAlgo::Md5, DEFAULT_KEY, p.root())
-            .expect("empty recovery");
+        let r = BmoPipeline::recover(&store, DEFAULT_KEY, p.root()).expect("empty recovery");
         assert_eq!(r.read(LineAddr(0)), Line::zero());
     }
 
@@ -1119,7 +1130,7 @@ mod tests {
     fn integrity_without_encryption_detects_payload_tamper() {
         // The keyless MAC binds the plaintext payload to its counter.
         let stack = stack_of(&[BmoId::Integrity]);
-        let mut p = BmoPipeline::for_stack(&stack, FingerprintAlgo::Md5);
+        let mut p = pipeline_for(&stack);
         let mut store = LineStore::new();
         let mut root = p.root();
         let fx = p.write(LineAddr(1), Line::splat(9));
@@ -1127,16 +1138,15 @@ mod tests {
         let mut v = store.read(slot_data_addr(fx.slot));
         v.0[0] ^= 0xFF;
         store.write(slot_data_addr(fx.slot), v);
-        let err =
-            BmoPipeline::recover_stack(&stack, &store, FingerprintAlgo::Md5, DEFAULT_KEY, root)
-                .expect_err("tamper must be caught");
+        let err = BmoPipeline::recover_stack(&stack, &store, DEFAULT_KEY, root)
+            .expect_err("tamper must be caught");
         assert_eq!(err, IntegrityError::MacMismatch { slot: fx.slot });
     }
 
     #[test]
     fn compression_stores_compressed_payload() {
         let stack = stack_of(&[BmoId::Compression]);
-        let mut p = BmoPipeline::for_stack(&stack, FingerprintAlgo::Md5);
+        let mut p = pipeline_for(&stack);
         let data = Line::splat(7); // Repeat8: compresses to 9 bytes
         let fx = p.write(LineAddr(1), data);
         let stored = p.stored.read(slot_data_addr(fx.slot));
@@ -1149,7 +1159,7 @@ mod tests {
         // The Start-Gap gap starts at the spare frame and walks downward,
         // so the first line it displaces is the top slot.
         let stack = stack_of(&[BmoId::WearLeveling]);
-        let mut p = BmoPipeline::for_stack(&stack, FingerprintAlgo::Md5);
+        let mut p = pipeline_for(&stack);
         let top = LineAddr(SLOT_LINES - 1);
         let marker = Line::from_words(&[0xFEED]);
         p.write(top, marker);
@@ -1170,7 +1180,7 @@ mod tests {
     #[test]
     fn oram_relocates_frames_on_fresh_writes() {
         let stack = stack_of(&[BmoId::Oram]);
-        let mut p = BmoPipeline::for_stack(&stack, FingerprintAlgo::Md5);
+        let mut p = pipeline_for(&stack);
         p.write(LineAddr(3), Line::splat(1));
         let a0 = p.data_addr_of(LineAddr(3)).unwrap();
         // Every fresh write relocates; after several the frame has moved.
@@ -1215,8 +1225,7 @@ mod tests {
             highest = highest.max(counter_of(&p, &fx));
             persist(&p, &fx, &mut store, &mut root);
         }
-        let mut r = BmoPipeline::recover(&store, FingerprintAlgo::Md5, DEFAULT_KEY, root)
-            .expect("recovery succeeds");
+        let mut r = BmoPipeline::recover(&store, DEFAULT_KEY, root).expect("recovery succeeds");
         let fx = r.write(LineAddr(9), Line::splat(77));
         assert!(counter_of(&r, &fx) > highest, "recovered counter reused");
     }
@@ -1231,14 +1240,9 @@ mod tests {
             let (line, value) = meta.set_logical(LineAddr(logical), MetaEntry::Remap(slot));
             store.write(line, value);
         }
-        let err = BmoPipeline::recover_stack(
-            &stack_of(&[BmoId::Dedup]),
-            &store,
-            FingerprintAlgo::Md5,
-            DEFAULT_KEY,
-            [0; 20],
-        )
-        .expect_err("dangling remaps");
+        let err =
+            BmoPipeline::recover_stack(&stack_of(&[BmoId::Dedup]), &store, DEFAULT_KEY, [0; 20])
+                .expect_err("dangling remaps");
         assert_eq!(
             err,
             IntegrityError::MetadataCorrupt {
@@ -1251,7 +1255,7 @@ mod tests {
     fn sparse_top_slot_allocates_one_aux_page() {
         // Without dedup the top logical line is the top slot: its
         // auxiliary state costs one page, not a table over every slot.
-        let mut p = BmoPipeline::for_stack(&stack_of(&[BmoId::WearLeveling]), FingerprintAlgo::Md5);
+        let mut p = pipeline_for(&stack_of(&[BmoId::WearLeveling]));
         p.write(LineAddr(SLOT_LINES - 1), Line::splat(1));
         let (pages, directory) = p.aux.footprint();
         let bytes = directory * std::mem::size_of::<Option<Box<[SlotAux]>>>()

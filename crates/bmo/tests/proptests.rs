@@ -13,11 +13,19 @@ use janus_crypto::FingerprintAlgo;
 use janus_nvm::line::Line;
 use janus_sim::resource::UnitPool;
 use janus_sim::time::Cycles;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 #[path = "support/crc.rs"]
 mod crc;
 use crc::colliding_triple;
+
+#[path = "support/key.rs"]
+mod key;
+use key::colliding_lines;
+
+#[path = "support/fingerprint_store.rs"]
+mod fingerprint_store;
+use fingerprint_store::FingerprintStore;
 
 /// The stack a random sequence of BMO indices names: deduped keeping first
 /// occurrence, it is a random (subset, order) pair over the registry.
@@ -165,55 +173,94 @@ fn merkle_root_is_content_addressed() {
     });
 }
 
-/// Dedup refcounts: after any lookup/release interleaving, the number
-/// of live slots equals the number of distinct values with a positive
-/// reference count, and lookups of held values always dedup — under both
-/// fingerprints, over an alphabet whose last three values share a CRC-32.
+/// The content-keyed dedup store against the fingerprint-keyed store it
+/// replaced, under MD5 and CRC-32 alike: after a random `recover_slot`
+/// prefix (slots may hold equal values), any interleaving of lookups,
+/// peeks and releases gives the same outcomes, and after every step the
+/// stores agree on `peek` of every value, each slot's `refcount` and
+/// `is_live`, and `live_slots`. The values are random lines, three that
+/// share a CRC-32 and three that share a content key.
 #[test]
 fn dedup_refcount_consistency() {
-    let [a, b, c] = colliding_triple();
-    let alphabet = [Line::splat(0), Line::splat(4), Line::splat(5), a, b, c];
-    let ops = gen::pair(
-        &gen::any_bool(),
-        &gen::vec_of(&gen::pair(&gen::range_u8(0..6), &gen::any_bool()), 1..120),
+    let recovered = gen::vec_of(
+        &gen::tuple3(
+            &gen::range_u64(0..12),
+            &gen::range_usize(0..16),
+            &gen::range_u64(1..4),
+        ),
+        0..6,
     );
-    forall(&ops, |(crc, ops)| {
-        let algo = if *crc {
-            FingerprintAlgo::Crc32
-        } else {
-            FingerprintAlgo::Md5
+    // (0 lookup | 1 peek | 2 release, value or live-slot index)
+    let steps = gen::vec_of(
+        &gen::pair(&gen::range_u8(0..3), &gen::range_usize(0..16)),
+        1..120,
+    );
+    let words = gen::vec_of(&gen::any_u64(), 1..5);
+    let g = gen::tuple3(&words, &recovered, &steps);
+    forall(&g, |(words, recovered, steps)| {
+        let mut values: Vec<Line> = words.iter().map(|&w| Line::from_words(&[w])).collect();
+        values.extend(colliding_triple());
+        values.extend(colliding_lines(3));
+        let value = |i: usize| values[i % values.len()];
+
+        let mut d = DedupStore::new();
+        let mut oracles = [FingerprintAlgo::Md5, FingerprintAlgo::Crc32].map(FingerprintStore::new);
+        let mut live: BTreeSet<u64> = BTreeSet::new();
+        let agree = |d: &DedupStore, oracles: &[FingerprintStore; 2], live: &BTreeSet<u64>| {
+            assert_eq!(d.live_slots(), live.len());
+            let top = live.last().map_or(0, |&s| s + 2).max(14);
+            for o in oracles {
+                assert_eq!(o.live_slots(), d.live_slots());
+                for slot in 0..top {
+                    assert_eq!(o.refcount(slot), d.refcount(slot), "slot {slot}");
+                    assert_eq!(o.is_live(slot), d.is_live(slot), "slot {slot}");
+                }
+                for v in &values {
+                    assert_eq!(o.peek(v), d.peek(v), "{v:?}");
+                }
+            }
         };
-        let mut d = DedupStore::new(algo);
-        let mut refs: HashMap<u8, (u64, u64)> = HashMap::new(); // value -> (slot, count)
-        for (v, release) in ops {
-            if *release {
-                if let Some((slot, count)) = refs.get_mut(v) {
-                    if *count > 0 {
-                        let freed = d.release(*slot);
-                        *count -= 1;
-                        assert_eq!(freed, *count == 0);
+
+        for &(slot, v, refs) in recovered {
+            if d.is_live(slot) {
+                continue;
+            }
+            d.recover_slot(slot, value(v), refs);
+            for o in &mut oracles {
+                o.recover_slot(slot, value(v), refs);
+            }
+            live.insert(slot);
+            agree(&d, &oracles, &live);
+        }
+        for &(kind, i) in steps {
+            match kind {
+                0 => {
+                    let out = d.lookup(&value(i));
+                    for o in &mut oracles {
+                        assert_eq!(o.lookup(&value(i)), out);
+                    }
+                    live.insert(out.slot());
+                }
+                1 => {
+                    for o in &oracles {
+                        assert_eq!(o.peek(&value(i)), d.peek(&value(i)));
                     }
                 }
-            } else {
-                let out = d.lookup(&alphabet[*v as usize]);
-                let e = refs.entry(*v).or_insert((out.slot(), 0));
-                if e.1 == 0 {
-                    // fresh or re-allocated
-                    assert!(!out.is_duplicate());
-                    e.0 = out.slot();
-                } else {
-                    assert!(out.is_duplicate());
-                    assert_eq!(out.slot(), e.0);
+                _ => {
+                    let Some(&slot) = live.iter().nth(i % live.len().max(1)) else {
+                        continue;
+                    };
+                    let freed = d.release(slot);
+                    for o in &mut oracles {
+                        assert_eq!(o.release(slot), freed, "release {slot}");
+                    }
+                    if freed {
+                        live.remove(&slot);
+                    }
                 }
-                e.1 += 1;
             }
-            for (v, (slot, count)) in &refs {
-                let held = (*count > 0).then_some(*slot);
-                assert_eq!(d.peek(&alphabet[*v as usize]), held, "{algo:?} value {v}");
-            }
+            agree(&d, &oracles, &live);
         }
-        let live_expected = refs.values().filter(|(_, c)| *c > 0).count();
-        assert_eq!(d.live_slots(), live_expected);
     });
 }
 

@@ -123,8 +123,9 @@ pub struct JanusConfig {
 
 impl JanusConfig {
     /// The paper's Table 3 configuration for a given mode and core count.
+    /// Zero cores is a configuration every run refuses
+    /// ([`crate::system::ConfigError::ZeroSize`]).
     pub fn paper(mode: SystemMode, cores: usize) -> Self {
-        assert!(cores >= 1, "at least one core");
         JanusConfig {
             mode,
             cores,

@@ -181,7 +181,7 @@ impl MemoryController {
             config.mode.bmo_mode_with(config.serialized_global),
             config.total_bmo_units(),
         );
-        let pipeline = BmoPipeline::for_stack(&stack, config.latencies.dedup_algo);
+        let pipeline = BmoPipeline::for_stack_with_key(&stack, DEFAULT_KEY);
         let mut wq = AdrWriteQueue::new(config.wq_capacity);
         wq.set_coalescing(config.wq_coalescing);
         MemoryController {
@@ -829,13 +829,8 @@ impl MemoryController {
         config: JanusConfig,
         secure_root: NodeHash,
     ) -> Result<Self, IntegrityError> {
-        let pipeline = BmoPipeline::recover_stack(
-            &config.stack(),
-            snapshot,
-            config.latencies.dedup_algo,
-            DEFAULT_KEY,
-            secure_root,
-        )?;
+        let pipeline =
+            BmoPipeline::recover_stack(&config.stack(), snapshot, DEFAULT_KEY, secure_root)?;
         let mut mc = MemoryController::new(config);
         mc.pipeline = pipeline;
         // The recovered pipeline's root equals the verified register, so

@@ -84,8 +84,8 @@ pub enum ConfigError {
         /// Total IRB entries ([`JanusConfig::total_irb_entries`]).
         capacity: usize,
     },
-    /// A resource no write can do without is sized zero: the BMO units
-    /// (unless resources are unlimited) or the write queue.
+    /// A resource no run can do without is sized zero: the cores, the BMO
+    /// units (unless resources are unlimited) or the write queue.
     ZeroSize {
         /// The [`JanusConfig`] field.
         field: &'static str,
@@ -328,11 +328,12 @@ pub struct System {
 
 impl System {
     /// Builds a system for the configuration. A configuration with zero
-    /// BMO units or write-queue entries builds with one of each, and every
-    /// run entry point refuses it with [`ConfigError::ZeroSize`] before the
-    /// first event.
+    /// cores, BMO units or write-queue entries builds its controller with
+    /// one of each, and every run entry point refuses it with
+    /// [`ConfigError::ZeroSize`] before the first event.
     pub fn new(config: JanusConfig) -> Self {
         let mc = MemoryController::new(JanusConfig {
+            cores: config.cores.max(1),
             bmo_units_per_core: config.bmo_units_per_core.max(1),
             wq_capacity: config.wq_capacity.max(1),
             ..config.clone()
@@ -554,6 +555,9 @@ impl System {
     /// The configuration checks every run entry point makes first.
     fn check_config(&self) -> Result<(), ConfigError> {
         let config = &self.config;
+        if config.cores == 0 {
+            return Err(ConfigError::ZeroSize { field: "cores" });
+        }
         if config.bmo_units_per_core == 0 && !config.unlimited_resources {
             return Err(ConfigError::ZeroSize {
                 field: "bmo_units_per_core",

@@ -39,8 +39,9 @@ pub fn md5(data: &[u8]) -> [u8; 16] {
     let k = k_table();
     let mut h: [u32; 4] = [0x6745_2301, 0xefcd_ab89, 0x98ba_dcfe, 0x1032_5476];
 
-    // Whole blocks straight from the input; padding on the stack (the
-    // dedup fingerprint runs once per write, so no per-call allocation).
+    // Whole blocks straight from the input; padding on the stack, so no
+    // per-call allocation (janus-benchmark's ledger times one digest per
+    // replayed write).
     let mut chunks = data.chunks_exact(64);
     for chunk in &mut chunks {
         compress(&mut h, k, chunk.try_into().expect("64-byte chunk"));

@@ -171,7 +171,9 @@ pub fn regions(ops: &[Op]) -> Vec<Region> {
             cond_begin: cond_stack.last().copied(),
         });
         match op {
-            Op::FuncEnd => {
+            // An unpaired `FuncEnd` keeps the top level, as unpaired loop
+            // and conditional ends keep their (empty) stacks.
+            Op::FuncEnd if func_stack.len() > 1 => {
                 func_stack.pop();
             }
             Op::LoopEnd => {
@@ -304,6 +306,23 @@ mod tests {
         let after = p.ops.iter().position(|o| *o == Op::Compute(3)).unwrap();
         assert!(!cfg.dominates(inner, tail), "cond body skippable in loop");
         assert!(cfg.dominates(tail, after), "loop tail ran at least once");
+    }
+
+    #[test]
+    fn unpaired_func_end_keeps_the_top_level() {
+        let mut b = ProgramBuilder::new();
+        b.push(Op::FuncEnd).compute(1);
+        b.func("f", |b| {
+            b.compute(2);
+        });
+        b.push(Op::FuncEnd).compute(3);
+        let p = b.build();
+        let funcs: Vec<u32> = regions(&p.ops).iter().map(|r| r.func).collect();
+        assert_eq!(funcs, [0, 0, 1, 1, 1, 0, 0]);
+        let cfg = Cfg::build(&p);
+        assert!(cfg.dominates(0, 6), "function markers add no edges");
+        // The placement pass reads the same regions.
+        crate::auto_place(&p);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 use janus::bmo::metadata::{slot_data_addr, META_BASE, META_LINES};
 use janus::bmo::pipeline::{BmoPipeline, IntegrityError, DEFAULT_KEY};
 use janus::bmo::BmoStack;
-use janus::crypto::FingerprintAlgo;
 use janus::nvm::{addr::LineAddr, line::Line, store::LineStore};
 
 const KEY: [u8; 16] = DEFAULT_KEY;
@@ -21,7 +20,7 @@ fn main() {
     // The paper's trio plus SECDED ECC, composed from the BMO registry —
     // the durability demo below needs the check bytes ECC contributes.
     let stack = BmoStack::parse("enc,int,dedup,ecc").expect("valid stack");
-    let mut pipeline = BmoPipeline::for_stack(&stack, FingerprintAlgo::Md5);
+    let mut pipeline = BmoPipeline::for_stack_with_key(&stack, KEY);
     let mut nvm = LineStore::new(); // what's physically on the DIMM
     let secret = Line::from_words(&[0xDEAD_BEEF, 0xCAFE]);
 
@@ -43,7 +42,7 @@ fn main() {
     let mut ct = faulty.read(slot_data_addr(fx.slot));
     ct.0[7] ^= 0x80;
     faulty.write(slot_data_addr(fx.slot), ct);
-    let healed = BmoPipeline::recover_stack(&stack, &faulty, FingerprintAlgo::Md5, KEY, root)
+    let healed = BmoPipeline::recover_stack(&stack, &faulty, KEY, root)
         .expect("ECC corrects a single-bit device fault");
     assert_eq!(healed.read_verified(LineAddr(1)).unwrap(), secret);
     println!("single-bit NVM fault: corrected by SECDED, secret intact");
@@ -55,7 +54,7 @@ fn main() {
         ct.0[b] ^= 0xA5;
     }
     tampered.write(slot_data_addr(fx.slot), ct);
-    match BmoPipeline::recover_stack(&stack, &tampered, FingerprintAlgo::Md5, KEY, root) {
+    match BmoPipeline::recover_stack(&stack, &tampered, KEY, root) {
         Err(IntegrityError::MacMismatch { slot }) => {
             println!("ciphertext tamper detected: MAC mismatch on slot {slot}")
         }
@@ -70,7 +69,7 @@ fn main() {
         .find(|a| !replayed.read(*a).is_zero())
         .expect("metadata was persisted");
     replayed.write(meta_line, Line::zero());
-    match BmoPipeline::recover_stack(&stack, &replayed, FingerprintAlgo::Md5, KEY, root) {
+    match BmoPipeline::recover_stack(&stack, &replayed, KEY, root) {
         Err(IntegrityError::RootMismatch) => {
             println!("metadata rollback detected: Merkle root mismatch")
         }
@@ -78,8 +77,7 @@ fn main() {
     }
 
     // 5. The honest DIMM recovers fine.
-    let recovered =
-        BmoPipeline::recover_stack(&stack, &nvm, FingerprintAlgo::Md5, KEY, root).unwrap();
+    let recovered = BmoPipeline::recover_stack(&stack, &nvm, KEY, root).unwrap();
     assert_eq!(recovered.read_verified(LineAddr(1)).unwrap(), secret);
     println!("honest recovery: secret intact");
 }

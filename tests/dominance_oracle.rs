@@ -9,8 +9,9 @@
 //! (fall-through, loop back edges, conditional skip edges),
 //! Cooper–Harvey–Kennedy iterative dominators and an idom-chain walk. The
 //! two must agree on every op pair of random programs with nested,
-//! unbalanced and crossing markers, and on every marker→writeback pair of
-//! the workloads' programs.
+//! unbalanced and crossing markers (function markers, which add no edge,
+//! included), and on every marker→writeback pair of the workloads'
+//! programs.
 
 use janus::core::ir::{Op, Program, ProgramBuilder};
 use janus::instrument::instrument;
@@ -143,11 +144,12 @@ fn intersect(idom: &[u32], mut a: u32, mut b: u32) -> u32 {
 /// raw `LoopBegin`, `LoopEnd`, `CondBegin` or `CondEnd` (which may stay
 /// unpaired or cross another region), 6 a loop and 7 a conditional closed
 /// after `width` more steps (so they nest or cross as their widths fall),
-/// and 8 a conditional whose body opens a loop that closes one step after
-/// the conditional does.
+/// 8 a conditional whose body opens a loop that closes one step after
+/// the conditional does, and 9–10 a raw `FuncBegin` or `FuncEnd` (which
+/// may stay unpaired too).
 fn arb_steps() -> Gen<Vec<(u8, u8)>> {
     gen::vec_of(
-        &gen::pair(&gen::range_u8(0..9), &gen::range_u8(0..4)),
+        &gen::pair(&gen::range_u8(0..11), &gen::range_u8(0..4)),
         1..24,
     )
 }
@@ -183,10 +185,16 @@ fn build(steps: &[(u8, u8)]) -> Program {
                 b.push(Op::CondBegin);
                 due.push((width + 1, Op::CondEnd));
             }
-            _ => {
+            8 => {
                 b.push(Op::CondBegin).push(Op::LoopBegin);
                 due.push((width + 2, Op::LoopEnd));
                 due.push((width + 1, Op::CondEnd));
+            }
+            9 => {
+                b.push(Op::FuncBegin("f"));
+            }
+            _ => {
+                b.push(Op::FuncEnd);
             }
         }
         for close in due.iter_mut() {
@@ -224,6 +232,17 @@ fn dominance_matches_iterative_dominators() {
             }
         }
     });
+}
+
+/// A `FuncEnd` without its `FuncBegin` leaves the top level in place for
+/// both compiler passes, which read the same region table.
+#[test]
+fn unpaired_func_end_is_not_fatal() {
+    let mut b = ProgramBuilder::new();
+    b.push(Op::FuncEnd).compute(1);
+    let p = b.build();
+    assert_eq!(instrument(&p).0.ops, p.ops, "nothing to instrument");
+    assert_eq!(auto_place(&p).0.ops, p.ops, "nothing to place");
 }
 
 /// On every workload's generated, `instrument`ed and `auto_place`d

@@ -277,4 +277,20 @@ fn config_errors_are_typed_not_panics() {
             field: "wq_capacity"
         }
     );
+
+    // So do zero cores, whose controller builds as for one.
+    let zero_cores = ConfigError::ZeroSize { field: "cores" };
+    let mut sys = System::new(JanusConfig::paper(SystemMode::Janus, 0));
+    assert_eq!(sys.try_run(Vec::new()).unwrap_err(), zero_cores);
+    assert_eq!(
+        sys.run_until_crashes(Vec::new(), &[Cycles(1000)])
+            .unwrap_err(),
+        zero_cores
+    );
+    let stream = TenantStream {
+        arrivals: vec![Cycles(0)],
+        txs: vec![program()],
+    };
+    assert_eq!(sys.try_run_tenants(vec![stream]).unwrap_err(), zero_cores);
+    assert_eq!(zero_cores.to_string(), "cores must be at least 1");
 }

@@ -1,6 +1,7 @@
 //! Property-based tests over the full stack (janus-check harness).
 
 use janus::bmo::pipeline::BmoPipeline;
+use janus::bmo::BmoStack;
 use janus::core::config::{JanusConfig, SystemMode};
 use janus::core::controller::MemoryController;
 use janus::core::ir::ProgramBuilder;
@@ -31,7 +32,7 @@ fn arb_writes() -> Gen<Vec<(u64, Line)>> {
 #[test]
 fn pipeline_reads_last_write() {
     forall_cfg(&cfg(), &arb_writes(), |writes| {
-        let mut p = BmoPipeline::new(FingerprintAlgo::Md5);
+        let mut p = BmoPipeline::new();
         let mut last = std::collections::HashMap::new();
         for (addr, value) in writes {
             p.write(LineAddr(*addr), *value);
@@ -49,7 +50,7 @@ fn pipeline_reads_last_write() {
 fn pipeline_recovery_at_any_prefix() {
     let g = gen::pair(&arb_writes(), &gen::range_usize(0..60));
     forall_cfg(&cfg(), &g, |(writes, cut)| {
-        let mut p = BmoPipeline::new(FingerprintAlgo::Md5);
+        let mut p = BmoPipeline::new();
         let mut store = LineStore::new();
         let mut root = p.root();
         let cut = (*cut).min(writes.len());
@@ -60,8 +61,7 @@ fn pipeline_recovery_at_any_prefix() {
             }
             root = p.root();
         }
-        let rec =
-            BmoPipeline::recover(&store, FingerprintAlgo::Md5, KEY, root).expect("prefix recovery");
+        let rec = BmoPipeline::recover(&store, KEY, root).expect("prefix recovery");
         for addr in 0u64..24 {
             assert_eq!(
                 rec.read_verified(LineAddr(addr)).unwrap(),
@@ -72,14 +72,24 @@ fn pipeline_recovery_at_any_prefix() {
     });
 }
 
-/// CRC-32 fingerprints may collide, but dedup never corrupts data.
+/// CRC-32 fingerprints may collide, but dedup compares values, so a
+/// pipeline configured for CRC-32 persists exactly what the default one
+/// does and reads back the last write.
 #[test]
 fn crc_dedup_is_safe() {
     forall_cfg(&cfg(), &arb_writes(), |writes| {
-        let mut p = BmoPipeline::new(FingerprintAlgo::Crc32);
+        let mut p = BmoPipeline::for_stack(&BmoStack::paper(), FingerprintAlgo::Crc32);
+        let mut q = BmoPipeline::new();
         let mut last = std::collections::HashMap::new();
         for (addr, value) in writes {
-            p.write(LineAddr(*addr), *value);
+            let (a, b) = (
+                p.write(LineAddr(*addr), *value),
+                q.write(LineAddr(*addr), *value),
+            );
+            assert_eq!(
+                (a.dup, a.slot, a.line_writes),
+                (b.dup, b.slot, b.line_writes)
+            );
             last.insert(*addr, *value);
         }
         for (addr, value) in last {
@@ -122,14 +132,15 @@ fn stale_hints_never_corrupt() {
 }
 
 /// Any small resource tuple runs or is refused with a typed error, never a
-/// panic: refused exactly when the BMO units or the write queue, which no
-/// write can do without, are sized zero. Each core's transaction issues
-/// every request form, so zero IRB and queue sizes drop them instead.
+/// panic: refused exactly when the cores, the BMO units or the write
+/// queue, which no run can do without, are sized zero. Each core's
+/// transaction issues every request form, so zero IRB and queue sizes drop
+/// them instead.
 #[test]
 fn zero_resource_sizes_are_config_errors() {
     let size = || gen::range_usize(0..4);
     let sizes = gen::tuple5(&size(), &size(), &size(), &size(), &size());
-    let g = gen::pair(&sizes, &gen::range_usize(1..3));
+    let g = gen::pair(&sizes, &gen::range_usize(0..3));
     forall_cfg(&cfg(), &g, |&((units, wq, irb, req, op), cores)| {
         let mut config = JanusConfig::paper(SystemMode::Janus, cores);
         config.bmo_units_per_core = units;
@@ -160,11 +171,13 @@ fn zero_resource_sizes_are_config_errors() {
             .collect();
         match System::new(config).try_run(programs) {
             Ok(report) => {
-                assert!(units > 0 && wq > 0, "ran with a zero size");
+                assert!(cores > 0 && units > 0 && wq > 0, "ran with a zero size");
                 assert_eq!(report.writes, 3 * cores as u64);
             }
             Err(err) => {
-                let field = if units == 0 {
+                let field = if cores == 0 {
+                    "cores"
+                } else if units == 0 {
                     "bmo_units_per_core"
                 } else {
                     "wq_capacity"

@@ -7,10 +7,9 @@
 //! ```
 //!
 //! Flags: `--workload <array|queue|hash|rbtree|btree|tatp|tpcc>`,
-//! `--variant <serialized|parallelized|janus|auto|place|fixed|ideal>`
+//! `--variant <serialized|parallelized|janus|auto|place|ideal>`
 //! (any name [`Variant`]'s `FromStr` accepts; a comma-separated list sweeps
-//! several variants in one invocation; `fixed` = manual instrumentation
-//! with a seeded §6 misuse repaired by the `janus-lint --fix` engine),
+//! several variants in one invocation),
 //! `--cores N` (at most 64, one data region per core), `--tx N`,
 //! `--size BYTES`, `--dedup RATIO` (in [0, 1]), `--seed N`, `--crc32`,
 //! `--scale <N|unlimited>` (N ≥ 1), `--skew THETA` (in [0, 1)),

@@ -39,11 +39,6 @@ pub enum Variant {
     /// Janus with `janus-lint`'s dominance-based placement pass
     /// ([`janus_lint::auto_place`]).
     JanusAutoPlace,
-    /// Janus with hand-placed calls, a seeded §6 misuse, and the autofix
-    /// engine ([`janus_lint::fix_program`] on the paper stack) repairing
-    /// it — the end-to-end "misused, then `--fix`ed" variant; its cycles
-    /// should recover the manual variant's speedup.
-    JanusFixed,
     /// Non-blocking-writeback ideal (§5.2.2).
     Ideal,
 }
@@ -54,10 +49,9 @@ impl Variant {
         match self {
             Variant::Serialized => SystemMode::Serialized,
             Variant::Parallelized => SystemMode::Parallelized,
-            Variant::JanusManual
-            | Variant::JanusAuto
-            | Variant::JanusAutoPlace
-            | Variant::JanusFixed => SystemMode::Janus,
+            Variant::JanusManual | Variant::JanusAuto | Variant::JanusAutoPlace => {
+                SystemMode::Janus
+            }
             Variant::Ideal => SystemMode::Ideal,
         }
     }
@@ -70,14 +64,13 @@ impl Variant {
             Variant::JanusManual => "Janus (Manual)",
             Variant::JanusAuto => "Janus (Auto)",
             Variant::JanusAutoPlace => "Janus (AutoPlace)",
-            Variant::JanusFixed => "Janus (Fixed)",
             Variant::Ideal => "Non-blocking",
         }
     }
 
     /// Every name a bench binary accepts for a variant (`--variant`,
     /// `--variants`).
-    const NAMES: [(&'static str, Variant); 13] = [
+    const NAMES: [(&'static str, Variant); 12] = [
         ("serialized", Variant::Serialized),
         ("parallelized", Variant::Parallelized),
         ("janus", Variant::JanusManual),
@@ -89,7 +82,6 @@ impl Variant {
         ("place", Variant::JanusAutoPlace),
         ("autoplace", Variant::JanusAutoPlace),
         ("janus-autoplace", Variant::JanusAutoPlace),
-        ("fixed", Variant::JanusFixed),
         ("ideal", Variant::Ideal),
     ];
 }
@@ -233,7 +225,7 @@ impl RunSpec {
     pub fn tenant_specs(&self) -> Vec<TenantSpec> {
         let ol = self.open_loop.as_ref().expect("an open-loop RunSpec");
         let instrumentation = match self.variant {
-            Variant::JanusManual | Variant::JanusFixed => Instrumentation::Manual,
+            Variant::JanusManual => Instrumentation::Manual,
             _ => Instrumentation::None,
         };
         (0..ol.tenants)
@@ -261,7 +253,7 @@ impl RunSpec {
         GenError,
     > {
         let instrumentation = match self.variant {
-            Variant::JanusManual | Variant::JanusFixed => Instrumentation::Manual,
+            Variant::JanusManual => Instrumentation::Manual,
             _ => Instrumentation::None,
         };
         let cfg = WorkloadConfig {
@@ -277,13 +269,6 @@ impl RunSpec {
         let program = match self.variant {
             Variant::JanusAuto => instrument(&out.program).0,
             Variant::JanusAutoPlace => janus_lint::auto_place(&out.program).0,
-            Variant::JanusFixed => {
-                // Start from the hand instrumentation, seed the canonical
-                // §6 misuse, and let the autofix engine repair it.
-                let mut seeded = out.program;
-                janus_lint::seed_stale_hint(&mut seeded);
-                janus_lint::fix_program(&seeded, &janus_bmo::BmoStack::paper()).program
-            }
             _ => out.program,
         };
         Ok((program, out.expected, out.resident))
@@ -629,7 +614,8 @@ mod tests {
     fn variant_names_select_the_same_variants_as_before() {
         // The union of janus-cli's, janus-sweep's and janus-prof's old
         // tables, each name with the variant it selected there, less the
-        // three names of the deleted profile-guided pass.
+        // three names of the deleted profile-guided pass and `fixed`, the
+        // retired second route to the manual run.
         let expected = [
             ("serialized", Variant::Serialized),
             ("parallelized", Variant::Parallelized),
@@ -642,13 +628,12 @@ mod tests {
             ("place", Variant::JanusAutoPlace),
             ("autoplace", Variant::JanusAutoPlace),
             ("janus-autoplace", Variant::JanusAutoPlace),
-            ("fixed", Variant::JanusFixed),
             ("ideal", Variant::Ideal),
         ];
         for (name, variant) in expected {
             assert_eq!(name.parse::<Variant>(), Ok(variant), "{name}");
         }
-        assert_eq!(Variant::NAMES.len(), 13, "no new names");
+        assert_eq!(Variant::NAMES.len(), 12, "no new names");
         for bogus in ["", "Janus", "janus-fixed", "non-blocking", " janus", "pgo"] {
             let err = bogus.parse::<Variant>().unwrap_err();
             assert!(err.starts_with("unknown variant"), "{bogus:?}: {err}");

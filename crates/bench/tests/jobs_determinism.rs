@@ -175,10 +175,12 @@ fn malformed_values_exit_2_before_any_work() {
         (lint, &["--tenants", "abc"][..]),
         (lint, &["--irb-policy", "bogus"][..]),
         (lint, &["--instr", "bogus"][..]),
-        // The deleted profile-guided pass's names.
+        // The deleted profile-guided pass's names, and the retired
+        // `fixed` variant (it ran the manual program).
         (cli, &["--variant", "pgo"][..]),
         (sweep, &["--variants", "janus-pgo"][..]),
         (prof, &["--variant", "profile"][..]),
+        (cli, &["--variant", "fixed"][..]),
         // Each closed-loop core and open-loop tenant runs a workload
         // instance in its own region of the data region, which has 64.
         (cli, &["--cores", "65", "--tx", "1"][..]),

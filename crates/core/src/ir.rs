@@ -13,8 +13,10 @@
 //! For the automated compiler pass (`janus-instrument`), programs also carry
 //! *provenance markers*: where an address was generated ([`Op::AddrGen`]),
 //! where a store's data was last defined ([`Op::DataGen`]), and the
-//! function/loop/conditional region structure the pass's placement rules
-//! depend on (§4.5).
+//! function and loop regions the pass's placement rules depend on (§4.5).
+//! There are no conditional markers: a trace records the path that
+//! executed and no generator marks a conditional, so every op before op *i*
+//! lies on every path to it.
 
 use std::collections::BTreeSet;
 
@@ -91,10 +93,6 @@ pub enum Op {
     LoopBegin,
     /// End of a loop region.
     LoopEnd,
-    /// Start of a conditional region (insertions stay inside it).
-    CondBegin,
-    /// End of a conditional region.
-    CondEnd,
 }
 
 /// What a pre-execution request carries: the `Func` field of Figure 7b.
@@ -172,8 +170,6 @@ impl Op {
                 | Op::FuncEnd
                 | Op::LoopBegin
                 | Op::LoopEnd
-                | Op::CondBegin
-                | Op::CondEnd
         )
     }
 }
@@ -204,14 +200,6 @@ impl Program {
     /// Counts pre-execution interface calls.
     pub fn pre_op_count(&self) -> usize {
         self.ops.iter().filter(|o| o.is_pre()).count()
-    }
-
-    /// Strips every Janus interface op (for running the same workload on
-    /// the serialized/ideal baselines without issue overhead).
-    pub fn without_pre_ops(&self) -> Program {
-        Program {
-            ops: self.ops.iter().filter(|o| !o.is_pre()).cloned().collect(),
-        }
     }
 
     /// The first `pre_obj` id above every id an op of this program uses:
@@ -245,57 +233,6 @@ impl Program {
         }
         out.extend(pending.flat_map(|(_, ops)| ops));
         Program { ops: out }
-    }
-}
-
-/// Summary statistics of a program trace.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TraceStats {
-    /// Total operations.
-    pub ops: usize,
-    /// Persistent writes (`Clwb`).
-    pub writes: usize,
-    /// Ordering fences.
-    pub fences: usize,
-    /// Loads.
-    pub loads: usize,
-    /// Stores.
-    pub stores: usize,
-    /// Total busy-compute cycles.
-    pub compute_cycles: u64,
-    /// Janus interface calls.
-    pub pre_ops: usize,
-    /// Committed transactions.
-    pub transactions: usize,
-    /// Distinct lines written.
-    pub footprint_lines: usize,
-}
-
-impl Program {
-    /// Computes summary statistics over the trace.
-    pub fn stats(&self) -> TraceStats {
-        let mut s = TraceStats {
-            ops: self.ops.len(),
-            ..TraceStats::default()
-        };
-        let mut lines = std::collections::HashSet::new();
-        for op in &self.ops {
-            match op {
-                Op::Clwb(_) => s.writes += 1,
-                Op::Fence => s.fences += 1,
-                Op::Load(_) => s.loads += 1,
-                Op::Store { line, .. } => {
-                    s.stores += 1;
-                    lines.insert(*line);
-                }
-                Op::Compute(c) => s.compute_cycles += *c as u64,
-                Op::TxCommit => s.transactions += 1,
-                op if op.is_pre() => s.pre_ops += 1,
-                _ => {}
-            }
-        }
-        s.footprint_lines = lines.len();
-        s
     }
 }
 
@@ -451,13 +388,6 @@ impl ProgramBuilder {
         self.push(Op::LoopEnd)
     }
 
-    /// Wraps `body` in conditional markers.
-    pub fn cond_region(&mut self, body: impl FnOnce(&mut Self)) -> &mut Self {
-        self.push(Op::CondBegin);
-        body(self);
-        self.push(Op::CondEnd)
-    }
-
     /// Finishes the program.
     pub fn build(self) -> Program {
         Program { ops: self.ops }
@@ -499,19 +429,6 @@ mod tests {
     }
 
     #[test]
-    fn without_pre_ops_strips_interface() {
-        let mut b = ProgramBuilder::new();
-        let obj = b.pre_init();
-        b.pre_addr(obj, LineAddr(2), 1);
-        b.persist_store(LineAddr(2), Line::splat(2));
-        let p = b.build();
-        assert_eq!(p.pre_op_count(), 2);
-        let stripped = p.without_pre_ops();
-        assert_eq!(stripped.pre_op_count(), 0);
-        assert_eq!(stripped.write_count(), 1);
-    }
-
-    #[test]
     fn markers_are_cost_free_classified() {
         assert!(Op::LoopBegin.is_marker());
         assert!(Op::AddrGen {
@@ -531,15 +448,18 @@ mod tests {
             b.loop_region(|b| {
                 b.compute(10);
             });
-            b.cond_region(|b| {
-                b.compute(5);
-            });
         });
         let p = b.build();
-        assert_eq!(p.ops[0], Op::FuncBegin("update"));
-        assert_eq!(*p.ops.last().unwrap(), Op::FuncEnd);
-        assert!(p.ops.contains(&Op::LoopBegin));
-        assert!(p.ops.contains(&Op::CondEnd));
+        assert_eq!(
+            p.ops,
+            [
+                Op::FuncBegin("update"),
+                Op::LoopBegin,
+                Op::Compute(10),
+                Op::LoopEnd,
+                Op::FuncEnd
+            ]
+        );
     }
 
     fn computes(cycles: &[u32]) -> Program {

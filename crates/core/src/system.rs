@@ -813,9 +813,7 @@ impl System {
             | Op::FuncBegin(_)
             | Op::FuncEnd
             | Op::LoopBegin
-            | Op::LoopEnd
-            | Op::CondBegin
-            | Op::CondEnd => {}
+            | Op::LoopEnd => {}
         }
         Some(next_at.max(t))
     }

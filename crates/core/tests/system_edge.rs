@@ -184,29 +184,6 @@ fn wrong_core_write_does_not_consume_anothers_entry() {
 }
 
 #[test]
-fn trace_stats_summarize_programs() {
-    let mut b = ProgramBuilder::new();
-    b.tx_begin();
-    b.compute(100);
-    b.load(LineAddr(1));
-    let obj = b.pre_init();
-    b.pre_both(obj, LineAddr(2), vec![Line::splat(1)]);
-    b.store(LineAddr(2), Line::splat(1));
-    b.clwb(LineAddr(2));
-    b.fence();
-    b.tx_commit();
-    let stats = b.build().stats();
-    assert_eq!(stats.writes, 1);
-    assert_eq!(stats.fences, 1);
-    assert_eq!(stats.loads, 1);
-    assert_eq!(stats.stores, 1);
-    assert_eq!(stats.compute_cycles, 100);
-    assert_eq!(stats.pre_ops, 2);
-    assert_eq!(stats.transactions, 1);
-    assert_eq!(stats.footprint_lines, 1);
-}
-
-#[test]
 fn stats_dump_is_machine_readable() {
     let mut b = ProgramBuilder::new();
     b.tx_begin();

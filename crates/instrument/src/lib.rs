@@ -18,9 +18,12 @@
 //!
 //! The pass reproduces the paper's stated limitations (§4.5.2): it only
 //! instruments within the same function as the writeback, it skips
-//! writebacks inside loops (no runtime trip information), it refuses
-//! markers that live inside loops the writeback is not in, and it keeps
-//! insertions inside the writeback's conditional region.
+//! writebacks inside loops (no runtime trip information), and it refuses
+//! markers that live inside loops the writeback is not in. The paper's
+//! third rule, keeping insertions under the writeback's conditional
+//! statement, has nothing to act on: the IR marks no conditionals (see
+//! [`janus_lint::cfg`]), so every marker the pass uses already executes on
+//! every path to the writeback.
 //!
 //! The [`misuse`] module keeps the §6 trace-walking misuse checker as an
 //! independent oracle for `janus-lint` (it reports the same
@@ -58,7 +61,6 @@ use std::collections::BTreeSet;
 use janus_core::ir::{Op, PreFunc, PreObjId, Program};
 use janus_lint::cfg::{regions, Region};
 use janus_lint::dataflow::is_blocking;
-use janus_lint::place::clamp_to_cond;
 use janus_nvm::addr::LineAddr;
 use janus_nvm::line::Line;
 
@@ -159,7 +161,6 @@ fn run_pass(
         // flood the bounded request/operation queues).
         let mut planned: Vec<(usize, Op)> = Vec::new();
         if let Some((at, _nlines)) = addr_marker {
-            let at = clamp_to_cond(&regs, i, at);
             planned.push((
                 at,
                 Op::Pre {
@@ -172,7 +173,6 @@ fn run_pass(
             first_insert_at = first_insert_at.min(at);
         }
         if let Some((at, values)) = data_marker {
-            let at = clamp_to_cond(&regs, i, at);
             planned.push((
                 at,
                 Op::Pre {
@@ -293,17 +293,17 @@ mod tests {
 
     fn arb_tokens() -> Gen<Vec<Token>> {
         let token = gen::tuple3(
-            &gen::range_u8(0..12),
+            &gen::range_u8(0..11),
             &gen::range_u64(0..4),
             &gen::range_u32(1..3),
         );
         gen::vec_of(&token, 0..48)
     }
 
-    /// Builds a well-formed program from tokens: regions (function, loop,
-    /// conditional) open and close anywhere, so functions nest, writes sit
-    /// at top level, and a few lines shared by every function put markers
-    /// for the same line in sibling functions.
+    /// Builds a well-formed program from tokens: regions (function, loop)
+    /// open and close anywhere, so functions nest, writes sit at top level,
+    /// and a few lines shared by every function put markers for the same
+    /// line in sibling functions.
     fn build_tokens(tokens: &[Token]) -> Program {
         let mut b = ProgramBuilder::new();
         let mut open: Vec<Op> = Vec::new();
@@ -319,35 +319,31 @@ mod tests {
                     open.push(Op::LoopEnd);
                 }
                 2 => {
-                    b.push(Op::CondBegin);
-                    open.push(Op::CondEnd);
-                }
-                3 => {
                     if let Some(end) = open.pop() {
                         b.push(end);
                     }
                 }
-                4 => {
+                3 => {
                     b.addr_gen(line, n);
                 }
-                5 => {
+                4 => {
                     let values = (0..n)
                         .map(|k| Line::splat(line.0 as u8 + k as u8))
                         .collect();
                     b.data_gen(line, values);
                 }
-                6 | 7 => {
+                5 | 6 => {
                     b.store(line, Line::splat(n as u8));
                     b.clwb(line);
                     b.fence();
                 }
-                8 => {
+                7 => {
                     b.clwb(line);
                 }
-                9 => {
+                8 => {
                     b.fence();
                 }
-                10 => {
+                9 => {
                     b.compute(n * 100);
                 }
                 _ => {
@@ -519,33 +515,6 @@ mod tests {
         });
         let (_, r) = instrument(&b.build());
         assert_eq!(r.writes_found, 0);
-    }
-
-    #[test]
-    fn conditional_writeback_keeps_insertion_inside_cond() {
-        let mut b = ProgramBuilder::new();
-        b.func("f", |b| {
-            b.addr_gen(LineAddr(1), 1);
-            b.data_gen(LineAddr(1), vec![Line::splat(1)]);
-            b.compute(1000);
-            b.cond_region(|b| {
-                b.store(LineAddr(1), Line::splat(1));
-                b.clwb(LineAddr(1));
-                b.fence();
-            });
-        });
-        let (p, r) = instrument(&b.build());
-        assert_eq!(r.instrumented_writes, 1);
-        let cond_pos = p.ops.iter().position(|o| *o == Op::CondBegin).unwrap();
-        let pre_pos = p
-            .ops
-            .iter()
-            .position(|o| matches!(unbuffered(o), Some(PreFunc::Addr { .. })))
-            .unwrap();
-        assert!(
-            pre_pos > cond_pos,
-            "insertion must stay under the conditional"
-        );
     }
 
     #[test]

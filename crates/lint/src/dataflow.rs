@@ -8,18 +8,17 @@
 //! `--fix`'s hoist need:
 //!
 //! * **address-known point** — the *earliest* `AddrGen` covering the line
-//!   that dominates the writeback (addresses never change once generated,
-//!   so earlier is strictly better: it widens the pre-execution window);
-//! * **data-known point** — the *latest* `DataGen` covering the line that
-//!   dominates the writeback (later definitions shadow earlier ones; using
-//!   anything earlier risks hinting stale data).
+//!   before the writeback in its function instance (addresses never change
+//!   once generated, so earlier is strictly better: it widens the
+//!   pre-execution window);
+//! * **data-known point** — the *latest* such `DataGen` (later definitions
+//!   shadow earlier ones; using anything earlier risks hinting stale data).
 //!
-//! Dominance (not mere program order) is what makes the result sound: a
-//! marker inside a conditional the writeback is outside of does not count,
-//! while a marker inside a loop instance the writeback postdominates does
-//! (do-while semantics, see [`crate::cfg`]). The [`Cfg`] it builds for
-//! that is returned too, so callers clamp insertions with the same region
-//! table.
+//! Dominance is program order (see [`crate::cfg`]), so every such marker
+//! executes on every path to the writeback, one inside a loop instance
+//! the writeback follows included (do-while semantics). The region table
+//! that names each op's function instance is returned too, so the
+//! placement pass reads loop depth from the same table.
 
 use std::collections::BTreeMap;
 
@@ -27,7 +26,7 @@ use janus_core::ir::{Op, Program};
 use janus_nvm::addr::LineAddr;
 use janus_nvm::line::Line;
 
-use crate::cfg::Cfg;
+use crate::cfg::{regions, Region};
 
 /// The provenance markers covering one NVM line, in program order.
 #[derive(Default)]
@@ -66,9 +65,11 @@ pub struct WriteKnowledge {
     pub clwb: usize,
     /// The flushed line.
     pub line: LineAddr,
-    /// Earliest dominating same-function `AddrGen` (op index), if any.
+    /// Earliest same-function `AddrGen` before the writeback (op index),
+    /// if any.
     pub addr_known: Option<usize>,
-    /// Latest dominating same-function `DataGen` (op index), if any.
+    /// Latest same-function `DataGen` before the writeback (op index), if
+    /// any.
     pub data_known: Option<usize>,
     /// The line value defined at `data_known`.
     pub data_value: Option<Line>,
@@ -88,11 +89,11 @@ pub fn is_blocking(ops: &[Op], clwb_idx: usize) -> bool {
     false
 }
 
-/// Computes the program's dominance limits and [`WriteKnowledge`] for
-/// every blocking writeback, in program order.
-pub fn analyze_writes(program: &Program) -> (Cfg, Vec<WriteKnowledge>) {
+/// Computes the program's region table and [`WriteKnowledge`] for every
+/// blocking writeback, in program order.
+pub fn analyze_writes(program: &Program) -> (Vec<Region>, Vec<WriteKnowledge>) {
     let ops = &program.ops;
-    let cfg = Cfg::build(program);
+    let regs = regions(ops);
     let defs = line_defs(ops);
     let mut out = Vec::new();
     for (i, op) in ops.iter().enumerate() {
@@ -109,19 +110,9 @@ pub fn analyze_writes(program: &Program) -> (Cfg, Vec<WriteKnowledge>) {
             data_value: None,
         };
         if let Some(ld) = defs.get(&line.0) {
-            // Earliest dominating AddrGen in the writeback's function.
-            wk.addr_known = ld
-                .addr_gens
-                .iter()
-                .copied()
-                .find(|&j| j < i && usable(&cfg, j, i));
-            // Latest dominating DataGen in the writeback's function.
-            wk.data_known = ld
-                .data_gens
-                .iter()
-                .rev()
-                .copied()
-                .find(|&j| j < i && usable(&cfg, j, i));
+            let usable = |&j: &usize| j < i && regs[j].func == regs[i].func;
+            wk.addr_known = ld.addr_gens.iter().copied().find(usable);
+            wk.data_known = ld.data_gens.iter().rev().copied().find(usable);
             if let Some(j) = wk.data_known {
                 if let Op::DataGen {
                     line: first,
@@ -134,13 +125,7 @@ pub fn analyze_writes(program: &Program) -> (Cfg, Vec<WriteKnowledge>) {
         }
         out.push(wk);
     }
-    (cfg, out)
-}
-
-/// A marker at `j` is usable for the writeback at `i` when it lives in the
-/// same function instance and executes on every path to the writeback.
-fn usable(cfg: &Cfg, j: usize, i: usize) -> bool {
-    cfg.regions[j].func == cfg.regions[i].func && cfg.dominates(j, i)
+    (regs, out)
 }
 
 #[cfg(test)]
@@ -199,21 +184,6 @@ mod tests {
         });
         let wks = knowledge(&b.build());
         assert_eq!(wks[0].addr_known, Some(1));
-    }
-
-    #[test]
-    fn conditional_marker_does_not_reach() {
-        let mut b = ProgramBuilder::new();
-        b.func("f", |b| {
-            b.cond_region(|b| {
-                b.addr_gen(LineAddr(4), 1);
-            });
-            b.store(LineAddr(4), Line::splat(1));
-            b.clwb(LineAddr(4));
-            b.fence();
-        });
-        let wks = knowledge(&b.build());
-        assert_eq!(wks[0].addr_known, None, "marker inside skippable cond");
     }
 
     #[test]

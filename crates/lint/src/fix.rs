@@ -11,11 +11,11 @@
 //!
 //! Rewrites, in the order they are attempted per diagnostic:
 //!
-//! * **insufficient-window** — *hoist* the request to the earliest
-//!   dominating address marker found by the reaching-defs dataflow
-//!   ([`analyze_writes`]), clamped inside the writeback's conditional
-//!   region exactly like [`crate::auto_place`]; when no marker dominates
-//!   (hand-placed requests without provenance), fall back to deletion.
+//! * **insufficient-window** — *hoist* the request to just after the
+//!   earliest dominating address marker found by the reaching-defs
+//!   dataflow ([`analyze_writes`]), the point [`crate::auto_place`] picks;
+//!   when no marker dominates (hand-placed requests without provenance),
+//!   fall back to deletion.
 //! * **modified-after-pre** — *retarget* the hint to the value the store
 //!   actually writes (sound: the hinted value is data the request captured,
 //!   not program state); if the corrected hint would surface a different
@@ -53,10 +53,8 @@ use janus_bmo::BmoStack;
 use janus_core::ir::{Op, PreFunc, PreObjId, Program};
 use janus_nvm::addr::LineAddr;
 
-use crate::cfg::Cfg;
 use crate::dataflow::{analyze_writes, WriteKnowledge};
 use crate::lints::lint_program;
-use crate::place::clamp_to_cond;
 use crate::report::{Diagnostic, LintCode, LintReport};
 
 /// The rewrite family an applied fix belongs to.
@@ -293,11 +291,7 @@ fn enclosing_commit(ops: &[Op], at: usize) -> Option<usize> {
 }
 
 /// Candidate rewrites for one diagnostic, in attempt order.
-fn candidates_for(
-    d: &Diagnostic,
-    ops: &[Op],
-    flow: Option<&(Cfg, Vec<WriteKnowledge>)>,
-) -> Vec<Edit> {
+fn candidates_for(d: &Diagnostic, ops: &[Op], writes: Option<&[WriteKnowledge]>) -> Vec<Edit> {
     match d.code {
         LintCode::ModifiedAfterPre => {
             let Some(r) = d.other else { return Vec::new() };
@@ -312,10 +306,10 @@ fn candidates_for(
         LintCode::InsufficientWindow => {
             let Some(r) = d.other else { return Vec::new() };
             let mut out = Vec::new();
-            if let Some((cfg, writes)) = flow {
+            if let Some(writes) = writes {
                 if let Some(wk) = writes.iter().find(|wk| wk.clwb == d.at) {
                     if let Some(m) = wk.addr_known {
-                        let target = clamp_to_cond(&cfg.regions, d.at, m + 1);
+                        let target = m + 1;
                         if target < r {
                             let obj = ops[r].pre_obj();
                             out.push(hoist_edit(ops, r, obj, target));
@@ -392,14 +386,14 @@ pub fn fix_program(program: &Program, stack: &BmoStack) -> FixOutcome {
 
     while iterations < cap && !report.diagnostics.is_empty() {
         iterations += 1;
-        let flow = report
+        let writes = report
             .diagnostics
             .iter()
             .any(|d| d.code == LintCode::InsufficientWindow)
-            .then(|| analyze_writes(&current));
+            .then(|| analyze_writes(&current).1);
         let mut accepted = false;
         'diags: for d in &report.diagnostics {
-            for edit in candidates_for(d, &current.ops, flow.as_ref()) {
+            for edit in candidates_for(d, &current.ops, writes.as_deref()) {
                 let trial = current.splice(edit.insert, &edit.remove);
                 let trial_report = lint_program(&trial, stack);
                 if strictly_reduces(&report, &trial_report) {
@@ -548,8 +542,6 @@ pub fn render_op(op: &Op) -> String {
         Op::FuncEnd => "func_end".to_string(),
         Op::LoopBegin => "loop_begin".to_string(),
         Op::LoopEnd => "loop_end".to_string(),
-        Op::CondBegin => "cond_begin".to_string(),
-        Op::CondEnd => "cond_end".to_string(),
     }
 }
 

@@ -7,14 +7,14 @@
 //! that never happen, and issuing requests too close to the writeback —
 //! are all *statically detectable*. This crate makes that claim concrete:
 //!
-//! * [`cfg`](mod@cfg) — dominance read off the program IR's region markers
-//!   in two passes, plus each op's region context (do-while loop semantics:
-//!   a trace's loop body executed at least once, so it dominates post-loop
-//!   code).
+//! * [`cfg`](mod@cfg) — each op's region context (function instance, loop
+//!   depth) in one scan, and the argument that dominance is program order:
+//!   the IR has only function and do-while loop markers, and a trace's loop
+//!   body executed at least once, so it dominates post-loop code.
 //! * [`dataflow`] — reaching-definitions over the provenance markers:
 //!   [`analyze_writes`], the one dataflow entry, finds the earliest point
-//!   each blocking write's address is known on every path, and the latest
-//!   point its data was defined.
+//!   in its function instance where each blocking write's address is known,
+//!   and the latest point its data was defined.
 //! * [`lints`] — the §6 misuse patterns as program lints (windows measured
 //!   against the active BMO stack's critical path), plus redundant-request,
 //!   IRB-pressure, and persist-ordering checks. The BMO stack is the only

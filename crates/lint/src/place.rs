@@ -15,8 +15,7 @@
 //!   and would only waste an IRB entry.
 //! * The request goes to the *earliest* legal point: right after the
 //!   address marker (and the data part right after the *latest*
-//!   dominating `DataGen`), clamped inside the writeback's conditional
-//!   region like the paper's pass.
+//!   dominating `DataGen`).
 //! * When only zero-cost provenance markers separate the two points, the
 //!   request collapses into a single `PRE_BOTH` (no window is lost);
 //!   writebacks whose collapsed requests land on the same point merge
@@ -34,7 +33,6 @@ use janus_core::ir::{Op, PreFunc, PreObjId, Program};
 use janus_nvm::addr::LineAddr;
 use janus_nvm::line::Line;
 
-use crate::cfg::Region;
 use crate::dataflow::analyze_writes;
 
 /// Statistics of one placement run.
@@ -118,7 +116,7 @@ impl Plan {
 /// Runs the placement pass: returns the instrumented program and a report.
 pub fn auto_place(program: &Program) -> (Program, PlaceReport) {
     let ops = &program.ops;
-    let (cfg, writes) = analyze_writes(program);
+    let (regions, writes) = analyze_writes(program);
 
     let mut report = PlaceReport {
         writes_found: writes.len() as u64,
@@ -132,10 +130,10 @@ pub fn auto_place(program: &Program) -> (Program, PlaceReport) {
             report.skipped_no_addr += 1;
             continue;
         };
-        let addr_at = clamp_to_cond(&cfg.regions, wk.clwb, addr_marker + 1);
+        let addr_at = addr_marker + 1;
         let kind = match (wk.data_known, wk.data_value) {
             (Some(j), Some(value)) => {
-                let data_at = clamp_to_cond(&cfg.regions, wk.clwb, j + 1);
+                let data_at = j + 1;
                 let (lo, hi) = (addr_at.min(data_at), addr_at.max(data_at));
                 if ops[lo..hi].iter().all(is_marker) {
                     PlanKind::Both { at: hi, value }
@@ -153,7 +151,7 @@ pub fn auto_place(program: &Program) -> (Program, PlaceReport) {
             clwb: wk.clwb,
             line: wk.line,
             kind,
-            in_loop: cfg.regions[wk.clwb].loop_depth > 0,
+            in_loop: regions[wk.clwb].loop_depth > 0,
         });
     }
 
@@ -167,7 +165,7 @@ pub fn auto_place(program: &Program) -> (Program, PlaceReport) {
     for mut p in plans {
         if let Some(&c) = last_consume.get(&p.line.0) {
             if p.reg_point() < c {
-                let deferred = clamp_to_cond(&cfg.regions, p.clwb, c + 1);
+                let deferred = c + 1;
                 if deferred >= p.clwb {
                     report.skipped_overlap += 1;
                     continue;
@@ -309,19 +307,6 @@ fn is_marker(op: &Op) -> bool {
     matches!(op, Op::AddrGen { .. } | Op::DataGen { .. })
 }
 
-/// Keeps an insertion inside the writeback's conditional region: if the
-/// writeback at `clwb_idx` sits under a `CondBegin` and `at` is not past
-/// it, the insertion moves to just inside the conditional (§4.5.1: the
-/// pass "conservatively inserts the pre-execution function under the same
-/// conditional statement"). `regions` is [`regions`](crate::cfg::regions)'s
-/// output.
-pub fn clamp_to_cond(regions: &[Region], clwb_idx: usize, at: usize) -> usize {
-    match regions[clwb_idx].cond_begin {
-        Some(cb) if at <= cb => cb + 1,
-        _ => at,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -434,30 +419,6 @@ mod tests {
         assert_eq!(r.placed_writes, 0);
         assert_eq!(r.skipped_no_addr, 1);
         assert_eq!(p.pre_op_count(), 0);
-    }
-
-    #[test]
-    fn conditional_writeback_keeps_request_inside_cond() {
-        let mut b = ProgramBuilder::new();
-        b.func("f", |b| {
-            b.data_gen(LineAddr(1), vec![Line::splat(1)]);
-            b.addr_gen(LineAddr(1), 1);
-            b.compute(1000);
-            b.cond_region(|b| {
-                b.store(LineAddr(1), Line::splat(1));
-                b.clwb(LineAddr(1));
-                b.fence();
-            });
-        });
-        let (p, r) = auto_place(&b.build());
-        assert_eq!(r.placed_writes, 1);
-        let cond = p.ops.iter().position(|o| *o == Op::CondBegin).unwrap();
-        let req = p
-            .ops
-            .iter()
-            .position(|o| matches!(unbuffered(o), Some(PreFunc::Both { .. })))
-            .unwrap();
-        assert!(req > cond, "insertion must stay under the conditional");
     }
 
     #[test]

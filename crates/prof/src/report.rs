@@ -260,11 +260,17 @@ impl Profile {
     }
 }
 
+/// The whole number in `[0, 2^64)` at `key`: a cycle count or a count of
+/// writes, never a negative, fractional or out-of-range value cast into one.
 fn get_u64(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
+    let n = v
+        .get(key)
         .and_then(Value::as_f64)
-        .map(|f| f as u64)
-        .ok_or_else(|| format!("missing numeric field \"{key}\""))
+        .ok_or_else(|| format!("missing numeric field \"{key}\""))?;
+    if n.fract() != 0.0 || !(0.0..u64::MAX as f64).contains(&n) {
+        return Err(format!("field \"{key}\" is {n}, not a 64-bit count"));
+    }
+    Ok(n as u64)
 }
 
 /// Validates a `janus-profile-v1` JSON document: schema tag, the

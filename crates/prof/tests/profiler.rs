@@ -6,12 +6,14 @@
 //! numbers out of the trace stream, and its attribution must partition
 //! every write's blocked interval exactly.
 
+use janus_check::{forall, gen};
 use janus_core::controller::MemoryController;
 use janus_core::{JanusConfig, SystemMode};
 use janus_nvm::addr::LineAddr;
 use janus_nvm::line::Line;
 use janus_prof::{Profile, ProfileError, SegKind};
 use janus_sim::time::Cycles;
+use janus_trace::json::{self, Value};
 use janus_trace::TraceConfig;
 
 fn profiled_controller(config: JanusConfig) -> (MemoryController, janus_trace::Tracer) {
@@ -290,8 +292,185 @@ fn validator_rejects_accounting_rows_that_overflow() {
 }
 
 #[test]
+fn validator_rejects_numbers_no_count_can_be() {
+    let ok = profile_doc(&[(5, 0, 0)], 5, 9, 9);
+    for bad in BAD_NUMBERS {
+        let doc = ok.replace("\"latency\":0", &format!("\"latency\":{bad}"));
+        assert_ne!(doc, ok);
+        let err = janus_prof::validate_profile_json(&doc).unwrap_err();
+        assert!(err.contains("\"latency\""), "{bad}: {err}");
+    }
+}
+
+#[test]
 fn validator_rejects_a_write_that_persists_before_it_arrives() {
     let doc = profile_doc(&[(5, 0, 0)], 5, 100, 50);
     let err = janus_prof::validate_profile_json(&doc).unwrap_err();
     assert!(err.contains("before it arrives"), "{err}");
+}
+
+/// A real `janus-profile-v1` document and the Chrome trace export of the
+/// same profiled run.
+fn real_documents() -> [String; 2] {
+    let config = JanusConfig::paper(SystemMode::Janus, 1);
+    let (mut mc, tracer) = profiled_controller(config.clone());
+    for i in 0..4u64 {
+        let line = LineAddr(i % 3);
+        mc.handle_write(Cycles(500 * i), 0, line, Line::splat(i as u8), i % 2 == 0);
+    }
+    let profile = build(&mc, &tracer, &config).to_json();
+    let mut chrome = Vec::new();
+    janus_trace::chrome::export(&tracer.snapshot(), tracer.dropped(), &mut chrome)
+        .expect("writes to memory");
+    let chrome = String::from_utf8(chrome).expect("the exporter writes UTF-8");
+    [profile, chrome]
+}
+
+/// Numbers no cycle count can be: negative, fractional, past `f64` and
+/// past `u64`.
+const BAD_NUMBERS: [&str; 4] = ["-1", "1.5", "1e400", "18446744073709551616"];
+
+/// The byte ranges of `doc`'s digit runs (a `.` may continue one): its
+/// numbers, and digits inside its strings.
+fn digit_runs(doc: &str) -> Vec<std::ops::Range<usize>> {
+    let bytes = doc.as_bytes();
+    let mut runs = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        if !bytes[i].is_ascii_digit() {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'.') {
+            i += 1;
+        }
+        runs.push(start..i);
+    }
+    runs
+}
+
+/// How many object members `v` holds, nested ones included.
+fn members(v: &Value) -> usize {
+    match v {
+        Value::Object(m) => m.iter().map(|(_, v)| 1 + members(v)).sum(),
+        Value::Array(items) => items.iter().map(members).sum(),
+        _ => 0,
+    }
+}
+
+/// Removes the `k`-th object member in document order, counting `k` down
+/// over the members it passes.
+fn remove_member(v: &mut Value, k: &mut usize) -> bool {
+    match v {
+        Value::Object(m) => {
+            for i in 0..m.len() {
+                if *k == 0 {
+                    m.remove(i);
+                    return true;
+                }
+                *k -= 1;
+                if remove_member(&mut m[i].1, k) {
+                    return true;
+                }
+            }
+            false
+        }
+        Value::Array(items) => items.iter_mut().any(|item| remove_member(item, k)),
+        _ => false,
+    }
+}
+
+/// Appends `v` as compact JSON text.
+fn render(v: &Value, out: &mut String) {
+    match v {
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::Number(n) => json::write_f64(out, *n),
+        Value::String(s) => json::write_str(out, s),
+        Value::Array(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                render(item, out);
+            }
+            out.push(']');
+        }
+        Value::Object(m) => {
+            out.push('{');
+            for (i, (key, item)) in m.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                json::write_str(out, key);
+                out.push(':');
+                render(item, out);
+            }
+            out.push('}');
+        }
+    }
+}
+
+/// One mutation of `doc`, chosen by `kind` and placed by `pos`.
+fn mutate(doc: &str, kind: u8, pos: usize, byte: u8) -> String {
+    match kind {
+        // Truncated at a byte, backed off to a character boundary.
+        0 => {
+            let mut at = pos % (doc.len() + 1);
+            while !doc.is_char_boundary(at) {
+                at -= 1;
+            }
+            doc[..at].to_string()
+        }
+        // One character overwritten by the character of any byte value.
+        1 => {
+            let mut chars: Vec<char> = doc.chars().collect();
+            let n = chars.len();
+            chars[pos % n] = char::from(byte);
+            chars.into_iter().collect()
+        }
+        // One digit run replaced by a number no cycle count can be.
+        2 => {
+            let runs = digit_runs(doc);
+            let run = &runs[pos % runs.len()];
+            let bad = BAD_NUMBERS[usize::from(byte) % BAD_NUMBERS.len()];
+            format!("{}{bad}{}", &doc[..run.start], &doc[run.end..])
+        }
+        // One object member deleted.
+        3 => {
+            let mut v = json::parse(doc).expect("a real document parses");
+            let mut k = pos % members(&v);
+            remove_member(&mut v, &mut k);
+            let mut out = String::new();
+            render(&v, &mut out);
+            out
+        }
+        // Wrapped in 200 nested arrays.
+        _ => format!("{}{doc}{}", "[".repeat(200), "]".repeat(200)),
+    }
+}
+
+/// Mutated real documents are malformed input: the JSON parser and the
+/// profile validator return `Ok` or `Err` on them, and never panic.
+#[test]
+fn mutated_documents_never_panic_the_parser_or_the_validator() {
+    let docs = real_documents();
+    janus_prof::validate_profile_json(&docs[0]).expect("the real profile validates");
+    json::parse(&docs[1]).expect("the real trace parses");
+    let case = gen::tuple4(
+        &gen::range_usize(0..2),
+        &gen::range_u8(0..5),
+        &gen::any_u64(),
+        &gen::any_u8(),
+    );
+    forall(&case, |&(doc, kind, pos, byte)| {
+        let mutated = mutate(&docs[doc], kind, pos as usize, byte);
+        let parsed = json::parse(&mutated);
+        let validated = janus_prof::validate_profile_json(&mutated);
+        if kind == 4 {
+            assert!(parsed.is_err() && validated.is_err(), "past MAX_DEPTH");
+        }
+    });
 }

@@ -145,11 +145,12 @@ mod tests {
             },
         )
         .expect("fits");
-        let stats = out.program.stats();
-        assert_eq!(stats.transactions, 60);
+        let count = |ops: &[Op], op: Op| ops.iter().filter(|o| **o == op).count();
+        assert_eq!(count(&out.program.ops, Op::TxCommit), 60);
         // Read-only transactions have no fences; update transactions have 3.
-        assert!(stats.fences < 60 * 3, "some transactions were read-only");
-        assert!(stats.fences > 0, "some transactions still update");
+        let fences = count(&out.program.ops, Op::Fence);
+        assert!(fences < 60 * 3, "some transactions were read-only");
+        assert!(fences > 0, "some transactions still update");
         // Default (0.0) emits only update transactions.
         let plain = generate(
             0,
@@ -159,7 +160,7 @@ mod tests {
             },
         )
         .expect("fits");
-        assert_eq!(plain.program.stats().fences, 60);
+        assert_eq!(count(&plain.program.ops, Op::Fence), 60);
     }
 
     #[test]

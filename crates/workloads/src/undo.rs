@@ -336,9 +336,8 @@ mod tests {
         let plain = tx_ops(Instrumentation::None);
         assert!(manual.pre_op_count() > 0);
         assert_eq!(plain.pre_op_count(), 0);
-        // Stripping the interface yields the identical plain program
-        // except provenance markers are shared.
-        assert_eq!(manual.without_pre_ops().write_count(), plain.write_count());
+        // The interface adds requests, never writebacks.
+        assert_eq!(manual.write_count(), plain.write_count());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use janus::bmo::BmoStack;
 use janus::core::config::{JanusConfig, SystemMode};
-use janus::core::ir::{Program, ProgramBuilder};
+use janus::core::ir::{Op, Program, ProgramBuilder};
 use janus::core::system::System;
 use janus::instrument::instrument;
 use janus::lint::{
@@ -312,6 +312,7 @@ fn fixed_seeded_misuse_recovers_manual_speedup() {
             "{w}: fixed program must lint clean: {:?}",
             outcome.after.diagnostics
         );
+        assert_eq!(outcome.program, manual.program, "{w}");
         let serialized = run_cycles(bare.program.clone(), &bare);
         let manual_cycles = run_cycles(manual.program.clone(), &manual);
         let fixed_cycles = run_cycles(outcome.program.clone(), &manual);
@@ -381,8 +382,9 @@ const DOMINANCE_PINS: [(Workload, u64, u64); 7] = [
 /// Pins what dominance decides on every workload: the program `auto_place`
 /// emits with its report, and every writeback's address- and data-known
 /// points with the hinted value. The digests were recorded from the
-/// iterative dominator algorithm; a match means the region-marker rule
-/// grants and refuses exactly the same markers.
+/// iterative dominator algorithm over the explicit control-flow graph; a
+/// match means reading dominance as program order grants and refuses
+/// exactly the same markers.
 #[test]
 fn dominance_decisions_are_pinned() {
     let digests = DOMINANCE_PINS.map(|(w, _, _)| {
@@ -397,4 +399,15 @@ fn dominance_decisions_are_pinned() {
         (w, fnv1a(placed.as_bytes()), fnv1a(writes.as_bytes()))
     });
     assert_eq!(digests, DOMINANCE_PINS);
+}
+
+/// A `FuncEnd` without its `FuncBegin` leaves the top level in place for
+/// both compiler passes, which read the same region table.
+#[test]
+fn unpaired_func_end_is_not_fatal() {
+    let mut b = ProgramBuilder::new();
+    b.push(Op::FuncEnd).compute(1);
+    let p = b.build();
+    assert_eq!(instrument(&p).0.ops, p.ops, "nothing to instrument");
+    assert_eq!(auto_place(&p).0.ops, p.ops, "nothing to place");
 }
